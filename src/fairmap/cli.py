@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -67,15 +68,21 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_training(config: PipelineConfig, input_path: Optional[str] = None):
-    dataset = read_dataset(
-        input_path or config.input_path,
+def _read_input(config: PipelineConfig, path: str, apply_filters: bool = True):
+    """Records of a file laid out like the configured input."""
+    return read_dataset(
+        path,
         config.schema,
         delimiter=config.delimiter,
         has_header=config.has_header,
         columns=config.columns,
         filters=config.filters,
+        apply_filters=apply_filters,
     )
+
+
+def _load_training(config: PipelineConfig):
+    dataset = _read_input(config, config.input_path)
     return dataset, estimate_empirical(dataset)
 
 
@@ -126,7 +133,7 @@ def _solution_payload(sol, config: PipelineConfig) -> dict:
         for k, v in sol.diagnostics.items()
         if k in ("worst_constraint", "worst_violation", "objective_trace",
                  "strategy", "atoms", "outer_iterations",
-                 "f_divergence_lower_bound")
+                 "f_divergence_lower_bound", "certificate_note")
     }
     if diag:
         payload["diagnostics"] = diag
@@ -163,12 +170,14 @@ def cmd_fit(args) -> int:
     print("\n".join(lines))
     if sol.status == "infeasible":
         return EXIT_INFEASIBLE
-    kernel = sol.kernel
-    prov = dict(kernel.provenance)
-    prov["problem"] = prov.get("fingerprint", "")
-    prov["fingerprint"] = config.fingerprint()
-    kernel = type(kernel)(kernel.schema, kernel.probs, prov)
-    write_kernel(os.path.join(out_dir, "kernel.csv"), kernel)
+    provenance = {
+        "fingerprint": config.fingerprint(),
+        "objective": config.objective,
+        "tol": config.solver.tol,
+    }
+    write_kernel(
+        os.path.join(out_dir, "kernel.csv"), replace(sol.kernel, provenance=provenance)
+    )
     return EXIT_OK
 
 
@@ -182,15 +191,8 @@ def cmd_transform(args) -> int:
         allow_mismatch=args.allow_provenance_mismatch,
     )
     seed = args.seed_override if args.seed_override is not None else config.seed
-    input_path = args.input or config.input_path
-    dataset = read_dataset(
-        input_path,
-        config.schema,
-        delimiter=config.delimiter,
-        has_header=config.has_header,
-        columns=config.columns,
-        filters=config.filters,
-        apply_filters=not args.no_filters,
+    dataset = _read_input(
+        config, args.input or config.input_path, apply_filters=not args.no_filters
     )
     if args.mode == "train":
         transformed = transform_train(dataset, kernel, seed)
@@ -246,14 +248,7 @@ def cmd_audit(args) -> int:
     config = load_config(args.config)
     out_dir = _ensure_out(config, args.out_dir)
     schema = config.schema
-    original = read_dataset(
-        args.original or config.input_path,
-        schema,
-        delimiter=config.delimiter,
-        has_header=config.has_header,
-        columns=config.columns,
-        filters=config.filters,
-    )
+    original = _read_input(config, args.original or config.input_path)
     pmf = estimate_empirical(original)
     spec = config.discrimination
     target = spec.target if spec.target is not None else pmf.p_y()

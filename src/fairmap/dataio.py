@@ -8,7 +8,8 @@ back without re-quantization.
 
 Kernel files are CSV with composite category labels, one line per
 positive transition, grouped by input cell, with a leading provenance
-comment carrying the seed-independent config fingerprint.
+comment holding the kernel's ``key=value`` provenance record (the
+seed-independent config fingerprint among it).
 """
 
 from __future__ import annotations
@@ -55,6 +56,24 @@ def _category_index(variable, raw: str):
     return alphabet.categories.index(label)
 
 
+def _header_record(header: str, magic: str, expected_fingerprint: Optional[str],
+                   allow_mismatch: bool, artifact: str) -> dict:
+    """The ``key=value`` record of a provenance header line; refuses a
+    fingerprint other than the expected one unless explicitly allowed."""
+    meta = dict(
+        part.split("=", 1)
+        for part in header[len(magic):].strip().split()
+        if "=" in part
+    )
+    found = meta.get("fingerprint", "")
+    if expected_fingerprint not in (None, found) and not allow_mismatch:
+        raise ProvenanceMismatchError(
+            f"{artifact} under fingerprint {found!r}, "
+            f"configuration is {expected_fingerprint!r}"
+        )
+    return meta
+
+
 def read_dataset(
     path: str,
     schema: Schema,
@@ -87,18 +106,9 @@ def read_dataset(
         reader = csv.reader(fh, delimiter=delimiter)
         rows = [r for r in reader if r and any(f.strip() for f in r)]
     for comment in comments:
-        if comment.startswith(DATA_MAGIC) and expected_fingerprint is not None:
-            meta = dict(
-                part.split("=", 1)
-                for part in comment[len(DATA_MAGIC):].strip().split()
-                if "=" in part
-            )
-            found = meta.get("fingerprint", "")
-            if found != expected_fingerprint and not allow_mismatch:
-                raise ProvenanceMismatchError(
-                    f"data file was produced under fingerprint {found!r}, "
-                    f"configuration is {expected_fingerprint!r}"
-                )
+        if comment.startswith(DATA_MAGIC):
+            _header_record(comment, DATA_MAGIC, expected_fingerprint,
+                           allow_mismatch, "data file was produced")
     if not rows:
         raise EmptyDatasetError(f"{path} has no rows")
     if has_header:
@@ -209,13 +219,11 @@ def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
 
 
 def write_kernel(path: str, kernel: TransformKernel) -> None:
+    """Write the kernel with its provenance record as the header line."""
     schema = kernel.schema
-    prov = kernel.provenance
+    record = " ".join(f"{k}={v}" for k, v in kernel.provenance.items())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            f"{KERNEL_MAGIC} fingerprint={prov.get('fingerprint', '')} "
-            f"objective={prov.get('objective', '')} tol={prov.get('tol', '')}\n"
-        )
+        fh.write(f"{KERNEL_MAGIC} {record}\n")
         writer = csv.writer(fh)
         writer.writerow(["d", "x", "y", "x_hat", "y_hat", "prob"])
         ny = schema.ny
@@ -245,19 +253,9 @@ def read_kernel(path: str, schema: Schema,
         first = fh.readline()
         if not first.startswith(KERNEL_MAGIC):
             raise SchemaMismatchError(f"{path} is not a kernel artifact")
-        meta = dict(
-            part.split("=", 1)
-            for part in first[len(KERNEL_MAGIC):].strip().split()
-            if "=" in part
-        )
         rest = fh.read()
-    if expected_fingerprint is not None:
-        found = meta.get("fingerprint", "")
-        if found != expected_fingerprint and not allow_mismatch:
-            raise ProvenanceMismatchError(
-                f"kernel was fit under fingerprint {found!r}, "
-                f"configuration is {expected_fingerprint!r}"
-            )
+    meta = _header_record(first, KERNEL_MAGIC, expected_fingerprint,
+                          allow_mismatch, "kernel was fit")
     reader = csv.reader(io.StringIO(rest))
     header = next(reader)
     if [h.strip() for h in header] != ["d", "x", "y", "x_hat", "y_hat", "prob"]:

@@ -11,9 +11,8 @@ pass through undistorted.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -27,7 +26,7 @@ from .constraints import (
     build_discrimination_constraints,
     build_distortion_constraints,
 )
-from .distortion import DistortionBudget, DistortionMetric, distortion_matrix
+from .distortion import DistortionBudget, DistortionMetric
 from .domain import JointPMF, Schema, cond_y_given_x, kl_divergence, l1_distance
 from .errors import InvalidParamsError
 from .solver import (
@@ -81,13 +80,14 @@ class TransformKernel:
         return self.probs[d, x, y].reshape(self.schema.nx, self.schema.ny)
 
 
-def identity_kernel(schema: Schema, provenance: Optional[Mapping] = None) -> TransformKernel:
+def _identity_probs(schema: Schema) -> np.ndarray:
     nd, nx, ny = schema.nd, schema.nx, schema.ny
-    probs = np.zeros((nd, nx, ny, nx * ny))
-    for x in range(nx):
-        for y in range(ny):
-            probs[:, x, y, x * ny + y] = 1.0
-    return TransformKernel(schema, probs, provenance or {})
+    eye = np.eye(nx * ny).reshape(nx, ny, nx * ny)
+    return np.broadcast_to(eye, (nd, nx, ny, nx * ny)).copy()
+
+
+def identity_kernel(schema: Schema, provenance: Optional[Mapping] = None) -> TransformKernel:
+    return TransformKernel(schema, _identity_probs(schema), provenance or {})
 
 
 def replacement_kernel(pmf: JointPMF) -> TransformKernel:
@@ -123,42 +123,6 @@ class Problem:
     def warnings(self) -> tuple[str, ...]:
         return self.disc_constraints.warnings + self.dist_constraints.warnings
 
-    def fingerprint(self) -> str:
-        """Hash of everything that determines the optimum (seed-free)."""
-        h = hashlib.sha256()
-        h.update(self.pmf.mass.tobytes())
-        h.update(self.objective.encode())
-        if self.disc_spec is not None:
-            spec = self.disc_spec
-            eps = (
-                spec.epsilon
-                if np.isscalar(spec.epsilon)
-                else sorted((str(k), v) for k, v in spec.epsilon.items())
-            )
-            h.update(
-                json.dumps(
-                    {
-                        "mode": spec.mode,
-                        "eps": eps,
-                        "target": None if spec.target is None else spec.target.tolist(),
-                        "condition_on": list(spec.condition_on),
-                        "min_cell_count": spec.min_cell_count,
-                    },
-                    sort_keys=True,
-                ).encode()
-            )
-        if self.metric is not None:
-            h.update(distortion_matrix(self.metric, self.pmf.schema).tobytes())
-        if self.budget is not None:
-            h.update(self.budget.mode.encode())
-            if self.budget.mode == "expected":
-                h.update(np.asarray(self.budget.c, dtype=np.float64).tobytes())
-            else:
-                for t, b in self.budget.pairs:
-                    h.update(np.float64(t).tobytes())
-                    h.update(np.asarray(b, dtype=np.float64).tobytes())
-        return h.hexdigest()[:16]
-
     def with_epsilon(self, epsilon) -> "Problem":
         if self.disc_spec is None:
             raise InvalidParamsError("problem has no discrimination spec to vary")
@@ -176,22 +140,22 @@ class Problem:
         rows = [kernel.probs[cell] for cell in self.layout.cells]
         return np.concatenate(rows) if rows else np.zeros(0)
 
+    def _kvec(self, kernel) -> np.ndarray:
+        return kernel if isinstance(kernel, np.ndarray) else self.kernel_vec(kernel)
+
     def objective_value(self, kernel) -> float:
-        kvec = kernel if isinstance(kernel, np.ndarray) else self.kernel_vec(kernel)
-        q = self.program.image(kvec)
+        q = self.program.image(self._kvec(kernel))
         if self.objective == OBJECTIVE_KL:
             return kl_divergence(self.program.p_ref, q)
         return l1_distance(self.program.p_ref, q)
 
     def max_residual(self, kernel) -> float:
-        kvec = kernel if isinstance(kernel, np.ndarray) else self.kernel_vec(kernel)
-        return self.program.residual(kvec)
+        return self.program.residual(self._kvec(kernel))
 
     def pushforward(self, kernel) -> np.ndarray:
         """Transformed (x_hat, y_hat) distribution as an (nx, ny) array."""
-        kvec = kernel if isinstance(kernel, np.ndarray) else self.kernel_vec(kernel)
         schema = self.pmf.schema
-        return self.program.image(kvec).reshape(schema.nx, schema.ny)
+        return self.program.image(self._kvec(kernel)).reshape(schema.nx, schema.ny)
 
 
 @dataclass(frozen=True)
@@ -200,7 +164,11 @@ class Solution:
 
     ``certificate`` is the duality gap (optimal), the minimum total
     constraint violation (infeasible), or the last gap seen (iteration
-    limit).  ``objective`` is NaN for infeasible problems.
+    limit).  For the l1 objective the gap is the LP's primal-dual gap as
+    computed from HiGHS's marginals, not clamped to ``tol``; it is NaN,
+    with ``diagnostics["certificate_note"]`` naming the cause, when the
+    marginals cannot give one.  For KL it is the Frank-Wolfe gap.
+    ``objective`` is NaN for infeasible problems.
     """
 
     status: str
@@ -287,31 +255,20 @@ def assemble(
     )
 
 
-def _kernel_from_vec(problem: Problem, kvec: np.ndarray,
-                     provenance: Mapping) -> TransformKernel:
+def _kernel_from_vec(problem: Problem, kvec: np.ndarray) -> TransformKernel:
     schema = problem.pmf.schema
-    nd, nx, ny = schema.nd, schema.nx, schema.ny
-    probs = np.zeros((nd, nx, ny, nx * ny))
-    for x in range(nx):
-        for y in range(ny):
-            probs[:, x, y, x * ny + y] = 1.0  # identity fallback rows
+    probs = _identity_probs(schema)  # fallback rows for zero-mass cells
     for row, cell in enumerate(problem.layout.cells):
         probs[cell] = np.maximum(
             kvec[row * problem.layout.row_dim : (row + 1) * problem.layout.row_dim],
             0.0,
         )
-    return TransformKernel(schema, probs, provenance)
+    return TransformKernel(schema, probs)
 
 
-def _provenance(problem: Problem, tol: float, extra: Optional[Mapping] = None) -> dict:
-    prov = {
-        "fingerprint": problem.fingerprint(),
-        "objective": problem.objective,
-        "tol": tol,
-    }
-    if extra:
-        prov.update(extra)
-    return prov
+def _path(objective: str):
+    """The solve path of an objective (looked up at call time)."""
+    return solve_kl if objective == OBJECTIVE_KL else solve_tv
 
 
 def solve(problem: Problem, tol: float = DEFAULT_TOL,
@@ -323,12 +280,10 @@ def solve(problem: Problem, tol: float = DEFAULT_TOL,
     come back with a phase-1 certificate (minimum total violation) and a
     pointer at the most violated constraint.
     """
-    path = solve_kl if problem.objective == OBJECTIVE_KL else solve_tv
-    out = path(problem.program, tol=tol, max_iters=max_iters)
-    kernel = _kernel_from_vec(problem, out.kvec, _provenance(problem, tol))
+    out = _path(problem.objective)(problem.program, tol=tol, max_iters=max_iters)
     return Solution(
         status=out.status,
-        kernel=kernel,
+        kernel=_kernel_from_vec(problem, out.kvec),
         objective=out.objective,
         residual=out.residual,
         certificate=out.certificate,
@@ -440,12 +395,6 @@ def _substitution_for_m(layout: VariableLayout, m: np.ndarray) -> sp.csr_matrix:
     )
 
 
-def _solve_block(program: SimplexImageProgram, objective: str, tol: float,
-                 max_iters: int) -> SolveOutcome:
-    path = solve_kl if objective == OBJECTIVE_KL else solve_tv
-    return path(program, tol=tol, max_iters=max_iters)
-
-
 def _f_divergence_lower_bound(problem: Problem, kvec: np.ndarray) -> float:
     """D_f(p_X || p_Xhat): the data-processing floor for the objective."""
     schema = problem.pmf.schema
@@ -477,8 +426,11 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
     layout = problem.layout
     schema = problem.pmf.schema
     nx = schema.nx
-    prog_full = replace_fixed(problem.program)
+    # no entry pinning: the restricted reformulations rely on the raw
+    # inequalities instead, which substitution preserves
+    prog_full = replace(problem.program, fixed_zero=None)
     w = _w_extended(problem.pmf)
+    solve_block = partial(_path(problem.objective), tol=tol, max_iters=max_iters)
 
     def m_program(w_cur: np.ndarray) -> SimplexImageProgram:
         return prog_full.substitute(
@@ -497,13 +449,10 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
         diag["sof_y_given_xhat"] = w_cur
         diag["sof_xhat_given_dxy"] = m_cur
         diag["f_divergence_lower_bound"] = _f_divergence_lower_bound(problem, kvec)
-        kernel = _kernel_from_vec(
-            problem, kvec, _provenance(problem, tol, {"sof": strategy})
-        )
         objective = problem.objective_value(kvec)
         return Solution(
             status=out.status,
-            kernel=kernel,
+            kernel=_kernel_from_vec(problem, kvec),
             objective=objective if out.status != STATUS_INFEASIBLE else float("nan"),
             residual=prog_full.residual(kvec),
             certificate=out.certificate,
@@ -512,12 +461,12 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
         )
 
     if strategy == SOF_FIX_CONDITIONAL:
-        out = _solve_block(m_program(w), problem.objective, tol, max_iters)
+        out = solve_block(m_program(w))
         m = out.kvec.reshape(layout.n_rows, nx)
         return finish(out, m, w, {"strategy": strategy})
 
     # alternating minimization; find a jointly feasible start first
-    m_out = _solve_block(m_program(w), problem.objective, tol, max_iters)
+    m_out = solve_block(m_program(w))
     if m_out.status == STATUS_INFEASIBLE:
         m = m_out.kvec.reshape(layout.n_rows, nx)
         best = m_out.certificate
@@ -537,7 +486,7 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
                 )
                 return finish(out, m, w, {"strategy": strategy})
             best = min(vw, vm, best)
-        m_out = _solve_block(m_program(w), problem.objective, tol, max_iters)
+        m_out = solve_block(m_program(w))
         if m_out.status == STATUS_INFEASIBLE:
             m = m_out.kvec.reshape(layout.n_rows, nx)
             return finish(m_out, m, w, {"strategy": strategy})
@@ -556,13 +505,13 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
         before = trace[-1]
         # a block update is only taken when it does not increase the
         # recorded objective, so the trace is non-increasing exactly
-        w_out = _solve_block(w_program(m), problem.objective, tol, max_iters)
+        w_out = solve_block(w_program(m))
         cand_w = w_out.kvec.reshape(nx, schema.ny)
         val = product_objective(m, cand_w)
         if val <= trace[-1]:
             w = cand_w
             trace.append(val)
-        m_out = _solve_block(m_program(w), problem.objective, tol, max_iters)
+        m_out = solve_block(m_program(w))
         cand_m = m_out.kvec.reshape(layout.n_rows, nx)
         val = product_objective(cand_m, w)
         if val <= trace[-1]:
@@ -583,21 +532,3 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
                     "outer_iterations": iterations},
     )
 
-
-def replace_fixed(program: SimplexImageProgram) -> SimplexImageProgram:
-    """Same program without entry pinning (restricted reformulations rely
-    on the raw inequalities instead, which substitution preserves)."""
-    if program.fixed_zero is None or not program.fixed_zero.any():
-        return program
-    return SimplexImageProgram(
-        n_rows=program.n_rows,
-        row_dim=program.row_dim,
-        A=program.A,
-        p_ref=program.p_ref,
-        G=program.G,
-        h=program.h,
-        labels=program.labels,
-        anchor=program.anchor,
-        fixed_zero=None,
-        tie_weight=program.tie_weight,
-    )

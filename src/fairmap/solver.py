@@ -32,6 +32,7 @@ from scipy.optimize import linprog
 from scipy.special import rel_entr
 
 from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, TIE_BREAK_WEIGHT
+from .domain import kl_divergence
 from .errors import InvalidParamsError, NumericalBreakdownError
 
 STATUS_OPTIMAL = "optimal"
@@ -75,11 +76,6 @@ class SimplexImageProgram:
         return sp.csr_matrix(
             (data, indices, indptr), shape=(self.n_rows, self.n_vars)
         )
-
-    def var_bounds(self) -> list:
-        if self.fixed_zero is not None and self.fixed_zero.any():
-            return [(0.0, 0.0) if fz else (0.0, 1.0) for fz in self.fixed_zero]
-        return [(0.0, 1.0)] * self.n_vars
 
     def image(self, kvec: np.ndarray) -> np.ndarray:
         return np.asarray(self.A @ kvec)
@@ -126,18 +122,49 @@ class SolveOutcome:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _lmo(prog: SimplexImageProgram, c: np.ndarray):
-    """Minimize a linear objective over the feasible polytope."""
-    return linprog(
-        c,
-        A_ub=prog.G if prog.h.size else None,
-        b_ub=prog.h if prog.h.size else None,
-        A_eq=prog.row_sum_matrix(),
+def _lp(prog: SimplexImageProgram, c_k: np.ndarray, c_aux=(), g_aux=None,
+        rows=None, rhs=None, maxiter=None):
+    """One HiGHS call over the variables [k, aux].
+
+    Minimizes c_k . k + c_aux . aux subject to the program's simplex rows
+    and side constraints (``g_aux`` holds the auxiliary columns of the
+    side-constraint rows; zero when omitted) plus ``rows @ [k, aux] <=
+    rhs``.  Kernel entries lie in [0, 1] (pinned to 0 under
+    ``fixed_zero``); auxiliary variables are nonnegative.  Returns the
+    HiGHS result with the ``b_ub`` and the upper bounds it was given.
+    """
+    n_aux = len(c_aux)
+    m = int(prog.h.size)
+    A_ub, b_ub = [], []
+    if m:
+        if n_aux:
+            aux = sp.csr_matrix((m, n_aux)) if g_aux is None else g_aux
+            A_ub.append(sp.hstack([prog.G, aux], format="csr"))
+        else:
+            A_ub.append(prog.G)
+        b_ub.append(prog.h)
+    if rows is not None:
+        A_ub.append(rows)
+        b_ub.append(rhs)
+    b_ub = np.concatenate(b_ub) if b_ub else None
+    A_eq = prog.row_sum_matrix()
+    if n_aux:
+        A_eq = sp.hstack([A_eq, sp.csr_matrix((prog.n_rows, n_aux))], format="csr")
+    ub = np.ones(prog.n_vars)
+    if prog.fixed_zero is not None:
+        ub = np.where(prog.fixed_zero, 0.0, 1.0)
+    ub = np.concatenate([ub, np.full(n_aux, np.inf)])
+    res = linprog(
+        np.concatenate([c_k, c_aux]),
+        A_ub=sp.vstack(A_ub, format="csr") if A_ub else None,
+        b_ub=b_ub,
+        A_eq=A_eq,
         b_eq=np.ones(prog.n_rows),
-        bounds=prog.var_bounds(),
+        bounds=np.column_stack([np.zeros(ub.size), ub]),
         method="highs",
-        options=dict(_LP_OPTIONS),
+        options=dict(_LP_OPTIONS, maxiter=maxiter),
     )
+    return res, b_ub, ub
 
 
 def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict]:
@@ -147,26 +174,12 @@ def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict
     and diagnostics naming the worst constraint there.
     """
     n, m = prog.n_vars, int(prog.h.size)
-    if m == 0:
-        res = _lmo(prog, np.zeros(n))
-        if res.status != 0:
-            raise NumericalBreakdownError(f"phase-1 failed: {res.message}")
-        return 0.0, res.x, {}
-    res = linprog(
-        np.concatenate([np.zeros(n), np.ones(m)]),
-        A_ub=sp.hstack([prog.G, -sp.identity(m, format="csr")], format="csr"),
-        b_ub=prog.h,
-        A_eq=sp.hstack(
-            [prog.row_sum_matrix(), sp.csr_matrix((prog.n_rows, m))], format="csr"
-        ),
-        b_eq=np.ones(prog.n_rows),
-        bounds=prog.var_bounds() + [(0.0, None)] * m,
-        method="highs",
-        options=dict(_LP_OPTIONS),
-    )
+    res, _, _ = _lp(prog, np.zeros(n), np.ones(m), -sp.identity(m, format="csr"))
     if res.status != 0:
         raise NumericalBreakdownError(f"phase-1 failed: {res.message}")
     kvec = res.x[:n]
+    if m == 0:
+        return 0.0, kvec, {}
     svec = res.x[n:]
     worst = int(np.argmax(svec))
     diag = {
@@ -176,22 +189,21 @@ def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict
     return float(svec.sum()), kvec, diag
 
 
-def _lp_duality_gap(res, b_ub, b_eq, bounds) -> float:
-    """|primal - dual| from the marginals HiGHS reports; 0 on any trouble."""
-    try:
-        dual = 0.0
-        if b_ub is not None and len(b_ub):
-            dual += float(np.dot(res.ineqlin.marginals, b_ub))
-        dual += float(np.dot(res.eqlin.marginals, b_eq))
-        lows = np.array([b[0] for b in bounds], dtype=float)
-        dual += float(np.dot(res.lower.marginals, lows))
-        has_up = np.array([b[1] is not None for b in bounds])
-        ups = np.array([b[1] if b[1] is not None else 0.0 for b in bounds])
-        dual += float(np.dot(res.upper.marginals[has_up], ups[has_up]))
-        gap = abs(float(res.fun) - dual)
-        return gap if np.isfinite(gap) else 0.0
-    except Exception:
-        return 0.0
+def _lp_duality_gap(res, b_ub: np.ndarray, ub: np.ndarray) -> tuple[float, str]:
+    """|primal - dual| from the marginals HiGHS reports (lower bounds are
+    all 0 and the simplex rows all equal 1), or NaN and the reason."""
+    if res.eqlin.marginals is None:
+        return float("nan"), "HiGHS reported no dual values"
+    finite = np.isfinite(ub)
+    dual = (
+        float(res.ineqlin.marginals @ b_ub)
+        + float(res.eqlin.marginals.sum())
+        + float(res.upper.marginals[finite] @ ub[finite])
+    )
+    gap = abs(float(res.fun) - dual)
+    if not np.isfinite(gap):
+        return float("nan"), "primal-dual gap is not finite"
+    return gap, ""
 
 
 def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
@@ -204,26 +216,13 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     # variables [k, u]; u_j >= |p_j - (A k)_j|
     A = prog.A
     I = sp.identity(n_img, format="csr")
-    abs_ub = sp.vstack([sp.hstack([-A, -I]), sp.hstack([A, -I])], format="csr")
-    abs_rhs = np.concatenate([-prog.p_ref, prog.p_ref])
-    G_ext = (
-        sp.hstack([prog.G, sp.csr_matrix((int(prog.h.size), n_img))], format="csr")
-        if prog.h.size
-        else sp.csr_matrix((0, n + n_img))
-    )
-    A_ub = sp.vstack([G_ext, abs_ub], format="csr")
-    b_ub = np.concatenate([prog.h, abs_rhs])
-    A_eq = sp.hstack(
-        [prog.row_sum_matrix(), sp.csr_matrix((prog.n_rows, n_img))], format="csr"
-    )
-    b_eq = np.ones(prog.n_rows)
-    c = np.concatenate([-prog.tie_weight * prog.anchor, np.ones(n_img)])
-    bounds = prog.var_bounds() + [(0.0, None)] * n_img
-    options = dict(_LP_OPTIONS)
-    options["maxiter"] = max_iters
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-        method="highs", options=options,
+    res, b_ub, ub = _lp(
+        prog,
+        -prog.tie_weight * prog.anchor,
+        np.ones(n_img),
+        rows=sp.vstack([sp.hstack([-A, -I]), sp.hstack([A, -I])], format="csr"),
+        rhs=np.concatenate([-prog.p_ref, prog.p_ref]),
+        maxiter=max_iters,
     )
     if res.status == 2:
         violation, kvec, diag = phase1_violation(prog)
@@ -242,22 +241,16 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
         raise NumericalBreakdownError(f"LP solve failed: {res.message}")
     kvec = res.x[:n]
     objective = float(np.abs(prog.p_ref - prog.image(kvec)).sum())
-    gap = _lp_duality_gap(res, b_ub, b_eq, bounds)
+    gap, note = _lp_duality_gap(res, b_ub, ub)
     return SolveOutcome(
-        STATUS_OPTIMAL, kvec, objective, min(gap, tol), prog.residual(kvec),
-        int(res.nit), {},
+        STATUS_OPTIMAL, kvec, objective, gap, prog.residual(kvec),
+        int(res.nit), {"certificate_note": note} if note else {},
     )
 
 
 # ---------------------------------------------------------------------------
 # KL path: fully-corrective Frank-Wolfe
 # ---------------------------------------------------------------------------
-
-
-def _kl_value(p_ref: np.ndarray, q: np.ndarray) -> float:
-    if np.any(q[p_ref > 0] <= 0.0):
-        return float("inf")
-    return float(rel_entr(p_ref, q).sum())
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -336,27 +329,15 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
 
     # start from a feasible point that covers the supported image cells:
     # maximize t subject to (A k)_j >= t * p_j on the support
-    n_sup = int(support.sum())
     A_sup = prog.A[np.nonzero(support)[0]]
-    cover_ub = sp.hstack(
-        [-A_sup, sp.csr_matrix(p_ref[support].reshape(-1, 1))], format="csr"
-    )
-    G_ext = (
-        sp.hstack([prog.G, sp.csr_matrix((int(prog.h.size), 1))], format="csr")
-        if prog.h.size
-        else sp.csr_matrix((0, n + 1))
-    )
-    res = linprog(
-        np.concatenate([np.zeros(n), [-1.0]]),
-        A_ub=sp.vstack([G_ext, cover_ub], format="csr"),
-        b_ub=np.concatenate([prog.h, np.zeros(n_sup)]),
-        A_eq=sp.hstack(
-            [prog.row_sum_matrix(), sp.csr_matrix((prog.n_rows, 1))], format="csr"
+    res, _, _ = _lp(
+        prog,
+        np.zeros(n),
+        [-1.0],
+        rows=sp.hstack(
+            [-A_sup, sp.csr_matrix(p_ref[support].reshape(-1, 1))], format="csr"
         ),
-        b_eq=np.ones(prog.n_rows),
-        bounds=prog.var_bounds() + [(0.0, None)],
-        method="highs",
-        options=dict(_LP_OPTIONS),
+        rhs=np.zeros(A_sup.shape[0]),
     )
     if res.status == 2:
         violation, kvec, diag = phase1_violation(prog)
@@ -390,7 +371,7 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
         grad_img = np.zeros_like(q)
         grad_img[support] = -p_ref[support] / q[support]
         g = np.asarray(prog.A.T @ grad_img) - prog.tie_weight * prog.anchor
-        lp = _lmo(prog, g)
+        lp, _, _ = _lp(prog, g)
         lmo_calls += 1
         if lp.status != 0:
             raise NumericalBreakdownError(f"LMO failed: {lp.message}")
@@ -425,7 +406,7 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
         for a, l in zip(atoms, lam):
             kvec += l * a
 
-    objective = _kl_value(p_ref, prog.image(kvec))
+    objective = kl_divergence(p_ref, prog.image(kvec))
     status = STATUS_OPTIMAL if gap <= tol else STATUS_ITERATION_LIMIT
     return SolveOutcome(
         status, kvec, objective, gap, prog.residual(kvec), lmo_calls,

@@ -21,6 +21,7 @@ from conftest import (
     make_toy_instance,
     random_pmf,
 )
+from fairmap.solver import phase1_violation
 
 
 def two_group_pmf(p_d0=0.5, rate0=0.8, rate1=0.2):
@@ -312,6 +313,68 @@ class TestSolveContracts:
         # coverage holds; so this instance must solve fine
         sol = solve(problem)
         assert sol.status == "optimal"
+
+
+class TestLPBuilder:
+    def test_pinned_entries_come_back_exactly_zero(self):
+        # forbidden outcome raises are pinned through the variable bounds;
+        # l1, KL and phase-1 kernels (feasible or not) must keep them at 0
+        rng = np.random.default_rng(11)
+        statuses = set()
+        for _ in range(8):
+            pmf = random_pmf(make_schema(nx=2), rng)
+            xt = rng.uniform(0.3, 2.0, (2, 2))
+            np.fill_diagonal(xt, 0)
+            metric = DistortionMetric(
+                "per_attribute", x_tables=(xt,),
+                y_table=np.array([[0, 1e4], [rng.uniform(0.5, 1.5), 0]]),
+                combiner="sum",
+            )
+            spec = DiscriminationSpec(
+                mode="pairwise", epsilon=float(rng.uniform(0.05, 0.6))
+            )
+            budget = DistortionBudget("expected", c=float(rng.uniform(0.3, 1.5)))
+            for objective in ("l1", "kl"):
+                problem = assemble(pmf, spec, metric, budget, objective)
+                pinned = problem.program.fixed_zero
+                assert pinned.any()
+                sol = solve(problem)
+                statuses.add(sol.status)
+                assert (problem.kernel_vec(sol.kernel)[pinned] == 0.0).all()
+            _, kvec, _ = phase1_violation(problem.program)
+            assert (kvec[pinned] == 0.0).all()
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_program_without_side_constraints(self, rng):
+        pmf = random_pmf(make_schema(nx=2), rng)
+        for objective in ("l1", "kl"):
+            problem = assemble(pmf, None, objective=objective)
+            assert problem.program.h.size == 0
+            sol = solve(problem)
+            assert sol.status == "optimal"
+            assert sol.objective <= 1e-6
+            assert sol.residual <= 1e-9
+        violation, kvec, diag = phase1_violation(problem.program)
+        assert violation == 0.0
+        assert diag == {}
+        assert problem.program.residual(kvec) <= 1e-9
+
+    def test_l1_certificate_without_duals_is_nan_with_note(self, monkeypatch):
+        import fairmap.solver as solver
+
+        real = solver.linprog
+
+        def without_duals(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.eqlin.marginals = None
+            return res
+
+        monkeypatch.setattr(solver, "linprog", without_duals)
+        pmf = two_group_pmf()
+        sol = solve(assemble(pmf, DiscriminationSpec(epsilon=0.5), objective="l1"))
+        assert sol.status == "optimal"
+        assert np.isnan(sol.certificate)
+        assert "dual" in sol.diagnostics["certificate_note"]
 
 
 class TestSweep:
