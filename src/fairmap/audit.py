@@ -472,13 +472,12 @@ def audit_distortion(
     order = np.lexsort((original.y, original.x, original.d))
     cells = np.stack([original.d, original.x, original.y], axis=1)[order]
     vals = values[order]
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or (cells[i] != cells[start]).any():
-            key = tuple(int(c) for c in cells[start])
-            per_cell_mean[key] = float(vals[start:i].mean())
-            per_cell_count[key] = int(i - start)
-            start = i
+    flat = (cells[:, 0] * schema.nx + cells[:, 1]) * ny + cells[:, 2]
+    bounds = [0, *(np.flatnonzero(np.diff(flat)) + 1).tolist(), len(vals)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        key = tuple(cells[start].tolist())
+        per_cell_mean[key] = float(vals[start:stop].mean())
+        per_cell_count[key] = stop - start
     return DistortionSummary(
         mean=float(values.mean()),
         max=float(values.max()),

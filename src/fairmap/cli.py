@@ -197,7 +197,10 @@ def cmd_transform(args) -> int:
     if args.mode == "train":
         transformed = transform_train(dataset, kernel, seed)
     else:
-        _, pmf = _load_training(config)
+        if not args.input and not args.no_filters:
+            pmf = estimate_empirical(dataset)  # dataset is the training data
+        else:
+            _, pmf = _load_training(config)
         mapper = derive_apply_kernel(kernel, pmf)
         for warning in mapper.warnings:
             print(f"warning: {warning}", file=sys.stderr)

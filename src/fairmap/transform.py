@@ -7,7 +7,10 @@ the outcome-given-input conditional) and randomizes features only.
 Randomness is counter-based: each record owns a Philox stream keyed by
 (master seed, record stream id), so output is reproducible, independent
 of thread scheduling or batch splits, and permuting records permutes the
-output with it.
+output with it.  A record's draw is the first output of Philox4x64-10
+(Salmon et al., SC'11) under key ``(seed, stream id)``, computed for all
+records at once in array arithmetic; it equals
+``SeedSpec.stream(stream_id).random()`` bit for bit.
 """
 
 from __future__ import annotations
@@ -93,16 +96,53 @@ def derive_apply_kernel(kernel: TransformKernel, pmf: JointPMF) -> ApplyMapper:
     )
 
 
+_MASK32 = np.uint64(0xFFFFFFFF)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def _mulhilo(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``a * b``, through
+    32-bit halves so that no partial product overflows 64 bits."""
+    a_lo, a_hi = a & _MASK32, a >> np.uint64(32)
+    b_lo, b_hi = b & _MASK32, b >> np.uint64(32)
+    mid = a_hi * b_lo + ((a_lo * b_lo) >> np.uint64(32))
+    cross = a_lo * b_hi + (mid & _MASK32)
+    hi = a_hi * b_hi + (mid >> np.uint64(32)) + (cross >> np.uint64(32))
+    return hi, a * b
+
+
+def _philox_uniforms(master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
+    """``SeedSpec(master_seed).stream(sid).random()`` for every ``sid``:
+    the first 64-bit word of Philox4x64-10 at counter 1 (numpy's
+    generator increments its counter before the first block), shifted to
+    53 bits and scaled into [0, 1)."""
+    sids = np.asarray(stream_ids, dtype=np.int64).view(np.uint64)
+    n = sids.size
+    k0 = np.full(n, master_seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    k1 = sids.copy()
+    c0 = np.ones(n, dtype=np.uint64)
+    c1, c2, c3 = (np.zeros(n, dtype=np.uint64) for _ in range(3))
+    for rnd in range(10):
+        if rnd:
+            k0 += _PHILOX_W[0]
+            k1 += _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (c0 >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
 def _sample_categories(rows: np.ndarray, seed: SeedSpec,
                        stream_ids: np.ndarray) -> np.ndarray:
-    """One draw per record from its probability row via its own stream."""
+    """One draw per record from its probability row via its own stream:
+    the first index whose cumulative mass exceeds the record's uniform,
+    clamped to the last index when rounding leaves the row's total
+    below the draw."""
     cums = np.cumsum(rows, axis=1)
-    out = np.empty(rows.shape[0], dtype=np.int64)
-    top = rows.shape[1] - 1
-    for i in range(rows.shape[0]):
-        u = seed.stream(int(stream_ids[i])).random()
-        out[i] = min(int(np.searchsorted(cums[i], u, side="right")), top)
-    return out
+    u = _philox_uniforms(seed.master_seed, stream_ids)
+    drawn = (cums <= u[:, None]).sum(axis=1)
+    return np.minimum(drawn, rows.shape[1] - 1)
 
 
 def transform_train(dataset: Dataset, kernel: TransformKernel,

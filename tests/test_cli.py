@@ -11,7 +11,7 @@ import yaml
 from fairmap.cli import main
 from fairmap.config import load_config
 from fairmap.dataio import read_dataset, read_kernel, write_kernel
-from fairmap.optimizer import identity_kernel
+from fairmap.optimizer import TransformKernel, identity_kernel
 
 from test_config import tiny_config_dict
 
@@ -136,6 +136,33 @@ class TestTransform:
         ]) == 0
         h3 = hashlib.sha256((tmp / "t3" / "transformed_train.csv").read_bytes())
         assert h3.hexdigest() != h1.hexdigest()
+
+    # sha256 of the transformed files for the fixed kernel below on the
+    # ``workdir`` data; a changed per-record stream changes them
+    PINNED_TRAIN = "6c1ce8139506d6a8a5862d1953b4df4dfdb742d862173b773e616888fb3bbe41"
+    PINNED_APPLY = "58594001f54ec1e5991dcc8b431d38a36731b2f0d4655237114ff0c3474e90f5"
+
+    def test_seeded_outputs_match_pinned_digests(self, workdir):
+        tmp, cfg = workdir
+        config = load_config(str(cfg))
+        rows = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.6, 0.1, 0.2],
+                         [0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.0, 0.5]])
+        probs = np.stack([rows, rows[::-1]]).reshape(2, 2, 2, 4)
+        kpath = tmp / "fixed.csv"
+        write_kernel(str(kpath), TransformKernel(
+            config.schema, probs,
+            {"fingerprint": config.fingerprint(), "objective": "l1", "tol": 1e-6},
+        ))
+        digests = {}
+        for mode in ("train", "apply"):
+            assert main([
+                "transform", "--config", str(cfg), "--kernel", str(kpath),
+                "--mode", mode, "--out-dir", str(tmp / "tf"),
+                "--seed-override", "7",
+            ]) == 0
+            data = (tmp / "tf" / f"transformed_{mode}.csv").read_bytes()
+            digests[mode] = hashlib.sha256(data).hexdigest()
+        assert digests == {"train": self.PINNED_TRAIN, "apply": self.PINNED_APPLY}
 
     def test_identity_kernel_reproduces_columns(self, workdir):
         tmp, cfg = workdir

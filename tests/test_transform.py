@@ -22,6 +22,7 @@ from fairmap import (
 )
 from fairmap.errors import MissingOutcomeError
 from fairmap.optimizer import TransformKernel
+from fairmap.transform import SeedSpec, _philox_uniforms, _sample_categories
 
 from conftest import make_schema, random_pmf
 
@@ -214,6 +215,59 @@ class TestSampling:
         out = transform_train(ds, sol.kernel, seed=21)
         raised = (ds.y == 0) & (out.y == 1)
         assert not raised.any()
+
+
+def reference_sample(rows, seed, stream_ids):
+    """The per-record loop the vectorized sampler replaced: one Philox
+    generator per record, one ``searchsorted`` per row."""
+    cums = np.cumsum(rows, axis=1)
+    out = np.empty(rows.shape[0], dtype=np.int64)
+    top = rows.shape[1] - 1
+    for i in range(rows.shape[0]):
+        u = seed.stream(int(stream_ids[i])).random()
+        out[i] = min(int(np.searchsorted(cums[i], u, side="right")), top)
+    return out
+
+
+# sums to 1 but its cumsum ends at 0.9999999999999999
+ULPS_SHORT_ROW = np.array([0.3, 0.3, 0.3, 0.1, 0.0, 0.0])
+
+
+def oracle_rows(rng, n, k=6):
+    """Dirichlet rows mixed with point masses, rows with zeros, rows
+    whose cumsum ends a few ulps below 1, and rows holding half their
+    mass (so the last-index clamp is taken on about half their draws)."""
+    rows = rng.dirichlet(np.ones(k), size=n)
+    kind = np.arange(n) % 5
+    rows[kind == 1] = np.eye(k)[rng.integers(k, size=(kind == 1).sum())]
+    zeros = rows[kind == 2]
+    zeros[rng.random(zeros.shape) < 0.5] = 0.0
+    zeros[:, 0] += 1.0 - zeros.sum(axis=1)
+    rows[kind == 2] = zeros
+    rows[kind == 3] = ULPS_SHORT_ROW
+    rows[kind == 4] *= 0.5
+    return rows
+
+
+class TestSamplerOracle:
+    """The array sampler against the per-record loop, exactly."""
+
+    @pytest.mark.parametrize("master", [0, 1, 2**63 + 5, 2**64 - 1, -1])
+    def test_matches_per_record_streams(self, master):
+        rng = np.random.default_rng(abs(master) % 1000)
+        stream_ids = np.concatenate([
+            np.arange(200),  # 0 and small ids
+            [-1, -2, -(2**63), 2**63 - 1],  # above 2**63 once masked
+            rng.integers(-(2**63), 2**63 - 1, size=200, dtype=np.int64),
+        ])
+        rows = oracle_rows(rng, stream_ids.size)
+        assert np.cumsum(ULPS_SHORT_ROW)[-1] < 1.0
+        seed = SeedSpec(master)
+        uniforms = [seed.stream(int(s)).random() for s in stream_ids]
+        assert np.array_equal(_philox_uniforms(master, stream_ids), uniforms)
+        drawn = _sample_categories(rows, seed, stream_ids)
+        assert np.array_equal(drawn, reference_sample(rows, seed, stream_ids))
+        assert (drawn[4::5] == rows.shape[1] - 1).any()
 
 
 def flip_metric_2x():
