@@ -132,7 +132,7 @@ def _solution_payload(sol, config: PipelineConfig) -> dict:
         k: v
         for k, v in sol.diagnostics.items()
         if k in ("worst_constraint", "worst_violation", "objective_trace",
-                 "strategy", "atoms", "outer_iterations",
+                 "strategy", "lower_bound", "outer_iterations",
                  "f_divergence_lower_bound", "certificate_note")
     }
     if diag:

@@ -116,9 +116,6 @@ class VariableLayout:
         return cls(pmf.schema, cells, weights)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "row_of", {cell: i for i, cell in enumerate(self.cells)}
-        )
         w = np.asarray(self.weights, dtype=np.float64)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -134,9 +131,6 @@ class VariableLayout:
     @property
     def n_vars(self) -> int:
         return self.n_rows * self.row_dim
-
-    def var_index(self, row: int, x_hat: int, y_hat: int) -> int:
-        return row * self.row_dim + x_hat * self.schema.ny + y_hat
 
     def input_cell_index(self, row: int) -> int:
         """Flattened (x, y) cell the row's input occupies."""

@@ -33,6 +33,7 @@ from .constants import ROW_ATOL
 from .domain import Dataset, Quantizer, Schema
 from .errors import (
     EmptyDatasetError,
+    FairmapError,
     InvalidParamsError,
     ProvenanceMismatchError,
     SchemaMismatchError,
@@ -147,8 +148,8 @@ def _resolve(steps, encoded):
     rows.
 
     Returns the mask of surviving rows, each step's (per-value results,
-    row codes), and ``(resolver, raw)`` of the earliest row whose value
-    failed to resolve, or None.  Failures are remembered, not kept as
+    row codes), and ``(column, resolver, raw)`` of the earliest row whose
+    value failed to resolve, or None.  Failures are remembered, not kept as
     exception objects, whose tracebacks would pin this frame.
     """
     n_rows = len(encoded[steps[0][0]][1])
@@ -169,7 +170,7 @@ def _resolve(steps, encoded):
         if bad_rows.any():
             row = int(bad_rows.argmax())
             if row < first_row:
-                first_row, failure = row, (resolve, values[codes[row]])
+                first_row, failure = row, (col, resolve, values[codes[row]])
         alive &= np.array([r is not None for r in table], dtype=bool)[codes]
         tables.append((table, codes))
     return alive, tables, failure
@@ -199,7 +200,9 @@ def read_dataset(
     filters, then D and X variables in declaration order, then the
     outcome, then the stream id.  A value that fails to resolve raises
     only when a row reaching that step carries it, and the first such
-    row (or the first short row, if earlier) decides the exception.
+    row (or the first short row, if earlier) decides the exception.  A
+    field that cannot be parsed as a number (a stream id, a value under a
+    ``bins`` quantizer) raises ``SchemaMismatchError`` naming its column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         comments = []
@@ -257,8 +260,15 @@ def read_dataset(
 
     alive, tables, failure = _resolve(steps, encoded)
     if failure is not None:
-        resolve, raw = failure
-        resolve(raw)  # raises again: the loop's exception for its first failing row
+        col, resolve, raw = failure
+        try:
+            resolve(raw)  # raises again: the exception of the first failing row
+        except FairmapError:
+            raise
+        except ValueError as exc:  # int() or float() of a malformed field
+            raise SchemaMismatchError(
+                f"column {header[col]!r}: cannot read {raw!r} ({exc})"
+            ) from exc
     if short is not None:
         raise SchemaMismatchError(f"short row in {path}: {short!r}")
     if not alive.any():

@@ -25,10 +25,6 @@ class ZeroReferenceError(FairmapError, ZeroDivisionError):
     """Ratio distance asked for with a zero reference probability."""
 
 
-class AbsentRowError(FairmapError):
-    """A conditional row was requested for a zero-mass given-cell."""
-
-
 class MissingBudgetError(FairmapError):
     """No distortion budget defined for a positive-mass input cell."""
 

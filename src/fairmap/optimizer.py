@@ -162,13 +162,15 @@ class Problem:
 class Solution:
     """Solver outcome plus the deployable kernel.
 
-    ``certificate`` is the duality gap (optimal), the minimum total
+    ``certificate`` is the optimality gap (optimal), the minimum total
     constraint violation (infeasible), or the last gap seen (iteration
     limit).  For the l1 objective the gap is the LP's primal-dual gap as
     computed from HiGHS's marginals, not clamped to ``tol``; it is NaN,
     with ``diagnostics["certificate_note"]`` naming the cause, when the
-    marginals cannot give one.  For KL it is the Frank-Wolfe gap.
-    ``objective`` is NaN for infeasible problems.
+    marginals cannot give one.  For KL it is UB - LB: the objective plus
+    tie-break term at the returned kernel, minus the cut LP's dual bound
+    ``diagnostics["lower_bound"]``.  ``objective`` is NaN for infeasible
+    problems.
     """
 
     status: str
@@ -276,9 +278,10 @@ def solve(problem: Problem, tol: float = DEFAULT_TOL,
     """Solve the assembled program to a certified tolerance.
 
     The total-variation objective goes through an exact LP; the KL
-    objective through fully-corrective Frank-Wolfe.  Infeasible problems
-    come back with a phase-1 certificate (minimum total violation) and a
-    pointer at the most violated constraint.
+    objective through a loop of LPs with tangent cuts, certified by the
+    gap between the objective at the best iterate and the LP dual bound.
+    Infeasible problems come back with a phase-1 certificate (minimum
+    total violation) and a pointer at the most violated constraint.
     """
     out = _path(problem.objective)(problem.program, tol=tol, max_iters=max_iters)
     return Solution(

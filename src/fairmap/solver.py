@@ -10,15 +10,16 @@ Two solve paths:
 
 * total-variation objective: rewritten exactly as a linear program
   (auxiliary variables for the absolute values) and handed to HiGHS;
-* KL objective: fully-corrective Frank-Wolfe.  Each iteration solves a
-  linear minimization oracle over the feasible polytope (an LP), then
-  re-optimizes exactly over the convex hull of the atoms found so far.
-  Iterates stay feasible throughout and the Frank-Wolfe gap is a
-  certified bound on suboptimality, which is the termination criterion.
+* KL objective: Kelley's cutting-plane method.  The objective is
+  separable in the image q = A k, so each iteration is one LP of the same
+  [k, aux] shape, with tangent cuts of -log standing in for the
+  objective; the gap between the true objective at the best iterate and
+  the LP's dual bound is the certificate and the termination criterion.
 
-Both paths add a tiny identity-deviation term to the objective so that
-ties between algebraically equivalent optima break deterministically
-toward the least-randomizing kernel.
+Every HiGHS call goes through ``_lp``.  Both paths add a tiny
+identity-deviation term to the objective so that ties between
+algebraically equivalent optima break deterministically toward the
+least-randomizing kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from scipy.special import rel_entr
 
 from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, TIE_BREAK_WEIGHT
 from .domain import kl_divergence
@@ -116,7 +116,7 @@ class SolveOutcome:
     status: str
     kvec: np.ndarray
     objective: float  # primary objective, tie-break excluded
-    certificate: float  # duality gap / phase-1 total violation
+    certificate: float  # optimality gap / phase-1 total violation
     residual: float
     iterations: int
     diagnostics: dict = field(default_factory=dict)
@@ -189,18 +189,25 @@ def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict
     return float(svec.sum()), kvec, diag
 
 
-def _lp_duality_gap(res, b_ub: np.ndarray, ub: np.ndarray) -> tuple[float, str]:
-    """|primal - dual| from the marginals HiGHS reports (lower bounds are
-    all 0 and the simplex rows all equal 1), or NaN and the reason."""
+def _dual_objective(res, b_ub: np.ndarray, ub: np.ndarray) -> float:
+    """The LP's dual objective from the marginals HiGHS reports (lower
+    bounds are all 0 and the simplex rows all equal 1), or NaN without
+    them."""
     if res.eqlin.marginals is None:
-        return float("nan"), "HiGHS reported no dual values"
+        return float("nan")
     finite = np.isfinite(ub)
-    dual = (
+    return (
         float(res.ineqlin.marginals @ b_ub)
         + float(res.eqlin.marginals.sum())
         + float(res.upper.marginals[finite] @ ub[finite])
     )
-    gap = abs(float(res.fun) - dual)
+
+
+def _lp_duality_gap(res, b_ub: np.ndarray, ub: np.ndarray) -> tuple[float, str]:
+    """|primal - dual| of an LP, or NaN and the reason."""
+    if res.eqlin.marginals is None:
+        return float("nan"), "HiGHS reported no dual values"
+    gap = abs(float(res.fun) - _dual_objective(res, b_ub, ub))
     if not np.isfinite(gap):
         return float("nan"), "primal-dual gap is not finite"
     return gap, ""
@@ -248,96 +255,33 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     )
 
 
-# ---------------------------------------------------------------------------
-# KL path: fully-corrective Frank-Wolfe
-# ---------------------------------------------------------------------------
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _optimize_atom_weights(
-    images: np.ndarray,  # (n_img, n_atoms)
-    anchors: np.ndarray,  # (n_atoms,)
-    p_ref: np.ndarray,
-    lam: np.ndarray,
-    tie_weight: float,
-    tol: float,
-    max_iters: int = 4000,
-) -> np.ndarray:
-    """Exactly minimize the composite objective over the atom simplex.
-
-    Projected gradient with Armijo backtracking; the objective is smooth
-    wherever it is finite and KL acts as its own barrier against losing
-    coverage of supported cells.
-    """
-    support = p_ref > 0
-
-    def value(l):
-        q = images @ l
-        if np.any(q[support] <= 0.0):
-            return float("inf")
-        return float(rel_entr(p_ref, q).sum()) - tie_weight * float(anchors @ l)
-
-    def gradient(l):
-        q = images @ l
-        gq = np.zeros_like(q)
-        gq[support] = -p_ref[support] / q[support]
-        return images.T @ gq - tie_weight * anchors
-
-    f = value(lam)
-    step = 1.0
-    for _ in range(max_iters):
-        g = gradient(lam)
-        # Frank-Wolfe gap over the simplex certifies stationarity
-        gap = float(g @ lam - g.min())
-        if gap <= tol:
-            break
-        accepted = False
-        for _ in range(60):
-            cand = _project_simplex(lam - step * g)
-            fc = value(cand)
-            if np.isfinite(fc) and fc <= f + 1e-4 * float(g @ (cand - lam)):
-                lam, f = cand, fc
-                step = min(step * 2.0, 1e12)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return lam
-
-
 def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
              max_iters: int = DEFAULT_MAX_ITERS) -> SolveOutcome:
-    """Fully-corrective Frank-Wolfe on the KL objective.
+    """Kelley's cutting-plane method on the KL objective.
 
-    Terminates when the Frank-Wolfe duality gap drops to ``tol``; the gap
-    bounds the suboptimality of the returned (always feasible) iterate.
+    On the supported cells the objective is sum_j p_j log p_j - sum_j p_j
+    log q_j with q = A k, plus the tie-break term.  Each iteration solves
+    an LP over [k, q, t] whose rows replace the epigraph of every -log q_j
+    by its tangents at the images seen so far, then adds the tangents at
+    the new image.  The LP's dual objective bounds the optimum from below
+    (LB) and the objective at the best iterate from above (UB); the loop
+    stops once UB - LB <= ``tol``, and UB - LB is the certificate.
     """
     if tol <= 0:
         raise InvalidParamsError("tol must be positive")
     n = prog.n_vars
-    p_ref = prog.p_ref
-    support = p_ref > 0
+    sup = np.nonzero(prog.p_ref > 0)[0]
+    p = prog.p_ref[sup]
+    A_sup = prog.A[sup]
 
     # start from a feasible point that covers the supported image cells:
     # maximize t subject to (A k)_j >= t * p_j on the support
-    A_sup = prog.A[np.nonzero(support)[0]]
     res, _, _ = _lp(
         prog,
         np.zeros(n),
         [-1.0],
-        rows=sp.hstack(
-            [-A_sup, sp.csr_matrix(p_ref[support].reshape(-1, 1))], format="csr"
-        ),
-        rhs=np.zeros(A_sup.shape[0]),
+        rows=sp.hstack([-A_sup, sp.csr_matrix(p.reshape(-1, 1))], format="csr"),
+        rhs=np.zeros(sup.size),
     )
     if res.status == 2:
         violation, kvec, diag = phase1_violation(prog)
@@ -353,62 +297,55 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
             "every feasible transform zeroes a populated cell;"
             " KL objective is infinite on the whole feasible set"
         )
-    start = res.x[:n]
 
-    atoms = [start]
-    atom_keys = {start.tobytes()}
-    images = prog.image(start).reshape(-1, 1)
-    anchors = np.array([float(prog.anchor @ start)])
-    lam = np.array([1.0])
-    kvec = start.copy()
+    def upper(kvec):
+        return kl_divergence(prog.p_ref, prog.image(kvec)) + prog.tie_term(kvec)
 
-    gap = float("inf")
-    lmo_calls = 0
-    inner_tol = min(tol * 1e-2, 1e-9)
-    stalls = 0
-    while lmo_calls < max_iters:
-        q = images @ lam
-        grad_img = np.zeros_like(q)
-        grad_img[support] = -p_ref[support] / q[support]
-        g = np.asarray(prog.A.T @ grad_img) - prog.tie_weight * prog.anchor
-        lp, _, _ = _lp(prog, g)
-        lmo_calls += 1
-        if lp.status != 0:
-            raise NumericalBreakdownError(f"LMO failed: {lp.message}")
-        v = lp.x
-        gap = float(g @ (kvec - v))
-        if gap <= tol:
-            break
-        key = v.tobytes()
-        if key in atom_keys:
-            stalls += 1
-            if stalls > 4:
-                break  # inner solver can no longer reduce a certified gap
-            inner_tol = max(inner_tol * 1e-3, 1e-15)
-        else:
-            atoms.append(v)
-            atom_keys.add(key)
-            images = np.column_stack([images, prog.image(v)])
-            anchors = np.append(anchors, float(prog.anchor @ v))
-            lam = np.append(lam, 0.0)
-        lam = _optimize_atom_weights(
-            images, anchors, p_ref, lam, prog.tie_weight, inner_tol
+    best = res.x[:n]
+    best_ub = upper(best)
+    lower = -np.inf
+    # LB = this + the cut LP's optimum (its objective drops both terms)
+    offset = float(p @ np.log(p)) + prog.tie_weight * prog.n_rows
+    q_hat = A_sup @ best  # positive: the start covers every supported cell
+    low = q_hat
+    # variables [k, q, t]: q_j <= (A k)_j and t_j above the tangents of
+    # -log at q_j; both bind at an optimum (-log decreases), so the LP
+    # bound is that of tangents in (A k)_j, while each cut adds two
+    # nonzeros per row instead of a row of A
+    n_sup = sup.size
+    eye = sp.identity(n_sup, format="csr")
+    cuts = [sp.hstack([-A_sup, eye, sp.csr_matrix((n_sup, n_sup))])]
+    cut_rhs = [np.zeros(n_sup)]
+    k_zero = sp.csr_matrix((n_sup, n))
+    c_aux = np.concatenate([np.zeros(n_sup), p])
+    iters = 0
+    while best_ub - lower > tol and iters < max_iters:
+        # tangent at q_hat: t_j >= -log q_hat_j + 1 - q_j / q_hat_j; _lp
+        # keeps q, t >= 0, which cuts nothing off since 0 <= (A k)_j <= 1
+        cuts.append(sp.hstack([k_zero, sp.diags(-1.0 / q_hat), -eye]))
+        cut_rhs.append(np.log(q_hat) - 1.0)
+        res, b_ub, ub = _lp(
+            prog, -prog.tie_weight * prog.anchor, c_aux,
+            rows=sp.vstack(cuts, format="csr"), rhs=np.concatenate(cut_rhs),
         )
-        keep = lam > 1e-15
-        if not keep.all():
-            keep[int(np.argmax(lam))] = True
-            atoms = [a for a, k in zip(atoms, keep) if k]
-            images = images[:, keep]
-            anchors = anchors[keep]
-            lam = lam[keep] / lam[keep].sum()
-            atom_keys = {a.tobytes() for a in atoms}
-        kvec = np.zeros(n)
-        for a, l in zip(atoms, lam):
-            kvec += l * a
+        iters += 1
+        if res.status != 0:
+            raise NumericalBreakdownError(f"cut LP failed: {res.message}")
+        lower = max(lower, offset + _dual_objective(res, b_ub, ub))
+        kvec = res.x[:n]
+        value = upper(kvec)
+        if value < best_ub:
+            best, best_ub = kvec, value
+        # an entry below half the lowest earlier cut point is cut there
+        # instead (any tangent is valid): no cut is taken at 0, where
+        # log is -inf, and none is more than 2x steeper than the last
+        q_hat = np.maximum(A_sup @ kvec, 0.5 * low)
+        low = np.minimum(low, q_hat)
 
-    objective = kl_divergence(p_ref, prog.image(kvec))
-    status = STATUS_OPTIMAL if gap <= tol else STATUS_ITERATION_LIMIT
+    gap = best_ub - lower
     return SolveOutcome(
-        status, kvec, objective, gap, prog.residual(kvec), lmo_calls,
-        {"atoms": len(atoms), "coverage": float(t_star)},
+        STATUS_OPTIMAL if gap <= tol else STATUS_ITERATION_LIMIT,
+        best, kl_divergence(prog.p_ref, prog.image(best)), gap,
+        prog.residual(best), iters,
+        {"coverage": float(t_star), "lower_bound": lower},
     )

@@ -80,6 +80,35 @@ class TestFit:
         cfg2.write_text(yaml.safe_dump(raw))
         assert main(["fit", "--config", str(cfg2)]) == 4
 
+    def test_kl_fit_reports_its_lower_bound(self, workdir):
+        tmp, cfg = workdir
+        raw = yaml.safe_load(cfg.read_text())
+        raw["objective"] = "kl"
+        cfg2 = tmp / "kl.yaml"
+        cfg2.write_text(yaml.safe_dump(raw))
+        assert main(["fit", "--config", str(cfg2)]) == 0
+        report = json.loads((tmp / "out" / "fit_report.json").read_text())
+        tol = load_config(str(cfg2)).solver.tol
+        assert report["status"] == "optimal"
+        assert report["certificate"] <= tol
+        assert report["objective"] <= report["diagnostics"]["lower_bound"] + tol
+
+    @pytest.mark.parametrize("rows", [
+        ["a,u,1,0", "b,v,0,x1"],  # a stream id that is no integer
+        ["a,u,1,0", "b,abc,0,1"],  # a value the bins cannot parse
+    ])
+    def test_unparsable_field_is_data_error(self, tmp_path, rows, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("grp,f1,out,_stream\n" + "\n".join(rows) + "\n")
+        raw = tiny_config_dict(path=str(data))
+        raw["schema"]["variables"][1]["quantizer"] = {
+            "kind": "bins", "edges": [0.5], "labels": ["u", "v"]}
+        raw["output"] = {"dir": str(tmp_path / "out")}
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["fit", "--config", str(cfg)]) == 4
+        assert "cannot read" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("objective: nope\n")

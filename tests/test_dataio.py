@@ -4,6 +4,7 @@ reference loops they replaced: same records, same exceptions, same bytes."""
 import csv
 import os
 import tempfile
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -23,9 +24,23 @@ from fairmap.dataio import (
 )
 from fairmap.errors import (
     EmptyDatasetError,
+    FairmapError,
     InvalidParamsError,
     SchemaMismatchError,
 )
+
+
+def read_field(column, resolve, raw):
+    """``resolve(raw)``; a field ``int`` or ``float`` cannot parse is a
+    schema mismatch naming its column."""
+    try:
+        return resolve(raw)
+    except FairmapError:
+        raise
+    except ValueError as exc:
+        raise SchemaMismatchError(
+            f"column {column!r}: cannot read {raw!r} ({exc})"
+        ) from exc
 
 
 def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
@@ -86,7 +101,8 @@ def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
         dropped = False
         for var, parts in ((schema.d_vars, d_parts), (schema.x_vars, x_parts)):
             for v in var:
-                idx = _category_index(v, row[col_of[v.name]])
+                idx = read_field(v.name, partial(_category_index, v),
+                                 row[col_of[v.name]])
                 if idx is None:
                     dropped = True
                     break
@@ -96,7 +112,8 @@ def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
         if dropped:
             continue
         if has_y and row[col_of[y_name]].strip():
-            y_idx = _category_index(schema.y_var, row[col_of[y_name]])
+            y_idx = read_field(y_name, partial(_category_index, schema.y_var),
+                               row[col_of[y_name]])
             if y_idx is None:
                 continue
         else:
@@ -105,7 +122,7 @@ def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
         x_list.append(schema.flatten_x(x_parts))
         y_list.append(y_idx)
         if stream_col is not None:
-            sid_list.append(int(row[stream_col]))
+            sid_list.append(read_field(STREAM_COLUMN, int, row[stream_col]))
     if not d_list:
         raise EmptyDatasetError(f"no records of {path} survive ingestion")
     return Dataset(

@@ -21,6 +21,7 @@ from conftest import (
     make_toy_instance,
     random_pmf,
 )
+from fairmap.constants import TIE_BREAK_WEIGHT
 from fairmap.solver import phase1_violation
 
 
@@ -128,7 +129,8 @@ class TestOracleEquivalence:
             problem = assemble(
                 inst.pmf, inst.spec, inst.metric, inst.budget, objective
             )
-            sol = solve(problem, tol=1e-8)
+            tol = 1e-8
+            sol = solve(problem, tol=tol)
             oracle = grid_search_oracle(inst, objective)
             if sol.status == "infeasible":
                 assert not np.isfinite(oracle)
@@ -139,6 +141,12 @@ class TestOracleEquivalence:
                 continue
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(oracle, abs=1e-3)
+            if objective == "kl":
+                # the reported bound holds against the grid's feasible
+                # point, and the objective is certified within tol of it
+                lower = sol.diagnostics["lower_bound"]
+                assert lower <= oracle + TIE_BREAK_WEIGHT * problem.program.n_rows
+                assert sol.objective <= lower + tol
             compared += 1
         assert compared >= 5
 
@@ -267,7 +275,7 @@ class TestSolveContracts:
             assert sol.status == "infeasible"
 
     def test_iteration_limit_status(self):
-        # KL path with a single LMO call cannot close the gap
+        # KL path with one cut LP cannot close the gap
         pmf = two_group_pmf(p_d0=0.6)
         problem = assemble(
             pmf,
