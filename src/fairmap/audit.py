@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .constraints import DiscriminationSpec, ratio_distance
+from .constraints import DiscriminationSpec, ratio_distance, segments
 from .distortion import DistortionMetric, distortion_matrix
 from .domain import Dataset, JointPMF, kl_divergence, l1_distance
 from .errors import (
@@ -163,12 +163,7 @@ def _segment_js(pmf: JointPMF, kernel: TransformKernel,
                 spec: DiscriminationSpec) -> dict:
     """Analytic segment-level J values for a conditional spec."""
     schema = pmf.schema
-    x_names = [v.name for v in schema.x_vars]
-    b_pos = [x_names.index(name) for name in spec.condition_on]
-    b_sizes = [schema.x_sizes[i] for i in b_pos]
-    x_parts = np.stack(np.unravel_index(np.arange(schema.nx), schema.x_sizes), axis=1)
-    b_of_x = np.ravel_multi_index([x_parts[:, i] for i in b_pos], b_sizes)
-    nb = int(np.prod(b_sizes))
+    b_of_x, b_labels = segments(schema, spec.condition_on)
     # q(yh | d, b) with b evaluated on the original features
     k_y = kernel.probs.reshape(
         schema.nd, schema.nx, schema.ny, schema.nx, schema.ny
@@ -176,7 +171,7 @@ def _segment_js(pmf: JointPMF, kernel: TransformKernel,
     out: dict = {}
     n = pmf.n
     for d in range(schema.nd):
-        for b in range(nb):
+        for b in range(len(b_labels)):
             sel = b_of_x == b
             mass = pmf.mass[d, sel, :].sum()
             if mass <= 0:

@@ -407,6 +407,11 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
+    if config.solver.strategy != "full":
+        raise ConfigError(
+            f"sweep solves the full program only; solver.strategy"
+            f" {config.solver.strategy!r} is not supported"
+        )
     out_dir = _ensure_out(config, args.out_dir)
     _, pmf = _load_training(config)
     problem = _assemble(config, pmf)

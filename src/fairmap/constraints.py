@@ -2,14 +2,16 @@
 
 Every constraint emitted here is affine in the transformation-kernel
 variables: one probability row per positive-mass input cell (d, x, y),
-laid out row-major over transformed cells (x_hat, y_hat).  Constraint
-sets are plain ``G k <= h`` blocks with labels for diagnostics, so the
-solver and the auditors share one representation.
+laid out row-major over transformed cells (x_hat, y_hat).  Each block
+is one sparse array expression over the layout's (d, x, y) index arrays,
+returned as ``G k <= h`` with labels for diagnostics.  Only the solver
+reads these blocks: the auditors recompute rates and distortions from
+the pushforward joint, so they check the blocks independently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,40 +104,40 @@ class DiscriminationSpec:
 
 @dataclass(frozen=True)
 class VariableLayout:
-    """Kernel variable layout: one simplex row per positive-mass input cell."""
+    """Kernel variable layout: one simplex row per positive-mass input cell.
+
+    Row r is the input cell (d[r], x[r], y[r]), rows in lexicographic
+    order; its ``row_dim`` variables are k_r(x_hat, y_hat) at
+    r * row_dim + x_hat * ny + y_hat.
+    """
 
     schema: Schema
-    cells: tuple[tuple[int, int, int], ...]  # (d, x, y), lexicographic
+    d: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
     weights: np.ndarray  # p(d, x, y) per row
+    row_dim: int = field(init=False)
 
     @classmethod
     def from_pmf(cls, pmf: JointPMF) -> "VariableLayout":
-        d_idx, x_idx, y_idx = np.nonzero(pmf.mass > 0.0)
-        cells = tuple(zip(d_idx.tolist(), x_idx.tolist(), y_idx.tolist()))
-        weights = pmf.mass[d_idx, x_idx, y_idx]
-        return cls(pmf.schema, cells, weights)
+        d, x, y = np.nonzero(pmf.mass > 0.0)
+        return cls(pmf.schema, d, x, y, pmf.mass[d, x, y])
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        for name, dtype in (("d", np.int64), ("x", np.int64), ("y", np.int64),
+                            ("weights", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "row_dim", self.schema.nx * self.schema.ny)
 
     @property
     def n_rows(self) -> int:
-        return len(self.cells)
-
-    @property
-    def row_dim(self) -> int:
-        return self.schema.nx * self.schema.ny
+        return int(self.weights.size)
 
     @property
     def n_vars(self) -> int:
         return self.n_rows * self.row_dim
-
-    def input_cell_index(self, row: int) -> int:
-        """Flattened (x, y) cell the row's input occupies."""
-        _, x, y = self.cells[row]
-        return x * self.schema.ny + y
 
 
 @dataclass(frozen=True)
@@ -187,22 +189,47 @@ class LinearConstraintSet:
         return LinearConstraintSet(G, h, labels, warnings, fixed)
 
 
-def group_rate_coefficients(pmf: JointPMF, layout: VariableLayout,
-                            d: int, y: int) -> Optional[np.ndarray]:
-    """Coefficient vector c with c . k = p_{Y_hat|D}(y | d), or None for a
-    zero-mass group."""
-    p_d = pmf.p_d()[d]
-    if p_d <= 0.0:
-        return None
-    schema = layout.schema
-    coef = np.zeros(layout.n_vars)
-    for row, (dd, _, _) in enumerate(layout.cells):
-        if dd != d:
-            continue
-        w = layout.weights[row] / p_d
-        base = row * layout.row_dim
-        coef[base + y : base + layout.row_dim : schema.ny] = w
-    return coef
+def segments(schema: Schema, condition_on: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Segment number b of every feature cell x, and each segment's label.
+
+    b flattens the categories of the ``condition_on`` variables row-major
+    in the order given; it is the ``b`` of conditional-mode epsilon keys
+    (y, d, b).
+    """
+    x_names = [v.name for v in schema.x_vars]
+    for name in condition_on:
+        if name not in x_names:
+            raise UnknownVariableError(name)
+    pos = [x_names.index(name) for name in condition_on]
+    sizes = [schema.x_sizes[i] for i in pos]
+    parts = np.unravel_index(np.arange(schema.nx), schema.x_sizes)
+    b_of_x = np.ravel_multi_index([parts[i] for i in pos], sizes)
+    cats = [schema.x_vars[i].alphabet.categories for i in pos]
+    labels = ["|".join(c[i] for c, i in zip(cats, idx)) for idx in np.ndindex(*sizes)]
+    return b_of_x, labels
+
+
+def _rate_matrix(layout: VariableLayout, group: np.ndarray,
+                 mass: np.ndarray) -> sp.csr_matrix:
+    """R with (R k)[g * ny + y] = p(Y_hat = y | group g) for every group.
+
+    ``group`` numbers the group of each layout row; row g * ny + y of R
+    holds w_r / mass[g] at k_r(x_hat, y) for every row r of group g.
+    """
+    per_row = sp.csr_matrix(
+        (layout.weights / mass[group], (group, np.arange(layout.n_rows))),
+        shape=(mass.size, layout.n_rows),
+    )
+    ny = layout.schema.ny
+    outcome = sp.csr_matrix(np.tile(np.eye(ny), layout.schema.nx))  # (ny, row_dim)
+    return sp.kron(per_row, outcome, format="csr")
+
+
+def _scaled_rows(R: sp.csr_matrix, rows: list, coefs: list) -> sp.csr_matrix:
+    """The rows ``rows`` of R, each multiplied by its coefficient."""
+    out = R[np.asarray(rows, dtype=np.intp)]
+    out.data *= np.repeat(coefs, np.diff(out.indptr))
+    return out
 
 
 def build_discrimination_constraints(
@@ -210,146 +237,126 @@ def build_discrimination_constraints(
 ) -> LinearConstraintSet:
     """Linear inequalities implementing the chosen discrimination control.
 
-    Target mode bounds each group's transformed outcome rate inside
-    ``(1 +/- eps) * target``; pairwise mode bounds each pair of group
-    rates against each other; conditional mode applies the target bound
-    inside feature segments.  Zero-mass groups and undersized segments
-    are skipped with a warning instead of inventing constraints.
+    All three modes are rows of one group-rate matrix R (see
+    ``_rate_matrix``).  Target mode bounds each group's transformed
+    outcome rate inside ``(1 +/- eps) * target`` (rows +R and -R);
+    pairwise mode bounds each pair of group rates against each other
+    (rows R_d1 - (1 + eps) R_d2); conditional mode applies the target
+    bound to groups (d, segment).  Zero-mass groups and undersized
+    segments are skipped with a warning instead of inventing constraints.
     """
     if layout is None:
         layout = VariableLayout.from_pmf(pmf)
     schema = pmf.schema
-    rows, rhs, labels, warnings = [], [], [], []
+    rows, coefs, rhs, labels, warnings = [], [], [], [], []
 
-    if spec.mode == MODE_TARGET:
-        target = spec.resolve_target(pmf)
-        for d in range(schema.nd):
-            coef_by_y = [group_rate_coefficients(pmf, layout, d, y) for y in (0, 1)]
-            if coef_by_y[0] is None:
-                warnings.append(f"group {schema.d_label(d)!r} has zero mass; skipped")
-                continue
-            for y in (0, 1):
-                eps = spec.eps((y, d))
-                name = f"disc[target] y={schema.y_label(y)} d={schema.d_label(d)}"
-                rows.append(coef_by_y[y])
-                rhs.append((1.0 + eps) * target[y])
-                labels.append(name + " upper")
-                rows.append(-coef_by_y[y])
-                rhs.append(-(1.0 - eps) * target[y])
-                labels.append(name + " lower")
+    def bound(g: int, key: tuple, target: np.ndarray, name: str) -> None:
+        # (1 - eps) target_y <= rate of group g <= (1 + eps) target_y
+        for y in (0, 1):
+            eps = spec.eps((y,) + key)
+            rows.extend((g * 2 + y,) * 2)
+            coefs.extend((1.0, -1.0))
+            rhs.extend(((1.0 + eps) * target[y], -(1.0 - eps) * target[y]))
+            label = name.format(y=schema.y_label(y))
+            labels.extend((label + " upper", label + " lower"))
 
-    elif spec.mode == MODE_PAIRWISE:
-        coef = {}
-        for d in range(schema.nd):
-            cs = [group_rate_coefficients(pmf, layout, d, y) for y in (0, 1)]
-            if cs[0] is None:
-                warnings.append(f"group {schema.d_label(d)!r} has zero mass; skipped")
-            else:
-                coef[d] = cs
-        present = sorted(coef)
-        for i, d1 in enumerate(present):
-            for d2 in present[i + 1 :]:
-                for y in (0, 1):
-                    e12 = spec.eps((y, d1, d2))
-                    e21 = spec.eps((y, d2, d1))
-                    name = (
-                        f"disc[pairwise] y={schema.y_label(y)}"
-                        f" d1={schema.d_label(d1)} d2={schema.d_label(d2)}"
-                    )
-                    c1, c2 = coef[d1][y], coef[d2][y]
-                    rows.append(c1 - (1.0 + e12) * c2)
-                    rhs.append(0.0)
-                    labels.append(name + " upper(1|2)")
-                    rows.append(c2 - (1.0 + e21) * c1)
-                    rhs.append(0.0)
-                    labels.append(name + " upper(2|1)")
-                    if e12 != e21:
-                        # asymmetric tolerances: the lower sides are not
-                        # implied by the opposite upper sides
-                        rows.append((1.0 - e12) * c2 - c1)
-                        rhs.append(0.0)
-                        labels.append(name + " lower(1|2)")
-                        rows.append((1.0 - e21) * c1 - c2)
-                        rhs.append(0.0)
-                        labels.append(name + " lower(2|1)")
-
-    else:  # conditional target
+    if spec.mode == MODE_CONDITIONAL:
         if not spec.condition_on:
             raise InvalidParamsError("conditional mode needs condition_on variables")
-        x_names = [v.name for v in schema.x_vars]
-        for name in spec.condition_on:
-            if name not in x_names:
-                raise UnknownVariableError(name)
-        b_pos = [x_names.index(name) for name in spec.condition_on]
-        b_sizes = [schema.x_sizes[i] for i in b_pos]
-        x_parts = np.stack(
-            np.unravel_index(np.arange(schema.nx), schema.x_sizes), axis=1
-        )
-        b_of_x = np.ravel_multi_index(
-            [x_parts[:, i] for i in b_pos], b_sizes
-        )
-        explicit_target = spec.target
+        b_of_x, b_labels = segments(schema, spec.condition_on)
+        nb = len(b_labels)
+        group = layout.d * nb + b_of_x[layout.x]
+        mass = np.zeros(schema.nd * nb)
+        np.add.at(mass, group, layout.weights)
+    else:
+        group, mass = layout.d, pmf.p_d()
+    R = _rate_matrix(layout, group, mass)
+
+    if spec.mode == MODE_CONDITIONAL:
+        # outcome marginal within each segment, the default target
+        seg = np.zeros((nb, 2))
+        np.add.at(seg, b_of_x, pmf.p_xy())
         n = pmf.n
-        nb = int(np.prod(b_sizes))
         for d in range(schema.nd):
             for b in range(nb):
-                in_cell = [
-                    (row, layout.weights[row])
-                    for row, (dd, xx, _) in enumerate(layout.cells)
-                    if dd == d and b_of_x[xx] == b
-                ]
-                mass = sum(w for _, w in in_cell)
-                b_label = "|".join(
-                    schema.x_vars[p].alphabet.categories[i]
-                    for p, i in zip(
-                        b_pos, np.unravel_index(b, b_sizes)
-                    )
-                )
-                cell_name = f"d={schema.d_label(d)} b={b_label}"
-                if mass <= 0.0:
+                g = d * nb + b
+                cell_name = f"d={schema.d_label(d)} b={b_labels[b]}"
+                if mass[g] <= 0.0:
                     warnings.append(f"segment {cell_name} has zero mass; skipped")
                     continue
-                if n is not None and mass * n < spec.min_cell_count:
+                if n is not None and mass[g] * n < spec.min_cell_count:
                     warnings.append(
                         f"segment {cell_name} has fewer than"
                         f" {spec.min_cell_count} samples; skipped"
                     )
                     continue
-                if explicit_target is not None:
-                    target_b = explicit_target
-                else:
-                    # conditional outcome marginal within the segment
-                    seg = np.zeros(2)
-                    for x in range(schema.nx):
-                        if b_of_x[x] == b:
-                            seg += pmf.mass[:, x, :].sum(axis=0)
-                    if seg.sum() <= 0:
-                        warnings.append(f"segment {cell_name} has zero mass; skipped")
-                        continue
-                    target_b = seg / seg.sum()
+                target_b = spec.target
+                if target_b is None:
+                    target_b = seg[b] / seg[b].sum()
                 if (target_b <= 0).any():
                     raise ZeroReferenceError(
                         f"segment target for {cell_name} hits zero"
                     )
-                for y in (0, 1):
-                    coef = np.zeros(layout.n_vars)
-                    for row, w in in_cell:
-                        base = row * layout.row_dim
-                        coef[base + y : base + layout.row_dim : schema.ny] = w / mass
-                    eps = spec.eps((y, d, b))
-                    name = f"disc[cond] y={schema.y_label(y)} {cell_name}"
-                    rows.append(coef)
-                    rhs.append((1.0 + eps) * target_b[y])
-                    labels.append(name + " upper")
-                    rows.append(-coef)
-                    rhs.append(-(1.0 - eps) * target_b[y])
-                    labels.append(name + " lower")
+                bound(g, (d, b), target_b, "disc[cond] y={y} " + cell_name)
+        return LinearConstraintSet(
+            _scaled_rows(R, rows, coefs), np.array(rhs), tuple(labels), tuple(warnings)
+        )
 
-    if rows:
-        G = sp.csr_matrix(np.vstack(rows))
-    else:
-        G = sp.csr_matrix((0, layout.n_vars))
+    present = []
+    for d in range(schema.nd):
+        if mass[d] <= 0.0:
+            warnings.append(f"group {schema.d_label(d)!r} has zero mass; skipped")
+        else:
+            present.append(d)
+    if spec.mode == MODE_TARGET:
+        target = spec.resolve_target(pmf)
+        for d in present:
+            bound(d, (d,), target, "disc[target] y={y} d=" + schema.d_label(d))
+        G = _scaled_rows(R, rows, coefs)
+    else:  # pairwise: rows c1 * R_r1 + c2 * R_r2, each R column used once
+        rows2, coefs2 = [], []
+        for i, d1 in enumerate(present):
+            for d2 in present[i + 1 :]:
+                for y in (0, 1):
+                    e12 = spec.eps((y, d1, d2))
+                    e21 = spec.eps((y, d2, d1))
+                    r1, r2 = d1 * 2 + y, d2 * 2 + y
+                    name = (
+                        f"disc[pairwise] y={schema.y_label(y)}"
+                        f" d1={schema.d_label(d1)} d2={schema.d_label(d2)}"
+                    )
+                    sides = [
+                        (r1, 1.0, r2, -(1.0 + e12), " upper(1|2)"),
+                        (r2, 1.0, r1, -(1.0 + e21), " upper(2|1)"),
+                    ]
+                    if e12 != e21:
+                        # asymmetric tolerances: the lower sides are not
+                        # implied by the opposite upper sides
+                        sides += [
+                            (r1, -1.0, r2, 1.0 - e12, " lower(1|2)"),
+                            (r2, -1.0, r1, 1.0 - e21, " lower(2|1)"),
+                        ]
+                    for ra, ca, rb, cb, side in sides:
+                        rows.append(ra)
+                        coefs.append(ca)
+                        rows2.append(rb)
+                        coefs2.append(cb)
+                        rhs.append(0.0)
+                        labels.append(name + side)
+        # the sum drops the zeros a tolerance of exactly 1 leaves
+        G = _scaled_rows(R, rows, coefs) + _scaled_rows(R, rows2, coefs2)
     return LinearConstraintSet(G, np.array(rhs), tuple(labels), tuple(warnings))
+
+
+def _block_rows(values: np.ndarray) -> sp.csr_matrix:
+    """One constraint row per kernel row: row r of the dense (n_rows,
+    row_dim) ``values`` placed on row r's variables, zeros dropped."""
+    r, j = np.nonzero(values)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(values, axis=1))))
+    return sp.csr_matrix(
+        (values[r, j], r * values.shape[1] + j, indptr),
+        shape=(values.shape[0], values.size),
+    )
 
 
 def build_distortion_constraints(
@@ -360,10 +367,11 @@ def build_distortion_constraints(
 ) -> LinearConstraintSet:
     """Per-input-cell distortion inequalities plus forbidden-entry fixes.
 
-    Expected mode: one expected-distortion bound per positive-mass cell.
-    Thresholded mode: one exceedance-probability bound per cell and
-    threshold; a zero budget pins the affected entries to zero instead of
-    emitting a vacuous inequality.  Entries at or above the forbidden
+    With D[r] the distortion row of layout row r's input cell:
+    expected mode bounds each row's expected distortion D[r] . k_r;
+    thresholded mode bounds each row's exceedance probability
+    (D[r] > t) . k_r for every threshold t, and a zero budget also pins
+    the affected entries to zero.  Entries at or above the forbidden
     level are pinned whenever the budget cannot reach them.
     """
     if layout is None:
@@ -373,53 +381,45 @@ def build_distortion_constraints(
     if np.abs(np.diagonal(delta)).max(initial=0.0) != 0.0:
         raise InvalidParamsError("identity transitions must cost 0")
     shape = (schema.nd, schema.nx, schema.ny)
-    data, indices, indptr = [], [], [0]
-    rhs, labels = [], []
-    fixed = np.zeros(layout.n_vars, dtype=bool)
+    cells = (layout.d, layout.x, layout.y)
+    D = delta[layout.x * schema.ny + layout.y]  # (n_rows, row_dim)
+    names = _cell_names(layout)
 
     if budget.mode == "expected":
-        cgrid = budget.cell_c(shape)
-        if np.isnan(cgrid[pmf.mass > 0]).any():
-            raise MissingBudgetError("budget missing for a positive-mass cell")
-        for row, cell in enumerate(layout.cells):
-            c = float(cgrid[cell])
-            drow = delta[layout.input_cell_index(row)]
-            base = row * layout.row_dim
-            nz = np.nonzero(drow)[0]
-            indices.extend((base + nz).tolist())
-            data.extend(drow[nz].tolist())
-            indptr.append(len(indices))
-            rhs.append(c)
-            labels.append(
-                f"dist[expected] d={schema.d_label(cell[0])}"
-                f" x={schema.x_label(cell[1])} y={schema.y_label(cell[2])}"
-            )
-            if c < metric.forbidden_level:
-                fixed[base + np.nonzero(drow >= metric.forbidden_level)[0]] = True
+        pairs = [(None, budget.cell_c(shape))]
     else:
-        for t, cgrid in budget.cell_pairs(shape):
-            if np.isnan(cgrid[pmf.mass > 0]).any():
-                raise MissingBudgetError("budget missing for a positive-mass cell")
-            for row, cell in enumerate(layout.cells):
-                c = float(cgrid[cell])
-                drow = delta[layout.input_cell_index(row)]
-                over = np.nonzero(drow > t)[0]
-                base = row * layout.row_dim
-                if c == 0.0:
-                    # pin the affected entries as well; the inequality is
-                    # kept so restricted reformulations inherit it
-                    fixed[base + over] = True
-                indices.extend((base + over).tolist())
-                data.extend([1.0] * over.size)
-                indptr.append(len(indices))
-                rhs.append(c)
-                labels.append(
-                    f"dist[>{t}] d={schema.d_label(cell[0])}"
-                    f" x={schema.x_label(cell[1])} y={schema.y_label(cell[2])}"
-                )
-
-    G = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
-        shape=(len(rhs), layout.n_vars),
+        pairs = budget.cell_pairs(shape)
+    blocks, rhs, labels = [], [], []
+    fixed = np.zeros(D.shape, dtype=bool)
+    for t, cgrid in pairs:
+        c = cgrid[cells]
+        if np.isnan(c).any():
+            raise MissingBudgetError("budget missing for a positive-mass cell")
+        if t is None:
+            blocks.append(_block_rows(D))
+            fixed |= (D >= metric.forbidden_level) & (c < metric.forbidden_level)[:, None]
+            labels.extend("dist[expected] " + names)
+        else:
+            # a zero budget pins the affected entries as well; the
+            # inequality is kept so restricted reformulations inherit it
+            over = D > t
+            blocks.append(_block_rows(over.astype(np.float64)))
+            fixed |= over & (c == 0.0)[:, None]
+            labels.extend(f"dist[>{t}] " + names)
+        rhs.append(c)
+    G = sp.vstack(blocks, format="csr")
+    return LinearConstraintSet(
+        G, np.concatenate(rhs), tuple(labels), (), fixed.ravel()
     )
-    return LinearConstraintSet(G, np.array(rhs), tuple(labels), (), fixed)
+
+
+def _cell_names(layout: VariableLayout) -> np.ndarray:
+    """The label "d=.. x=.. y=.." of every layout row's input cell."""
+    schema = layout.schema
+
+    def table(label, n):
+        return np.array([label(i) for i in range(n)], dtype=object)
+
+    return ("d=" + table(schema.d_label, schema.nd)[layout.d]
+            + " x=" + table(schema.x_label, schema.nx)[layout.x]
+            + " y=" + table(schema.y_label, schema.ny)[layout.y])

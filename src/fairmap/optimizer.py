@@ -112,16 +112,11 @@ class Problem:
     budget: Optional[DistortionBudget]
     layout: VariableLayout
     program: SimplexImageProgram
-    disc_constraints: LinearConstraintSet
-    dist_constraints: LinearConstraintSet
+    warnings: tuple[str, ...]
 
     @property
     def n_vars(self) -> int:
         return self.layout.n_vars
-
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        return self.disc_constraints.warnings + self.dist_constraints.warnings
 
     def with_epsilon(self, epsilon) -> "Problem":
         if self.disc_spec is None:
@@ -132,13 +127,12 @@ class Problem:
             self.metric,
             self.budget,
             self.objective,
-            _dist_cache=(self.dist_constraints, self.layout),
         )
 
     # -- evaluation helpers used by solver wrappers, audits, and tests -------
     def kernel_vec(self, kernel: TransformKernel) -> np.ndarray:
-        rows = [kernel.probs[cell] for cell in self.layout.cells]
-        return np.concatenate(rows) if rows else np.zeros(0)
+        layout = self.layout
+        return kernel.probs[layout.d, layout.x, layout.y].ravel()
 
     def _kvec(self, kernel) -> np.ndarray:
         return kernel if isinstance(kernel, np.ndarray) else self.kernel_vec(kernel)
@@ -195,10 +189,8 @@ def _image_map(layout: VariableLayout) -> sp.csr_matrix:
 
 
 def _identity_anchor(layout: VariableLayout) -> np.ndarray:
-    anchor = np.zeros(layout.n_vars)
-    for row in range(layout.n_rows):
-        anchor[row * layout.row_dim + layout.input_cell_index(row)] = 1.0
-    return anchor
+    """The identity kernel as a variable vector."""
+    return np.eye(layout.row_dim)[layout.x * layout.schema.ny + layout.y].ravel()
 
 
 def assemble(
@@ -207,7 +199,6 @@ def assemble(
     metric: Optional[DistortionMetric] = None,
     budget: Optional[DistortionBudget] = None,
     objective: str = OBJECTIVE_KL,
-    _dist_cache=None,
 ) -> Problem:
     """Compile data and specs into a solvable program.
 
@@ -219,19 +210,13 @@ def assemble(
         raise InvalidParamsError(f"unknown objective {objective!r}")
     if (metric is None) != (budget is None):
         raise InvalidParamsError("metric and budget must be given together")
-    if _dist_cache is not None:
-        dist, layout = _dist_cache
-    else:
-        layout = VariableLayout.from_pmf(pmf)
-        if metric is not None:
-            dist = build_distortion_constraints(metric, budget, pmf, layout)
-        else:
-            dist = LinearConstraintSet.empty(layout.n_vars)
+    layout = VariableLayout.from_pmf(pmf)
+    blocks = []
     if disc_spec is not None:
-        disc = build_discrimination_constraints(disc_spec, pmf, layout)
-    else:
-        disc = LinearConstraintSet.empty(layout.n_vars)
-    merged = LinearConstraintSet.concat([disc, dist], layout.n_vars)
+        blocks.append(build_discrimination_constraints(disc_spec, pmf, layout))
+    if metric is not None:
+        blocks.append(build_distortion_constraints(metric, budget, pmf, layout))
+    merged = LinearConstraintSet.concat(blocks, layout.n_vars)
     program = SimplexImageProgram(
         n_rows=layout.n_rows,
         row_dim=layout.row_dim,
@@ -252,20 +237,17 @@ def assemble(
         budget=budget,
         layout=layout,
         program=program,
-        disc_constraints=disc,
-        dist_constraints=dist,
+        warnings=merged.warnings,
     )
 
 
 def _kernel_from_vec(problem: Problem, kvec: np.ndarray) -> TransformKernel:
-    schema = problem.pmf.schema
-    probs = _identity_probs(schema)  # fallback rows for zero-mass cells
-    for row, cell in enumerate(problem.layout.cells):
-        probs[cell] = np.maximum(
-            kvec[row * problem.layout.row_dim : (row + 1) * problem.layout.row_dim],
-            0.0,
-        )
-    return TransformKernel(schema, probs)
+    layout = problem.layout
+    probs = _identity_probs(layout.schema)  # fallback rows for zero-mass cells
+    probs[layout.d, layout.x, layout.y] = np.maximum(
+        kvec.reshape(layout.n_rows, layout.row_dim), 0.0
+    )
+    return TransformKernel(layout.schema, probs)
 
 
 def _path(objective: str):

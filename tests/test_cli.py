@@ -361,6 +361,20 @@ class TestAuditAndSweep:
         assert lines[1] == "epsilon,status,objective"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("strategy", ["sof_fix_conditional", "sof_alternating"])
+    def test_sweep_refuses_factorized_strategies(self, workdir, capsys, strategy):
+        tmp, cfg = workdir
+        raw = yaml.safe_load(cfg.read_text())
+        raw.setdefault("solver", {})["strategy"] = strategy
+        cfg2 = tmp / "sof.yaml"
+        cfg2.write_text(yaml.safe_dump(raw))
+        assert main([
+            "sweep", "--config", str(cfg2), "--eps-grid", "0.2,0.5",
+            "--out-dir", str(tmp / "sweep"),
+        ]) == 3
+        assert strategy in capsys.readouterr().err
+        assert not (tmp / "sweep" / "sweep.csv").exists()
+
 
 class TestPresetsAndValidate:
     def test_presets_listing_and_dump(self, capsys):

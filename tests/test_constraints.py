@@ -1,5 +1,7 @@
 """Constraint-assembly unit and property tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,19 +12,26 @@ from fairmap import (
     DistortionBudget,
     DistortionMetric,
     JointPMF,
+    TransformKernel,
     VariableLayout,
+    audit_discrimination,
     build_discrimination_constraints,
     build_distortion_constraints,
     identity_kernel,
     ratio_distance,
 )
+from fairmap.constants import FORBIDDEN
 from fairmap.errors import MissingBudgetError, ZeroReferenceError
 
-from conftest import make_schema, random_pmf
+from conftest import make_schema, make_schema_multi, random_pmf
 
 
 def kernel_vec(layout, kernel):
-    return np.concatenate([kernel.probs[cell] for cell in layout.cells])
+    return np.concatenate([kernel.probs[cell] for cell in cells(layout)])
+
+
+def cells(layout):
+    return list(zip(layout.d.tolist(), layout.x.tolist(), layout.y.tolist()))
 
 
 def flip_metric(cost01=1.0, cost10=1.0):
@@ -166,6 +175,61 @@ class TestDiscriminationAssembly:
         np.testing.assert_allclose(lhs_mid, lhs_avg, atol=1e-12)
 
 
+class TestRowsMeanRates:
+    """Applied to a kernel, each discrimination row gives the rate that
+    the audit computes on its own from the pushforward joint."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_rows_reproduce_audited_rates(self, seed):
+        rng = np.random.default_rng(seed)
+        mode = ("target", "pairwise", "conditional")[seed % 3]
+        if mode == "conditional":
+            schema = make_schema_multi()
+        else:
+            schema = make_schema(nx=int(rng.integers(1, 4)), nd=int(rng.integers(1, 4)))
+        pmf = random_pmf(schema, rng, zero_fraction=0.3)
+        row_dim = schema.nx * schema.ny
+        kernel = TransformKernel(schema, rng.dirichlet(
+            np.ones(row_dim), size=(schema.nd, schema.nx, schema.ny)))
+        target = np.array([0.45, 0.55])
+        eps = 0.1
+        if mode == "conditional":
+            condition_on = [("age",), ("job",), ("job", "age")][int(rng.integers(3))]
+            spec = DiscriminationSpec(mode=mode, target=target, epsilon=eps,
+                                      condition_on=condition_on)
+        else:
+            spec = DiscriminationSpec(mode=mode, target=target, epsilon=eps)
+        cs = build_discrimination_constraints(spec, pmf)
+        layout = VariableLayout.from_pmf(pmf)
+        gk = cs.G @ kernel_vec(layout, kernel)
+        report = audit_discrimination(pmf, spec, kernel=kernel)
+        present = np.flatnonzero(pmf.p_d() > 0)
+        if mode == "target":
+            expected = report.rates[present].ravel()
+            np.testing.assert_allclose(gk[0::2], expected, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(gk[1::2], -gk[0::2])
+        elif mode == "pairwise":
+            r = report.rates
+            expected = [
+                v
+                for i, d1 in enumerate(present)
+                for d2 in present[i + 1 :]
+                for y in (0, 1)
+                for v in (r[d1, y] - (1 + eps) * r[d2, y],
+                          r[d2, y] - (1 + eps) * r[d1, y])
+            ]
+            np.testing.assert_allclose(gk, expected, rtol=0, atol=1e-12)
+        else:
+            # the audit reports J = |rate / target - 1| per (y, d, b), in
+            # the rows' (d, b, y) order
+            upper = gk[0::2]
+            assert upper.size == len(report.segment)
+            js = np.abs(upper / np.tile(target, upper.size // 2) - 1.0)
+            np.testing.assert_allclose(js, list(report.segment.values()),
+                                       rtol=0, atol=1e-12)
+
+
 class TestDistortionAssembly:
     def test_expected_one_per_positive_cell(self, rng):
         schema = make_schema(nx=1)
@@ -188,7 +252,7 @@ class TestDistortionAssembly:
         # any off-identity mass violates
         bad = kvec.copy()
         bad[0], bad[1] = 0.9, 0.1
-        if layout.cells[0][2] == 0:
+        if layout.y[0] == 0:
             assert cs.residuals(bad).max() > 0.0
 
     def test_thresholded_counts_and_zero_budget_pinning(self, rng):
@@ -203,7 +267,7 @@ class TestDistortionAssembly:
         assert cs.n_constraints == 3 * layout.n_rows
         assert cs.fixed_zero is not None
         # flipping 0 -> 1 costs 3 > 2.9 with budget 0: pinned
-        for row, (d, x, y) in enumerate(layout.cells):
+        for row, (d, x, y) in enumerate(cells(layout)):
             base = row * layout.row_dim
             if y == 0:
                 assert cs.fixed_zero[base + 1]
@@ -220,7 +284,7 @@ class TestDistortionAssembly:
         budget = DistortionBudget("thresholded", pairs=((0.5, 0.2),))
         cs = build_distortion_constraints(metric, budget, pmf, layout)
         kvec = rng.dirichlet(np.ones(2), size=layout.n_rows).ravel()
-        for row, (d, x, y) in enumerate(layout.cells):
+        for row, (d, x, y) in enumerate(cells(layout)):
             flip_mass = kvec[row * 2 + (1 - y)]
             expected_residual = flip_mass - 0.2
             assert cs.residuals(kvec)[row] == pytest.approx(
@@ -235,7 +299,7 @@ class TestDistortionAssembly:
         cs = build_distortion_constraints(
             metric, DistortionBudget("expected", c=0.5), pmf, layout
         )
-        for row, (d, x, y) in enumerate(layout.cells):
+        for row, (d, x, y) in enumerate(cells(layout)):
             base = row * layout.row_dim
             assert cs.fixed_zero[base + 1] == (y == 0)
 
@@ -255,3 +319,158 @@ class TestDistortionAssembly:
         assert layout.n_rows == 8
         assert layout.row_dim == 4
         assert layout.n_vars == 32
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes: fixed instances whose assembled blocks must not change
+# ---------------------------------------------------------------------------
+
+
+def patterned_pmf(schema, zeros=(), n=None):
+    """Masses 1..11 in a fixed pattern, listed (d, x, y) cells zeroed;
+    integer totals keep the normalization exact."""
+    shape = (schema.nd, schema.nx, schema.ny)
+    mass = ((np.arange(int(np.prod(shape))) * 7) % 11 + 1.0).reshape(shape)
+    for cell in zeros:
+        mass[cell] = 0.0
+    return JointPMF(schema, mass / mass.sum(), n=n)
+
+
+def _pairwise_eps():
+    eps = {}
+    for y in (0, 1):
+        for d1 in range(3):
+            for d2 in range(3):
+                if d1 != d2:
+                    eps[(y, d1, d2)] = 0.1 + 0.05 * y
+    eps[(0, 0, 2)] = 0.13  # asymmetric, with a lower side of zero weight
+    eps[(0, 2, 0)] = 1.0
+    eps[(1, 1, 2)] = 0.17  # asymmetric
+    return eps
+
+
+def _three_cell_metric():
+    x_table = np.array([[0.0, 1.0, FORBIDDEN], [1.0, 0.0, 1.0], [FORBIDDEN, 1.0, 0.0]])
+    return DistortionMetric(
+        "per_attribute", x_tables=(x_table,),
+        y_table=np.array([[0.0, 2.0], [0.5, 0.0]]), combiner="sum",
+    )
+
+
+def _pinned_case(name):
+    multi = make_schema_multi()
+    if name == "target_zero_group":
+        schema = make_schema(nx=3, nd=3)
+        pmf = patterned_pmf(
+            schema, zeros=[(1, x, y) for x in range(3) for y in range(2)]
+            + [(0, 2, 1), (2, 0, 0)],
+        )
+        eps = {(y, d): 0.05 + 0.1 * y + 0.02 * d for y in (0, 1) for d in range(3)}
+        return build_discrimination_constraints(
+            DiscriminationSpec(mode="target", epsilon=eps), pmf)
+    if name == "pairwise_asymmetric":
+        pmf = patterned_pmf(make_schema(nx=2, nd=3), zeros=[(1, 1, 0)])
+        return build_discrimination_constraints(
+            DiscriminationSpec(mode="pairwise", epsilon=_pairwise_eps()), pmf)
+    if name == "conditional_explicit_target":
+        pmf = patterned_pmf(multi, zeros=[(0, 1, 1), (2, 4, 0), (3, 5, 1)])
+        spec = DiscriminationSpec(mode="conditional", target=np.array([0.35, 0.65]),
+                                  epsilon=0.2, condition_on=("job",))
+        return build_discrimination_constraints(spec, pmf)
+    if name == "conditional_default_target":
+        # zero mass in segment (d=1, x=3); condition order differs from
+        # the declaration order
+        pmf = patterned_pmf(multi, zeros=[(1, 3, 0), (1, 3, 1), (2, 0, 1)], n=100_000)
+        eps = {(y, d, b): 0.1 + 0.01 * ((y + d + b) % 5)
+               for y in (0, 1) for d in range(4) for b in range(6)}
+        spec = DiscriminationSpec(mode="conditional", epsilon=eps,
+                                  condition_on=("job", "age"))
+        return build_discrimination_constraints(spec, pmf)
+    if name == "conditional_undersized":
+        pmf = patterned_pmf(multi, zeros=[(0, 0, 0), (0, 1, 0), (0, 1, 1)], n=300)
+        spec = DiscriminationSpec(mode="conditional", epsilon=0.25,
+                                  condition_on=("age",), min_cell_count=20)
+        return build_discrimination_constraints(spec, pmf)
+    if name == "expected_forbidden":
+        schema = make_schema(nx=3, nd=2)
+        pmf = patterned_pmf(schema, zeros=[(0, 1, 1), (1, 2, 0)])
+        cgrid = ((np.arange(12) * 5) % 7 * 0.25).reshape(2, 3, 2)
+        cgrid[1, 0, 1] = 2 * FORBIDDEN  # reaches the forbidden entries
+        cgrid[1, 2, 0] = np.nan  # zero-mass cell: no budget needed
+        return build_distortion_constraints(
+            _three_cell_metric(), DistortionBudget("expected", c=cgrid), pmf)
+    if name == "thresholded_zero_budget":
+        schema = make_schema(nx=3, nd=2)
+        pmf = patterned_pmf(schema, zeros=[(1, 1, 0)])
+        per_cell = ((np.arange(12) * 3) % 4 * 0.1).reshape(2, 3, 2)
+        budget = DistortionBudget(
+            "thresholded", pairs=((0.75, 0.4), (1.5, per_cell), (2.5, 0.0)))
+        return build_distortion_constraints(_three_cell_metric(), budget, pmf)
+    raise KeyError(name)
+
+
+def block_digests(cs):
+    """sha256 (first 16 hex digits) of each part of an assembled block."""
+    parts = {
+        "data": cs.G.data.tobytes(),
+        "indices": cs.G.indices.astype(np.int64).tobytes(),
+        "indptr": cs.G.indptr.astype(np.int64).tobytes(),
+        "h": cs.h.tobytes(),
+        "labels": "\n".join(cs.labels).encode(),
+        "warnings": "\n".join(cs.warnings).encode(),
+        "fixed_zero": b"none" if cs.fixed_zero is None
+        else cs.fixed_zero.astype(np.uint8).tobytes(),
+    }
+    return {k: hashlib.sha256(v).hexdigest()[:16] for k, v in parts.items()}
+
+
+_PARTS = ("data", "indices", "indptr", "h", "labels", "warnings", "fixed_zero")
+
+
+# a changed digest means the solver is handed a different program
+PINNED_DIGESTS = {
+    "target_zero_group": dict(zip(_PARTS, (
+        "a91091a6af0ba1c2", "82a45e47267acd02", "f06a419426679083",
+        "b9f5808d56f06d76", "54a81133ec931c72", "e099140ac62dbd27", "140bedbf9c3f6d56",
+    ))),
+    "pairwise_asymmetric": dict(zip(_PARTS, (
+        "d5b6ec9aee75ef05", "bbd36dc7fd32be74", "3832598882069a4b",
+        "38723a2e5e8a17aa", "4c6be0a83a3cc9a7", "e3b0c44298fc1c14", "140bedbf9c3f6d56",
+    ))),
+    "conditional_explicit_target": dict(zip(_PARTS, (
+        "af719500881411db", "48eccb74c9edf128", "9bc89446beb5cfad",
+        "71719a0bf2e23ac9", "e998652dba22b558", "e3b0c44298fc1c14", "140bedbf9c3f6d56",
+    ))),
+    "conditional_default_target": dict(zip(_PARTS, (
+        "dde1b878e9e19025", "a370795273f3851f", "37908bd03c2b24ea",
+        "35e2e319e94f83b0", "af4f53ddcb6e0ccb", "c62f15c56553a2c1", "140bedbf9c3f6d56",
+    ))),
+    "conditional_undersized": dict(zip(_PARTS, (
+        "81cc994d0b9af198", "9b33c97d1436a88d", "218e59ff0ce8e166",
+        "c26594eacc41e38f", "cc19e83417237b08", "08f9f9516761dfaf", "140bedbf9c3f6d56",
+    ))),
+    "expected_forbidden": dict(zip(_PARTS, (
+        "c6eca0bfd091b2c3", "992e6a23cb955ba4", "adf7eb6ff8fcdf24",
+        "bf84668c73425ab4", "4486c297a5b37eb2", "e3b0c44298fc1c14", "0605ef8c4744dcae",
+    ))),
+    "thresholded_zero_budget": dict(zip(_PARTS, (
+        "f1c81324f1ec86f4", "507111ebc18a1951", "5c758418b1e9e479",
+        "7e6a8f3b3d0c97cf", "43fc7e9de62f2fe9", "e3b0c44298fc1c14", "e6199aeb6f04dd81",
+    ))),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_digests(self, name):
+        cs = _pinned_case(name)
+        assert block_digests(cs) == PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_canonical_csr(self, name):
+        G = _pinned_case(name).G
+        assert G.format == "csr"
+        assert G.has_sorted_indices
+        assert all((np.diff(G.indices[a:b]) > 0).all()
+                   for a, b in zip(G.indptr[:-1], G.indptr[1:]))
+        assert (G.data != 0).all()
