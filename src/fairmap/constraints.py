@@ -383,7 +383,7 @@ def build_distortion_constraints(
     shape = (schema.nd, schema.nx, schema.ny)
     cells = (layout.d, layout.x, layout.y)
     D = delta[layout.x * schema.ny + layout.y]  # (n_rows, row_dim)
-    names = _cell_names(layout)
+    names = cell_names(layout)
 
     if budget.mode == "expected":
         pairs = [(None, budget.cell_c(shape))]
@@ -400,8 +400,8 @@ def build_distortion_constraints(
             fixed |= (D >= metric.forbidden_level) & (c < metric.forbidden_level)[:, None]
             labels.extend("dist[expected] " + names)
         else:
-            # a zero budget pins the affected entries as well; the
-            # inequality is kept so restricted reformulations inherit it
+            # a zero budget pins the affected entries as well; the row
+            # stays, so each threshold has one row per input cell
             over = D > t
             blocks.append(_block_rows(over.astype(np.float64)))
             fixed |= over & (c == 0.0)[:, None]
@@ -413,7 +413,7 @@ def build_distortion_constraints(
     )
 
 
-def _cell_names(layout: VariableLayout) -> np.ndarray:
+def cell_names(layout: VariableLayout) -> np.ndarray:
     """The label "d=.. x=.. y=.." of every layout row's input cell."""
     schema = layout.schema
 

@@ -332,16 +332,6 @@ class JointPMF:
             raise InvalidParamsError(f"total mass {total} not within {MASS_ATOL} of 1")
         object.__setattr__(self, "mass", _readonly(mass))
 
-    @classmethod
-    def from_unnormalized(
-        cls, schema: Schema, weights: np.ndarray, n: Optional[int] = None
-    ) -> "JointPMF":
-        weights = np.asarray(weights, dtype=np.float64)
-        total = weights.sum()
-        if total <= 0:
-            raise InvalidParamsError("cannot normalize zero mass")
-        return cls(schema, weights / total, n=n)
-
     # convenient marginals used throughout the package
     def p_d(self) -> np.ndarray:
         return self.mass.sum(axis=(1, 2))

@@ -11,7 +11,7 @@ pass through undistorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
@@ -25,6 +25,7 @@ from .constraints import (
     VariableLayout,
     build_discrimination_constraints,
     build_distortion_constraints,
+    cell_names,
 )
 from .distortion import DistortionBudget, DistortionMetric
 from .domain import JointPMF, Schema, cond_y_given_x, kl_divergence, l1_distance
@@ -111,12 +112,13 @@ class Problem:
     metric: Optional[DistortionMetric]
     budget: Optional[DistortionBudget]
     layout: VariableLayout
+    free: np.ndarray  # the layout entries that are program variables
     program: SimplexImageProgram
     warnings: tuple[str, ...]
 
     @property
     def n_vars(self) -> int:
-        return self.layout.n_vars
+        return self.program.n_vars
 
     def with_epsilon(self, epsilon) -> "Problem":
         if self.disc_spec is None:
@@ -132,7 +134,7 @@ class Problem:
     # -- evaluation helpers used by solver wrappers, audits, and tests -------
     def kernel_vec(self, kernel: TransformKernel) -> np.ndarray:
         layout = self.layout
-        return kernel.probs[layout.d, layout.x, layout.y].ravel()
+        return kernel.probs[layout.d, layout.x, layout.y].ravel()[self.free]
 
     def _kvec(self, kernel) -> np.ndarray:
         return kernel if isinstance(kernel, np.ndarray) else self.kernel_vec(kernel)
@@ -179,18 +181,19 @@ class Solution:
         object.__setattr__(self, "diagnostics", dict(self.diagnostics))
 
 
-def _image_map(layout: VariableLayout) -> sp.csr_matrix:
+def _image_map(layout: VariableLayout, free: np.ndarray) -> sp.csr_matrix:
     """A with (A k)_j = sum_r p(r) k_r(j): one nonzero per variable."""
-    n_img = layout.row_dim
-    cols = np.arange(layout.n_vars)
-    rows = np.tile(np.arange(n_img), layout.n_rows)
-    data = np.repeat(layout.weights, n_img)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n_img, layout.n_vars))
+    r, j = np.divmod(free, layout.row_dim)
+    return sp.csr_matrix(
+        (layout.weights[r], (j, np.arange(free.size))),
+        shape=(layout.row_dim, free.size),
+    )
 
 
-def _identity_anchor(layout: VariableLayout) -> np.ndarray:
+def _identity_anchor(layout: VariableLayout, free: np.ndarray) -> np.ndarray:
     """The identity kernel as a variable vector."""
-    return np.eye(layout.row_dim)[layout.x * layout.schema.ny + layout.y].ravel()
+    r, j = np.divmod(free, layout.row_dim)
+    return (j == layout.x[r] * layout.schema.ny + layout.y[r]).astype(np.float64)
 
 
 def assemble(
@@ -217,16 +220,17 @@ def assemble(
     if metric is not None:
         blocks.append(build_distortion_constraints(metric, budget, pmf, layout))
     merged = LinearConstraintSet.concat(blocks, layout.n_vars)
+    # pinned transitions are not variables
+    pinned = merged.fixed_zero
+    free = np.arange(layout.n_vars) if pinned is None else np.flatnonzero(~pinned)
     program = SimplexImageProgram(
-        n_rows=layout.n_rows,
-        row_dim=layout.row_dim,
-        A=_image_map(layout),
+        row_ptr=np.searchsorted(free, np.arange(layout.n_rows + 1) * layout.row_dim),
+        A=_image_map(layout, free),
         p_ref=pmf.p_xy().ravel(),
-        G=merged.G,
+        G=merged.G[:, free],
         h=merged.h,
         labels=merged.labels,
-        anchor=_identity_anchor(layout),
-        fixed_zero=merged.fixed_zero,
+        anchor=_identity_anchor(layout, free),
         tie_weight=TIE_BREAK_WEIGHT,
     )
     return Problem(
@@ -236,18 +240,25 @@ def assemble(
         metric=metric,
         budget=budget,
         layout=layout,
+        free=free,
         program=program,
         warnings=merged.warnings,
     )
 
 
-def _kernel_from_vec(problem: Problem, kvec: np.ndarray) -> TransformKernel:
-    layout = problem.layout
+def _kernel_from_entries(layout: VariableLayout, entries: np.ndarray) -> TransformKernel:
+    """The kernel whose layout rows are ``entries`` (every layout entry)."""
     probs = _identity_probs(layout.schema)  # fallback rows for zero-mass cells
     probs[layout.d, layout.x, layout.y] = np.maximum(
-        kvec.reshape(layout.n_rows, layout.row_dim), 0.0
+        entries.reshape(layout.n_rows, layout.row_dim), 0.0
     )
     return TransformKernel(layout.schema, probs)
+
+
+def _kernel_from_vec(problem: Problem, kvec: np.ndarray) -> TransformKernel:
+    entries = np.zeros(problem.layout.n_vars)
+    entries[problem.free] = kvec
+    return _kernel_from_entries(problem.layout, entries)
 
 
 def _path(objective: str):
@@ -350,33 +361,28 @@ def _w_extended(pmf: JointPMF) -> np.ndarray:
     return w
 
 
+def _entry_index(layout: VariableLayout):
+    """Row r, transformed feature xh and outcome yh of every layout entry."""
+    r, j = np.divmod(np.arange(layout.n_vars), layout.row_dim)
+    return (r,) + np.divmod(j, layout.schema.ny)
+
+
 def _substitution_for_w(layout: VariableLayout, w: np.ndarray) -> sp.csr_matrix:
     """S with (S m)[(r, xh, yh)] = w[xh, yh] * m[(r, xh)]."""
-    ny = layout.schema.ny
     nx = layout.schema.nx
-    idx = np.arange(layout.n_vars)
-    r = idx // layout.row_dim
-    j = idx % layout.row_dim
-    xh = j // ny
-    yh = j % ny
-    cols = r * nx + xh
-    data = w[xh, yh]
+    r, xh, yh = _entry_index(layout)
     return sp.csr_matrix(
-        (data, (idx, cols)), shape=(layout.n_vars, layout.n_rows * nx)
+        (w[xh, yh], (np.arange(layout.n_vars), r * nx + xh)),
+        shape=(layout.n_vars, layout.n_rows * nx),
     )
 
 
 def _substitution_for_m(layout: VariableLayout, m: np.ndarray) -> sp.csr_matrix:
     """S with (S w)[(r, xh, yh)] = m[r, xh] * w[(xh, yh)]."""
-    ny = layout.schema.ny
-    idx = np.arange(layout.n_vars)
-    r = idx // layout.row_dim
-    j = idx % layout.row_dim
-    xh = j // ny
-    cols = j
-    data = m[r, xh]
+    r, xh, yh = _entry_index(layout)
     return sp.csr_matrix(
-        (data, (idx, cols)), shape=(layout.n_vars, layout.row_dim)
+        (m[r, xh], (np.arange(layout.n_vars), xh * layout.schema.ny + yh)),
+        shape=(layout.n_vars, layout.row_dim),
     )
 
 
@@ -411,24 +417,34 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
     layout = problem.layout
     schema = problem.pmf.schema
     nx = schema.nx
-    # no entry pinning: the restricted reformulations rely on the raw
-    # inequalities instead, which substitution preserves
-    prog_full = replace(problem.program, fixed_zero=None)
+    program, free = problem.program, problem.free
     w = _w_extended(problem.pmf)
     solve_block = partial(_path(problem.objective), tol=tol, max_iters=max_iters)
+    # a factor product reaches every layout entry, pinned ones included;
+    # one row per kernel row sums its pinned entries, and since S >= 0,
+    # holding that sum at 0 holds each of them at 0
+    pinned = np.setdiff1d(np.arange(layout.n_vars), free)
+    pins = sp.csr_matrix((np.ones(pinned.size), (pinned // layout.row_dim, pinned)),
+                         shape=(layout.n_rows, layout.n_vars))
+    hit = np.diff(pins.indptr) > 0
+    pins, pin_labels = pins[hit], "pin " + cell_names(layout)[hit]
+
+    def restricted(S: sp.csr_matrix, row_len: int) -> SimplexImageProgram:
+        row_ptr = np.arange(S.shape[1] // row_len + 1) * row_len
+        return program.substitute(S[free], row_ptr, pins @ S, pin_labels)
 
     def m_program(w_cur: np.ndarray) -> SimplexImageProgram:
-        return prog_full.substitute(
-            _substitution_for_w(layout, w_cur), layout.n_rows, nx
-        )
+        return restricted(_substitution_for_w(layout, w_cur), nx)
 
     def w_program(m_cur: np.ndarray) -> SimplexImageProgram:
-        return prog_full.substitute(
-            _substitution_for_m(layout, m_cur), nx, schema.ny
-        )
+        return restricted(_substitution_for_m(layout, m_cur), schema.ny)
+
+    def product(m_cur, w_cur) -> np.ndarray:
+        return _substitution_for_w(layout, w_cur) @ m_cur.ravel()
 
     def finish(out: SolveOutcome, m_cur, w_cur, extra: dict) -> Solution:
-        kvec = _substitution_for_w(layout, w_cur) @ m_cur.ravel()
+        entries = product(m_cur, w_cur)
+        kvec = entries[free]
         diag = dict(out.diagnostics)
         diag.update(extra)
         diag["sof_y_given_xhat"] = w_cur
@@ -437,9 +453,9 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
         objective = problem.objective_value(kvec)
         return Solution(
             status=out.status,
-            kernel=_kernel_from_vec(problem, kvec),
+            kernel=_kernel_from_entries(layout, entries),
             objective=objective if out.status != STATUS_INFEASIBLE else float("nan"),
-            residual=prog_full.residual(kvec),
+            residual=program.residual(kvec),
             certificate=out.certificate,
             iterations=out.iterations,
             diagnostics=diag,
@@ -478,9 +494,7 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
     m = m_out.kvec.reshape(layout.n_rows, nx)
 
     def product_objective(m_cur, w_cur):
-        return problem.objective_value(
-            _substitution_for_w(layout, w_cur) @ m_cur.ravel()
-        )
+        return problem.objective_value(product(m_cur, w_cur)[free])
 
     trace = [product_objective(m, w)]
     out = m_out

@@ -25,7 +25,6 @@ least-randomizing kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,32 +48,31 @@ _LP_OPTIONS = {
 @dataclass(frozen=True)
 class SimplexImageProgram:
     """min  div(p_ref, A k) + tie_weight * (const - anchor . k)
-    s.t.   each of n_rows consecutive blocks of length row_dim sums to 1,
-           k >= 0 (entries under ``fixed_zero`` pinned to 0),
-           G k <= h.
+    s.t.   each simplex row k[row_ptr[i]:row_ptr[i + 1]] sums to 1,
+           k >= 0, G k <= h.
     """
 
-    n_rows: int
-    row_dim: int
+    row_ptr: np.ndarray
     A: sp.csr_matrix
     p_ref: np.ndarray
     G: sp.csr_matrix
     h: np.ndarray
     labels: tuple[str, ...]
     anchor: np.ndarray
-    fixed_zero: Optional[np.ndarray] = None
     tie_weight: float = TIE_BREAK_WEIGHT
 
     @property
+    def n_rows(self) -> int:
+        return int(self.row_ptr.size - 1)
+
+    @property
     def n_vars(self) -> int:
-        return self.n_rows * self.row_dim
+        return int(self.row_ptr[-1])
 
     def row_sum_matrix(self) -> sp.csr_matrix:
-        data = np.ones(self.n_vars)
-        indices = np.arange(self.n_vars)
-        indptr = np.arange(self.n_rows + 1) * self.row_dim
         return sp.csr_matrix(
-            (data, indices, indptr), shape=(self.n_rows, self.n_vars)
+            (np.ones(self.n_vars), np.arange(self.n_vars), self.row_ptr),
+            shape=(self.n_rows, self.n_vars),
         )
 
     def image(self, kvec: np.ndarray) -> np.ndarray:
@@ -89,24 +87,23 @@ class SimplexImageProgram:
         viol = 0.0
         if self.h.size:
             viol = max(viol, float(np.max(self.G @ kvec - self.h)))
-        sums = kvec.reshape(self.n_rows, self.row_dim).sum(axis=1)
+        sums = self.row_sum_matrix() @ kvec
         viol = max(viol, float(np.max(np.abs(sums - 1.0))))
         viol = max(viol, float(max(0.0, -kvec.min())))
         return viol
 
-    def substitute(self, S: sp.csr_matrix, n_rows: int, row_dim: int,
-                   fixed_zero: Optional[np.ndarray] = None) -> "SimplexImageProgram":
-        """Program over new variables v with k = S v (sparse substitution)."""
+    def substitute(self, S: sp.csr_matrix, row_ptr: np.ndarray,
+                   pins: sp.csr_matrix, pin_labels) -> "SimplexImageProgram":
+        """Program over new variables v with k = S v (sparse substitution)
+        and simplex rows ``row_ptr``, plus the rows ``pins @ v <= 0``."""
         return SimplexImageProgram(
-            n_rows=n_rows,
-            row_dim=row_dim,
+            row_ptr=row_ptr,
             A=(self.A @ S).tocsr(),
             p_ref=self.p_ref,
-            G=(self.G @ S).tocsr(),
-            h=self.h,
-            labels=self.labels,
+            G=sp.vstack([self.G @ S, pins], format="csr"),
+            h=np.concatenate([self.h, np.zeros(pins.shape[0])]),
+            labels=self.labels + tuple(pin_labels),
             anchor=np.asarray(S.T @ self.anchor).ravel(),
-            fixed_zero=fixed_zero,
             tie_weight=self.tie_weight,
         )
 
@@ -129,9 +126,9 @@ def _lp(prog: SimplexImageProgram, c_k: np.ndarray, c_aux=(), g_aux=None,
     Minimizes c_k . k + c_aux . aux subject to the program's simplex rows
     and side constraints (``g_aux`` holds the auxiliary columns of the
     side-constraint rows; zero when omitted) plus ``rows @ [k, aux] <=
-    rhs``.  Kernel entries lie in [0, 1] (pinned to 0 under
-    ``fixed_zero``); auxiliary variables are nonnegative.  Returns the
-    HiGHS result with the ``b_ub`` and the upper bounds it was given.
+    rhs``.  Kernel entries lie in [0, 1]; auxiliary variables are
+    nonnegative.  Returns the HiGHS result with the ``b_ub`` and the upper
+    bounds it was given.
     """
     n_aux = len(c_aux)
     m = int(prog.h.size)
@@ -150,10 +147,7 @@ def _lp(prog: SimplexImageProgram, c_k: np.ndarray, c_aux=(), g_aux=None,
     A_eq = prog.row_sum_matrix()
     if n_aux:
         A_eq = sp.hstack([A_eq, sp.csr_matrix((prog.n_rows, n_aux))], format="csr")
-    ub = np.ones(prog.n_vars)
-    if prog.fixed_zero is not None:
-        ub = np.where(prog.fixed_zero, 0.0, 1.0)
-    ub = np.concatenate([ub, np.full(n_aux, np.inf)])
+    ub = np.concatenate([np.ones(prog.n_vars), np.full(n_aux, np.inf)])
     res = linprog(
         np.concatenate([c_k, c_aux]),
         A_ub=sp.vstack(A_ub, format="csr") if A_ub else None,

@@ -13,6 +13,8 @@ from fairmap import (
     solve,
 )
 
+from fairmap.constraints import build_distortion_constraints
+
 from conftest import make_schema, random_pmf
 
 
@@ -170,3 +172,46 @@ class TestAlternating:
         sol = sof_solve(problem, strategy="alternating", max_outer=25)
         assert sol.status == "optimal"
         assert sol.residual <= 1e-6
+
+
+def raise_forbidden_metric(schema):
+    """Feature moves cost 1, lowering the outcome 1; raising it is
+    forbidden."""
+    return movement_metric(schema, y_costs=(1e4, 1.0))
+
+
+class TestPins:
+    @pytest.mark.parametrize("objective", ["l1", "kl"])
+    def test_pin_violation_is_probability_mass(self, objective):
+        # one feature value: the pinned conditional sends half of every
+        # y=0 row to the forbidden raise, so each such row's pin is
+        # violated by exactly 0.5 of probability mass
+        schema = make_schema(nx=1)
+        pmf = JointPMF(schema, np.array([[[0.2, 0.3]], [[0.3, 0.2]]]))
+        problem = assemble(
+            pmf, DiscriminationSpec(mode="target", epsilon=0.5),
+            raise_forbidden_metric(schema), DistortionBudget("expected", c=1.0),
+            objective,
+        )
+        sol = sof_solve(problem, strategy="fix_conditional")
+        assert sol.status == "infeasible"
+        assert sol.diagnostics["worst_constraint"] == "pin d=g0 x=x0 y=0"
+        assert sol.diagnostics["worst_violation"] == pytest.approx(0.5, abs=1e-9)
+        assert sol.certificate <= 2.0
+
+    def test_optimum_keeps_forbidden_entries_at_zero(self):
+        schema = make_schema(nx=2)
+        pmf = random_pmf(schema, np.random.default_rng(0))
+        metric = raise_forbidden_metric(schema)
+        budget = DistortionBudget("expected", c=1.5)
+        problem = assemble(
+            pmf, DiscriminationSpec(mode="target", epsilon=0.5), metric, budget, "l1",
+        )
+        sol = sof_solve(problem, strategy="alternating", max_outer=25)
+        assert sol.status == "optimal"
+        layout = problem.layout
+        pinned = build_distortion_constraints(metric, budget, pmf, layout).fixed_zero
+        assert pinned.any()
+        entries = sol.kernel.probs[layout.d, layout.x, layout.y].ravel()
+        assert entries[pinned].max() <= 1e-9
+        assert factorization_residual(sol, schema) <= 1e-12

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from fairmap import (
     DiscriminationSpec,
@@ -21,7 +25,14 @@ from conftest import (
     make_toy_instance,
     random_pmf,
 )
-from fairmap.constants import TIE_BREAK_WEIGHT
+from fairmap.constants import FORBIDDEN, TIE_BREAK_WEIGHT
+from fairmap.constraints import (
+    LinearConstraintSet,
+    VariableLayout,
+    build_discrimination_constraints,
+    build_distortion_constraints,
+)
+from fairmap.errors import NumericalBreakdownError
 from fairmap.solver import phase1_violation
 
 
@@ -43,6 +54,93 @@ def flip_metric(cost01=1.0, cost10=1.0):
         y_table=np.array([[0.0, cost01], [cost10, 0.0]]),
         combiner="sum",
     )
+
+
+def forbidden_instance(seed):
+    """Two or three groups, one to three feature values, some input cells
+    at zero mass; a random share of the feature moves and outcome flips
+    cost the forbidden level, and a few cells have budgets that reach it."""
+    rng = np.random.default_rng(seed)
+    nx, nd = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    pmf = random_pmf(make_schema(nx=nx, nd=nd), rng, zero_fraction=0.2)
+    x_table = rng.uniform(0.3, 2.0, (nx, nx))
+    x_table[rng.random((nx, nx)) < 0.4] = FORBIDDEN
+    y_table = rng.uniform(0.3, 2.0, (2, 2))
+    y_table[rng.random((2, 2)) < 0.4] = FORBIDDEN
+    np.fill_diagonal(x_table, 0.0)
+    np.fill_diagonal(y_table, 0.0)
+    metric = DistortionMetric("per_attribute", x_tables=(x_table,),
+                              y_table=y_table, combiner="sum")
+    c = rng.uniform(0.0, 1.5, (nd, nx, 2))
+    c[rng.random(c.shape) < 0.1] = 2 * FORBIDDEN
+    if rng.random() < 0.5:
+        spec = DiscriminationSpec(mode="pairwise", epsilon=float(rng.uniform(0.05, 0.6)))
+    else:
+        p1 = float(rng.uniform(0.2, 0.8))
+        spec = DiscriminationSpec(mode="target", target=np.array([1.0 - p1, p1]),
+                                  epsilon=float(rng.uniform(0.05, 0.6)))
+    return pmf, spec, metric, DistortionBudget("expected", c=c)
+
+
+class BoundedReference:
+    """The kernel program with every layout entry a variable: the pinned
+    ones are bounded by 0 instead of left out.  Built here from the
+    constraint builders alone and solved with ``linprog`` directly."""
+
+    def __init__(self, pmf, spec, metric, budget):
+        layout = VariableLayout.from_pmf(pmf)
+        merged = LinearConstraintSet.concat(
+            [build_discrimination_constraints(spec, pmf, layout),
+             build_distortion_constraints(metric, budget, pmf, layout)],
+            layout.n_vars,
+        )
+        self.G, self.h = merged.G, merged.h
+        self.pinned = merged.fixed_zero
+        self.ub = np.where(self.pinned, 0.0, 1.0)
+        self.A = sp.kron(layout.weights.reshape(1, -1),
+                         sp.identity(layout.row_dim), format="csr")
+        self.rows = sp.kron(sp.identity(layout.n_rows),
+                            np.ones((1, layout.row_dim)), format="csr")
+        self.anchor = np.eye(layout.row_dim)[
+            layout.x * layout.schema.ny + layout.y].ravel()
+        self.p = pmf.p_xy().ravel()
+
+    def _solve(self, c_k, c_aux, rows):
+        n_aux = len(c_aux)
+        res = linprog(
+            np.concatenate([c_k, c_aux]),
+            A_ub=sp.vstack([r for r, _ in rows], format="csr"),
+            b_ub=np.concatenate([b for _, b in rows]),
+            A_eq=sp.hstack([self.rows, sp.csr_matrix((self.rows.shape[0], n_aux))]),
+            b_eq=np.ones(self.rows.shape[0]),
+            bounds=[(0.0, u) for u in self.ub] + [(0.0, None)] * n_aux,
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10,
+                     "dual_feasibility_tolerance": 1e-10},
+        )
+        assert res.status in (0, 2), res.message
+        return res
+
+    def l1_objective(self):
+        """min |p - A k|_1 (with the tie-break), or NaN if infeasible."""
+        m, n_img = self.h.size, self.p.size
+        eye = sp.identity(n_img, format="csr")
+        res = self._solve(
+            -TIE_BREAK_WEIGHT * self.anchor, np.ones(n_img),
+            [(sp.hstack([self.G, sp.csr_matrix((m, n_img))]), self.h),
+             (sp.hstack([-self.A, -eye]), -self.p),
+             (sp.hstack([self.A, -eye]), self.p)],
+        )
+        if res.status == 2:
+            return float("nan")
+        return float(np.abs(self.p - self.A @ res.x[: self.ub.size]).sum())
+
+    def phase1(self):
+        """Minimum total violation of G k <= h."""
+        m = self.h.size
+        res = self._solve(np.zeros(self.ub.size), np.ones(m),
+                          [(sp.hstack([self.G, -sp.identity(m)]), self.h)])
+        return float(res.fun)
 
 
 class TestAssembly:
@@ -180,10 +278,9 @@ class TestConvexReferenceCrossCheck:
             P = problem.program
             k = cp.Variable(P.n_vars, nonneg=True)
             cons = [P.row_sum_matrix() @ k == 1]
+            # pinned transitions are not variables, so need no constraint
             if P.h.size:
                 cons.append(P.G @ k <= P.h)
-            if P.fixed_zero is not None and P.fixed_zero.any():
-                cons.append(k[np.nonzero(P.fixed_zero)[0]] == 0)
             sup = np.nonzero(P.p_ref > 0)[0]
             q = P.A @ k
             ref = cp.Problem(
@@ -324,34 +421,37 @@ class TestSolveContracts:
 
 
 class TestLPBuilder:
-    def test_pinned_entries_come_back_exactly_zero(self):
-        # forbidden outcome raises are pinned through the variable bounds;
-        # l1, KL and phase-1 kernels (feasible or not) must keep them at 0
-        rng = np.random.default_rng(11)
-        statuses = set()
-        for _ in range(8):
-            pmf = random_pmf(make_schema(nx=2), rng)
-            xt = rng.uniform(0.3, 2.0, (2, 2))
-            np.fill_diagonal(xt, 0)
-            metric = DistortionMetric(
-                "per_attribute", x_tables=(xt,),
-                y_table=np.array([[0, 1e4], [rng.uniform(0.5, 1.5), 0]]),
-                combiner="sum",
-            )
-            spec = DiscriminationSpec(
-                mode="pairwise", epsilon=float(rng.uniform(0.05, 0.6))
-            )
-            budget = DistortionBudget("expected", c=float(rng.uniform(0.3, 1.5)))
-            for objective in ("l1", "kl"):
-                problem = assemble(pmf, spec, metric, budget, objective)
-                pinned = problem.program.fixed_zero
-                assert pinned.any()
-                sol = solve(problem)
-                statuses.add(sol.status)
-                assert (problem.kernel_vec(sol.kernel)[pinned] == 0.0).all()
-            _, kvec, _ = phase1_violation(problem.program)
-            assert (kvec[pinned] == 0.0).all()
-        assert statuses == {"optimal", "infeasible"}
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(0)  # infeasible, 40 of 90 entries pinned
+    @example(1)  # optimal, 17 of 44 entries pinned
+    def test_pinned_entries_match_bounded_formulation(self, seed):
+        # pinned transitions are not program variables; the reference
+        # keeps every layout entry a variable and bounds the pinned ones
+        # by 0, and both must reach the same status, l1 optimum and
+        # phase-1 certificate, with every pinned entry exactly 0
+        pmf, spec, metric, budget = forbidden_instance(seed)
+        problem = assemble(pmf, spec, metric, budget, "l1")
+        layout = problem.layout
+        ref = BoundedReference(pmf, spec, metric, budget)
+        l1 = solve(problem)
+        ref_objective = ref.l1_objective()
+        if l1.status == "optimal":
+            assert l1.objective == pytest.approx(ref_objective, abs=1e-9)
+        else:
+            assert l1.status == "infeasible" and np.isnan(ref_objective)
+            assert l1.certificate == pytest.approx(ref.phase1(), abs=1e-9)
+        kernels = [l1.kernel]
+        try:
+            kl = solve(assemble(pmf, spec, metric, budget, "kl"))
+        except NumericalBreakdownError:
+            assert l1.status == "optimal"  # KL infinite on a feasible set
+        else:
+            assert kl.status == l1.status
+            kernels.append(kl.kernel)
+        for kernel in kernels:
+            entries = kernel.probs[layout.d, layout.x, layout.y].ravel()
+            assert (entries[ref.pinned] == 0.0).all()
 
     def test_program_without_side_constraints(self, rng):
         pmf = random_pmf(make_schema(nx=2), rng)
