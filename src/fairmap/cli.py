@@ -1,7 +1,8 @@
 """Command-line pipeline: fit, transform, audit, sweep, presets, validate.
 
 Exit codes are a stable contract: 0 success, 2 infeasible optimization,
-3 configuration/usage error, 4 I/O or data error.  Every artifact embeds
+3 configuration/usage error, 4 I/O or data error, 5 a KL objective that
+is infinite on the whole feasible set.  Every artifact embeds
 the configuration fingerprint; audit and transform refuse artifacts fit
 under a different configuration unless explicitly overridden.
 """
@@ -50,6 +51,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
+EXIT_INFINITE = 5
 
 
 def _json_default(obj):
@@ -133,7 +135,8 @@ def _solution_payload(sol, config: PipelineConfig) -> dict:
         for k, v in sol.diagnostics.items()
         if k in ("worst_constraint", "worst_violation", "objective_trace",
                  "strategy", "lower_bound", "outer_iterations",
-                 "f_divergence_lower_bound", "certificate_note")
+                 "f_divergence_lower_bound", "certificate_note",
+                 "uncovered_cell", "simplex_iterations")
     }
     if diag:
         payload["diagnostics"] = diag
@@ -165,11 +168,19 @@ def cmd_fit(args) -> int:
             f"{sol.diagnostics.get('worst_constraint', '?')}"
             f" by {sol.diagnostics.get('worst_violation', float('nan')):.3g}"
         )
+    if sol.status == "infinite_objective":
+        lines.append(
+            "  uncovered:   "
+            f"{sol.diagnostics.get('uncovered_cell', '?')}"
+            " gets no mass from any feasible transform"
+        )
     with open(os.path.join(out_dir, "fit_report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     if sol.status == "infeasible":
         return EXIT_INFEASIBLE
+    if sol.status == "infinite_objective":
+        return EXIT_INFINITE
     provenance = {
         "fingerprint": config.fingerprint(),
         "objective": config.objective,

@@ -38,7 +38,7 @@ class LengthMismatchError(FairmapError):
 
 
 class NumericalBreakdownError(FairmapError):
-    """The solver cannot make progress (e.g. unbounded KL objective)."""
+    """A HiGHS solve ended in a status the LP rules out (numerical failure)."""
 
 
 class ProvenanceMismatchError(FairmapError):

@@ -32,6 +32,7 @@ from .domain import JointPMF, Schema, cond_y_given_x, kl_divergence, l1_distance
 from .errors import InvalidParamsError
 from .solver import (
     STATUS_INFEASIBLE,
+    STATUS_INFINITE,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     SimplexImageProgram,
@@ -166,7 +167,10 @@ class Solution:
     marginals cannot give one.  For KL it is UB - LB: the objective plus
     tie-break term at the returned kernel, minus the cut LP's dual bound
     ``diagnostics["lower_bound"]``.  ``objective`` is NaN for infeasible
-    problems.
+    problems and +inf when the KL objective is infinite on the whole
+    feasible set (status ``infinite_objective``); ``diagnostics[
+    "uncovered_cell"]`` then names the (x_hat, y_hat) cell that no
+    feasible kernel gives mass to while the data does.
     """
 
     status: str
@@ -266,6 +270,16 @@ def _path(objective: str):
     return solve_kl if objective == OBJECTIVE_KL else solve_tv
 
 
+def _named(problem: Problem, diagnostics: Mapping[str, object]) -> dict:
+    """Solver diagnostics with the uncovered image cell, if any, named."""
+    diag = dict(diagnostics)
+    if "uncovered_cell" in diag:
+        schema = problem.pmf.schema
+        x, y = divmod(int(diag["uncovered_cell"]), schema.ny)
+        diag["uncovered_cell"] = f"x={schema.x_label(x)} y={schema.y_label(y)}"
+    return diag
+
+
 def solve(problem: Problem, tol: float = DEFAULT_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> Solution:
     """Solve the assembled program to a certified tolerance.
@@ -274,7 +288,9 @@ def solve(problem: Problem, tol: float = DEFAULT_TOL,
     objective through a loop of LPs with tangent cuts, certified by the
     gap between the objective at the best iterate and the LP dual bound.
     Infeasible problems come back with a phase-1 certificate (minimum
-    total violation) and a pointer at the most violated constraint.
+    total violation) and a pointer at the most violated constraint; a KL
+    objective that is infinite on the whole feasible set comes back as
+    status ``infinite_objective`` with the cell that causes it named.
     """
     out = _path(problem.objective)(problem.program, tol=tol, max_iters=max_iters)
     return Solution(
@@ -284,7 +300,7 @@ def solve(problem: Problem, tol: float = DEFAULT_TOL,
         residual=out.residual,
         certificate=out.certificate,
         iterations=out.iterations,
-        diagnostics=out.diagnostics,
+        diagnostics=_named(problem, out.diagnostics),
     )
 
 
@@ -445,16 +461,17 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
     def finish(out: SolveOutcome, m_cur, w_cur, extra: dict) -> Solution:
         entries = product(m_cur, w_cur)
         kvec = entries[free]
-        diag = dict(out.diagnostics)
+        diag = _named(problem, out.diagnostics)
         diag.update(extra)
         diag["sof_y_given_xhat"] = w_cur
         diag["sof_xhat_given_dxy"] = m_cur
         diag["f_divergence_lower_bound"] = _f_divergence_lower_bound(problem, kvec)
-        objective = problem.objective_value(kvec)
         return Solution(
             status=out.status,
             kernel=_kernel_from_entries(layout, entries),
-            objective=objective if out.status != STATUS_INFEASIBLE else float("nan"),
+            objective=out.objective
+            if out.status in (STATUS_INFEASIBLE, STATUS_INFINITE)
+            else problem.objective_value(kvec),
             residual=program.residual(kvec),
             certificate=out.certificate,
             iterations=out.iterations,
@@ -492,6 +509,8 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
             m = m_out.kvec.reshape(layout.n_rows, nx)
             return finish(m_out, m, w, {"strategy": strategy})
     m = m_out.kvec.reshape(layout.n_rows, nx)
+    if m_out.status == STATUS_INFINITE:
+        return finish(m_out, m, w, {"strategy": strategy})
 
     def product_objective(m_cur, w_cur):
         return problem.objective_value(product(m_cur, w_cur)[free])

@@ -15,8 +15,12 @@ Two solve paths:
   [k, aux] shape, with tangent cuts of -log standing in for the
   objective; the gap between the true objective at the best iterate and
   the LP's dual bound is the certificate and the termination criterion.
+  The cut LPs of one solve are one persistent HiGHS model that gains each
+  iteration's cut rows and restarts from the last basis.
 
-Every HiGHS call goes through ``_lp``.  Both paths add a tiny
+Every HiGHS call solves an LP laid out by ``_lp``: once, cold, through
+``linprog`` (the l1 LP, phase 1 and the KL start LP), or in the
+persistent model of the KL cut LPs.  Both paths add a tiny
 identity-deviation term to the objective so that ties between
 algebraically equivalent optima break deterministically toward the
 least-randomizing kernel.
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, TIE_BREAK_WEIGHT
 from .domain import kl_divergence
@@ -37,11 +42,26 @@ from .errors import InvalidParamsError, NumericalBreakdownError
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_ITERATION_LIMIT = "iteration_limit"
+STATUS_INFINITE = "infinite_objective"
 
 _LP_OPTIONS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
+}
+# the options linprog passes for _LP_OPTIONS, with max-value scaling (4)
+# in place of HiGHS's default: under the default a warm-started primal's
+# simplex-row sums drift past what a kernel row may miss 1 by (1e-9),
+# and unscaled (0) the cut LP optimum of an identity-optimal instance
+# can end up to 2e-9 above the true optimum, so LB passes it
+_MODEL_OPTIONS = {
+    "output_flag": False,
+    "solver": "simplex",
+    "simplex_strategy": 1,  # dual
+    "presolve": "on",
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+    "simplex_scale_strategy": 4,
 }
 
 
@@ -119,16 +139,40 @@ class SolveOutcome:
     diagnostics: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class _LP:
+    """min c . x over x = [k, aux] s.t. A_ub x <= b_ub, the simplex rows
+    A_eq x = 1 and 0 <= x <= ub, as ``_lp`` lays it out."""
+
+    c: np.ndarray
+    A_ub: sp.csr_matrix | None
+    b_ub: np.ndarray | None
+    A_eq: sp.csr_matrix
+    ub: np.ndarray
+
+    def solve(self, maxiter=None):
+        """One cold solve through ``linprog``; returns its result."""
+        return linprog(
+            self.c,
+            A_ub=self.A_ub,
+            b_ub=self.b_ub,
+            A_eq=self.A_eq,
+            b_eq=np.ones(self.A_eq.shape[0]),
+            bounds=np.column_stack([np.zeros(self.ub.size), self.ub]),
+            method="highs",
+            options=dict(_LP_OPTIONS, maxiter=maxiter),
+        )
+
+
 def _lp(prog: SimplexImageProgram, c_k: np.ndarray, c_aux=(), g_aux=None,
-        rows=None, rhs=None, maxiter=None):
-    """One HiGHS call over the variables [k, aux].
+        rows=None, rhs=None) -> _LP:
+    """The LP over the variables [k, aux] that every HiGHS call solves.
 
     Minimizes c_k . k + c_aux . aux subject to the program's simplex rows
     and side constraints (``g_aux`` holds the auxiliary columns of the
     side-constraint rows; zero when omitted) plus ``rows @ [k, aux] <=
     rhs``.  Kernel entries lie in [0, 1]; auxiliary variables are
-    nonnegative.  Returns the HiGHS result with the ``b_ub`` and the upper
-    bounds it was given.
+    nonnegative.
     """
     n_aux = len(c_aux)
     m = int(prog.h.size)
@@ -143,22 +187,82 @@ def _lp(prog: SimplexImageProgram, c_k: np.ndarray, c_aux=(), g_aux=None,
     if rows is not None:
         A_ub.append(rows)
         b_ub.append(rhs)
-    b_ub = np.concatenate(b_ub) if b_ub else None
     A_eq = prog.row_sum_matrix()
     if n_aux:
         A_eq = sp.hstack([A_eq, sp.csr_matrix((prog.n_rows, n_aux))], format="csr")
-    ub = np.concatenate([np.ones(prog.n_vars), np.full(n_aux, np.inf)])
-    res = linprog(
-        np.concatenate([c_k, c_aux]),
+    return _LP(
+        c=np.concatenate([c_k, c_aux]),
         A_ub=sp.vstack(A_ub, format="csr") if A_ub else None,
-        b_ub=b_ub,
+        b_ub=np.concatenate(b_ub) if b_ub else None,
         A_eq=A_eq,
-        b_eq=np.ones(prog.n_rows),
-        bounds=np.column_stack([np.zeros(ub.size), ub]),
-        method="highs",
-        options=dict(_LP_OPTIONS, maxiter=maxiter),
+        ub=np.concatenate([np.ones(prog.n_vars), np.full(n_aux, np.inf)]),
     )
-    return res, b_ub, ub
+
+
+def _highs_ok(status, call: str) -> None:
+    if status != _highs.HighsStatus.kOk:
+        raise NumericalBreakdownError(f"cut LP failed: HiGHS {call} returned {status.name}")
+
+
+class _CutModel:
+    """A persistent HiGHS model of an ``_LP`` with ``<=`` rows that grows
+    by appended ``<=`` rows; every ``run`` after the first restarts the
+    dual simplex from the basis of the run before.  HiGHS holds the rows
+    as [A_eq; A_ub; appended]: the simplex rows, then the ``<=`` rows in
+    order."""
+
+    def __init__(self, lp: _LP):
+        A = sp.vstack([lp.A_eq, lp.A_ub], format="csc")
+        self.n_eq = lp.A_eq.shape[0]
+        self.b_ub = [lp.b_ub]
+        self.ub = lp.ub
+        model = _highs.HighsLp()
+        model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
+        model.col_cost_ = lp.c
+        model.col_lower_ = np.zeros(lp.ub.size)
+        model.col_upper_ = lp.ub
+        model.row_lower_ = np.concatenate([np.ones(self.n_eq), np.full(lp.b_ub.size, -np.inf)])
+        model.row_upper_ = np.concatenate([np.ones(self.n_eq), lp.b_ub])
+        matrix = model.a_matrix_
+        matrix.format_ = _highs.MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = A.shape[1], A.shape[0]
+        matrix.start_ = A.indptr.astype(np.int32)
+        matrix.index_ = A.indices.astype(np.int32)
+        matrix.value_ = A.data
+        self.highs = _highs._Highs()
+        for key, value in _MODEL_OPTIONS.items():
+            _highs_ok(self.highs.setOptionValue(key, value), f"setOptionValue({key!r})")
+        _highs_ok(self.highs.passModel(model), "passModel")
+
+    def add_rows(self, rows: sp.csr_matrix, rhs: np.ndarray) -> None:
+        """Append the rows ``rows @ x <= rhs``."""
+        _highs_ok(self.highs.addRows(
+            rows.shape[0], np.full(rows.shape[0], -np.inf), rhs, rows.nnz,
+            rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32),
+            rows.data,
+        ), "addRows")
+        self.b_ub.append(rhs)
+
+    def run(self) -> tuple[np.ndarray, float, int]:
+        """Solve; returns x, the LP's dual objective and the simplex
+        iterations of this run."""
+        _highs_ok(self.highs.run(), "run")
+        model_status = self.highs.getModelStatus()
+        if model_status != _highs.HighsModelStatus.kOptimal:
+            raise NumericalBreakdownError(
+                "cut LP failed: HiGHS model status"
+                f" {self.highs.modelStatusToString(model_status)}"
+            )
+        sol = self.highs.getSolution()
+        row_dual = np.asarray(sol.row_dual)
+        # a negative reduced cost is the multiplier of the column's upper
+        # bound, a positive one that of its lower bound (which is 0)
+        dual = _dual_objective(
+            row_dual[self.n_eq:], np.concatenate(self.b_ub), row_dual[:self.n_eq],
+            np.minimum(sol.col_dual, 0.0), self.ub,
+        )
+        iterations = int(self.highs.getInfo().simplex_iteration_count)
+        return np.asarray(sol.col_value), dual, iterations
 
 
 def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict]:
@@ -168,7 +272,7 @@ def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict
     and diagnostics naming the worst constraint there.
     """
     n, m = prog.n_vars, int(prog.h.size)
-    res, _, _ = _lp(prog, np.zeros(n), np.ones(m), -sp.identity(m, format="csr"))
+    res = _lp(prog, np.zeros(n), np.ones(m), -sp.identity(m, format="csr")).solve()
     if res.status != 0:
         raise NumericalBreakdownError(f"phase-1 failed: {res.message}")
     kvec = res.x[:n]
@@ -183,25 +287,22 @@ def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict
     return float(svec.sum()), kvec, diag
 
 
-def _dual_objective(res, b_ub: np.ndarray, ub: np.ndarray) -> float:
-    """The LP's dual objective from the marginals HiGHS reports (lower
-    bounds are all 0 and the simplex rows all equal 1), or NaN without
-    them."""
-    if res.eqlin.marginals is None:
-        return float("nan")
+def _dual_objective(ineq: np.ndarray, b_ub: np.ndarray, eq: np.ndarray,
+                    upper: np.ndarray, ub: np.ndarray) -> float:
+    """An LP's dual objective from the multipliers of its ``<=`` rows, its
+    simplex rows (which all equal 1) and its columns' upper bounds (lower
+    bounds are all 0)."""
     finite = np.isfinite(ub)
-    return (
-        float(res.ineqlin.marginals @ b_ub)
-        + float(res.eqlin.marginals.sum())
-        + float(res.upper.marginals[finite] @ ub[finite])
-    )
+    return float(ineq @ b_ub) + float(eq.sum()) + float(upper[finite] @ ub[finite])
 
 
-def _lp_duality_gap(res, b_ub: np.ndarray, ub: np.ndarray) -> tuple[float, str]:
-    """|primal - dual| of an LP, or NaN and the reason."""
+def _lp_duality_gap(res, lp: _LP) -> tuple[float, str]:
+    """|primal - dual| of a ``linprog`` result, or NaN and the reason."""
     if res.eqlin.marginals is None:
         return float("nan"), "HiGHS reported no dual values"
-    gap = abs(float(res.fun) - _dual_objective(res, b_ub, ub))
+    dual = _dual_objective(res.ineqlin.marginals, lp.b_ub, res.eqlin.marginals,
+                           res.upper.marginals, lp.ub)
+    gap = abs(float(res.fun) - dual)
     if not np.isfinite(gap):
         return float("nan"), "primal-dual gap is not finite"
     return gap, ""
@@ -217,14 +318,14 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     # variables [k, u]; u_j >= |p_j - (A k)_j|
     A = prog.A
     I = sp.identity(n_img, format="csr")
-    res, b_ub, ub = _lp(
+    lp = _lp(
         prog,
         -prog.tie_weight * prog.anchor,
         np.ones(n_img),
         rows=sp.vstack([sp.hstack([-A, -I]), sp.hstack([A, -I])], format="csr"),
         rhs=np.concatenate([-prog.p_ref, prog.p_ref]),
-        maxiter=max_iters,
     )
+    res = lp.solve(maxiter=max_iters)
     if res.status == 2:
         violation, kvec, diag = phase1_violation(prog)
         return SolveOutcome(
@@ -242,7 +343,7 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
         raise NumericalBreakdownError(f"LP solve failed: {res.message}")
     kvec = res.x[:n]
     objective = float(np.abs(prog.p_ref - prog.image(kvec)).sum())
-    gap, note = _lp_duality_gap(res, b_ub, ub)
+    gap, note = _lp_duality_gap(res, lp)
     return SolveOutcome(
         STATUS_OPTIMAL, kvec, objective, gap, prog.residual(kvec),
         int(res.nit), {"certificate_note": note} if note else {},
@@ -257,9 +358,16 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     log q_j with q = A k, plus the tie-break term.  Each iteration solves
     an LP over [k, q, t] whose rows replace the epigraph of every -log q_j
     by its tangents at the images seen so far, then adds the tangents at
-    the new image.  The LP's dual objective bounds the optimum from below
-    (LB) and the objective at the best iterate from above (UB); the loop
-    stops once UB - LB <= ``tol``, and UB - LB is the certificate.
+    the new image.  The cut LPs are one HiGHS model that gains each
+    iteration's tangent rows, so each solve restarts from the basis of
+    the one before.  The LP's dual objective bounds the optimum from
+    below (LB) and the objective at the best iterate from above (UB); the
+    loop stops once UB - LB <= ``tol``, and UB - LB is the certificate.
+
+    When every feasible kernel leaves a supported cell uncovered, the
+    objective is infinite on the whole feasible set: the status is
+    ``STATUS_INFINITE`` and ``diagnostics["uncovered_cell"]`` is the image
+    index of the cell the start LP covers least.
     """
     if tol <= 0:
         raise InvalidParamsError("tol must be positive")
@@ -270,15 +378,17 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
 
     # start from a feasible point that covers the supported image cells:
     # maximize t subject to (A k)_j >= t * p_j on the support
-    res, _, _ = _lp(
+    res = _lp(
         prog,
         np.zeros(n),
         [-1.0],
         rows=sp.hstack([-A_sup, sp.csr_matrix(p.reshape(-1, 1))], format="csr"),
         rhs=np.zeros(sup.size),
-    )
+    ).solve()
+    simplex_iterations = [int(res.nit)]
     if res.status == 2:
         violation, kvec, diag = phase1_violation(prog)
+        diag["simplex_iterations"] = simplex_iterations
         return SolveOutcome(
             STATUS_INFEASIBLE, kvec, float("nan"), violation,
             prog.residual(kvec), 0, diag,
@@ -286,16 +396,19 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     if res.status != 0:
         raise NumericalBreakdownError(f"KL start failed: {res.message}")
     t_star = -res.fun
+    best = res.x[:n]
     if t_star <= 1e-14:
-        raise NumericalBreakdownError(
-            "every feasible transform zeroes a populated cell;"
-            " KL objective is infinite on the whole feasible set"
+        return SolveOutcome(
+            STATUS_INFINITE, best, float("inf"), float("nan"),
+            prog.residual(best), 0,
+            {"coverage": float(t_star),
+             "uncovered_cell": int(sup[np.argmin(A_sup @ best / p)]),
+             "simplex_iterations": simplex_iterations},
         )
 
     def upper(kvec):
         return kl_divergence(prog.p_ref, prog.image(kvec)) + prog.tie_term(kvec)
 
-    best = res.x[:n]
     best_ub = upper(best)
     lower = -np.inf
     # LB = this + the cut LP's optimum (its objective drops both terms)
@@ -304,29 +417,33 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     low = q_hat
     # variables [k, q, t]: q_j <= (A k)_j and t_j above the tangents of
     # -log at q_j; both bind at an optimum (-log decreases), so the LP
-    # bound is that of tangents in (A k)_j, while each cut adds two
-    # nonzeros per row instead of a row of A
+    # bound is that of tangents in (A k)_j, while each cut row has two
+    # nonzeros (at q_j and t_j) instead of a row of A
     n_sup = sup.size
     eye = sp.identity(n_sup, format="csr")
-    cuts = [sp.hstack([-A_sup, eye, sp.csr_matrix((n_sup, n_sup))])]
-    cut_rhs = [np.zeros(n_sup)]
-    k_zero = sp.csr_matrix((n_sup, n))
-    c_aux = np.concatenate([np.zeros(n_sup), p])
+    model = _CutModel(_lp(
+        prog, -prog.tie_weight * prog.anchor, np.concatenate([np.zeros(n_sup), p]),
+        rows=sp.hstack([-A_sup, eye, sp.csr_matrix((n_sup, n_sup))], format="csr"),
+        rhs=np.zeros(n_sup),
+    ))
+    cut_cols = np.column_stack([n + np.arange(n_sup), n + n_sup + np.arange(n_sup)])
     iters = 0
     while best_ub - lower > tol and iters < max_iters:
         # tangent at q_hat: t_j >= -log q_hat_j + 1 - q_j / q_hat_j; _lp
         # keeps q, t >= 0, which cuts nothing off since 0 <= (A k)_j <= 1
-        cuts.append(sp.hstack([k_zero, sp.diags(-1.0 / q_hat), -eye]))
-        cut_rhs.append(np.log(q_hat) - 1.0)
-        res, b_ub, ub = _lp(
-            prog, -prog.tie_weight * prog.anchor, c_aux,
-            rows=sp.vstack(cuts, format="csr"), rhs=np.concatenate(cut_rhs),
+        model.add_rows(
+            sp.csr_matrix(
+                (np.column_stack([-1.0 / q_hat, -np.ones(n_sup)]).ravel(),
+                 cut_cols.ravel(), np.arange(0, 2 * n_sup + 1, 2)),
+                shape=(n_sup, n + 2 * n_sup),
+            ),
+            np.log(q_hat) - 1.0,
         )
+        x, dual, nit = model.run()
         iters += 1
-        if res.status != 0:
-            raise NumericalBreakdownError(f"cut LP failed: {res.message}")
-        lower = max(lower, offset + _dual_objective(res, b_ub, ub))
-        kvec = res.x[:n]
+        simplex_iterations.append(nit)
+        lower = max(lower, offset + dual)
+        kvec = x[:n]
         value = upper(kvec)
         if value < best_ub:
             best, best_ub = kvec, value
@@ -341,5 +458,6 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
         STATUS_OPTIMAL if gap <= tol else STATUS_ITERATION_LIMIT,
         best, kl_divergence(prog.p_ref, prog.image(best)), gap,
         prog.residual(best), iters,
-        {"coverage": float(t_star), "lower_bound": lower},
+        {"coverage": float(t_star), "lower_bound": lower,
+         "simplex_iterations": simplex_iterations},
     )

@@ -72,6 +72,31 @@ class TestFit:
         assert report["status"] == "infeasible"
         assert "diagnostics" in report
 
+    def test_kl_infinite_on_feasible_set_exit_code(self, tmp_path):
+        # group b never has outcome 1 and may not gain it, so the
+        # pairwise bound sends every outcome-1 record of group a to 0: no
+        # feasible transform gives the populated outcome-1 cells any mass
+        data = tmp_path / "data.csv"
+        rows = ["a,u,1", "a,u,0", "a,v,1", "a,v,0", "b,u,0", "b,v,0"] * 10
+        data.write_text("grp,f1,out\n" + "\n".join(rows) + "\n")
+        raw = tiny_config_dict(path=str(data))
+        raw["objective"] = "kl"
+        raw["distortion"]["metric"]["attributes"]["out"]["values"]["0"]["1"] = 1e4
+        raw["distortion"]["budget"]["c"] = 2.0
+        raw["output"] = {"dir": str(tmp_path / "out")}
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["fit", "--config", str(cfg)]) == 5
+        out = tmp_path / "out"
+        report = json.loads((out / "fit_report.json").read_text())
+        assert report["status"] == "infinite_objective"
+        assert report["diagnostics"]["uncovered_cell"] in ("x=u y=1", "x=v y=1")
+        assert not (out / "kernel.csv").exists()
+        # a sweep runs through such points and still succeeds
+        assert main(["sweep", "--config", str(cfg), "--eps-grid", "0.1,0.5"]) == 0
+        sweep = json.loads((out / "sweep.json").read_text())
+        assert [e["status"] for e in sweep["entries"]] == ["infinite_objective"] * 2
+
     def test_missing_input_is_io_error(self, workdir):
         tmp, cfg = workdir
         raw = yaml.safe_load(cfg.read_text())

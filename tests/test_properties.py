@@ -4,9 +4,9 @@ set, and an epsilon sweep's objective never increases.
 
 Some feasible instances leave KL infinite on the whole feasible set (every
 feasible kernel zeroes a populated cell; a pairwise bound against a group
-pinned to one outcome does it).  ``solve_kl`` raises
-``NumericalBreakdownError`` for them instead of returning a status, and the
-tests check that cause instead of leaving such instances out."""
+pinned to one outcome does it).  ``solve_kl`` returns the status
+``infinite_objective`` for them, naming the cell, and the tests check that
+cause instead of leaving such instances out."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -21,8 +21,7 @@ from fairmap import (
     solve,
     sweep_epsilon,
 )
-from fairmap.errors import NumericalBreakdownError
-from fairmap.solver import STATUS_INFEASIBLE, STATUS_OPTIMAL
+from fairmap.solver import STATUS_INFEASIBLE, STATUS_INFINITE, STATUS_OPTIMAL
 
 from conftest import make_schema, random_pmf
 
@@ -55,39 +54,50 @@ def random_instance(seed: int):
     return pmf, spec, metric, DistortionBudget("expected", c=c)
 
 
-BREAKDOWN_SEED = 142  # a pairwise instance with KL infinite everywhere
+INFINITE_SEED = 142  # a pairwise instance with KL infinite everywhere
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-@example(BREAKDOWN_SEED)
+@example(INFINITE_SEED)
 def test_kl_and_l1_agree_on_feasibility(seed):
     pmf, spec, metric, budget = random_instance(seed)
     l1 = solve(assemble(pmf, spec, metric, budget, "l1"))
     assert l1.status in (STATUS_OPTIMAL, STATUS_INFEASIBLE)
-    try:
-        kl = solve(assemble(pmf, spec, metric, budget, "kl"))
-    except NumericalBreakdownError:
+    kl = solve(assemble(pmf, spec, metric, budget, "kl"))
+    if kl.status == STATUS_INFINITE:
         # feasible, with KL infinite everywhere: the l1 optimum must
-        # zero a populated cell as well
+        # zero a populated cell as well, and the named cell is one that
+        # the data populates and the KL start leaves empty
         assert l1.status == STATUS_OPTIMAL
         assert pushforward_xy(pmf, l1.kernel)[pmf.p_xy() > 0].min() <= 1e-9
+        assert kl.objective == float("inf")
+        schema = pmf.schema
+        named = {
+            f"x={schema.x_label(x)} y={schema.y_label(y)}": (x, y)
+            for x in range(schema.nx) for y in range(schema.ny)
+        }
+        cell = named[kl.diagnostics["uncovered_cell"]]
+        assert pmf.p_xy()[cell] > 0
+        assert pushforward_xy(pmf, kl.kernel)[cell] <= 1e-9
         return
     assert kl.status == l1.status
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-@example(BREAKDOWN_SEED)
+@example(INFINITE_SEED)
 def test_sweep_is_monotone_nonincreasing(seed):
     pmf, spec, metric, budget = random_instance(seed)
     grid = np.sort(np.random.default_rng(seed + 1).uniform(0.0, 0.8, size=3))
     for objective in ("l1", "kl"):
-        try:
-            result = sweep_epsilon(assemble(pmf, spec, metric, budget, objective), grid)
-        except NumericalBreakdownError:
-            # a grid point with KL infinite on its feasible set ends the
-            # KL sweep (see the test above); the l1 sweep ran to the end
+        result = sweep_epsilon(assemble(pmf, spec, metric, budget, objective), grid)
+        assert len(result.entries) == grid.size
+        statuses = [e.status for e in result.entries]
+        # feasible sets grow with epsilon, and KL stays finite once it is:
+        # an infinite point only comes before every optimal one
+        if STATUS_INFINITE in statuses:
             assert objective == "kl"
-            continue
+            last = max(i for i, s in enumerate(statuses) if s == STATUS_INFINITE)
+            assert STATUS_OPTIMAL not in statuses[:last]
         assert result.monotone_nonincreasing

@@ -16,6 +16,7 @@ from fairmap import (
 from fairmap.constraints import build_distortion_constraints
 
 from conftest import make_schema, random_pmf
+from test_properties import INFINITE_SEED, random_instance
 
 
 def movement_metric(schema, x_cost=1.0, y_costs=(1.0, 1.0)):
@@ -172,6 +173,17 @@ class TestAlternating:
         sol = sof_solve(problem, strategy="alternating", max_outer=25)
         assert sol.status == "optimal"
         assert sol.residual <= 1e-6
+
+    def test_kl_infinite_on_feasible_set_is_a_status(self):
+        # the full KL program is infinite everywhere feasible, and so is
+        # the factorized one once a jointly feasible start is found
+        pmf, spec, metric, budget = random_instance(INFINITE_SEED)
+        problem = assemble(pmf, spec, metric, budget, "kl")
+        sol = sof_solve(problem, strategy="alternating")
+        assert sol.status == "infinite_objective"
+        assert sol.objective == float("inf")
+        assert sol.diagnostics["uncovered_cell"] == "x=x0 y=1"
+        assert sol.residual <= 1e-9
 
 
 def raise_forbidden_metric(schema):
