@@ -133,8 +133,8 @@ def _solution_payload(sol, config: PipelineConfig) -> dict:
     diag = {
         k: v
         for k, v in sol.diagnostics.items()
-        if k in ("worst_constraint", "worst_violation", "objective_trace",
-                 "strategy", "lower_bound", "outer_iterations",
+        if k in ("worst_constraint", "worst_violation", "violation_by_family",
+                 "objective_trace", "strategy", "lower_bound", "outer_iterations",
                  "f_divergence_lower_bound", "certificate_note",
                  "uncovered_cell", "simplex_iterations")
     }

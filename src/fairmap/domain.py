@@ -479,13 +479,16 @@ def _as_vector(p) -> np.ndarray:
 
 
 def kl_divergence(p, q) -> float:
-    """KL divergence in nats; +inf when q misses mass where p has some."""
+    """KL divergence in nats; +inf when q misses mass where p has some.
+
+    Clamped at 0 (Gibbs' inequality): the sum rounds below 0 for p and q
+    a few ulps apart."""
     pv, qv = _as_vector(p), _as_vector(q)
     if pv.shape != qv.shape:
         raise SupportMismatchError(
             f"supports differ: {pv.shape} vs {qv.shape}"
         )
-    return float(rel_entr(pv, qv).sum())
+    return max(float(rel_entr(pv, qv).sum()), 0.0)
 
 
 def l1_distance(p, q) -> float:

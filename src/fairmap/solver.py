@@ -18,21 +18,22 @@ Two solve paths:
   The cut LPs of one solve are one persistent HiGHS model that gains each
   iteration's cut rows and restarts from the last basis.
 
-Every HiGHS call solves an LP laid out by ``_lp``: once, cold, through
-``linprog`` (the l1 LP, phase 1 and the KL start LP), or in the
-persistent model of the KL cut LPs.  Both paths add a tiny
-identity-deviation term to the objective so that ties between
-algebraically equivalent optima break deterministically toward the
-least-randomizing kernel.
+Every LP is laid out by ``_lp`` as one HiGHS model (``_LPModel``, on
+SciPy's bundled HiGHS bindings ``scipy.optimize._highspy``): the l1 LP,
+phase 1 and the KL start LP run once, cold; the KL cut LPs are one model
+that gains rows.  Every LP adds a tiny identity-deviation term to the
+objective so that ties between algebraically equivalent optima break
+deterministically toward the least-randomizing kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  (uncalled; bench/spans.py wraps this name)
 from scipy.optimize._highspy import _core as _highs
 
 from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, TIE_BREAK_WEIGHT
@@ -44,24 +45,19 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_INFINITE = "infinite_objective"
 
-_LP_OPTIONS = {
-    "presolve": True,
+# HiGHS options of every LP (those linprog passed: dual simplex, tight
+# feasibility tolerances)
+_OPTIONS = {
+    "output_flag": False,
+    "presolve": "on",
+    "simplex_strategy": 1,  # dual
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
-# the options linprog passes for _LP_OPTIONS, with max-value scaling (4)
-# in place of HiGHS's default: under the default a warm-started primal's
-# simplex-row sums drift past what a kernel row may miss 1 by (1e-9),
-# and unscaled (0) the cut LP optimum of an identity-optimal instance
-# can end up to 2e-9 above the true optimum, so LB passes it
-_MODEL_OPTIONS = {
-    "output_flag": False,
-    "solver": "simplex",
-    "simplex_strategy": 1,  # dual
-    "presolve": "on",
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-    "simplex_scale_strategy": 4,
+_STATUS = {
+    _highs.HighsModelStatus.kOptimal: STATUS_OPTIMAL,
+    _highs.HighsModelStatus.kInfeasible: STATUS_INFEASIBLE,
+    _highs.HighsModelStatus.kIterationLimit: STATUS_ITERATION_LIMIT,
 }
 
 
@@ -139,34 +135,101 @@ class SolveOutcome:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _LP:
-    """min c . x over x = [k, aux] s.t. A_ub x <= b_ub, the simplex rows
-    A_eq x = 1 and 0 <= x <= ub, as ``_lp`` lays it out."""
-
-    c: np.ndarray
-    A_ub: sp.csr_matrix | None
-    b_ub: np.ndarray | None
-    A_eq: sp.csr_matrix
-    ub: np.ndarray
-
-    def solve(self, maxiter=None):
-        """One cold solve through ``linprog``; returns its result."""
-        return linprog(
-            self.c,
-            A_ub=self.A_ub,
-            b_ub=self.b_ub,
-            A_eq=self.A_eq,
-            b_eq=np.ones(self.A_eq.shape[0]),
-            bounds=np.column_stack([np.zeros(self.ub.size), self.ub]),
-            method="highs",
-            options=dict(_LP_OPTIONS, maxiter=maxiter),
-        )
+class _Run(NamedTuple):
+    status: str  # STATUS_OPTIMAL, STATUS_INFEASIBLE or STATUS_ITERATION_LIMIT
+    x: np.ndarray | None  # None when HiGHS holds no primal
+    objective: float  # HiGHS's primal objective
+    dual: float  # the dual objective; NaN unless optimal with duals
+    iterations: int  # simplex iterations of this run
 
 
-def _lp(prog: SimplexImageProgram, c_k: np.ndarray, c_aux=(), g_aux=None,
-        rows=None, rhs=None) -> _LP:
-    """The LP over the variables [k, aux] that every HiGHS call solves.
+class _LPModel:
+    """A HiGHS model of min c . x over x = [k, aux] s.t. ``<=`` rows, the
+    simplex rows (each sums to 1) and 0 <= x <= ub, as ``_lp`` lays it out.
+    ``add_rows`` appends ``<=`` rows, and every ``run`` after the first
+    restarts the dual simplex from the basis of the run before.  HiGHS
+    holds the rows as [``<=`` rows; simplex rows; appended rows]."""
+
+    def __init__(self, name: str, c: np.ndarray, A_ub: sp.csr_matrix,
+                 b_ub: np.ndarray, A_eq: sp.csr_matrix, ub: np.ndarray):
+        A = sp.vstack([A_ub, A_eq], format="csc")
+        self.name, self.ub, self.b_ub = name, ub, [b_ub]
+        self.eq = slice(b_ub.size, b_ub.size + A_eq.shape[0])
+        model = _highs.HighsLp()
+        model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
+        model.col_cost_, model.col_lower_, model.col_upper_ = c, np.zeros(ub.size), ub
+        ones = np.ones(A_eq.shape[0])
+        model.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), ones])
+        model.row_upper_ = np.concatenate([b_ub, ones])
+        matrix = model.a_matrix_
+        matrix.format_ = _highs.MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = A.shape[1], A.shape[0]
+        matrix.start_ = A.indptr.astype(np.int32)
+        matrix.index_ = A.indices.astype(np.int32)
+        matrix.value_ = A.data
+        self.highs = _highs._Highs()
+        for key, value in _OPTIONS.items():
+            self._set(key, value)
+        self._ok(self.highs.passModel(model), "passModel")
+
+    def _ok(self, status, call: str) -> None:
+        if status != _highs.HighsStatus.kOk:
+            raise NumericalBreakdownError(f"{self.name} failed: HiGHS {call} returned {status.name}")
+
+    def _set(self, key: str, value) -> None:
+        self._ok(self.highs.setOptionValue(key, value), f"setOptionValue({key!r})")
+
+    def add_rows(self, rows: sp.csr_matrix, rhs: np.ndarray) -> None:
+        """Append the rows ``rows @ x <= rhs``.
+
+        A model that gains rows is solved with max-value scaling (4): under
+        HiGHS's default scaling a warm-started primal's simplex-row sums
+        drift past what a kernel row may miss 1 by (1e-9), and unscaled (0)
+        the cut LP optimum of an identity-optimal instance can end up to
+        2e-9 above the true optimum, so LB passes it.  LPs that run once
+        keep the default scaling."""
+        self._set("simplex_scale_strategy", 4)
+        self._ok(self.highs.addRows(
+            rows.shape[0], np.full(rows.shape[0], -np.inf), rhs, rows.nnz,
+            rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32),
+            rows.data,
+        ), "addRows")
+        self.b_ub.append(rhs)
+
+    def run(self, *allowed: str, max_iters: int | None = None) -> _Run:
+        """Solve, within ``max_iters`` simplex iterations if given.  An
+        outcome other than optimal or one of the ``allowed`` statuses
+        raises ``NumericalBreakdownError``."""
+        if max_iters is not None:
+            self._set("simplex_iteration_limit", max_iters)
+        if self.highs.run() == _highs.HighsStatus.kError:
+            raise NumericalBreakdownError(f"{self.name} failed: HiGHS run returned kError")
+        model_status = self.highs.getModelStatus()
+        status = _STATUS.get(model_status)
+        if status != STATUS_OPTIMAL and status not in allowed:
+            raise NumericalBreakdownError(
+                f"{self.name} failed: HiGHS model status"
+                f" {self.highs.modelStatusToString(model_status)}"
+            )
+        sol, info = self.highs.getSolution(), self.highs.getInfo()
+        x = np.asarray(sol.col_value) if sol.value_valid else None
+        dual = float("nan")
+        if status == STATUS_OPTIMAL and sol.dual_valid:
+            row_dual, col_dual = np.asarray(sol.row_dual), np.asarray(sol.col_dual)
+            # a column at its upper bound has that bound's multiplier as its
+            # reduced cost (lower bounds are all 0)
+            dual = _dual_objective(
+                np.delete(row_dual, self.eq), np.concatenate(self.b_ub),
+                row_dual[self.eq], np.where(x >= self.ub, col_dual, 0.0), self.ub,
+            )
+        return _Run(status, x, float(info.objective_function_value), dual,
+                    int(info.simplex_iteration_count))
+
+
+def _lp(name: str, prog: SimplexImageProgram, c_k: np.ndarray, c_aux=(),
+        g_aux=None, rows=None, rhs=None) -> _LPModel:
+    """The HiGHS model, named ``name`` in errors, of an LP over the
+    variables [k, aux].
 
     Minimizes c_k . k + c_aux . aux subject to the program's simplex rows
     and side constraints (``g_aux`` holds the auxiliary columns of the
@@ -190,99 +253,39 @@ def _lp(prog: SimplexImageProgram, c_k: np.ndarray, c_aux=(), g_aux=None,
     A_eq = prog.row_sum_matrix()
     if n_aux:
         A_eq = sp.hstack([A_eq, sp.csr_matrix((prog.n_rows, n_aux))], format="csr")
-    return _LP(
-        c=np.concatenate([c_k, c_aux]),
-        A_ub=sp.vstack(A_ub, format="csr") if A_ub else None,
-        b_ub=np.concatenate(b_ub) if b_ub else None,
-        A_eq=A_eq,
-        ub=np.concatenate([np.ones(prog.n_vars), np.full(n_aux, np.inf)]),
+    return _LPModel(
+        name,
+        np.concatenate([c_k, c_aux]),
+        sp.vstack(A_ub, format="csr") if A_ub else sp.csr_matrix((0, A_eq.shape[1])),
+        np.concatenate(b_ub) if b_ub else np.zeros(0),
+        A_eq,
+        np.concatenate([np.ones(prog.n_vars), np.full(n_aux, np.inf)]),
     )
-
-
-def _highs_ok(status, call: str) -> None:
-    if status != _highs.HighsStatus.kOk:
-        raise NumericalBreakdownError(f"cut LP failed: HiGHS {call} returned {status.name}")
-
-
-class _CutModel:
-    """A persistent HiGHS model of an ``_LP`` with ``<=`` rows that grows
-    by appended ``<=`` rows; every ``run`` after the first restarts the
-    dual simplex from the basis of the run before.  HiGHS holds the rows
-    as [A_eq; A_ub; appended]: the simplex rows, then the ``<=`` rows in
-    order."""
-
-    def __init__(self, lp: _LP):
-        A = sp.vstack([lp.A_eq, lp.A_ub], format="csc")
-        self.n_eq = lp.A_eq.shape[0]
-        self.b_ub = [lp.b_ub]
-        self.ub = lp.ub
-        model = _highs.HighsLp()
-        model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
-        model.col_cost_ = lp.c
-        model.col_lower_ = np.zeros(lp.ub.size)
-        model.col_upper_ = lp.ub
-        model.row_lower_ = np.concatenate([np.ones(self.n_eq), np.full(lp.b_ub.size, -np.inf)])
-        model.row_upper_ = np.concatenate([np.ones(self.n_eq), lp.b_ub])
-        matrix = model.a_matrix_
-        matrix.format_ = _highs.MatrixFormat.kColwise
-        matrix.num_col_, matrix.num_row_ = A.shape[1], A.shape[0]
-        matrix.start_ = A.indptr.astype(np.int32)
-        matrix.index_ = A.indices.astype(np.int32)
-        matrix.value_ = A.data
-        self.highs = _highs._Highs()
-        for key, value in _MODEL_OPTIONS.items():
-            _highs_ok(self.highs.setOptionValue(key, value), f"setOptionValue({key!r})")
-        _highs_ok(self.highs.passModel(model), "passModel")
-
-    def add_rows(self, rows: sp.csr_matrix, rhs: np.ndarray) -> None:
-        """Append the rows ``rows @ x <= rhs``."""
-        _highs_ok(self.highs.addRows(
-            rows.shape[0], np.full(rows.shape[0], -np.inf), rhs, rows.nnz,
-            rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32),
-            rows.data,
-        ), "addRows")
-        self.b_ub.append(rhs)
-
-    def run(self) -> tuple[np.ndarray, float, int]:
-        """Solve; returns x, the LP's dual objective and the simplex
-        iterations of this run."""
-        _highs_ok(self.highs.run(), "run")
-        model_status = self.highs.getModelStatus()
-        if model_status != _highs.HighsModelStatus.kOptimal:
-            raise NumericalBreakdownError(
-                "cut LP failed: HiGHS model status"
-                f" {self.highs.modelStatusToString(model_status)}"
-            )
-        sol = self.highs.getSolution()
-        row_dual = np.asarray(sol.row_dual)
-        # a negative reduced cost is the multiplier of the column's upper
-        # bound, a positive one that of its lower bound (which is 0)
-        dual = _dual_objective(
-            row_dual[self.n_eq:], np.concatenate(self.b_ub), row_dual[:self.n_eq],
-            np.minimum(sol.col_dual, 0.0), self.ub,
-        )
-        iterations = int(self.highs.getInfo().simplex_iteration_count)
-        return np.asarray(sol.col_value), dual, iterations
 
 
 def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict]:
     """Minimum total side-constraint violation (simplex rows stay hard).
 
     Returns the optimal total violation, the violation-minimizing kernel,
-    and diagnostics naming the worst constraint there.
+    and diagnostics naming the worst constraint there and summing the
+    violations by label family (the label's first word, such as
+    ``disc[pairwise]``, ``dist[expected]`` or ``pin``), whose units differ.
     """
     n, m = prog.n_vars, int(prog.h.size)
-    res = _lp(prog, np.zeros(n), np.ones(m), -sp.identity(m, format="csr")).solve()
-    if res.status != 0:
-        raise NumericalBreakdownError(f"phase-1 failed: {res.message}")
-    kvec = res.x[:n]
+    x = _lp("phase-1 LP", prog, np.zeros(n), np.ones(m), -sp.identity(m, format="csr")).run().x
+    kvec = x[:n]
     if m == 0:
         return 0.0, kvec, {}
-    svec = res.x[n:]
+    svec = x[n:]
     worst = int(np.argmax(svec))
+    labels = prog.labels or tuple(map(str, range(m)))
+    families, index = np.unique([label.split(" ", 1)[0] for label in labels],
+                                return_inverse=True)
     diag = {
-        "worst_constraint": prog.labels[worst] if prog.labels else str(worst),
+        "worst_constraint": labels[worst],
         "worst_violation": float(svec[worst]),
+        "violation_by_family": dict(zip(families.tolist(),
+                                        np.bincount(index, weights=svec).tolist())),
     }
     return float(svec.sum()), kvec, diag
 
@@ -296,18 +299,6 @@ def _dual_objective(ineq: np.ndarray, b_ub: np.ndarray, eq: np.ndarray,
     return float(ineq @ b_ub) + float(eq.sum()) + float(upper[finite] @ ub[finite])
 
 
-def _lp_duality_gap(res, lp: _LP) -> tuple[float, str]:
-    """|primal - dual| of a ``linprog`` result, or NaN and the reason."""
-    if res.eqlin.marginals is None:
-        return float("nan"), "HiGHS reported no dual values"
-    dual = _dual_objective(res.ineqlin.marginals, lp.b_ub, res.eqlin.marginals,
-                           res.upper.marginals, lp.ub)
-    gap = abs(float(res.fun) - dual)
-    if not np.isfinite(gap):
-        return float("nan"), "primal-dual gap is not finite"
-    return gap, ""
-
-
 def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
              max_iters: int = DEFAULT_MAX_ITERS) -> SolveOutcome:
     """Exact LP solve of the total-variation (l1) objective."""
@@ -318,35 +309,30 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     # variables [k, u]; u_j >= |p_j - (A k)_j|
     A = prog.A
     I = sp.identity(n_img, format="csr")
-    lp = _lp(
-        prog,
-        -prog.tie_weight * prog.anchor,
-        np.ones(n_img),
+    run = _lp(
+        "l1 LP", prog, -prog.tie_weight * prog.anchor, np.ones(n_img),
         rows=sp.vstack([sp.hstack([-A, -I]), sp.hstack([A, -I])], format="csr"),
         rhs=np.concatenate([-prog.p_ref, prog.p_ref]),
-    )
-    res = lp.solve(maxiter=max_iters)
-    if res.status == 2:
+    ).run(STATUS_INFEASIBLE, STATUS_ITERATION_LIMIT, max_iters=max_iters)
+    if run.status == STATUS_INFEASIBLE:
         violation, kvec, diag = phase1_violation(prog)
         return SolveOutcome(
             STATUS_INFEASIBLE, kvec, float("nan"), violation,
-            prog.residual(kvec), int(res.nit), diag,
+            prog.residual(kvec), run.iterations, diag,
         )
-    if res.status == 1:
-        kvec = res.x[:n] if res.x is not None else np.zeros(n)
+    if run.status == STATUS_ITERATION_LIMIT:
+        kvec = run.x[:n] if run.x is not None else np.zeros(n)
         return SolveOutcome(
             STATUS_ITERATION_LIMIT, kvec, float("nan"), float("inf"),
-            prog.residual(kvec) if res.x is not None else float("inf"),
-            int(res.nit), {"message": res.message},
+            prog.residual(kvec) if run.x is not None else float("inf"),
+            run.iterations, {"message": f"HiGHS stopped after {max_iters} simplex iterations"},
         )
-    if res.status != 0:
-        raise NumericalBreakdownError(f"LP solve failed: {res.message}")
-    kvec = res.x[:n]
+    kvec = run.x[:n]
     objective = float(np.abs(prog.p_ref - prog.image(kvec)).sum())
-    gap, note = _lp_duality_gap(res, lp)
+    gap = abs(run.objective - run.dual)  # NaN when HiGHS reported no duals
     return SolveOutcome(
-        STATUS_OPTIMAL, kvec, objective, gap, prog.residual(kvec),
-        int(res.nit), {"certificate_note": note} if note else {},
+        STATUS_OPTIMAL, kvec, objective, gap, prog.residual(kvec), run.iterations,
+        {"certificate_note": "HiGHS reported no dual values"} if np.isnan(gap) else {},
     )
 
 
@@ -378,25 +364,21 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
 
     # start from a feasible point that covers the supported image cells:
     # maximize t subject to (A k)_j >= t * p_j on the support
-    res = _lp(
-        prog,
-        np.zeros(n),
-        [-1.0],
+    start = _lp(
+        "KL start LP", prog, np.zeros(n), [-1.0],
         rows=sp.hstack([-A_sup, sp.csr_matrix(p.reshape(-1, 1))], format="csr"),
         rhs=np.zeros(sup.size),
-    ).solve()
-    simplex_iterations = [int(res.nit)]
-    if res.status == 2:
+    ).run(STATUS_INFEASIBLE)
+    simplex_iterations = [start.iterations]
+    if start.status == STATUS_INFEASIBLE:
         violation, kvec, diag = phase1_violation(prog)
         diag["simplex_iterations"] = simplex_iterations
         return SolveOutcome(
             STATUS_INFEASIBLE, kvec, float("nan"), violation,
             prog.residual(kvec), 0, diag,
         )
-    if res.status != 0:
-        raise NumericalBreakdownError(f"KL start failed: {res.message}")
-    t_star = -res.fun
-    best = res.x[:n]
+    t_star = -start.objective
+    best = start.x[:n]
     if t_star <= 1e-14:
         return SolveOutcome(
             STATUS_INFINITE, best, float("inf"), float("nan"),
@@ -421,11 +403,11 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     # nonzeros (at q_j and t_j) instead of a row of A
     n_sup = sup.size
     eye = sp.identity(n_sup, format="csr")
-    model = _CutModel(_lp(
-        prog, -prog.tie_weight * prog.anchor, np.concatenate([np.zeros(n_sup), p]),
+    model = _lp(
+        "cut LP", prog, -prog.tie_weight * prog.anchor, np.concatenate([np.zeros(n_sup), p]),
         rows=sp.hstack([-A_sup, eye, sp.csr_matrix((n_sup, n_sup))], format="csr"),
         rhs=np.zeros(n_sup),
-    ))
+    )
     cut_cols = np.column_stack([n + np.arange(n_sup), n + n_sup + np.arange(n_sup)])
     iters = 0
     while best_ub - lower > tol and iters < max_iters:
@@ -439,11 +421,11 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
             ),
             np.log(q_hat) - 1.0,
         )
-        x, dual, nit = model.run()
+        run = model.run()
         iters += 1
-        simplex_iterations.append(nit)
-        lower = max(lower, offset + dual)
-        kvec = x[:n]
+        simplex_iterations.append(run.iterations)
+        lower = max(lower, offset + run.dual)
+        kvec = run.x[:n]
         value = upper(kvec)
         if value < best_ub:
             best, best_ub = kvec, value

@@ -70,7 +70,8 @@ class TestFit:
         assert main(["fit", "--config", str(cfg2)]) == 2
         report = json.loads((tmp / "out" / "fit_report.json").read_text())
         assert report["status"] == "infeasible"
-        assert "diagnostics" in report
+        by_family = report["diagnostics"]["violation_by_family"]
+        assert sum(by_family.values()) == pytest.approx(report["certificate"], rel=1e-12)
 
     def test_kl_infinite_on_feasible_set_exit_code(self, tmp_path):
         # group b never has outcome 1 and may not gain it, so the

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmap import (
@@ -159,6 +159,7 @@ class TestDiscriminationAssembly:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
+    @example(seed=106)  # target mode on a pmf with no y=1 mass
     def test_constraint_linearity_midpoint(self, seed):
         rng = np.random.default_rng(seed)
         schema = make_schema(nx=2)
@@ -166,6 +167,12 @@ class TestDiscriminationAssembly:
         layout = VariableLayout.from_pmf(pmf)
         mode = "target" if seed % 2 == 0 else "pairwise"
         spec = DiscriminationSpec(mode=mode, epsilon=0.2)
+        if mode == "target" and (pmf.p_y() <= 0).any():
+            # the default target is the outcome marginal, which must be
+            # positive on both outcomes
+            with pytest.raises(ZeroReferenceError, match="positive on both outcomes"):
+                build_discrimination_constraints(spec, pmf, layout)
+            return
         cs = build_discrimination_constraints(spec, pmf, layout)
         k1 = rng.dirichlet(np.ones(layout.row_dim), size=layout.n_rows).ravel()
         k2 = rng.dirichlet(np.ones(layout.row_dim), size=layout.n_rows).ravel()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmap import (
@@ -191,6 +191,13 @@ class TestDivergences:
 
     @settings(max_examples=200, deadline=None)
     @given(simplex(6), simplex(6))
+    # one ulp apart: the KL sum rounds to -2.8e-17
+    @example(
+        p=np.array([float.fromhex("0x1.745d1745d1746p-4")]
+                   + [float.fromhex("0x1.745d1745d1746p-3")] * 4
+                   + [float.fromhex("0x1.745d1745d1745p-3")]),
+        q=np.array([0.5, 1.0, 1.0, 1.0, 1.0, 1.0]) / 5.5,
+    )
     def test_pinsker(self, p, q):
         kl = kl_divergence(p, q)
         assert l1_distance(p, q) <= 2.0 * math.sqrt(2.0 * kl) + 1e-9

@@ -32,7 +32,8 @@ from fairmap.constraints import (
     build_discrimination_constraints,
     build_distortion_constraints,
 )
-from fairmap.solver import phase1_violation
+from fairmap.solver import phase1_violation, solve_tv
+from test_properties import random_instance
 
 
 def two_group_pmf(p_d0=0.5, rate0=0.8, rate1=0.2):
@@ -355,6 +356,10 @@ class TestSolveContracts:
         assert sol.certificate > 1e-6
         assert "worst_constraint" in sol.diagnostics
         assert np.isnan(sol.objective)
+        # the certificate split by the units of its label families
+        by_family = sol.diagnostics["violation_by_family"]
+        assert set(by_family) == {"disc[target]", "dist[expected]"}
+        assert sum(by_family.values()) == pytest.approx(sol.certificate, rel=1e-12)
 
     def test_kl_infeasible_matches_l1_infeasible(self):
         pmf = two_group_pmf()
@@ -467,19 +472,48 @@ class TestLPBuilder:
     def test_l1_certificate_without_duals_is_nan_with_note(self, monkeypatch):
         import fairmap.solver as solver
 
-        real = solver.linprog
+        class WithoutDuals(solver._highs._Highs):
+            def getSolution(self):
+                sol = super().getSolution()
+                sol.dual_valid = False
+                return sol
 
-        def without_duals(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.eqlin.marginals = None
-            return res
-
-        monkeypatch.setattr(solver, "linprog", without_duals)
+        monkeypatch.setattr(solver._highs, "_Highs", WithoutDuals)
         pmf = two_group_pmf()
         sol = solve(assemble(pmf, DiscriminationSpec(epsilon=0.5), objective="l1"))
         assert sol.status == "optimal"
         assert np.isnan(sol.certificate)
         assert "dual" in sol.diagnostics["certificate_note"]
+
+    @pytest.mark.parametrize("seed,max_iters", [(None, 0), (None, 2), (10, 3)])
+    def test_l1_iteration_limit(self, monkeypatch, seed, max_iters):
+        # the two-group LP needs 3 simplex iterations, and stopped short
+        # HiGHS holds no primal; stopped after 3, random instance 10 holds one
+        import fairmap.solver as solver
+
+        runs = []
+        run = solver._LPModel.run
+
+        def recorded(model, *args, **kwargs):
+            runs.append(run(model, *args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(solver._LPModel, "run", recorded)
+        if seed is None:
+            args = (two_group_pmf(p_d0=0.6), DiscriminationSpec(mode="target", epsilon=0.35),
+                    flip_metric(), DistortionBudget("expected", c=0.3))
+        else:
+            args = random_instance(seed)
+        problem = assemble(*args, objective="l1")
+        out = solve_tv(problem.program, max_iters=max_iters)
+        assert out.status == "iteration_limit"
+        assert out.certificate == np.inf and np.isnan(out.objective)
+        assert out.iterations == max_iters
+        [lp] = runs
+        assert (lp.x is not None) == (seed is not None)
+        assert np.isfinite(out.residual) == (lp.x is not None)
+        if lp.x is not None:
+            assert out.residual == problem.program.residual(lp.x[:problem.program.n_vars])
 
 
 class TestSweep:
