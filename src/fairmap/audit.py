@@ -513,31 +513,17 @@ class CohortDeltaRow:
         return self.after - self.before
 
 
-def cohort_delta_table(
-    pmf: JointPMF,
-    kernel: Optional[TransformKernel] = None,
-    transformed: Optional[Dataset] = None,
-    min_count: int = 20,
-) -> list[CohortDeltaRow]:
+def cohort_delta_table(pmf: JointPMF, kernel: TransformKernel,
+                       min_count: int = 20) -> list[CohortDeltaRow]:
     """Positive-outcome rates per feature cohort before and after.
 
     ``before`` is p(y=1 | x, d) on the original data; ``after`` is the
-    transformed rate at the same cell, analytic from the kernel or
-    empirical from a transformed dataset.  Cohorts with fewer than
-    ``min_count`` original samples are omitted (when the sample size is
-    known).
+    rate at the same cell under the kernel's pushforward of ``pmf``.
+    Cohorts with fewer than ``min_count`` original samples are omitted
+    (when the sample size is known).
     """
     schema = pmf.schema
-    if (kernel is None) == (transformed is None):
-        raise InvalidParamsError("pass exactly one of kernel / transformed")
-    if kernel is not None:
-        after_joint = pushforward_joint(pmf, kernel)
-    else:
-        after_joint = np.zeros((schema.nd, schema.nx, schema.ny))
-        if not transformed.has_outcomes:
-            raise MissingOutcomeError("cohort audit needs transformed outcomes")
-        np.add.at(after_joint, (transformed.d, transformed.x, transformed.y), 1.0)
-        after_joint /= after_joint.sum()
+    after_joint = pushforward_joint(pmf, kernel)
     before = pmf.mass
     n = pmf.n
     rows: list[CohortDeltaRow] = []

@@ -37,14 +37,13 @@ from .errors import (
     ConfigError,
     EmptyDatasetError,
     FairmapError,
-    InvalidParamsError,
     LengthMismatchError,
     MissingOutcomeError,
-    ProvenanceMismatchError,
     SchemaMismatchError,
 )
 from .optimizer import Problem, assemble, sof_solve, solve, sweep_epsilon
 from .presets import preset_dict, preset_names
+from .solver import STATUS_INFEASIBLE, STATUS_INFINITE
 from .transform import derive_apply_kernel, transform_apply, transform_train
 
 EXIT_OK = 0
@@ -70,16 +69,16 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_input(config: PipelineConfig, path: str, apply_filters: bool = True):
-    """Records of a file laid out like the configured input."""
+def _read_input(config: PipelineConfig, path: str, filtered: bool = True):
+    """Records of a file laid out like the configured input, with the
+    configured row filters unless ``filtered`` is false."""
     return read_dataset(
         path,
         config.schema,
         delimiter=config.delimiter,
         has_header=config.has_header,
         columns=config.columns,
-        filters=config.filters,
-        apply_filters=apply_filters,
+        filters=config.filters if filtered else (),
     )
 
 
@@ -162,13 +161,13 @@ def cmd_fit(args) -> int:
         f"  certificate {sol.certificate:.3g}",
         f"  records     {len(dataset)}",
     ]
-    if sol.status == "infeasible":
+    if sol.status == STATUS_INFEASIBLE:
         lines.append(
             "  most violated: "
             f"{sol.diagnostics.get('worst_constraint', '?')}"
             f" by {sol.diagnostics.get('worst_violation', float('nan')):.3g}"
         )
-    if sol.status == "infinite_objective":
+    if sol.status == STATUS_INFINITE:
         lines.append(
             "  uncovered:   "
             f"{sol.diagnostics.get('uncovered_cell', '?')}"
@@ -177,9 +176,9 @@ def cmd_fit(args) -> int:
     with open(os.path.join(out_dir, "fit_report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
-    if sol.status == "infeasible":
+    if sol.status == STATUS_INFEASIBLE:
         return EXIT_INFEASIBLE
-    if sol.status == "infinite_objective":
+    if sol.status == STATUS_INFINITE:
         return EXIT_INFINITE
     provenance = {
         "fingerprint": config.fingerprint(),
@@ -195,15 +194,12 @@ def cmd_fit(args) -> int:
 def cmd_transform(args) -> int:
     config = load_config(args.config)
     out_dir = _ensure_out(config, args.out_dir)
-    kernel = read_kernel(
-        args.kernel,
-        config.schema,
-        expected_fingerprint=config.fingerprint(),
-        allow_mismatch=args.allow_provenance_mismatch,
-    )
+    # artifacts must carry the config's fingerprint; None accepts any
+    expected = None if args.allow_provenance_mismatch else config.fingerprint()
+    kernel = read_kernel(args.kernel, config.schema, expected_fingerprint=expected)
     seed = args.seed_override if args.seed_override is not None else config.seed
     dataset = _read_input(
-        config, args.input or config.input_path, apply_filters=not args.no_filters
+        config, args.input or config.input_path, filtered=not args.no_filters
     )
     if args.mode == "train":
         transformed = transform_train(dataset, kernel, seed)
@@ -267,14 +263,10 @@ def cmd_audit(args) -> int:
     spec = config.discrimination
     target = spec.target if spec.target is not None else pmf.p_y()
 
+    expected = None if args.allow_provenance_mismatch else config.fingerprint()
     kernel = None
     if args.kernel:
-        kernel = read_kernel(
-            args.kernel,
-            schema,
-            expected_fingerprint=config.fingerprint(),
-            allow_mismatch=args.allow_provenance_mismatch,
-        )
+        kernel = read_kernel(args.kernel, schema, expected_fingerprint=expected)
     transformed = None
     if args.transformed:
         # artifacts this package writes are self-describing: header row
@@ -284,10 +276,7 @@ def cmd_audit(args) -> int:
             schema,
             delimiter=config.delimiter,
             has_header=True,
-            filters=(),
-            apply_filters=False,
-            expected_fingerprint=config.fingerprint(),
-            allow_mismatch=args.allow_provenance_mismatch,
+            expected_fingerprint=expected,
         )
     if kernel is None and transformed is None:
         raise ConfigError("audit needs --kernel and/or --transformed")
@@ -302,7 +291,6 @@ def cmd_audit(args) -> int:
         util = audit_utility(pmf, kernel)
         payload["utility"] = {"kl": util.kl, "l1": util.l1}
         joint_after = pushforward_joint(pmf, kernel).sum(axis=1)
-        adv_after = map_advantage(joint_after)
         eps_scalar = (
             float(spec.epsilon)
             if np.isscalar(spec.epsilon)
@@ -313,8 +301,8 @@ def cmd_audit(args) -> int:
         )
         payload["advantage"] = {
             "before": map_advantage(pmf.p_dy()).advantage,
-            "after": adv_after.advantage,
-            "after_map_probability": adv_after.map_probability,
+            "after": verdict.report.advantage,
+            "after_map_probability": verdict.report.map_probability,
             "epsilon": eps_scalar,
             "exceeds_bound": verdict.exceeds,
         }
@@ -533,9 +521,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ProvenanceMismatchError, InvalidParamsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (
         OSError,
         EmptyDatasetError,

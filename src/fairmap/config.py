@@ -29,7 +29,7 @@ from .distortion import (
     validate_metric,
 )
 from .domain import Alphabet, Quantizer, Schema, Variable
-from .errors import ConfigError, InvalidParamsError
+from .errors import ConfigError
 
 FILTER_OPS = ("==", "!=", "<", "<=", ">", ">=", "in", "not_in", "between")
 
@@ -124,14 +124,28 @@ class PipelineConfig:
         return yaml.safe_dump(self.to_dict(), sort_keys=True)
 
 
+# the numeric fields, as (section or None, key, type): ``_canonical``
+# fills their defaults and ``config_from_dict`` converts them, so that a
+# malformed value is reported under its own name
+_NUMBERS = (
+    ("discrimination", "min_cell_count", int),
+    ("solver", "tol", float),
+    ("solver", "max_iters", int),
+    ("solver", "max_outer", int),
+    (None, "seed", int),
+)
+
+
 def _canonical(raw: dict) -> dict:
-    """Fill defaults so equal configurations serialize identically."""
+    """Fill defaults so equal configurations serialize identically (the
+    ``_NUMBERS`` fields still to be converted)."""
+    inp, disc, solver = (raw.get(k, {}) for k in ("input", "discrimination", "solver"))
     out = {
         "input": {
-            "path": raw.get("input", {}).get("path", ""),
-            "delimiter": raw.get("input", {}).get("delimiter", ","),
-            "has_header": bool(raw.get("input", {}).get("has_header", True)),
-            "columns": raw.get("input", {}).get("columns"),
+            "path": inp.get("path", ""),
+            "delimiter": inp.get("delimiter", ","),
+            "has_header": bool(inp.get("has_header", True)),
+            "columns": inp.get("columns"),
         },
         "schema": {
             "variables": [
@@ -150,27 +164,21 @@ def _canonical(raw: dict) -> dict:
             ],
         },
         "discrimination": {
-            "mode": raw.get("discrimination", {}).get("mode", "target"),
-            "epsilon": raw.get("discrimination", {}).get("epsilon", 0.1),
-            "target": raw.get("discrimination", {}).get("target"),
-            "condition_on": list(
-                raw.get("discrimination", {}).get("condition_on", [])
-            ),
-            "min_cell_count": int(
-                raw.get("discrimination", {}).get("min_cell_count", 20)
-            ),
+            "mode": disc.get("mode", "target"),
+            "epsilon": disc.get("epsilon", 0.1),
+            "target": disc.get("target"),
+            "condition_on": list(disc.get("condition_on", [])),
+            "min_cell_count": disc.get("min_cell_count", 20),
         },
         "distortion": raw.get("distortion"),
         "objective": raw.get("objective", "kl"),
         "solver": {
-            "tol": float(raw.get("solver", {}).get("tol", DEFAULT_TOL)),
-            "max_iters": int(
-                raw.get("solver", {}).get("max_iters", DEFAULT_MAX_ITERS)
-            ),
-            "strategy": raw.get("solver", {}).get("strategy", "full"),
-            "max_outer": int(raw.get("solver", {}).get("max_outer", 100)),
+            "tol": solver.get("tol", DEFAULT_TOL),
+            "max_iters": solver.get("max_iters", DEFAULT_MAX_ITERS),
+            "strategy": solver.get("strategy", "full"),
+            "max_outer": solver.get("max_outer", 100),
         },
-        "seed": int(raw.get("seed", 0)),
+        "seed": raw.get("seed", 0),
         "output": {"dir": raw.get("output", {}).get("dir", "out")},
     }
     dist = out["distortion"]
@@ -217,18 +225,11 @@ def _build_quantizer(spec: Optional[dict]) -> Optional[Quantizer]:
 
 
 def _build_schema(raw: dict) -> Schema:
-    variables = []
-    for v in raw["schema"]["variables"]:
-        alphabet = Alphabet(
-            v["name"], tuple(v["categories"]), ordinal=bool(v.get("ordinal", False))
-        )
-        variables.append(
-            Variable(alphabet, v["role"], _build_quantizer(v.get("quantizer")))
-        )
-    try:
-        return Schema(tuple(variables))
-    except InvalidParamsError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Schema(tuple(
+        Variable(Alphabet(v["name"], tuple(v["categories"]), ordinal=v["ordinal"]),
+                 v["role"], _build_quantizer(v["quantizer"]))
+        for v in raw["schema"]["variables"]
+    ))
 
 
 def _epsilon_from_config(raw_eps, schema: Schema, mode: str):
@@ -252,91 +253,59 @@ def _epsilon_from_config(raw_eps, schema: Schema, mode: str):
 
 def _build_discrimination(raw: dict, schema: Schema) -> DiscriminationSpec:
     d = raw["discrimination"]
-    target = d.get("target")
+    target = d["target"]
     if target is not None:
         target = np.asarray([float(t) for t in target])
     x_names = {v.name for v in schema.x_vars}
-    for name in d.get("condition_on", ()):
+    for name in d["condition_on"]:
         if name not in x_names:
             raise ConfigError(
                 f"condition_on variable {name!r} is not a feature variable"
             )
-    try:
-        return DiscriminationSpec(
-            mode=d["mode"],
-            target=target,
-            epsilon=_epsilon_from_config(d["epsilon"], schema, d["mode"]),
-            condition_on=tuple(d.get("condition_on", ())),
-            min_cell_count=int(d.get("min_cell_count", 20)),
-        )
-    except InvalidParamsError as exc:
-        raise ConfigError(str(exc)) from exc
+    return DiscriminationSpec(
+        mode=d["mode"],
+        target=target,
+        epsilon=_epsilon_from_config(d["epsilon"], schema, d["mode"]),
+        condition_on=tuple(d["condition_on"]),
+        min_cell_count=d["min_cell_count"],
+    )
 
 
 def _build_metric(raw: Optional[dict], schema: Schema):
     if raw is None:
         return None, None
-    try:
-        return _build_metric_inner(raw, schema)
-    except InvalidParamsError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_metric_inner(raw: dict, schema: Schema):
     mspec = raw["metric"]
-    kind = mspec.get("kind", "per_attribute")
-    if kind == "per_attribute":
-        attrs = mspec.get("attributes", {})
-        x_tables = []
-        for var in schema.x_vars:
-            aspec = attrs.get(var.name)
-            if aspec is None:
-                x_tables.append(np.zeros((len(var.alphabet),) * 2))
-                continue
-            x_tables.append(_attribute_table(aspec, var.alphabet))
-        yspec = attrs.get(schema.y_var.name)
-        if yspec is None:
-            y_table = np.zeros((2, 2))
-        else:
-            y_table = _attribute_table(yspec, schema.y_var.alphabet)
+    if mspec["kind"] == "per_attribute":
+        attrs = mspec["attributes"]
         metric = DistortionMetric(
             "per_attribute",
-            combiner=mspec.get("combiner", "sum_of_squares"),
-            x_tables=tuple(x_tables),
-            y_table=y_table,
+            combiner=mspec["combiner"],
+            x_tables=tuple(_attribute_table(attrs.get(v.name), v.alphabet)
+                           for v in schema.x_vars),
+            y_table=_attribute_table(attrs.get(schema.y_var.name), schema.y_var.alphabet),
         )
-    elif kind == "rule_table":
-        rules = []
-        for r in mspec.get("rules", []):
-            rules.append(
-                TableRule(
-                    value=float(r["value"]),
-                    if_all=tuple(_condition(c) for c in r.get("if_all", [])),
-                    if_any=tuple(_condition(c) for c in r.get("if_any", [])),
-                )
-            )
-        metric = DistortionMetric("rule_table", rules=tuple(rules))
+    elif mspec["kind"] == "rule_table":
+        metric = DistortionMetric("rule_table", rules=tuple(
+            TableRule(value=float(r["value"]),
+                      if_all=tuple(map(_condition, r.get("if_all", []))),
+                      if_any=tuple(map(_condition, r.get("if_any", []))))
+            for r in mspec["rules"]
+        ))
     else:
-        raise ConfigError(f"unknown metric kind {kind!r}")
-    try:
-        validate_metric(metric, schema)
-    except InvalidParamsError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"unknown metric kind {mspec['kind']!r}")
+    validate_metric(metric, schema)
     bspec = raw["budget"]
-    try:
-        if bspec["mode"] == "expected":
-            budget = DistortionBudget("expected", c=float(bspec["c"]))
-        else:
-            budget = DistortionBudget(
-                "thresholded",
-                pairs=tuple((float(t), float(b)) for t, b in bspec["pairs"]),
-            )
-    except InvalidParamsError as exc:
-        raise ConfigError(str(exc)) from exc
+    if bspec["mode"] == "expected":
+        budget = DistortionBudget("expected", c=float(bspec["c"]))
+    else:
+        budget = DistortionBudget("thresholded", pairs=tuple(map(tuple, bspec["pairs"])))
     return metric, budget
 
 
-def _attribute_table(aspec: dict, alphabet: Alphabet) -> np.ndarray:
+def _attribute_table(aspec: Optional[dict], alphabet: Alphabet) -> np.ndarray:
+    """The penalty table of one attribute; no rule costs nothing."""
+    if aspec is None:
+        return np.zeros((len(alphabet),) * 2)
     kind = aspec.get("kind", "table")
     if kind == "ordinal_jump":
         return ordinal_jump_table(
@@ -366,10 +335,35 @@ def _condition(c: dict) -> RuleCondition:
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    """Validate and compile a raw mapping into a ready configuration."""
+    """Validate and compile a raw mapping into a ready configuration.
+
+    Every malformed or incomplete configuration ends here as one
+    ``ConfigError``: a missing field (``KeyError``), a section that is no
+    mapping (``AttributeError``), and a value of the wrong type or outside
+    its domain (``TypeError``, ``ValueError``; ``InvalidParamsError`` is a
+    ``ValueError``).  A ``_NUMBERS`` field that does not convert is named.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a mapping")
-    raw = _canonical(raw)
+    name = None  # of the _NUMBERS field being converted
+    try:
+        raw = _canonical(raw)
+        for section, key, kind in _NUMBERS:
+            name = f"{section}.{key}" if section else key
+            holder = raw[section] if section else raw
+            holder[key] = kind(holder[key])
+        name = None
+        return _compile(raw)
+    except KeyError as exc:
+        raise ConfigError(f"missing config field {exc}") from exc
+    except AttributeError as exc:  # .get on a section that is no mapping
+        raise ConfigError(f"config section is not a mapping ({exc})") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}" if name else str(exc)) from exc
+
+
+def _compile(raw: dict) -> PipelineConfig:
+    """The configuration of a canonical mapping with converted numbers."""
     if not raw["schema"]["variables"]:
         raise ConfigError("schema.variables must be non-empty")
     schema = _build_schema(raw)

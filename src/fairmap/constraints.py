@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .constants import FORBIDDEN
 from .domain import JointPMF, Schema
 from .distortion import DistortionBudget, DistortionMetric, distortion_matrix
 from .errors import (
@@ -397,7 +398,7 @@ def build_distortion_constraints(
             raise MissingBudgetError("budget missing for a positive-mass cell")
         if t is None:
             blocks.append(_block_rows(D))
-            fixed |= (D >= metric.forbidden_level) & (c < metric.forbidden_level)[:, None]
+            fixed |= (D >= FORBIDDEN) & (c < FORBIDDEN)[:, None]
             labels.extend("dist[expected] " + names)
         else:
             # a zero budget pins the affected entries as well; the row

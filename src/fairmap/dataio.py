@@ -72,16 +72,16 @@ def _category_index(variable, raw: str):
 
 
 def _header_record(header: str, magic: str, expected_fingerprint: Optional[str],
-                   allow_mismatch: bool, artifact: str) -> dict:
+                   artifact: str) -> dict:
     """The ``key=value`` record of a provenance header line; refuses a
-    fingerprint other than the expected one unless explicitly allowed."""
+    fingerprint other than ``expected_fingerprint`` unless that is None."""
     meta = dict(
         part.split("=", 1)
         for part in header[len(magic):].strip().split()
         if "=" in part
     )
     found = meta.get("fingerprint", "")
-    if expected_fingerprint not in (None, found) and not allow_mismatch:
+    if expected_fingerprint not in (None, found):
         raise ProvenanceMismatchError(
             f"{artifact} under fingerprint {found!r}, "
             f"configuration is {expected_fingerprint!r}"
@@ -183,18 +183,17 @@ def read_dataset(
     has_header: bool = True,
     columns: Optional[Sequence[str]] = None,
     filters: Sequence = (),
-    apply_filters: bool = True,
     expected_fingerprint: Optional[str] = None,
-    allow_mismatch: bool = False,
 ) -> Dataset:
-    """Load records; rows failing a filter or mapping to a dropped
-    category are discarded.  A missing outcome column (or blank outcome
+    """Load records; rows failing one of ``filters`` or mapping to a
+    dropped category are discarded (pass no filters to keep every row of
+    pre-filtered data).  A missing outcome column (or blank outcome
     fields) yields apply-mode records.
 
     Files this package wrote start with a provenance comment; when
     ``expected_fingerprint`` is given and such a comment is present, a
-    mismatch is refused unless explicitly allowed.  Leading ``#`` lines
-    are skipped either way.
+    mismatch is refused (pass None to accept any provenance).  Leading
+    ``#`` lines are skipped either way.
 
     Errors are those of resolving the rows one by one in file order:
     filters, then D and X variables in declaration order, then the
@@ -219,7 +218,7 @@ def read_dataset(
         for comment in comments:
             if comment.startswith(DATA_MAGIC):
                 _header_record(comment, DATA_MAGIC, expected_fingerprint,
-                               allow_mismatch, "data file was produced")
+                               "data file was produced")
         if first is None:
             raise EmptyDatasetError(f"{path} has no rows")
         if has_header:
@@ -238,18 +237,15 @@ def read_dataset(
                 raise SchemaMismatchError(f"column {name!r} missing from {path}")
         y_name = schema.y_var.name
         has_y = y_name in col_of
-        active_filters = []
-        if apply_filters:
-            for f in filters:
-                if f.column not in col_of:
-                    raise SchemaMismatchError(
-                        f"filter column {f.column!r} missing from {path}"
-                    )
-                active_filters.append(f)
+        for f in filters:
+            if f.column not in col_of:
+                raise SchemaMismatchError(
+                    f"filter column {f.column!r} missing from {path}"
+                )
         stream_col = col_of.get(STREAM_COLUMN)
 
         # (column, resolver) in the order the row loop applies them
-        steps = [(col_of[f.column], _accepting(f)) for f in active_filters]
+        steps = [(col_of[f.column], _accepting(f)) for f in filters]
         steps += [(col_of[v.name], partial(_category_index, v)) for v in variables]
         if has_y:
             steps.append((col_of[y_name], partial(_outcome_index, schema.y_var)))
@@ -278,7 +274,7 @@ def read_dataset(
         return np.array([-1 if r is None else r for r in table],
                         dtype=np.int64)[codes[alive]]
 
-    var_tables = tables[len(active_filters):]
+    var_tables = tables[len(filters):]
     nd_vars = len(schema.d_vars)
     n_dx = nd_vars + len(schema.x_vars)
     d = np.ravel_multi_index([kept(*t) for t in var_tables[:nd_vars]],
@@ -294,11 +290,11 @@ def read_dataset(
 
 
 def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
-                  include_stream: bool = True,
                   fingerprint: Optional[str] = None) -> None:
-    """Write records with protected attributes retained and per-variable
-    category labels; outcomes are omitted entirely for apply-mode data.
-    A provenance comment is prepended when a fingerprint is given."""
+    """Write records with protected attributes retained, per-variable
+    category labels and each record's stream id in a last ``_stream``
+    column; outcomes are omitted entirely for apply-mode data.  A
+    provenance comment is prepended when a fingerprint is given."""
     schema = dataset.schema
     has_y = dataset.has_outcomes
     header = [v.name for v in schema.d_vars + schema.x_vars]
@@ -310,9 +306,8 @@ def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
     if has_y:
         header.append(schema.y_var.name)
         cols.append(_labels(schema.y_var, dataset.y))
-    if include_stream:
-        header.append(STREAM_COLUMN)
-        cols.append(list(map(str, dataset.stream_ids.tolist())))
+    header.append(STREAM_COLUMN)
+    cols.append(list(map(str, dataset.stream_ids.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fingerprint is not None:
             fh.write(f"{DATA_MAGIC} fingerprint={fingerprint}\n")
@@ -358,17 +353,15 @@ def write_kernel(path: str, kernel: TransformKernel) -> None:
 
 
 def read_kernel(path: str, schema: Schema,
-                expected_fingerprint: Optional[str] = None,
-                allow_mismatch: bool = False) -> TransformKernel:
-    """Parse a kernel artifact, validating row-stochasticity and, when an
-    expected fingerprint is given, provenance."""
+                expected_fingerprint: Optional[str] = None) -> TransformKernel:
+    """Parse a kernel artifact, validating row-stochasticity and, unless
+    ``expected_fingerprint`` is None, provenance."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith(KERNEL_MAGIC):
             raise SchemaMismatchError(f"{path} is not a kernel artifact")
         rest = fh.read()
-    meta = _header_record(first, KERNEL_MAGIC, expected_fingerprint,
-                          allow_mismatch, "kernel was fit")
+    meta = _header_record(first, KERNEL_MAGIC, expected_fingerprint, "kernel was fit")
     reader = csv.reader(io.StringIO(rest))
     header = next(reader)
     if [h.strip() for h in header] != ["d", "x", "y", "x_hat", "y_hat", "prob"]:

@@ -118,7 +118,6 @@ class DistortionMetric:
     x_tables: tuple[np.ndarray, ...] = ()
     y_table: Optional[np.ndarray] = None
     rules: tuple[TableRule, ...] = ()
-    forbidden_level: float = FORBIDDEN
 
     def __post_init__(self):
         if self.kind not in ("per_attribute", "rule_table"):

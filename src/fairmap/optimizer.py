@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, ROW_ATOL, TIE_BREAK_WEIGHT
+from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, ROW_ATOL
 from .constraints import (
     DiscriminationSpec,
     LinearConstraintSet,
@@ -88,8 +88,8 @@ def _identity_probs(schema: Schema) -> np.ndarray:
     return np.broadcast_to(eye, (nd, nx, ny, nx * ny)).copy()
 
 
-def identity_kernel(schema: Schema, provenance: Optional[Mapping] = None) -> TransformKernel:
-    return TransformKernel(schema, _identity_probs(schema), provenance or {})
+def identity_kernel(schema: Schema) -> TransformKernel:
+    return TransformKernel(schema, _identity_probs(schema))
 
 
 def replacement_kernel(pmf: JointPMF) -> TransformKernel:
@@ -235,7 +235,6 @@ def assemble(
         h=merged.h,
         labels=merged.labels,
         anchor=_identity_anchor(layout, free),
-        tie_weight=TIE_BREAK_WEIGHT,
     )
     return Problem(
         pmf=pmf,

@@ -63,7 +63,7 @@ _STATUS = {
 
 @dataclass(frozen=True)
 class SimplexImageProgram:
-    """min  div(p_ref, A k) + tie_weight * (const - anchor . k)
+    """min  div(p_ref, A k) + TIE_BREAK_WEIGHT * (const - anchor . k)
     s.t.   each simplex row k[row_ptr[i]:row_ptr[i + 1]] sums to 1,
            k >= 0, G k <= h.
     """
@@ -75,7 +75,6 @@ class SimplexImageProgram:
     h: np.ndarray
     labels: tuple[str, ...]
     anchor: np.ndarray
-    tie_weight: float = TIE_BREAK_WEIGHT
 
     @property
     def n_rows(self) -> int:
@@ -95,7 +94,7 @@ class SimplexImageProgram:
         return np.asarray(self.A @ kvec)
 
     def tie_term(self, kvec: np.ndarray) -> float:
-        return self.tie_weight * (self.n_rows - float(self.anchor @ kvec))
+        return TIE_BREAK_WEIGHT * (self.n_rows - float(self.anchor @ kvec))
 
     def residual(self, kvec: np.ndarray) -> float:
         """Largest violation across side constraints, simplex rows, and
@@ -120,7 +119,6 @@ class SimplexImageProgram:
             h=np.concatenate([self.h, np.zeros(pins.shape[0])]),
             labels=self.labels + tuple(pin_labels),
             anchor=np.asarray(S.T @ self.anchor).ravel(),
-            tie_weight=self.tie_weight,
         )
 
 
@@ -310,22 +308,24 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     A = prog.A
     I = sp.identity(n_img, format="csr")
     run = _lp(
-        "l1 LP", prog, -prog.tie_weight * prog.anchor, np.ones(n_img),
+        "l1 LP", prog, -TIE_BREAK_WEIGHT * prog.anchor, np.ones(n_img),
         rows=sp.vstack([sp.hstack([-A, -I]), sp.hstack([A, -I])], format="csr"),
         rhs=np.concatenate([-prog.p_ref, prog.p_ref]),
     ).run(STATUS_INFEASIBLE, STATUS_ITERATION_LIMIT, max_iters=max_iters)
-    if run.status == STATUS_INFEASIBLE:
+    if run.status != STATUS_OPTIMAL:
+        # a stopped LP need not hold a primal, nor a row-stochastic one;
+        # phase 1's kernel keeps every simplex row, and every side
+        # constraint when the program is feasible
         violation, kvec, diag = phase1_violation(prog)
-        return SolveOutcome(
-            STATUS_INFEASIBLE, kvec, float("nan"), violation,
-            prog.residual(kvec), run.iterations, diag,
-        )
-    if run.status == STATUS_ITERATION_LIMIT:
-        kvec = run.x[:n] if run.x is not None else np.zeros(n)
+        if run.status == STATUS_INFEASIBLE or violation > tol:
+            return SolveOutcome(
+                STATUS_INFEASIBLE, kvec, float("nan"), violation,
+                prog.residual(kvec), run.iterations, diag,
+            )
         return SolveOutcome(
             STATUS_ITERATION_LIMIT, kvec, float("nan"), float("inf"),
-            prog.residual(kvec) if run.x is not None else float("inf"),
-            run.iterations, {"message": f"HiGHS stopped after {max_iters} simplex iterations"},
+            prog.residual(kvec), run.iterations,
+            {"message": f"HiGHS stopped after {max_iters} simplex iterations"},
         )
     kvec = run.x[:n]
     objective = float(np.abs(prog.p_ref - prog.image(kvec)).sum())
@@ -394,7 +394,7 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     best_ub = upper(best)
     lower = -np.inf
     # LB = this + the cut LP's optimum (its objective drops both terms)
-    offset = float(p @ np.log(p)) + prog.tie_weight * prog.n_rows
+    offset = float(p @ np.log(p)) + TIE_BREAK_WEIGHT * prog.n_rows
     q_hat = A_sup @ best  # positive: the start covers every supported cell
     low = q_hat
     # variables [k, q, t]: q_j <= (A k)_j and t_j above the tangents of
@@ -404,7 +404,7 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     n_sup = sup.size
     eye = sp.identity(n_sup, format="csr")
     model = _lp(
-        "cut LP", prog, -prog.tie_weight * prog.anchor, np.concatenate([np.zeros(n_sup), p]),
+        "cut LP", prog, -TIE_BREAK_WEIGHT * prog.anchor, np.concatenate([np.zeros(n_sup), p]),
         rows=sp.hstack([-A_sup, eye, sp.csr_matrix((n_sup, n_sup))], format="csr"),
         rhs=np.zeros(n_sup),
     )

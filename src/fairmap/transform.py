@@ -15,7 +15,7 @@ records at once in array arithmetic; it equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -47,7 +47,6 @@ class ApplyMapper:
 
     schema: Schema
     rows: np.ndarray  # (nd, nx, nx)
-    provenance: Mapping[str, object] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -61,7 +60,6 @@ class ApplyMapper:
             raise InvalidParamsError("mapper rows must sum to 1")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "provenance", dict(self.provenance))
 
 
 def derive_apply_kernel(kernel: TransformKernel, pmf: JointPMF) -> ApplyMapper:
@@ -91,9 +89,7 @@ def derive_apply_kernel(kernel: TransformKernel, pmf: JointPMF) -> ApplyMapper:
     if np.abs(sums - 1.0).max() > MASS_ATOL * 1e3:
         raise InvalidParamsError("apply rows failed to marginalize cleanly")
     rows = rows / sums
-    return ApplyMapper(
-        schema, rows, provenance=dict(kernel.provenance), warnings=tuple(warnings)
-    )
+    return ApplyMapper(schema, rows, warnings=tuple(warnings))
 
 
 _MASK32 = np.uint64(0xFFFFFFFF)

@@ -422,3 +422,49 @@ class TestPresetsAndValidate:
         bad = tmp_path / "bad.yaml"
         bad.write_text("schema: {variables: []}\n")
         assert main(["validate", "--config", str(bad)]) == 3
+
+
+def _without_categories(raw):
+    raw["schema"]["variables"][0].pop("categories")
+
+
+def _pairwise_without_d1(raw):
+    raw["discrimination"]["epsilon"] = [{"y": "1", "d2": "b", "value": 0.2}]
+
+
+def _tol_not_a_number(raw):
+    raw["solver"] = {"tol": "abc"}
+
+
+def _solver_not_a_mapping(raw):
+    raw["solver"] = 5
+
+
+def _descending_bins(raw):
+    raw["schema"]["variables"][1]["quantizer"] = {
+        "kind": "bins", "edges": [2.0, 1.0], "labels": ["u", "v", "w"]}
+
+
+class TestConfigErrors:
+    """Every malformed or incomplete config is a configuration error (exit
+    3) whose one ``error:`` line names the field or the fault, without a
+    traceback."""
+
+    @pytest.mark.parametrize("break_config, field", [
+        (_without_categories, "categories"),
+        (_pairwise_without_d1, "d1"),
+        (_tol_not_a_number, "solver.tol"),
+        (_descending_bins, "edges"),
+        (_solver_not_a_mapping, "not a mapping"),
+    ])
+    def test_validate_exits_3_naming_the_field(self, tmp_path, capsys,
+                                               break_config, field):
+        raw = tiny_config_dict()
+        break_config(raw)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and field in line
+        assert "Traceback" not in captured.err and captured.out == ""

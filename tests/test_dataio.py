@@ -61,8 +61,9 @@ def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
         rows = [r for r in reader if r and any(f.strip() for f in r)]
     for comment in comments:
         if comment.startswith(DATA_MAGIC):
-            _header_record(comment, DATA_MAGIC, expected_fingerprint,
-                           allow_mismatch, "data file was produced")
+            _header_record(comment, DATA_MAGIC,
+                           None if allow_mismatch else expected_fingerprint,
+                           "data file was produced")
     if not rows:
         raise EmptyDatasetError(f"{path} has no rows")
     if has_header:
@@ -134,16 +135,14 @@ def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
     )
 
 
-def reference_write(path, dataset, delimiter=",", include_stream=True,
-                    fingerprint=None):
+def reference_write(path, dataset, delimiter=",", fingerprint=None):
     """The row loop ``write_dataset`` replaced."""
     schema = dataset.schema
     has_y = dataset.has_outcomes
     header = [v.name for v in schema.d_vars + schema.x_vars]
     if has_y:
         header.append(schema.y_var.name)
-    if include_stream:
-        header.append(STREAM_COLUMN)
+    header.append(STREAM_COLUMN)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fingerprint is not None:
             fh.write(f"{DATA_MAGIC} fingerprint={fingerprint}\n")
@@ -161,8 +160,7 @@ def reference_write(path, dataset, delimiter=",", include_stream=True,
             ]
             if has_y:
                 row.append(schema.y_label(int(dataset.y[i])))
-            if include_stream:
-                row.append(str(int(dataset.stream_ids[i])))
+            row.append(str(int(dataset.stream_ids[i])))
             writer.writerow(row)
 
 
@@ -223,11 +221,19 @@ def outcome(fn):
 
 
 def read_both(text, schema, **kwargs):
+    """``read_dataset`` against the reference loop, whose ``apply_filters``
+    and ``allow_mismatch`` switches map onto no filters and no expected
+    fingerprint."""
+    new_kwargs = dict(kwargs)
+    if not new_kwargs.pop("apply_filters", True):
+        new_kwargs["filters"] = ()
+    if new_kwargs.pop("allow_mismatch", False):
+        new_kwargs["expected_fingerprint"] = None
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        new = outcome(lambda: read_dataset(path, schema, **kwargs))
+        new = outcome(lambda: read_dataset(path, schema, **new_kwargs))
         ref = outcome(lambda: reference_read(path, schema, **kwargs))
     return new, ref
 
@@ -351,10 +357,8 @@ def datasets(draw):
 
 class TestWriteOracle:
     @settings(max_examples=100, deadline=None)
-    @given(datasets(), st.sampled_from([",", ";"]), st.booleans(),
-           st.sampled_from([None, "abc"]))
-    def test_same_bytes(self, dataset, delimiter, include_stream, fingerprint):
-        kwargs = {"delimiter": delimiter, "include_stream": include_stream,
-                  "fingerprint": fingerprint}
+    @given(datasets(), st.sampled_from([",", ";"]), st.sampled_from([None, "abc"]))
+    def test_same_bytes(self, dataset, delimiter, fingerprint):
+        kwargs = {"delimiter": delimiter, "fingerprint": fingerprint}
         assert (written_bytes(write_dataset, dataset, **kwargs)
                 == written_bytes(reference_write, dataset, **kwargs))

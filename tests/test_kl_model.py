@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fairmap import JointPMF, assemble
 from fairmap.presets import preset_config
-from fairmap.constants import DEFAULT_MAX_ITERS, DEFAULT_TOL
+from fairmap.constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, TIE_BREAK_WEIGHT
 from fairmap.domain import kl_divergence
 from fairmap.errors import NumericalBreakdownError
 from fairmap.solver import (
@@ -93,7 +93,7 @@ def cold_kelley(prog, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
 
     best = res.x[:n]
     best_ub, lower = upper(best), -np.inf
-    offset = float(p @ np.log(p)) + prog.tie_weight * prog.n_rows
+    offset = float(p @ np.log(p)) + TIE_BREAK_WEIGHT * prog.n_rows
     q_hat = low = A_sup @ best
     eye = sp.identity(n_sup, format="csr")
     cuts = [sp.hstack([-A_sup, eye, sp.csr_matrix((n_sup, n_sup))])]
@@ -102,7 +102,7 @@ def cold_kelley(prog, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     while best_ub - lower > tol and iters < max_iters:
         cuts.append(sp.hstack([sp.csr_matrix((n_sup, n)), sp.diags(-1.0 / q_hat), -eye]))
         cut_rhs.append(np.log(q_hat) - 1.0)
-        res, dual = cold_lp(prog, -prog.tie_weight * prog.anchor,
+        res, dual = cold_lp(prog, -TIE_BREAK_WEIGHT * prog.anchor,
                             np.concatenate([np.zeros(n_sup), p]),
                             sp.vstack(cuts), np.concatenate(cut_rhs))
         iters += 1

@@ -129,10 +129,7 @@ class TestCompasPipeline:
         ]) == 0
         cfg = preset_config("compas", input_path=str(data), epsilon=0.45)
         src = read_dataset(str(data), cfg.schema, filters=cfg.filters)
-        out = read_dataset(
-            str(tmp_path / "out" / "transformed_train.csv"), cfg.schema,
-            apply_filters=False,
-        )
+        out = read_dataset(str(tmp_path / "out" / "transformed_train.csv"), cfg.schema)
         # recidivism may never be raised: forbidden-level transition
         raised = (src.y == 0) & (out.y == 1)
         assert not raised.any()

@@ -485,10 +485,17 @@ class TestLPBuilder:
         assert np.isnan(sol.certificate)
         assert "dual" in sol.diagnostics["certificate_note"]
 
-    @pytest.mark.parametrize("seed,max_iters", [(None, 0), (None, 2), (10, 3)])
+    @staticmethod
+    def two_group_l1():
+        return assemble(two_group_pmf(p_d0=0.6), DiscriminationSpec(mode="target", epsilon=0.35),
+                        flip_metric(), DistortionBudget("expected", c=0.3), objective="l1")
+
+    @pytest.mark.parametrize("seed,max_iters", [(None, 0), (None, 2), (10, 3), (13, 1)])
     def test_l1_iteration_limit(self, monkeypatch, seed, max_iters):
         # the two-group LP needs 3 simplex iterations, and stopped short
-        # HiGHS holds no primal; stopped after 3, random instance 10 holds one
+        # HiGHS holds no primal; stopped after 3, random instance 10 holds
+        # one that misses its simplex rows by 1.0; instance 13 is
+        # infeasible, which the stopped LP has not found out
         import fairmap.solver as solver
 
         runs = []
@@ -500,20 +507,30 @@ class TestLPBuilder:
 
         monkeypatch.setattr(solver._LPModel, "run", recorded)
         if seed is None:
-            args = (two_group_pmf(p_d0=0.6), DiscriminationSpec(mode="target", epsilon=0.35),
-                    flip_metric(), DistortionBudget("expected", c=0.3))
+            problem = self.two_group_l1()
         else:
-            args = random_instance(seed)
-        problem = assemble(*args, objective="l1")
+            problem = assemble(*random_instance(seed), objective="l1")
         out = solve_tv(problem.program, max_iters=max_iters)
-        assert out.status == "iteration_limit"
-        assert out.certificate == np.inf and np.isnan(out.objective)
-        assert out.iterations == max_iters
-        [lp] = runs
-        assert (lp.x is not None) == (seed is not None)
-        assert np.isfinite(out.residual) == (lp.x is not None)
-        if lp.x is not None:
-            assert out.residual == problem.program.residual(lp.x[:problem.program.n_vars])
+        # the stopped l1 LP, then phase 1
+        assert [lp.status for lp in runs] == ["iteration_limit", "optimal"]
+        assert out.iterations == max_iters and np.isnan(out.objective)
+        assert np.isfinite(out.residual)
+        violation, kvec, _ = phase1_violation(problem.program)
+        assert out.residual == problem.program.residual(kvec)
+        if seed == 13:
+            assert out.status == "infeasible"
+            assert out.certificate == violation > 1e-6
+        else:
+            assert out.status == "iteration_limit" and out.certificate == np.inf
+            assert out.residual <= 1e-9
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 2])
+    def test_l1_iteration_limit_through_solve(self, max_iters):
+        # the stopped LP's primal once reached the kernel, which refused
+        # it ("kernel rows must sum to 1")
+        sol = solve(self.two_group_l1(), max_iters=max_iters)
+        assert sol.status == "iteration_limit" and sol.certificate == np.inf
+        assert sol.residual <= 1e-9
 
 
 class TestSweep:
