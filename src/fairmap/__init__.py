@@ -53,6 +53,7 @@ from .domain import (
     Schema,
     Variable,
     condition,
+    conditional,
     estimate_empirical,
     kl_divergence,
     l1_distance,

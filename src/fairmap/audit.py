@@ -19,7 +19,7 @@ import numpy as np
 
 from .constraints import DiscriminationSpec, ratio_distance, segments
 from .distortion import DistortionMetric, distortion_matrix
-from .domain import Dataset, JointPMF, kl_divergence, l1_distance
+from .domain import Dataset, JointPMF, conditional, kl_divergence, l1_distance
 from .errors import (
     InvalidParamsError,
     LengthMismatchError,
@@ -117,17 +117,10 @@ def audit_discrimination(
     if (target <= 0).any():
         raise ZeroReferenceError("target must be positive on both outcomes")
 
-    nd = joint_dy.shape[0]
-    p_d = joint_dy.sum(axis=1)
-    warnings = []
-    rates = np.zeros_like(joint_dy)
-    present = []
-    for d in range(nd):
-        if p_d[d] <= 0:
-            warnings.append(f"group {d} has zero mass; skipped")
-            continue
-        rates[d] = joint_dy[d] / p_d[d]
-        present.append(d)
+    rates, has_mass = conditional(joint_dy)
+    present = np.flatnonzero(has_mass).tolist()
+    warnings = [f"group {d} has zero mass; skipped"
+                for d in np.flatnonzero(~has_mass).tolist()]
     per_group = {
         (y, d): ratio_distance(rates[d, y], target[y])
         for d in present
@@ -207,16 +200,14 @@ class AdvantageReport:
     advantage: float  # ratio of the two, >= 1
 
 
-def map_advantage(joint_dy: Union[np.ndarray, JointPMF]) -> AdvantageReport:
-    """Exact MAP success probability and multiplicative advantage.
+def map_advantage(joint_dy: np.ndarray) -> AdvantageReport:
+    """Exact MAP success probability and multiplicative advantage of a
+    (d, y) joint such as ``pmf.p_dy()``.
 
     map_probability = sum_y max_d p(d, y); the maximum-a-posteriori
     estimator of the group given the outcome.
     """
-    if isinstance(joint_dy, JointPMF):
-        joint = joint_dy.p_dy()
-    else:
-        joint = np.asarray(joint_dy, dtype=np.float64)
+    joint = np.asarray(joint_dy, dtype=np.float64)
     if joint.ndim != 2 or (joint < 0).any():
         raise InvalidParamsError("need a nonnegative (d, y) joint")
     total = joint.sum()
@@ -237,42 +228,35 @@ class AdvantageVerdict:
 
 
 def check_estimation_discrimination(
-    joint_dy: Union[np.ndarray, JointPMF],
+    joint_dy: np.ndarray,
     epsilon: float,
     target: Optional[np.ndarray] = None,
 ) -> AdvantageVerdict:
-    """Estimation-based discrimination detection.
+    """Estimation-based discrimination detection on a (d, y) joint.
 
     If the advantage exceeds 1 + epsilon, some group/outcome pair must
     have ratio distance above epsilon from any target; the witness with
-    the largest such distance is returned.  Conversely, when all ratio
-    distances are within epsilon the advantage cannot exceed 1 + epsilon.
+    the largest such distance (the first in (d, y) order on ties) is
+    returned.  Conversely, when all ratio distances are within epsilon
+    the advantage cannot exceed 1 + epsilon.
     """
     if epsilon < 0:
         raise InvalidParamsError("epsilon must be nonnegative")
     report = map_advantage(joint_dy)
-    joint = joint_dy.p_dy() if isinstance(joint_dy, JointPMF) else np.asarray(
-        joint_dy, dtype=np.float64
-    )
+    joint = np.asarray(joint_dy, dtype=np.float64)
     joint = joint / joint.sum()
     if target is None:
         target = joint.sum(axis=0)
     target = np.asarray(target, dtype=np.float64)
     exceeds = report.advantage > 1.0 + epsilon
     witness = None
-    if exceeds:
-        p_d = joint.sum(axis=1)
-        best = None
-        for d in range(joint.shape[0]):
-            if p_d[d] <= 0:
-                continue
-            for y in (0, 1):
-                if target[y] <= 0:
-                    continue
-                j = ratio_distance(joint[d, y] / p_d[d], target[y])
-                if best is None or j > best[2]:
-                    best = (y, d, j)
-        witness = best
+    rates, present = conditional(joint)
+    usable = present[:, None] & (target > 0)
+    if exceeds and usable.any():
+        with np.errstate(invalid="ignore", divide="ignore"):
+            j = np.where(usable, np.abs(rates / target - 1.0), -np.inf)
+        d, y = np.unravel_index(np.argmax(j), j.shape)
+        witness = (int(y), int(d), float(j[d, y]))
     return AdvantageVerdict(report, float(epsilon), exceeds, witness)
 
 
@@ -355,7 +339,6 @@ class RobustnessBound:
     epsilon: float
     mu: float
     tau: float
-    g: float
     h: float
     interval_low: float
     interval_high: float
@@ -388,11 +371,9 @@ def robustness_bounds(
     if epsilon < 0 or mu < 0:
         raise InvalidParamsError("epsilon and mu must be nonnegative")
     tau = type_concentration_tau(n, beta, m)
-    h = ratio_bound_exponent(tau, c_m)
-    interval_low = (1.0 - epsilon) * math.exp(-h)
-    interval_high = (1.0 + epsilon) * math.exp(h)
-    eps_exact = max(interval_high - 1.0, 1.0 - interval_low)
-    eps_lin = epsilon + (1.0 + epsilon) * h
+    drift = ratio_drift_bounds(tau, c_m, 1.0 - epsilon, 1.0 + epsilon)
+    eps_exact = max(drift.high - 1.0, 1.0 - drift.low)
+    eps_lin = epsilon + (1.0 + epsilon) * drift.g
     flagged = (
         abs(eps_lin - eps_exact) > 0.01 * max(eps_exact, 1e-300)
     )
@@ -403,17 +384,15 @@ def robustness_bounds(
     if joint_dy is not None:
         joint = np.asarray(joint_dy, dtype=np.float64)
         joint = joint / joint.sum()
-        p_d = joint.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(p_d > 0, joint / np.where(p_d > 0, p_d, 1.0), 0.0)
+        cond, _ = conditional(joint)
         cells = joint[joint > 0]
         conds = cond[joint > 0]
         ceiling = float(np.min(cells * (1.0 - conds) / (3.0 * (1.0 + conds) ** 2)))
         valid = tau <= ceiling
     return RobustnessBound(
         n=int(n), beta=float(beta), m=int(m), c_m=float(c_m),
-        epsilon=float(epsilon), mu=float(mu), tau=tau, g=h, h=h,
-        interval_low=interval_low, interval_high=interval_high,
+        epsilon=float(epsilon), mu=float(mu), tau=tau, h=drift.g,
+        interval_low=drift.low, interval_high=drift.high,
         eps_drift_exact=eps_exact, eps_drift_linearized=eps_lin,
         linearization_flagged=flagged, mu_drift=mu_drift,
         asymptotic_rate=rate, tau_ceiling=ceiling, valid=valid,

@@ -129,13 +129,11 @@ def _solution_payload(sol, config: PipelineConfig) -> dict:
         "certificate": sol.certificate,
         "iterations": sol.iterations,
     }
+    # the factorized solver's two factor arrays are kernel-sized data
     diag = {
         k: v
         for k, v in sol.diagnostics.items()
-        if k in ("worst_constraint", "worst_violation", "violation_by_family",
-                 "objective_trace", "strategy", "lower_bound", "outer_iterations",
-                 "f_divergence_lower_bound", "certificate_note",
-                 "uncovered_cell", "simplex_iterations")
+        if k not in ("sof_y_given_xhat", "sof_xhat_given_dxy")
     }
     if diag:
         payload["diagnostics"] = diag
@@ -398,7 +396,12 @@ def _write_cohort_csv(path: str, rows, fingerprint: str) -> None:
 
 
 def _parse_grid(text: str) -> list[float]:
-    grid = [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    grid = []
+    for tok in filter(str.strip, text.replace(";", ",").split(",")):
+        try:
+            grid.append(float(tok))
+        except ValueError:
+            raise ConfigError(f"--eps-grid: {tok.strip()!r} is not a number") from None
     if not grid:
         raise ConfigError("empty epsilon grid")
     return grid
@@ -411,10 +414,10 @@ def cmd_sweep(args) -> int:
             f"sweep solves the full program only; solver.strategy"
             f" {config.solver.strategy!r} is not supported"
         )
+    grid = _parse_grid(args.eps_grid)
     out_dir = _ensure_out(config, args.out_dir)
     _, pmf = _load_training(config)
     problem = _assemble(config, pmf)
-    grid = _parse_grid(args.eps_grid)
     result = sweep_epsilon(
         problem, grid, tol=config.solver.tol, max_iters=config.solver.max_iters
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,7 +32,9 @@ from .distortion import (
 from .domain import Alphabet, Quantizer, Schema, Variable
 from .errors import ConfigError
 
-FILTER_OPS = ("==", "!=", "<", "<=", ">", ">=", "in", "not_in", "between")
+_COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+FILTER_OPS = (*_COMPARISONS, "in", "not_in", "between")
 
 
 @dataclass(frozen=True)
@@ -62,17 +65,7 @@ class Filter:
             lhs, rhs = float(raw), float(self.value)
         except (TypeError, ValueError):
             lhs, rhs = raw, str(self.value)
-        if self.op == "==":
-            return lhs == rhs
-        if self.op == "!=":
-            return lhs != rhs
-        if self.op == "<":
-            return lhs < rhs
-        if self.op == "<=":
-            return lhs <= rhs
-        if self.op == ">":
-            return lhs > rhs
-        return lhs >= rhs
+        return _COMPARISONS[self.op](lhs, rhs)
 
 
 @dataclass(frozen=True)

@@ -68,13 +68,14 @@ class DiscriminationSpec:
             if target.shape != (2,) or (target < 0).any() or abs(target.sum() - 1) > 1e-9:
                 raise InvalidParamsError("target must be a distribution over outcomes")
             object.__setattr__(self, "target", target)
+        # NaN fails the comparison too; HiGHS refuses an infinite row bound
         if np.isscalar(self.epsilon):
-            if self.epsilon < 0:
-                raise InvalidParamsError("epsilon must be nonnegative")
+            if not 0 <= self.epsilon < np.inf:
+                raise InvalidParamsError("epsilon must be finite and nonnegative")
         else:
             eps = dict(self.epsilon)
-            if any(v < 0 for v in eps.values()):
-                raise InvalidParamsError("epsilon must be nonnegative")
+            if not all(0 <= v < np.inf for v in eps.values()):
+                raise InvalidParamsError("epsilon must be finite and nonnegative")
             object.__setattr__(self, "epsilon", eps)
         if self.mode != MODE_CONDITIONAL and self.condition_on:
             raise InvalidParamsError("condition_on only applies to conditional mode")

@@ -42,6 +42,7 @@ from .optimizer import TransformKernel
 
 STREAM_COLUMN = "_stream"
 KERNEL_MAGIC = "# fairmap-kernel"
+_KERNEL_COLUMNS = ("d", "x", "y", "x_hat", "y_hat", "prob")
 DATA_MAGIC = "# fairmap-data"
 # rows parsed per step: few enough that a chunk's row lists are freed
 # before the cyclic GC promotes them to its oldest generation, whose full
@@ -333,7 +334,7 @@ def write_kernel(path: str, kernel: TransformKernel) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{KERNEL_MAGIC} {record}\n")
         writer = csv.writer(fh)
-        writer.writerow(["d", "x", "y", "x_hat", "y_hat", "prob"])
+        writer.writerow(_KERNEL_COLUMNS)
         ny = schema.ny
         for d in range(schema.nd):
             for x in range(schema.nx):
@@ -352,6 +353,13 @@ def write_kernel(path: str, kernel: TransformKernel) -> None:
                         )
 
 
+def _probability(raw: str) -> float:
+    prob = float(raw)
+    if not np.isfinite(prob):  # the row-sum check cannot see a NaN
+        raise ValueError("not a finite number")
+    return prob
+
+
 def read_kernel(path: str, schema: Schema,
                 expected_fingerprint: Optional[str] = None) -> TransformKernel:
     """Parse a kernel artifact, validating row-stochasticity and, unless
@@ -364,19 +372,29 @@ def read_kernel(path: str, schema: Schema,
     meta = _header_record(first, KERNEL_MAGIC, expected_fingerprint, "kernel was fit")
     reader = csv.reader(io.StringIO(rest))
     header = next(reader)
-    if [h.strip() for h in header] != ["d", "x", "y", "x_hat", "y_hat", "prob"]:
+    if [h.strip() for h in header] != list(_KERNEL_COLUMNS):
         raise SchemaMismatchError(f"unexpected kernel header {header!r}")
     nd, nx, ny = schema.nd, schema.nx, schema.ny
+    parsers = (schema.d_from_label, schema.x_from_label, schema.y_from_label,
+               schema.x_from_label, schema.y_from_label, _probability)
     probs = np.zeros((nd, nx, ny, nx * ny))
     for row in reader:
         if not row:
             continue
-        d = schema.d_from_label(row[0])
-        x = schema.x_from_label(row[1])
-        y = schema.y_from_label(row[2])
-        xh = schema.x_from_label(row[3])
-        yh = schema.y_from_label(row[4])
-        probs[d, x, y, xh * ny + yh] = float(row[5])
+        line = f"{path} line {reader.line_num + 1}"  # after the provenance line
+        if len(row) != len(_KERNEL_COLUMNS):
+            raise SchemaMismatchError(
+                f"{line}: {len(row)} fields, expected {len(_KERNEL_COLUMNS)}")
+        fields = []
+        for column, parse, raw in zip(_KERNEL_COLUMNS, parsers, row):
+            try:
+                fields.append(parse(raw))
+            except (InvalidParamsError, ValueError) as exc:
+                raise SchemaMismatchError(
+                    f"{line}, column {column!r}: cannot read {raw!r} ({exc})"
+                ) from exc
+        d, x, y, xh, yh, prob = fields
+        probs[d, x, y, xh * ny + yh] = prob
     sums = probs.sum(axis=3)
     if np.abs(sums - 1.0).max() > ROW_ATOL:
         raise SchemaMismatchError("kernel rows do not sum to 1")

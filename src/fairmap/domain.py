@@ -456,19 +456,10 @@ def condition(pmf: JointPMF, given: Iterable[str]) -> ConditionalPMF:
     target_alpha = tuple(alphabets[i] for i in target_axes)
     # move given axes to the front, flatten both groups
     moved = np.moveaxis(full, given_axes, range(len(given_axes)))
-    g_size = int(np.prod([len(a) for a in given_alpha], initial=1))
-    t_size = int(np.prod([len(a) for a in target_alpha], initial=1))
-    table = moved.reshape(g_size, t_size)
-    rows = {}
-    absent = set()
-    g_shape = tuple(len(a) for a in given_alpha)
-    for flat in range(g_size):
-        cell = tuple(int(i) for i in np.unravel_index(flat, g_shape)) if g_shape else ()
-        total = table[flat].sum()
-        if total <= 0.0:
-            absent.add(cell)
-        else:
-            rows[cell] = table[flat] / total
+    cells = list(np.ndindex(*(len(a) for a in given_alpha)))
+    cond, present = conditional(moved.reshape(len(cells), -1))
+    rows = {cell: cond[i] for i, cell in enumerate(cells) if present[i]}
+    absent = {cell for cell, p in zip(cells, present) if not p}
     return ConditionalPMF(given_alpha, target_alpha, rows, frozenset(absent))
 
 
@@ -501,22 +492,14 @@ def l1_distance(p, q) -> float:
     return float(np.abs(pv - qv).sum())
 
 
-def cond_y_given_dx(pmf: JointPMF) -> tuple[np.ndarray, np.ndarray]:
-    """p(y | d, x) as an (nd, nx, ny) array plus a boolean mask of the
-    (d, x) cells that actually carry mass (rows elsewhere are unusable)."""
-    mass = pmf.mass
-    totals = mass.sum(axis=2, keepdims=True)
+def conditional(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``mass`` over its last axis divided by their totals, and
+    the mask of rows that carry mass; rows without mass are all zero.
+
+    ``conditional(pmf.mass)`` is p(y | d, x), ``conditional(pmf.p_xy())``
+    is p(y | x) and ``conditional(pmf.p_dy())`` the group outcome rates."""
+    totals = mass.sum(axis=-1, keepdims=True)
     present = totals[..., 0] > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         cond = np.where(totals > 0.0, mass / np.where(totals > 0, totals, 1.0), 0.0)
-    return cond, present
-
-
-def cond_y_given_x(pmf: JointPMF) -> tuple[np.ndarray, np.ndarray]:
-    """p(y | x) as an (nx, ny) array plus the positive-mass x mask."""
-    xy = pmf.p_xy()
-    totals = xy.sum(axis=1, keepdims=True)
-    present = totals[:, 0] > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = np.where(totals > 0.0, xy / np.where(totals > 0, totals, 1.0), 0.0)
     return cond, present

@@ -28,7 +28,7 @@ from .constraints import (
     cell_names,
 )
 from .distortion import DistortionBudget, DistortionMetric
-from .domain import JointPMF, Schema, cond_y_given_x, kl_divergence, l1_distance
+from .domain import JointPMF, Schema, conditional, kl_divergence, l1_distance
 from .errors import InvalidParamsError
 from .solver import (
     STATUS_INFEASIBLE,
@@ -370,8 +370,7 @@ def sweep_epsilon(problem: Problem, eps_grid: Sequence[float],
 def _w_extended(pmf: JointPMF) -> np.ndarray:
     """p(y | x) rows, with the overall outcome marginal standing in for
     feature values never seen in the data."""
-    cond, present = cond_y_given_x(pmf)
-    w = cond.copy()
+    w, present = conditional(pmf.p_xy())
     w[~present] = pmf.p_y()
     return w
 

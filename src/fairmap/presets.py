@@ -254,21 +254,16 @@ def preset_dict(name: str) -> dict:
 
 def preset_config(name: str, **overrides) -> PipelineConfig:
     """Compiled preset; keyword overrides patch the raw document first
-    (``epsilon=``, ``c=``, ``objective=``, ``input_path=``, ``seed=``,
-    ``output_dir=``)."""
+    (``epsilon=``, ``c=``, ``input_path=``, ``seed=``)."""
     raw = preset_dict(name)
     if "epsilon" in overrides:
         raw["discrimination"]["epsilon"] = overrides.pop("epsilon")
     if "c" in overrides:
         raw["distortion"]["budget"]["c"] = overrides.pop("c")
-    if "objective" in overrides:
-        raw["objective"] = overrides.pop("objective")
     if "input_path" in overrides:
         raw["input"]["path"] = overrides.pop("input_path")
     if "seed" in overrides:
         raw["seed"] = overrides.pop("seed")
-    if "output_dir" in overrides:
-        raw["output"]["dir"] = overrides.pop("output_dir")
     if overrides:
         raise ConfigError(f"unknown preset overrides: {sorted(overrides)}")
     return config_from_dict(raw)

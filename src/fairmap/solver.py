@@ -224,7 +224,7 @@ class _LPModel:
                     int(info.simplex_iteration_count))
 
 
-def _lp(name: str, prog: SimplexImageProgram, c_k: np.ndarray, c_aux=(),
+def _lp(name: str, prog: SimplexImageProgram, c_k: np.ndarray, c_aux,
         g_aux=None, rows=None, rhs=None) -> _LPModel:
     """The HiGHS model, named ``name`` in errors, of an LP over the
     variables [k, aux].
@@ -239,18 +239,14 @@ def _lp(name: str, prog: SimplexImageProgram, c_k: np.ndarray, c_aux=(),
     m = int(prog.h.size)
     A_ub, b_ub = [], []
     if m:
-        if n_aux:
-            aux = sp.csr_matrix((m, n_aux)) if g_aux is None else g_aux
-            A_ub.append(sp.hstack([prog.G, aux], format="csr"))
-        else:
-            A_ub.append(prog.G)
+        aux = sp.csr_matrix((m, n_aux)) if g_aux is None else g_aux
+        A_ub.append(sp.hstack([prog.G, aux], format="csr"))
         b_ub.append(prog.h)
     if rows is not None:
         A_ub.append(rows)
         b_ub.append(rhs)
-    A_eq = prog.row_sum_matrix()
-    if n_aux:
-        A_eq = sp.hstack([A_eq, sp.csr_matrix((prog.n_rows, n_aux))], format="csr")
+    A_eq = sp.hstack([prog.row_sum_matrix(), sp.csr_matrix((prog.n_rows, n_aux))],
+                     format="csr")
     return _LPModel(
         name,
         np.concatenate([c_k, c_aux]),

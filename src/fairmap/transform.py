@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import MASS_ATOL, ROW_ATOL
 from .distortion import DistortionBudget
-from .domain import Dataset, JointPMF, Schema, cond_y_given_dx
+from .domain import Dataset, JointPMF, Schema, conditional
 from .errors import InvalidParamsError, MissingOutcomeError
 from .optimizer import TransformKernel
 
@@ -71,20 +71,18 @@ def derive_apply_kernel(kernel: TransformKernel, pmf: JointPMF) -> ApplyMapper:
     """
     schema = kernel.schema
     nd, nx, ny = schema.nd, schema.nx, schema.ny
-    cond, present = cond_y_given_dx(pmf)
+    cond, present = conditional(pmf.mass)
     # per (d, x, y): kernel row marginalized over y_hat -> (nd, nx, ny, nx)
     k_x = kernel.probs.reshape(nd, nx, ny, nx, ny).sum(axis=4)
     rows = np.einsum("dxy,dxyk->dxk", cond, k_x)
-    warnings = []
-    for d in range(nd):
-        for x in range(nx):
-            if not present[d, x]:
-                rows[d, x] = 0.0
-                rows[d, x, x] = 1.0
-                warnings.append(
-                    f"no data for d={schema.d_label(d)!r} x={schema.x_label(x)!r};"
-                    " identity row used"
-                )
+    d_absent, x_absent = np.nonzero(~present)
+    rows[d_absent, x_absent] = 0.0
+    rows[d_absent, x_absent, x_absent] = 1.0
+    warnings = [
+        f"no data for d={schema.d_label(d)!r} x={schema.x_label(x)!r};"
+        " identity row used"
+        for d, x in zip(d_absent.tolist(), x_absent.tolist())
+    ]
     sums = rows.sum(axis=2, keepdims=True)
     if np.abs(sums - 1.0).max() > MASS_ATOL * 1e3:
         raise InvalidParamsError("apply rows failed to marginalize cleanly")
@@ -200,27 +198,16 @@ def apply_distortion_bound(budget: DistortionBudget, pmf: JointPMF) -> ApplyBudg
     budgets the training bound carries over unchanged.
     """
     schema = pmf.schema
-    cond, present = cond_y_given_dx(pmf)
+    cond, present = conditional(pmf.mass)
+    cells = [tuple(cell) for cell in np.argwhere(present).tolist()]
     shape = (schema.nd, schema.nx, schema.ny)
-    values = {}
     if budget.mode == "expected":
-        cgrid = budget.cell_c(shape)
-        avg = (cond * cgrid).sum(axis=2)
-        for d in range(schema.nd):
-            for x in range(schema.nx):
-                if present[d, x]:
-                    values[(d, x)] = float(avg[d, x])
-        return ApplyBudget("expected", values, derived=False)
-    pairs = budget.cell_pairs(shape)
-    for d in range(schema.nd):
-        for x in range(schema.nx):
-            if present[d, x]:
-                values[(d, x)] = tuple(
-                    (t, float((cond[d, x] * cgrid[d, x]).sum())) for t, cgrid in pairs
-                )
+        avg = (cond * budget.cell_c(shape)).sum(axis=2)
+        return ApplyBudget("expected", {c: float(avg[c]) for c in cells}, derived=False)
+    avgs = [(t, (cond * cgrid).sum(axis=2)) for t, cgrid in budget.cell_pairs(shape)]
     return ApplyBudget(
         "thresholded",
-        values,
+        {c: tuple((t, float(avg[c])) for t, avg in avgs) for c in cells},
         derived=True,
         note=(
             "outcome-averaged exceedance budgets; bounds each threshold's"

@@ -110,6 +110,30 @@ class TestEstimationDiscriminationLink:
             assert verdict.witness[2] > epsilon - 1e-12
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_witness_matches_loop_reference(self, nd, seed):
+        # small integer counts: zero-mass groups, zero target entries and
+        # tied distances are frequent
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 3, size=(nd, 2)).astype(float)
+        if counts.sum() == 0:
+            return
+        target = rng.integers(0, 3, size=2) / 2.0
+        verdict = check_estimation_discrimination(counts, 0.0, target=target)
+        # the first largest distance in (d, y) order
+        joint = counts / counts.sum()
+        p_d = joint.sum(axis=1)
+        best = None
+        for d in range(nd):
+            for y in (0, 1):
+                if p_d[d] > 0 and target[y] > 0:
+                    j = abs(joint[d, y] / p_d[d] / target[y] - 1.0)
+                    if best is None or j > best[2]:
+                        best = (y, d, j)
+        assert verdict.witness == (best if verdict.exceeds else None)
+
+
 class TestRobustnessBounds:
     def test_frozen_constants(self):
         # independently evaluated at 40-digit precision
@@ -285,6 +309,15 @@ class TestDiscriminationAudit:
         spec = DiscriminationSpec(mode="target", epsilon=0.2)
         rep = audit_discrimination(ds, spec, target=np.array([0.5, 0.5]))
         assert set(rep.per_group) == {(y, d) for y in (0, 1) for d in (0, 1)}
+
+
+    def test_zero_mass_group_is_skipped_with_a_warning(self):
+        joint = np.array([[0.2, 0.3], [0.0, 0.0], [0.1, 0.4]])
+        rep = audit_discrimination(joint, DiscriminationSpec(mode="pairwise", epsilon=0.2))
+        assert rep.warnings == ("group 1 has zero mass; skipped",)
+        np.testing.assert_array_equal(rep.rates, [[0.4, 0.6], [0.0, 0.0], [0.2, 0.8]])
+        assert {d for _, d in rep.per_group} == {0, 2}
+        assert {(d1, d2) for _, d1, d2 in rep.pairwise} == {(0, 2), (2, 0)}
 
 
 class TestDistortionAudit:

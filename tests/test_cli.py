@@ -98,6 +98,17 @@ class TestFit:
         sweep = json.loads((out / "sweep.json").read_text())
         assert [e["status"] for e in sweep["entries"]] == ["infinite_objective"] * 2
 
+    def test_iteration_limit_message_reaches_the_report(self, workdir):
+        tmp, cfg = workdir
+        raw = yaml.safe_load(cfg.read_text())
+        raw["solver"] = {"max_iters": 1}
+        cfg2 = tmp / "stopped.yaml"
+        cfg2.write_text(yaml.safe_dump(raw))
+        assert main(["fit", "--config", str(cfg2)]) == 0
+        report = json.loads((tmp / "out" / "fit_report.json").read_text())
+        assert report["status"] == "iteration_limit"
+        assert "1 simplex iterations" in report["diagnostics"]["message"]
+
     def test_missing_input_is_io_error(self, workdir):
         tmp, cfg = workdir
         raw = yaml.safe_load(cfg.read_text())
@@ -260,6 +271,38 @@ class TestTransform:
             "--out-dir", str(tmp / "tb"),
         ]) == 4
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda f: f[:5] + ["abc"], "column 'prob'"),
+        (lambda f: f[:5], "5 fields, expected 6"),
+        (lambda f: ["zz"] + f[1:], "column 'd'"),
+        (lambda f: f[:5] + ["nan"], "column 'prob'"),
+    ], ids=["unparsable_prob", "short_line", "unknown_label", "nan_prob"])
+    def test_malformed_kernel_line_is_data_error(self, workdir, capsys, edit, named):
+        tmp, cfg, kernel = self.fit(workdir)
+        lines = kernel.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))  # the first transition
+        kernel.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([
+            "transform", "--config", str(cfg), "--kernel", str(kernel),
+            "--out-dir", str(tmp / "tk"),
+        ]) == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "line 3" in line and named in line
+
+    def test_kernel_entries_off_by_rounding_read_back(self, workdir):
+        # solver kernels hold entries such as 1 + 2**-52 and -1e-16
+        tmp, cfg = workdir
+        schema = load_config(str(cfg)).schema
+        probs = identity_kernel(schema).probs.copy()
+        probs[0, 0, 0, 0] = np.nextafter(1.0, 2.0)
+        probs[0, 0, 1, :2] = [-1e-16, 1.0 + 1e-16]
+        kpath = tmp / "rounded.csv"
+        kernel = TransformKernel(schema, probs, {"fingerprint": "f"})
+        write_kernel(str(kpath), kernel)
+        np.testing.assert_array_equal(read_kernel(str(kpath), schema).probs, kernel.probs)
+        assert kernel.probs[0, 0, 0, 0] > 1.0
+
     def test_provenance_mismatch_refused_unless_overridden(self, workdir):
         tmp, cfg, kernel = self.fit(workdir)
         raw = yaml.safe_load(cfg.read_text())
@@ -386,6 +429,18 @@ class TestAuditAndSweep:
         assert lines[0].startswith("# fairmap-report fingerprint=")
         assert lines[1] == "epsilon,status,objective"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("grid, named", [
+        ("abc", "'abc'"), ("0.1,x", "'x'"), ("nan", "finite"), ("0.1,inf", "finite"),
+    ])
+    def test_sweep_refuses_unparsable_grid(self, workdir, capsys, grid, named):
+        tmp, cfg = workdir
+        assert main([
+            "sweep", "--config", str(cfg), "--eps-grid", grid,
+            "--out-dir", str(tmp / "sweep"),
+        ]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and named in line
 
     @pytest.mark.parametrize("strategy", ["sof_fix_conditional", "sof_alternating"])
     def test_sweep_refuses_factorized_strategies(self, workdir, capsys, strategy):

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from fairmap import distortion_matrix, evaluate_distortion
-from fairmap.config import config_from_dict, loads_config
+from fairmap.config import Filter, config_from_dict, loads_config
 from fairmap.constants import FORBIDDEN
 from fairmap.errors import ConfigError
 from fairmap.presets import preset_config, preset_dict, preset_names
@@ -106,6 +106,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, eps):
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_dict(tiny_config_dict(eps=eps))
+
     def test_conditioning_variable_must_be_a_feature(self):
         raw = tiny_config_dict()
         raw["discrimination"] = {
@@ -113,6 +118,57 @@ class TestValidation:
         }
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+
+class TestFilter:
+    """Every filter operator, on numeric and on string operands: a field
+    and a value that both read as numbers compare as numbers, anything
+    else compares as stripped strings."""
+
+    @pytest.mark.parametrize("op, value, raw, accepted", [
+        ("==", 3, "3.0", True),
+        ("==", 3, "4", False),
+        ("==", "x", " x ", True),
+        ("==", "x", "y", False),
+        ("!=", 3, "3", False),
+        ("!=", 3, "4", True),
+        ("!=", "x", "y", True),
+        ("!=", "x", "x", False),
+        ("<", 3, "2.5", True),
+        ("<", 3, "3", False),
+        ("<", 3, "10", False),  # a number, though "10" < "3" as strings
+        ("<", "b", "a", True),
+        ("<", "b", "c", False),
+        ("<", 3, "abc", False),  # "abc" is no number: "abc" < "3" is false
+        ("<=", 3, "3", True),
+        ("<=", 3, "3.5", False),
+        ("<=", "b", "b", True),
+        ("<=", "b", "c", False),
+        (">", 3, "10", True),
+        (">", 3, "3", False),
+        (">", "b", "c", True),
+        (">", "b", "a", False),
+        (">", 3, "abc", True),
+        (">=", 3, "3", True),
+        (">=", 3, "2", False),
+        (">=", "b", "b", True),
+        (">=", "b", "a", False),
+        ("in", ["a", 1], "1", True),
+        ("in", ["a", 1], " a", True),
+        ("in", ["a", 1], "b", False),
+        ("not_in", ["a", 1], "1", False),
+        ("not_in", ["a", 1], "b", True),
+        ("between", [1, 5], "3", True),
+        ("between", [1, 5], "5", True),
+        ("between", [1, 5], "0.5", False),
+        ("between", [1, 5], "abc", False),
+    ])
+    def test_accepts(self, op, value, raw, accepted):
+        assert Filter("col", op, value).accepts(raw) is accepted
+
+    def test_unknown_operator_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            Filter("col", "=~", "x")
 
 
 class TestPresets:

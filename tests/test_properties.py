@@ -1,6 +1,7 @@
 """Property tests over random small instances with zero-mass cells, in all
 three discrimination modes: the KL and l1 objectives share one feasible
-set, and an epsilon sweep's objective never increases.
+set, an epsilon sweep's objective never increases, and records sampled
+through a solved kernel follow its pushforward.
 
 Some feasible instances leave KL infinite on the whole feasible set (every
 feasible kernel zeroes a populated cell; a pairwise bound against a group
@@ -13,13 +14,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmap import (
+    Dataset,
     DiscriminationSpec,
     DistortionBudget,
     DistortionMetric,
     assemble,
+    derive_apply_kernel,
+    estimate_empirical,
     pushforward_xy,
     solve,
     sweep_epsilon,
+    transform_apply,
+    transform_train,
 )
 from fairmap.solver import STATUS_INFEASIBLE, STATUS_INFINITE, STATUS_OPTIMAL
 
@@ -101,3 +107,35 @@ def test_sweep_is_monotone_nonincreasing(seed):
             last = max(i for i, s in enumerate(statuses) if s == STATUS_INFINITE)
             assert STATUS_OPTIMAL not in statuses[:last]
         assert result.monotone_nonincreasing
+
+
+def within_binomial(counts: np.ndarray, probs: np.ndarray) -> bool:
+    """Category counts within 5 binomial standard deviations (+1) of n
+    draws from ``probs``."""
+    n = counts.sum()
+    sd = np.sqrt(n * probs * (1.0 - probs))
+    return bool((np.abs(counts - n * probs) <= 5.0 * sd + 1.0).all())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_sampled_records_follow_the_pushforward(seed):
+    pmf, spec, metric, budget = random_instance(seed)
+    sol = solve(assemble(pmf, spec, metric, budget, "l1"))
+    # an infeasible status comes with phase 1's kernel, row-stochastic too
+    assert sol.status in (STATUS_OPTIMAL, STATUS_INFEASIBLE)
+    schema, n = pmf.schema, 3000
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(pmf.mass.size, size=n, p=pmf.mass.ravel())
+    d, x, y = np.unravel_index(cells, pmf.mass.shape)
+    records = Dataset(schema, d, x, y)
+    # the pushforward of the records' own law: a sum of independent
+    # draws, whose spread the binomial one bounds
+    empirical = estimate_empirical(records)
+    q = pushforward_xy(empirical, sol.kernel)
+    train = transform_train(records, sol.kernel, seed)
+    counts = np.bincount(train.x * schema.ny + train.y, minlength=q.size)
+    assert within_binomial(counts, q.ravel())
+    mapper = derive_apply_kernel(sol.kernel, empirical)
+    applied = transform_apply(records, mapper, seed)
+    assert within_binomial(np.bincount(applied.x, minlength=schema.nx), q.sum(axis=1))
