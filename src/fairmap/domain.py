@@ -73,7 +73,8 @@ class Quantizer:
         ``drop_unmapped`` (used e.g. to remove sparse groups), and raise
         otherwise.
     kind "bins": numeric binning with right-open intervals; ``edges``
-        ascending, ``len(labels) == len(edges) + 1``.
+        ascending, ``len(labels) == len(edges) + 1``.  ±inf fall in the
+        outer bins; NaN raises ``ValueError``.
     """
 
     kind: str = "identity"
@@ -115,6 +116,8 @@ class Quantizer:
                 return Quantizer.DROP
             raise InvalidParamsError(f"unmapped value {raw!r}")
         value = float(raw)
+        if np.isnan(value):
+            raise ValueError("NaN falls in no bin")
         idx = int(np.searchsorted(self.edges, value, side="right"))
         return self.labels[idx]
 

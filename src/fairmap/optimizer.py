@@ -67,8 +67,8 @@ class TransformKernel:
                  self.schema.nx * self.schema.ny)
         if probs.shape != shape:
             raise InvalidParamsError(f"kernel must have shape {shape}")
-        if probs.min() < -1e-15:
-            raise InvalidParamsError("kernel has negative probabilities")
+        if not np.isfinite(probs).all() or probs.min() < -1e-15:
+            raise InvalidParamsError("kernel has negative or non-finite probabilities")
         sums = probs.sum(axis=3)
         if np.abs(sums - 1.0).max() > ROW_ATOL:
             raise InvalidParamsError("kernel rows must sum to 1")
@@ -161,12 +161,11 @@ class Solution:
 
     ``certificate`` is the optimality gap (optimal), the minimum total
     constraint violation (infeasible), or the last gap seen (iteration
-    limit).  For the l1 objective the gap is the LP's primal-dual gap as
-    computed from HiGHS's marginals, not clamped to ``tol``; it is NaN,
-    with ``diagnostics["certificate_note"]`` naming the cause, when the
-    marginals cannot give one.  For KL it is UB - LB: the objective plus
-    tie-break term at the returned kernel, minus the cut LP's dual bound
-    ``diagnostics["lower_bound"]``.  ``objective`` is NaN for infeasible
+    limit).  For both objectives the gap is UB - L: the objective plus
+    tie-break term at the returned kernel, minus ``solver.lagrangian_bound``
+    at an optimal LP's row duals (for KL the best over the cut LPs,
+    ``diagnostics["lower_bound"]``).  It is not clamped, so rounding can
+    make it about -1e-16.  ``objective`` is NaN for infeasible
     problems and +inf when the KL objective is infinite on the whole
     feasible set (status ``infinite_objective``); ``diagnostics[
     "uncovered_cell"]`` then names the (x_hat, y_hat) cell that no

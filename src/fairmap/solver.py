@@ -13,17 +13,20 @@ Two solve paths:
 * KL objective: Kelley's cutting-plane method.  The objective is
   separable in the image q = A k, so each iteration is one LP of the same
   [k, aux] shape, with tangent cuts of -log standing in for the
-  objective; the gap between the true objective at the best iterate and
-  the LP's dual bound is the certificate and the termination criterion.
-  The cut LPs of one solve are one persistent HiGHS model that gains each
-  iteration's cut rows and restarts from the last basis.
+  objective.  The cut LPs of one solve are one persistent HiGHS model
+  that gains each iteration's cut rows and restarts from the last basis.
 
-Every LP is laid out by ``_lp`` as one HiGHS model (``_LPModel``, on
-SciPy's bundled HiGHS bindings ``scipy.optimize._highspy``): the l1 LP,
-phase 1 and the KL start LP run once, cold; the KL cut LPs are one model
-that gains rows.  Every LP adds a tiny identity-deviation term to the
-objective so that ties between algebraically equivalent optima break
-deterministically toward the least-randomizing kernel.
+Both certify a kernel by UB - L: the objective with its tie-break term
+at the kernel, minus ``lagrangian_bound`` at an optimal LP's row duals
+(a bound for any multipliers; only the duals' sign is trusted, and it is
+enforced).  For KL, UB - L is also the termination criterion.
+
+Every LP is one HiGHS model (``_LPModel``, on SciPy's bundled HiGHS
+bindings ``scipy.optimize._highspy``): the l1 LP, phase 1 and the KL
+start LP run once, cold; the KL cut LPs are one model that gains rows.
+Every LP adds a tiny identity-deviation term to the objective so that
+ties between algebraically equivalent optima break deterministically
+toward the least-randomizing kernel.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog  # noqa: F401  (uncalled; bench/spans.py wraps this name)
 from scipy.optimize._highspy import _core as _highs
+from scipy.special import xlogy
 
 from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, TIE_BREAK_WEIGHT
 from .domain import kl_divergence
@@ -137,28 +141,34 @@ class _Run(NamedTuple):
     status: str  # STATUS_OPTIMAL, STATUS_INFEASIBLE or STATUS_ITERATION_LIMIT
     x: np.ndarray | None  # None when HiGHS holds no primal
     objective: float  # HiGHS's primal objective
-    dual: float  # the dual objective; NaN unless optimal with duals
+    row_dual: np.ndarray | None  # in HiGHS's row order; None unless optimal with duals
     iterations: int  # simplex iterations of this run
 
 
 class _LPModel:
-    """A HiGHS model of min c . x over x = [k, aux] s.t. ``<=`` rows, the
-    simplex rows (each sums to 1) and 0 <= x <= ub, as ``_lp`` lays it out.
-    ``add_rows`` appends ``<=`` rows, and every ``run`` after the first
-    restarts the dual simplex from the basis of the run before.  HiGHS
-    holds the rows as [``<=`` rows; simplex rows; appended rows]."""
+    """The HiGHS model, named ``name`` in errors, of min c_k . k + c_aux . aux
+    over x = [k, aux] s.t. G k + g_aux aux <= h (g_aux zero when omitted),
+    ``rows @ x <= rhs``, the program's simplex rows, 0 <= k <= 1 and
+    aux >= 0.  HiGHS holds the rows as [G; ``rows``; simplex rows; appended
+    rows].  ``add_rows`` appends ``<=`` rows, and every ``run`` after the
+    first restarts the dual simplex from the basis of the run before."""
 
-    def __init__(self, name: str, c: np.ndarray, A_ub: sp.csr_matrix,
-                 b_ub: np.ndarray, A_eq: sp.csr_matrix, ub: np.ndarray):
-        A = sp.vstack([A_ub, A_eq], format="csc")
-        self.name, self.ub, self.b_ub = name, ub, [b_ub]
-        self.eq = slice(b_ub.size, b_ub.size + A_eq.shape[0])
+    def __init__(self, name: str, prog: SimplexImageProgram, c_k: np.ndarray, c_aux,
+                 g_aux=None, rows=None, rhs=None):
+        self.name, n_aux = name, len(c_aux)
+        aux = sp.csr_matrix((prog.h.size, n_aux)) if g_aux is None else g_aux
+        if rows is None:
+            rows, rhs = sp.csr_matrix((0, prog.n_vars + n_aux)), np.zeros(0)
+        A = sp.vstack([sp.hstack([prog.G, aux]), rows, sp.hstack(
+            [prog.row_sum_matrix(), sp.csr_matrix((prog.n_rows, n_aux))])], format="csc")
+        ones = np.ones(prog.n_rows)
         model = _highs.HighsLp()
         model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
-        model.col_cost_, model.col_lower_, model.col_upper_ = c, np.zeros(ub.size), ub
-        ones = np.ones(A_eq.shape[0])
-        model.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), ones])
-        model.row_upper_ = np.concatenate([b_ub, ones])
+        model.col_cost_ = np.concatenate([c_k, c_aux])
+        model.col_lower_ = np.zeros(A.shape[1])
+        model.col_upper_ = np.concatenate([np.ones(prog.n_vars), np.full(n_aux, np.inf)])
+        model.row_lower_ = np.concatenate([np.full(A.shape[0] - ones.size, -np.inf), ones])
+        model.row_upper_ = np.concatenate([prog.h, rhs, ones])
         matrix = model.a_matrix_
         matrix.format_ = _highs.MatrixFormat.kColwise
         matrix.num_col_, matrix.num_row_ = A.shape[1], A.shape[0]
@@ -183,16 +193,14 @@ class _LPModel:
         A model that gains rows is solved with max-value scaling (4): under
         HiGHS's default scaling a warm-started primal's simplex-row sums
         drift past what a kernel row may miss 1 by (1e-9), and unscaled (0)
-        the cut LP optimum of an identity-optimal instance can end up to
-        2e-9 above the true optimum, so LB passes it.  LPs that run once
-        keep the default scaling."""
+        the cut LP of an identity-optimal instance can end up to 2e-9 off
+        its optimum.  LPs that run once keep the default scaling."""
         self._set("simplex_scale_strategy", 4)
         self._ok(self.highs.addRows(
             rows.shape[0], np.full(rows.shape[0], -np.inf), rhs, rows.nnz,
             rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32),
             rows.data,
         ), "addRows")
-        self.b_ub.append(rhs)
 
     def run(self, *allowed: str, max_iters: int | None = None) -> _Run:
         """Solve, within ``max_iters`` simplex iterations if given.  An
@@ -211,50 +219,10 @@ class _LPModel:
             )
         sol, info = self.highs.getSolution(), self.highs.getInfo()
         x = np.asarray(sol.col_value) if sol.value_valid else None
-        dual = float("nan")
-        if status == STATUS_OPTIMAL and sol.dual_valid:
-            row_dual, col_dual = np.asarray(sol.row_dual), np.asarray(sol.col_dual)
-            # a column at its upper bound has that bound's multiplier as its
-            # reduced cost (lower bounds are all 0)
-            dual = _dual_objective(
-                np.delete(row_dual, self.eq), np.concatenate(self.b_ub),
-                row_dual[self.eq], np.where(x >= self.ub, col_dual, 0.0), self.ub,
-            )
-        return _Run(status, x, float(info.objective_function_value), dual,
+        row_dual = (np.asarray(sol.row_dual)
+                    if status == STATUS_OPTIMAL and sol.dual_valid else None)
+        return _Run(status, x, float(info.objective_function_value), row_dual,
                     int(info.simplex_iteration_count))
-
-
-def _lp(name: str, prog: SimplexImageProgram, c_k: np.ndarray, c_aux,
-        g_aux=None, rows=None, rhs=None) -> _LPModel:
-    """The HiGHS model, named ``name`` in errors, of an LP over the
-    variables [k, aux].
-
-    Minimizes c_k . k + c_aux . aux subject to the program's simplex rows
-    and side constraints (``g_aux`` holds the auxiliary columns of the
-    side-constraint rows; zero when omitted) plus ``rows @ [k, aux] <=
-    rhs``.  Kernel entries lie in [0, 1]; auxiliary variables are
-    nonnegative.
-    """
-    n_aux = len(c_aux)
-    m = int(prog.h.size)
-    A_ub, b_ub = [], []
-    if m:
-        aux = sp.csr_matrix((m, n_aux)) if g_aux is None else g_aux
-        A_ub.append(sp.hstack([prog.G, aux], format="csr"))
-        b_ub.append(prog.h)
-    if rows is not None:
-        A_ub.append(rows)
-        b_ub.append(rhs)
-    A_eq = sp.hstack([prog.row_sum_matrix(), sp.csr_matrix((prog.n_rows, n_aux))],
-                     format="csr")
-    return _LPModel(
-        name,
-        np.concatenate([c_k, c_aux]),
-        sp.vstack(A_ub, format="csr") if A_ub else sp.csr_matrix((0, A_eq.shape[1])),
-        np.concatenate(b_ub) if b_ub else np.zeros(0),
-        A_eq,
-        np.concatenate([np.ones(prog.n_vars), np.full(n_aux, np.inf)]),
-    )
 
 
 def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict]:
@@ -266,7 +234,8 @@ def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict
     ``disc[pairwise]``, ``dist[expected]`` or ``pin``), whose units differ.
     """
     n, m = prog.n_vars, int(prog.h.size)
-    x = _lp("phase-1 LP", prog, np.zeros(n), np.ones(m), -sp.identity(m, format="csr")).run().x
+    x = _LPModel("phase-1 LP", prog, np.zeros(n), np.ones(m),
+                 -sp.identity(m, format="csr")).run().x
     kvec = x[:n]
     if m == 0:
         return 0.0, kvec, {}
@@ -284,13 +253,34 @@ def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict
     return float(svec.sum()), kvec, diag
 
 
-def _dual_objective(ineq: np.ndarray, b_ub: np.ndarray, eq: np.ndarray,
-                    upper: np.ndarray, ub: np.ndarray) -> float:
-    """An LP's dual objective from the multipliers of its ``<=`` rows, its
-    simplex rows (which all equal 1) and its columns' upper bounds (lower
-    bounds are all 0)."""
-    finite = np.isfinite(ub)
-    return float(ineq @ b_ub) + float(eq.sum()) + float(upper[finite] @ ub[finite])
+def lagrangian_bound(prog: SimplexImageProgram, lam: np.ndarray, mu: np.ndarray,
+                     kl: bool) -> float:
+    """The weak-duality bound L <= the optimum of ``prog`` (tie-break
+    included) at any multipliers ``lam`` of G k <= h (clipped at 0) and
+    ``mu`` of q = A k, the divergence's image: the Lagrangian minimized
+    over kernels and over q,
+
+    L = tau n_rows - lam . h + sum_j phi_j(mu_j)
+        + sum over simplex rows of min_i (G^T lam - A^T mu - tau anchor)_i
+
+    with tau = TIE_BREAK_WEIGHT and phi_j(mu) = min over q of term j of
+    the divergence plus mu q.  For KL, 0 <= q <= 1 (A's weights are a
+    pmf): phi_j(mu) = p_j + p_j log mu if mu >= p_j, else mu + p_j log p_j
+    (0 log 0 = 0).  For l1, mu is clipped to [-1, 1] and phi_j = mu p_j.
+    """
+    lam = np.maximum(lam, 0.0)
+    p = prog.p_ref
+    if kl:
+        # q_j = p_j / mu_j when that is at most 1, else q_j = 1
+        phi = np.where(mu >= p, p + xlogy(p, np.maximum(mu, p)), mu + xlogy(p, p))
+    else:
+        mu = np.clip(mu, -1.0, 1.0)
+        phi = mu * p
+    reduced = prog.G.T @ lam - prog.A.T @ mu - TIE_BREAK_WEIGHT * prog.anchor
+    # every simplex row holds a variable whenever an LP is optimal (an
+    # empty row cannot sum to 1), so no reduceat segment is empty
+    return (TIE_BREAK_WEIGHT * prog.n_rows - float(lam @ prog.h) + float(phi.sum())
+            + float(np.minimum.reduceat(reduced, prog.row_ptr[:-1]).sum()))
 
 
 def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
@@ -298,12 +288,11 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     """Exact LP solve of the total-variation (l1) objective."""
     if tol <= 0:
         raise InvalidParamsError("tol must be positive")
-    n = prog.n_vars
-    n_img = int(prog.p_ref.size)
+    n, m, n_img = prog.n_vars, int(prog.h.size), int(prog.p_ref.size)
     # variables [k, u]; u_j >= |p_j - (A k)_j|
     A = prog.A
     I = sp.identity(n_img, format="csr")
-    run = _lp(
+    run = _LPModel(
         "l1 LP", prog, -TIE_BREAK_WEIGHT * prog.anchor, np.ones(n_img),
         rows=sp.vstack([sp.hstack([-A, -I]), sp.hstack([A, -I])], format="csr"),
         rhs=np.concatenate([-prog.p_ref, prog.p_ref]),
@@ -325,10 +314,14 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
         )
     kvec = run.x[:n]
     objective = float(np.abs(prog.p_ref - prog.image(kvec)).sum())
-    gap = abs(run.objective - run.dual)  # NaN when HiGHS reported no duals
+    # HiGHS's duals of ``<=`` rows are <= 0 (zero multipliers when it
+    # reported none); nu_j prices (A k)_j in both rows of |p_j - (A k)_j|
+    y = -run.row_dual if run.row_dual is not None else np.zeros(m + 2 * n_img)
+    lower = lagrangian_bound(prog, y[:m], y[m:m + n_img] - y[m + n_img:m + 2 * n_img],
+                             kl=False)
     return SolveOutcome(
-        STATUS_OPTIMAL, kvec, objective, gap, prog.residual(kvec), run.iterations,
-        {"certificate_note": "HiGHS reported no dual values"} if np.isnan(gap) else {},
+        STATUS_OPTIMAL, kvec, objective, objective + prog.tie_term(kvec) - lower,
+        prog.residual(kvec), run.iterations,
     )
 
 
@@ -342,9 +335,10 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     by its tangents at the images seen so far, then adds the tangents at
     the new image.  The cut LPs are one HiGHS model that gains each
     iteration's tangent rows, so each solve restarts from the basis of
-    the one before.  The LP's dual objective bounds the optimum from
-    below (LB) and the objective at the best iterate from above (UB); the
-    loop stops once UB - LB <= ``tol``, and UB - LB is the certificate.
+    the one before.  ``lagrangian_bound`` at each cut LP's multipliers
+    bounds the optimum from below (LB is the best such bound) and the
+    objective at the best iterate bounds it from above (UB); the loop
+    stops once UB - LB <= ``tol``, and UB - LB is the certificate.
 
     When every feasible kernel leaves a supported cell uncovered, the
     objective is infinite on the whole feasible set: the status is
@@ -353,14 +347,14 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     """
     if tol <= 0:
         raise InvalidParamsError("tol must be positive")
-    n = prog.n_vars
+    n, m = prog.n_vars, int(prog.h.size)
     sup = np.nonzero(prog.p_ref > 0)[0]
     p = prog.p_ref[sup]
     A_sup = prog.A[sup]
 
     # start from a feasible point that covers the supported image cells:
     # maximize t subject to (A k)_j >= t * p_j on the support
-    start = _lp(
+    start = _LPModel(
         "KL start LP", prog, np.zeros(n), [-1.0],
         rows=sp.hstack([-A_sup, sp.csr_matrix(p.reshape(-1, 1))], format="csr"),
         rhs=np.zeros(sup.size),
@@ -389,8 +383,7 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
 
     best_ub = upper(best)
     lower = -np.inf
-    # LB = this + the cut LP's optimum (its objective drops both terms)
-    offset = float(p @ np.log(p)) + TIE_BREAK_WEIGHT * prog.n_rows
+    mu = np.zeros(prog.p_ref.size)  # off the support, q_j is priced at 0
     q_hat = A_sup @ best  # positive: the start covers every supported cell
     low = q_hat
     # variables [k, q, t]: q_j <= (A k)_j and t_j above the tangents of
@@ -399,7 +392,7 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     # nonzeros (at q_j and t_j) instead of a row of A
     n_sup = sup.size
     eye = sp.identity(n_sup, format="csr")
-    model = _lp(
+    model = _LPModel(
         "cut LP", prog, -TIE_BREAK_WEIGHT * prog.anchor, np.concatenate([np.zeros(n_sup), p]),
         rows=sp.hstack([-A_sup, eye, sp.csr_matrix((n_sup, n_sup))], format="csr"),
         rhs=np.zeros(n_sup),
@@ -407,8 +400,8 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     cut_cols = np.column_stack([n + np.arange(n_sup), n + n_sup + np.arange(n_sup)])
     iters = 0
     while best_ub - lower > tol and iters < max_iters:
-        # tangent at q_hat: t_j >= -log q_hat_j + 1 - q_j / q_hat_j; _lp
-        # keeps q, t >= 0, which cuts nothing off since 0 <= (A k)_j <= 1
+        # tangent at q_hat: t_j >= -log q_hat_j + 1 - q_j / q_hat_j; the
+        # model keeps q, t >= 0, which cuts nothing off since 0 <= (A k)_j <= 1
         model.add_rows(
             sp.csr_matrix(
                 (np.column_stack([-1.0 / q_hat, -np.ones(n_sup)]).ravel(),
@@ -420,7 +413,10 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
         run = model.run()
         iters += 1
         simplex_iterations.append(run.iterations)
-        lower = max(lower, offset + run.dual)
+        # the multipliers of G k <= h and of q <= A k, as in solve_tv
+        y = -run.row_dual if run.row_dual is not None else np.zeros(m + n_sup)
+        mu[sup] = y[m:m + n_sup]
+        lower = max(lower, lagrangian_bound(prog, y[:m], mu, kl=True))
         kvec = run.x[:n]
         value = upper(kvec)
         if value < best_ub:

@@ -54,8 +54,8 @@ class ApplyMapper:
         nd, nx = self.schema.nd, self.schema.nx
         if rows.shape != (nd, nx, nx):
             raise InvalidParamsError(f"mapper must have shape {(nd, nx, nx)}")
-        if rows.min() < 0:
-            raise InvalidParamsError("mapper has negative probabilities")
+        if not np.isfinite(rows).all() or rows.min() < 0:
+            raise InvalidParamsError("mapper has negative or non-finite probabilities")
         if np.abs(rows.sum(axis=2) - 1.0).max() > ROW_ATOL:
             raise InvalidParamsError("mapper rows must sum to 1")
         rows.flags.writeable = False

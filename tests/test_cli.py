@@ -133,6 +133,7 @@ class TestFit:
     @pytest.mark.parametrize("rows", [
         ["a,u,1,0", "b,v,0,x1"],  # a stream id that is no integer
         ["a,u,1,0", "b,abc,0,1"],  # a value the bins cannot parse
+        ["a,u,1,0", "b,nan,0,1"],  # a value no bin holds
     ])
     def test_unparsable_field_is_data_error(self, tmp_path, rows, capsys):
         data = tmp_path / "bad.csv"

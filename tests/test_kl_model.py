@@ -184,6 +184,10 @@ def test_private_highs_api_smoke():
                             np.array([0, 1], dtype=np.int32),
                             np.array([1.0, 1.0])) == highs.HighsStatus.kOk
         warm_iterations = solved(warm, -2.5, 3)
+        # solver.lagrangian_bound trusts only the sign of the row duals:
+        # those of ``<=`` rows are <= 0, and the binding cut's is -1
+        row_dual = np.asarray(warm.getSolution().row_dual)
+        assert (row_dual <= 0).all() and row_dual[2] == pytest.approx(-1.0), row_dual
         cold = build(3, *three, np.full(3, -np.inf), np.array([4.0, 6.0, 2.5]))
         assert warm_iterations < solved(cold, -2.5, 3)
 

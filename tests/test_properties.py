@@ -1,7 +1,8 @@
 """Property tests over random small instances with zero-mass cells, in all
 three discrimination modes: the KL and l1 objectives share one feasible
-set, an epsilon sweep's objective never increases, and records sampled
-through a solved kernel follow its pushforward.
+set, an epsilon sweep's objective never increases, the Lagrangian bound
+never exceeds a solved optimum, and records sampled through a solved
+kernel follow its pushforward.
 
 Some feasible instances leave KL infinite on the whole feasible set (every
 feasible kernel zeroes a populated cell; a pairwise bound against a group
@@ -9,7 +10,11 @@ pinned to one outcome does it).  ``solve_kl`` returns the status
 ``infinite_objective`` for them, naming the cell, and the tests check that
 cause instead of leaving such instances out."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +32,15 @@ from fairmap import (
     transform_apply,
     transform_train,
 )
-from fairmap.solver import STATUS_INFEASIBLE, STATUS_INFINITE, STATUS_OPTIMAL
+from fairmap import solver
+from fairmap.solver import (
+    STATUS_INFEASIBLE,
+    STATUS_INFINITE,
+    STATUS_OPTIMAL,
+    lagrangian_bound,
+    solve_kl,
+    solve_tv,
+)
 
 from conftest import make_schema, random_pmf
 
@@ -107,6 +120,44 @@ def test_sweep_is_monotone_nonincreasing(seed):
             last = max(i for i, s in enumerate(statuses) if s == STATUS_INFINITE)
             assert STATUS_OPTIMAL not in statuses[:last]
         assert result.monotone_nonincreasing
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["l1", "kl"]))
+def test_lagrangian_bound_never_exceeds_the_optimum(seed, objective):
+    # weak duality: L is a bound for any multipliers once lambda is
+    # clipped at 0 (and the l1 multipliers to [-1, 1]).  Besides the
+    # solver's own multipliers, L is taken at multipliers that an
+    # unclipped formula gets wrong: -1 on a side row every kernel meets
+    # (0 <= 1), which would lift L by 1, and the solver's multipliers
+    # scaled up, which would scale L up with them
+    prog = assemble(*random_instance(seed), objective).program
+    kl = objective == "kl"
+    calls = []
+
+    def recorded(prog, lam, mu, kl):
+        calls.append((lam.copy(), mu.copy()))
+        return lagrangian_bound(prog, lam, mu, kl)
+
+    with mock.patch.object(solver, "lagrangian_bound", recorded):
+        out = (solve_kl if kl else solve_tv)(prog)
+    if out.status != STATUS_OPTIMAL:
+        return
+    assert calls
+    upper = out.objective + prog.tie_term(out.kvec)
+    wider = replace(prog, G=sp.vstack([prog.G, sp.csr_matrix((1, prog.n_vars))], format="csr"),
+                    h=np.append(prog.h, 1.0), labels=prog.labels + ("always",))
+    rng = np.random.default_rng(seed)
+    for lam, mu in calls:
+        assert lagrangian_bound(prog, lam, mu, kl) <= upper + 1e-12
+        scale = rng.uniform(1.5, 4.0)
+        drawn = [
+            (np.append(lam, -1.0), mu),
+            (np.append(scale * lam, 0.0), scale * mu),
+            (rng.normal(scale=scale, size=lam.size + 1), rng.normal(scale=scale, size=mu.size)),
+        ]
+        for lam_r, mu_r in drawn:
+            assert lagrangian_bound(wider, lam_r, mu_r, kl) <= upper + 1e-12
 
 
 def within_binomial(counts: np.ndarray, probs: np.ndarray) -> bool:

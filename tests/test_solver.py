@@ -469,7 +469,9 @@ class TestLPBuilder:
         assert diag == {}
         assert problem.program.residual(kvec) <= 1e-9
 
-    def test_l1_certificate_without_duals_is_nan_with_note(self, monkeypatch):
+    def test_l1_certificate_without_duals_uses_zero_multipliers(self, monkeypatch):
+        # the Lagrangian bound at zero multipliers is 0, so the certificate
+        # is the objective with its tie-break term: finite, with no note
         import fairmap.solver as solver
 
         class WithoutDuals(solver._highs._Highs):
@@ -479,11 +481,11 @@ class TestLPBuilder:
                 return sol
 
         monkeypatch.setattr(solver._highs, "_Highs", WithoutDuals)
-        pmf = two_group_pmf()
-        sol = solve(assemble(pmf, DiscriminationSpec(epsilon=0.5), objective="l1"))
-        assert sol.status == "optimal"
-        assert np.isnan(sol.certificate)
-        assert "dual" in sol.diagnostics["certificate_note"]
+        prog = assemble(two_group_pmf(), DiscriminationSpec(epsilon=0.5), objective="l1").program
+        out = solve_tv(prog)
+        assert out.status == "optimal"
+        assert out.certificate == out.objective + prog.tie_term(out.kvec)
+        assert np.isfinite(out.certificate) and out.diagnostics == {}
 
     @staticmethod
     def two_group_l1():

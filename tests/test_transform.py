@@ -20,9 +20,9 @@ from fairmap import (
     transform_apply,
     transform_train,
 )
-from fairmap.errors import MissingOutcomeError
+from fairmap.errors import InvalidParamsError, MissingOutcomeError
 from fairmap.optimizer import TransformKernel
-from fairmap.transform import SeedSpec, _philox_uniforms, _sample_categories
+from fairmap.transform import ApplyMapper, SeedSpec, _philox_uniforms, _sample_categories
 
 from conftest import make_schema, random_pmf
 
@@ -34,6 +34,21 @@ def flip_metric(cost01=1.0, cost10=1.0):
         y_table=np.array([[0.0, cost01], [cost10, 0.0]]),
         combiner="sum",
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_refused(bad):
+    # NaN compares false both ways, so range and row-sum checks alone let
+    # it through
+    schema = make_schema(nx=2)
+    probs = identity_kernel(schema).probs.copy()
+    probs[0, 1, 0, 3] = bad
+    with pytest.raises(InvalidParamsError, match="non-finite"):
+        TransformKernel(schema, probs)
+    rows = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
+    rows[1, 0, 1] = bad
+    with pytest.raises(InvalidParamsError, match="non-finite"):
+        ApplyMapper(schema, rows)
 
 
 class TestDeriveApplyKernel:
