@@ -343,30 +343,29 @@ def cmd_audit(args) -> int:
     elif transformed is not None:
         emp = audit_discrimination(transformed, spec, target=target)
         payload["discrimination_empirical"] = _discrimination_section(emp, schema)
-        p_emp = estimate_empirical(transformed) if transformed.has_outcomes else None
-        if p_emp is not None:
-            payload["utility_empirical"] = {
-                "l1": l1_distance(pmf.p_xy(), p_emp.p_xy()),
+        p_emp = estimate_empirical(transformed)
+        payload["utility_empirical"] = {
+            "l1": l1_distance(pmf.p_xy(), p_emp.p_xy()),
+        }
+        if config.metric is not None:
+            thresholds = (
+                [t for t, _ in config.budget.pairs]
+                if config.budget.mode == "thresholded"
+                else []
+            )
+            summary = audit_distortion(
+                original, transformed, config.metric, thresholds=thresholds
+            )
+            payload["distortion"] = {
+                "mean": summary.mean,
+                "max": summary.max,
+                "exceedance": summary.exceedance,
             }
-            if config.metric is not None:
-                thresholds = (
-                    [t for t, _ in config.budget.pairs]
-                    if config.budget.mode == "thresholded"
-                    else []
-                )
-                summary = audit_distortion(
-                    original, transformed, config.metric, thresholds=thresholds
-                )
-                payload["distortion"] = {
-                    "mean": summary.mean,
-                    "max": summary.max,
-                    "exceedance": summary.exceedance,
-                }
 
     _write_json(os.path.join(out_dir, "audit_report.json"), payload)
     lines = ["fairmap audit", f"  fingerprint {config.fingerprint()}"]
     lines += ["", "Outcome rates by group (before / after):"]
-    lines += _rates_table(before, after if after is not None else None, schema)
+    lines += _rates_table(before, after, schema)
     if after is not None:
         lines += ["", f"  max J after (analytic): {after.max_j:.6f}"]
     if "utility" in payload:

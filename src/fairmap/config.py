@@ -1,10 +1,11 @@
 """Pipeline configuration: a single YAML document describing ingestion,
 schema, fairness specs, objective, solver settings, and outputs.
 
-Configurations round-trip losslessly (load -> serialize -> load is the
-identity on the canonical form) and carry a seed-independent fingerprint
-over everything that determines the learned kernel; artifacts embed the
-fingerprint so audits can refuse mismatched inputs.
+One field table states every key with its default and converter, so the
+filled form is canonical (load -> serialize -> load is the identity) and
+configs that compile alike fingerprint alike.  The fingerprint covers
+everything that determines the learned kernel; artifacts embed it so
+audits can refuse mismatched inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
 import yaml
 
 from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, FORBIDDEN
@@ -34,7 +34,6 @@ from .errors import ConfigError
 
 _COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-FILTER_OPS = (*_COMPARISONS, "in", "not_in", "between")
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class Filter:
     value: object
 
     def __post_init__(self):
-        if self.op not in FILTER_OPS:
+        if self.op not in _OPERANDS:
             raise ConfigError(f"unknown filter op {self.op!r}")
 
     def accepts(self, raw: str) -> bool:
@@ -70,10 +69,10 @@ class Filter:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
-    strategy: str = "full"  # full | sof_fix_conditional | sof_alternating
-    max_outer: int = 100
+    tol: float
+    max_iters: int
+    strategy: str  # full | sof_fix_conditional | sof_alternating
+    max_outer: int
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -104,10 +103,10 @@ class PipelineConfig:
     def fingerprint(self) -> str:
         """Hash of the kernel-determining parts; seed and paths excluded."""
         parts = {
-            k: self.raw.get(k)
+            k: self.raw[k]
             for k in ("schema", "discrimination", "distortion", "objective", "solver")
         }
-        blob = json.dumps(parts, sort_keys=True, default=str).encode()
+        blob = json.dumps(parts, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def to_dict(self) -> dict:
@@ -117,159 +116,192 @@ class PipelineConfig:
         return yaml.safe_dump(self.to_dict(), sort_keys=True)
 
 
-# the numeric fields, as (section or None, key, type): ``_canonical``
-# fills their defaults and ``config_from_dict`` converts them, so that a
-# malformed value is reported under its own name
-_NUMBERS = (
-    ("discrimination", "min_cell_count", int),
-    ("solver", "tol", float),
-    ("solver", "max_iters", int),
-    ("solver", "max_outer", int),
-    (None, "seed", int),
-)
+# -- the field table ---------------------------------------------------------
+# A table maps each key to (default, converter).  A converter takes a value
+# and its dotted path and returns the canonical value; it runs on defaults
+# too, so an absent section is filled like a written one.  A field whose
+# default is null may be null.
+
+REQUIRED = object()  # default of a field that must be written
 
 
-def _canonical(raw: dict) -> dict:
-    """Fill defaults so equal configurations serialize identically (the
-    ``_NUMBERS`` fields still to be converted)."""
-    inp, disc, solver = (raw.get(k, {}) for k in ("input", "discrimination", "solver"))
-    out = {
-        "input": {
-            "path": inp.get("path", ""),
-            "delimiter": inp.get("delimiter", ","),
-            "has_header": bool(inp.get("has_header", True)),
-            "columns": inp.get("columns"),
-        },
-        "schema": {
-            "variables": [
-                {
-                    "name": v["name"],
-                    "role": v["role"],
-                    "categories": [str(c) for c in v["categories"]],
-                    "ordinal": bool(v.get("ordinal", False)),
-                    "quantizer": v.get("quantizer"),
-                }
-                for v in raw.get("schema", {}).get("variables", [])
-            ],
-            "filters": [
-                {"column": f["column"], "op": f["op"], "value": f["value"]}
-                for f in raw.get("schema", {}).get("filters", [])
-            ],
-        },
-        "discrimination": {
-            "mode": disc.get("mode", "target"),
-            "epsilon": disc.get("epsilon", 0.1),
-            "target": disc.get("target"),
-            "condition_on": list(disc.get("condition_on", [])),
-            "min_cell_count": disc.get("min_cell_count", 20),
-        },
-        "distortion": raw.get("distortion"),
-        "objective": raw.get("objective", "kl"),
-        "solver": {
-            "tol": solver.get("tol", DEFAULT_TOL),
-            "max_iters": solver.get("max_iters", DEFAULT_MAX_ITERS),
-            "strategy": solver.get("strategy", "full"),
-            "max_outer": solver.get("max_outer", 100),
-        },
-        "seed": raw.get("seed", 0),
-        "output": {"dir": raw.get("output", {}).get("dir", "out")},
-    }
-    dist = out["distortion"]
-    if dist is not None:
-        metric = dist.get("metric", {})
-        canon_metric = {"kind": metric.get("kind", "per_attribute")}
-        if canon_metric["kind"] == "per_attribute":
-            canon_metric["combiner"] = metric.get("combiner", "sum_of_squares")
-            canon_metric["attributes"] = metric.get("attributes", {})
-        else:
-            canon_metric["rules"] = metric.get("rules", [])
-        budget = dist.get("budget", {})
-        canon_budget = {"mode": budget.get("mode", "expected")}
-        if canon_budget["mode"] == "expected":
-            canon_budget["c"] = budget.get("c", 0.0)
-        else:
-            canon_budget["pairs"] = [
-                [float(t), float(b)] for t, b in budget.get("pairs", [])
-            ]
-        out["distortion"] = {"metric": canon_metric, "budget": canon_budget}
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or 'configuration'}: not a mapping")
+    return value
+
+
+def _fill(value, fields: dict, path: str) -> dict:
+    """``value`` converted field by field, absent fields at their default;
+    a missing required field or an unknown one is a ``ConfigError``."""
+    for key in _mapping(value, path):
+        if key not in fields:
+            raise ConfigError(f"{_at(path, key)}: unknown field")
+    out = {}
+    for key, (default, convert) in fields.items():
+        if key not in value and default is REQUIRED:
+            raise ConfigError(f"{_at(path, key)}: missing field")
+        v = value.get(key, default)
+        out[key] = None if v is None and default is None else convert(v, _at(path, key))
     return out
 
 
-def _build_quantizer(spec: Optional[dict]) -> Optional[Quantizer]:
-    if spec is None:
-        return None
-    kind = spec.get("kind", "identity")
-    if kind == "identity":
-        return Quantizer("identity")
-    if kind == "map":
-        return Quantizer(
-            "map",
-            mapping={str(k): str(v) for k, v in spec.get("mapping", {}).items()},
-            default=spec.get("default"),
-            drop_unmapped=bool(spec.get("drop_unmapped", False)),
-        )
-    if kind == "bins":
-        return Quantizer(
-            "bins",
-            edges=tuple(float(e) for e in spec["edges"]),
-            labels=tuple(str(l) for l in spec["labels"]),
-        )
-    raise ConfigError(f"unknown quantizer kind {kind!r}")
+def _scalar(kind, types=(str, int, float)):
+    """Converter of one value of ``types`` through ``kind``."""
+    def convert(value, path):
+        if not isinstance(value, types):
+            raise ConfigError(f"{path}: unexpected {type(value).__name__} {value!r}")
+        try:
+            return kind(value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    return convert
 
 
-def _build_schema(raw: dict) -> Schema:
-    return Schema(tuple(
-        Variable(Alphabet(v["name"], tuple(v["categories"]), ordinal=v["ordinal"]),
-                 v["role"], _build_quantizer(v["quantizer"]))
-        for v in raw["schema"]["variables"]
-    ))
+_str, _int, _float, _bool = _scalar(str), _scalar(int), _scalar(float), _scalar(bool, bool)
+_value = _scalar(lambda v: v)  # a filter operand, compared as a number or text
 
 
-def _epsilon_from_config(raw_eps, schema: Schema, mode: str):
-    if isinstance(raw_eps, (int, float)):
-        return float(raw_eps)
-    if not isinstance(raw_eps, list):
-        raise ConfigError("epsilon must be a number or a list of entries")
-    eps = {}
-    for entry in raw_eps:
-        y = schema.y_from_label(str(entry["y"]))
-        value = float(entry["value"])
-        if mode == "pairwise":
-            key = (y, schema.d_from_label(entry["d1"]), schema.d_from_label(entry["d2"]))
-        elif mode == "conditional":
-            key = (y, schema.d_from_label(entry["d"]), int(entry["b"]))
-        else:
-            key = (y, schema.d_from_label(entry["d"]))
-        eps[key] = value
-    return eps
+def _list(item, length=None):
+    def convert(value, path):
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            raise ConfigError(f"{path}: {value!r} is not a list"
+                              + (f" of {length}" if length else ""))
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return convert
 
 
-def _build_discrimination(raw: dict, schema: Schema) -> DiscriminationSpec:
-    d = raw["discrimination"]
-    target = d["target"]
-    if target is not None:
-        target = np.asarray([float(t) for t in target])
-    x_names = {v.name for v in schema.x_vars}
-    for name in d["condition_on"]:
-        if name not in x_names:
-            raise ConfigError(
-                f"condition_on variable {name!r} is not a feature variable"
-            )
-    return DiscriminationSpec(
-        mode=d["mode"],
-        target=target,
-        epsilon=_epsilon_from_config(d["epsilon"], schema, d["mode"]),
-        condition_on=tuple(d["condition_on"]),
-        min_cell_count=d["min_cell_count"],
-    )
+def _dict(key, item):
+    return lambda value, path: {
+        key(k, path): item(v, _at(path, k)) for k, v in _mapping(value, path).items()
+    }
 
 
-def _build_metric(raw: Optional[dict], schema: Schema):
-    if raw is None:
+def _section(fields):
+    return lambda value, path: _fill(value, fields, path)
+
+
+def _kinds(key, default, tables):
+    """Converter of a mapping whose ``key`` field picks its field table."""
+    def convert(value, path):
+        kind = _mapping(value, path).get(key, default)
+        if not isinstance(kind, str) or kind not in tables:
+            raise ConfigError(f"{_at(path, key)}: must be one of {', '.join(tables)}")
+        return _fill(value, {key: (default, _str), **tables[kind]}, path)
+    return convert
+
+
+def _discrimination(groups):
+    """The fields of one discrimination mode, whose epsilon entries name
+    ``groups``."""
+    entries = _list(_section({"y": (REQUIRED, _str), **groups, "value": (REQUIRED, _float)}))
+
+    def epsilon(value, path):
+        return (entries if isinstance(value, (list, tuple)) else _float)(value, path)
+    return {"epsilon": (0.1, epsilon), "target": (None, _list(_float)),
+            "condition_on": ([], _list(_str)), "min_cell_count": (20, _int)}
+
+
+_PAIR = _list(_float, 2)
+
+_QUANTIZER = _kinds("kind", "identity", {
+    "identity": {},
+    "map": {"mapping": (REQUIRED, _dict(_str, _str)), "default": (None, _str),
+            "drop_unmapped": (False, _bool)},
+    "bins": {"edges": (REQUIRED, _list(_float)), "labels": (REQUIRED, _list(_str))},
+})
+
+_VARIABLE = {
+    "name": (REQUIRED, _str), "role": (REQUIRED, _str),
+    "categories": (REQUIRED, _list(_str)), "ordinal": (False, _bool),
+    "quantizer": (None, _QUANTIZER),
+}
+
+_OPERANDS = {**dict.fromkeys(_COMPARISONS, _value),
+             "in": _list(_value), "not_in": _list(_value), "between": _PAIR}
+_FILTER = _kinds("op", REQUIRED, {
+    op: {"column": (REQUIRED, _str), "value": (REQUIRED, operand)}
+    for op, operand in _OPERANDS.items()
+})
+
+_DISCRIMINATION = _kinds("mode", "target", {
+    "target": _discrimination({"d": (REQUIRED, _str)}),
+    "pairwise": _discrimination({"d1": (REQUIRED, _str), "d2": (REQUIRED, _str)}),
+    "conditional": _discrimination({"d": (REQUIRED, _str), "b": (REQUIRED, _int)}),
+})
+
+_ATTRIBUTE = _kinds("kind", "table", {
+    "ordinal_jump": {"penalties": ({}, _dict(_int, _float)), "above": (FORBIDDEN, _float)},
+    "table": {"values": ({}, _dict(_str, _dict(_str, _float)))},
+})
+
+_JUMPS = ("jump", "jump_min", "jump_max", "abs_jump", "abs_jump_min", "abs_jump_max")
+_CONDITIONS = _list(_section({"var": (REQUIRED, _str), **dict.fromkeys(_JUMPS, (None, _int))}))
+
+_METRIC = _kinds("kind", "per_attribute", {
+    "per_attribute": {"combiner": ("sum_of_squares", _str),
+                      "attributes": ({}, _dict(_str, _ATTRIBUTE))},
+    "rule_table": {"rules": ([], _list(_section({
+        "value": (REQUIRED, _float), "if_all": ([], _CONDITIONS), "if_any": ([], _CONDITIONS),
+    })))},
+})
+
+_BUDGET = _kinds("mode", "expected", {
+    "expected": {"c": (REQUIRED, _float)},
+    "thresholded": {"pairs": (REQUIRED, _list(_PAIR))},
+})
+
+_FIELDS = {
+    "input": ({}, _section({
+        "path": ("", _str), "delimiter": (",", _str), "has_header": (True, _bool),
+        "columns": (None, _list(_str)),
+    })),
+    "schema": (REQUIRED, _section({
+        "variables": (REQUIRED, _list(_section(_VARIABLE))),
+        "filters": ([], _list(_FILTER)),
+    })),
+    "discrimination": ({}, _DISCRIMINATION),
+    "distortion": (None, _section({"metric": ({}, _METRIC), "budget": ({}, _BUDGET)})),
+    "objective": ("kl", _str),
+    "solver": ({}, _section({
+        "tol": (DEFAULT_TOL, _float), "max_iters": (DEFAULT_MAX_ITERS, _int),
+        "strategy": ("full", _str), "max_outer": (100, _int),
+    })),
+    "seed": (0, _int),
+    "output": ({}, _section({"dir": ("out", _str)})),
+}
+
+
+# -- compiling the filled form -----------------------------------------------
+
+def _epsilon(eps, schema: Schema):
+    """A scalar, or the map keyed by (y, then each entry's groups in the
+    order its mode declares them)."""
+    if not isinstance(eps, list):
+        return eps
+
+    def key(e):
+        groups = (v if k == "b" else schema.d_from_label(v)
+                  for k, v in e.items() if k not in ("y", "value"))
+        return (schema.y_from_label(e["y"]), *groups)
+    return {key(e): e["value"] for e in eps}
+
+
+def _build_metric(dist: Optional[dict], schema: Schema):
+    if dist is None:
         return None, None
-    mspec = raw["metric"]
+    mspec = dist["metric"]
     if mspec["kind"] == "per_attribute":
         attrs = mspec["attributes"]
+        names = {v.name for v in (*schema.x_vars, schema.y_var)}
+        for name in attrs:
+            if name not in names:
+                raise ConfigError(f"distortion.metric.attributes.{name}:"
+                                  f" no feature or outcome variable of that name")
         metric = DistortionMetric(
             "per_attribute",
             combiner=mspec["combiner"],
@@ -277,116 +309,70 @@ def _build_metric(raw: Optional[dict], schema: Schema):
                            for v in schema.x_vars),
             y_table=_attribute_table(attrs.get(schema.y_var.name), schema.y_var.alphabet),
         )
-    elif mspec["kind"] == "rule_table":
+    else:
         metric = DistortionMetric("rule_table", rules=tuple(
-            TableRule(value=float(r["value"]),
-                      if_all=tuple(map(_condition, r.get("if_all", []))),
-                      if_any=tuple(map(_condition, r.get("if_any", []))))
+            TableRule(value=r["value"],
+                      if_all=tuple(RuleCondition(**c) for c in r["if_all"]),
+                      if_any=tuple(RuleCondition(**c) for c in r["if_any"]))
             for r in mspec["rules"]
         ))
-    else:
-        raise ConfigError(f"unknown metric kind {mspec['kind']!r}")
     validate_metric(metric, schema)
-    bspec = raw["budget"]
-    if bspec["mode"] == "expected":
-        budget = DistortionBudget("expected", c=float(bspec["c"]))
-    else:
-        budget = DistortionBudget("thresholded", pairs=tuple(map(tuple, bspec["pairs"])))
-    return metric, budget
+    return metric, DistortionBudget(**dist["budget"])
 
 
-def _attribute_table(aspec: Optional[dict], alphabet: Alphabet) -> np.ndarray:
+def _attribute_table(aspec: Optional[dict], alphabet: Alphabet):
     """The penalty table of one attribute; no rule costs nothing."""
     if aspec is None:
-        return np.zeros((len(alphabet),) * 2)
-    kind = aspec.get("kind", "table")
-    if kind == "ordinal_jump":
-        return ordinal_jump_table(
-            len(alphabet),
-            {int(k): float(v) for k, v in aspec.get("penalties", {}).items()},
-            above=float(aspec.get("above", FORBIDDEN)),
-        )
-    if kind == "table":
-        return label_table(
-            alphabet.categories,
-            {
-                str(f): {str(t): float(v) for t, v in row.items()}
-                for f, row in aspec.get("values", {}).items()
-            },
-        )
-    raise ConfigError(f"unknown attribute rule kind {kind!r}")
-
-
-def _condition(c: dict) -> RuleCondition:
-    keys = {
-        "jump", "jump_min", "jump_max", "abs_jump", "abs_jump_min", "abs_jump_max",
-    }
-    return RuleCondition(
-        var=str(c["var"]),
-        **{k: int(v) for k, v in c.items() if k in keys},
-    )
+        return label_table(alphabet.categories, {})
+    if aspec["kind"] == "ordinal_jump":
+        return ordinal_jump_table(len(alphabet), aspec["penalties"], above=aspec["above"])
+    return label_table(alphabet.categories, aspec["values"])
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Validate and compile a raw mapping into a ready configuration.
 
     Every malformed or incomplete configuration ends here as one
-    ``ConfigError``: a missing field (``KeyError``), a section that is no
-    mapping (``AttributeError``), and a value of the wrong type or outside
-    its domain (``TypeError``, ``ValueError``; ``InvalidParamsError`` is a
-    ``ValueError``).  A ``_NUMBERS`` field that does not convert is named.
+    ``ConfigError``: the field table names a missing, unknown or
+    unconvertible field by its dotted path, and the constructors refuse a
+    value outside its domain (``InvalidParamsError`` is a ``ValueError``).
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration must be a mapping")
-    name = None  # of the _NUMBERS field being converted
+    raw = _fill(raw, _FIELDS, "")
     try:
-        raw = _canonical(raw)
-        for section, key, kind in _NUMBERS:
-            name = f"{section}.{key}" if section else key
-            holder = raw[section] if section else raw
-            holder[key] = kind(holder[key])
-        name = None
         return _compile(raw)
-    except KeyError as exc:
-        raise ConfigError(f"missing config field {exc}") from exc
-    except AttributeError as exc:  # .get on a section that is no mapping
-        raise ConfigError(f"config section is not a mapping ({exc})") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}" if name else str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def _compile(raw: dict) -> PipelineConfig:
-    """The configuration of a canonical mapping with converted numbers."""
-    if not raw["schema"]["variables"]:
-        raise ConfigError("schema.variables must be non-empty")
-    schema = _build_schema(raw)
-    filters = tuple(
-        Filter(f["column"], f["op"], f["value"]) for f in raw["schema"]["filters"]
-    )
-    disc = _build_discrimination(raw, schema)
+    """The configuration of a filled mapping."""
+    schema = Schema(tuple(
+        Variable(Alphabet(v["name"], tuple(v["categories"]), v["ordinal"]), v["role"],
+                 None if v["quantizer"] is None else Quantizer(**v["quantizer"]))
+        for v in raw["schema"]["variables"]
+    ))
+    disc = raw["discrimination"]
+    x_names = {v.name for v in schema.x_vars}
+    for name in disc["condition_on"]:
+        if name not in x_names:
+            raise ConfigError(f"condition_on variable {name!r} is not a feature variable")
     metric, budget = _build_metric(raw["distortion"], schema)
-    objective = raw["objective"]
-    if objective not in ("kl", "l1"):
-        raise ConfigError(f"unknown objective {objective!r}")
-    solver = SolverConfig(
-        tol=raw["solver"]["tol"],
-        max_iters=raw["solver"]["max_iters"],
-        strategy=raw["solver"]["strategy"],
-        max_outer=raw["solver"]["max_outer"],
-    )
-    columns = raw["input"]["columns"]
+    if raw["objective"] not in ("kl", "l1"):
+        raise ConfigError(f"unknown objective {raw['objective']!r}")
+    inp = raw["input"]
     return PipelineConfig(
-        input_path=raw["input"]["path"],
-        delimiter=raw["input"]["delimiter"],
-        has_header=raw["input"]["has_header"],
-        columns=tuple(columns) if columns else None,
+        input_path=inp["path"],
+        delimiter=inp["delimiter"],
+        has_header=inp["has_header"],
+        columns=tuple(inp["columns"]) if inp["columns"] else None,
         schema=schema,
-        filters=filters,
-        discrimination=disc,
+        filters=tuple(Filter(**f) for f in raw["schema"]["filters"]),
+        discrimination=DiscriminationSpec(
+            **{**disc, "epsilon": _epsilon(disc["epsilon"], schema)}),
         metric=metric,
         budget=budget,
-        objective=objective,
-        solver=solver,
+        objective=raw["objective"],
+        solver=SolverConfig(**raw["solver"]),
         seed=raw["seed"],
         output_dir=raw["output"]["dir"],
         raw=raw,

@@ -12,6 +12,7 @@ from fairmap.cli import main
 from fairmap.config import load_config
 from fairmap.dataio import read_dataset, read_kernel, write_kernel
 from fairmap.optimizer import TransformKernel, identity_kernel
+from fairmap.presets import preset_dict
 
 from test_config import tiny_config_dict
 
@@ -206,8 +207,8 @@ class TestTransform:
 
     # sha256 of the transformed files for the fixed kernel below on the
     # ``workdir`` data; a changed per-record stream changes them
-    PINNED_TRAIN = "6c1ce8139506d6a8a5862d1953b4df4dfdb742d862173b773e616888fb3bbe41"
-    PINNED_APPLY = "58594001f54ec1e5991dcc8b431d38a36731b2f0d4655237114ff0c3474e90f5"
+    PINNED_TRAIN = "37b71291aab9a740e7e6b3877a73d5371e73e7c6e7dcc66d596c06a3deab2d19"
+    PINNED_APPLY = "e42d5a79aafcadbe9ea246a626e9cf2ae2ad8c71a5f346ec2d8804b248f057ab"
 
     def test_seeded_outputs_match_pinned_digests(self, workdir):
         tmp, cfg = workdir
@@ -474,6 +475,18 @@ class TestPresetsAndValidate:
         out = capsys.readouterr().out
         assert "# fingerprint:" in out
 
+    @pytest.mark.parametrize("name", ["compas", "adult", "test"])
+    def test_validate_output_validates_to_itself(self, tmp_path, capsys, name):
+        raw = tiny_config_dict() if name == "test" else preset_dict(name)
+        source = tmp_path / "source.yaml"
+        source.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(source)]) == 0
+        first = capsys.readouterr().out
+        filled = tmp_path / "filled.yaml"
+        filled.write_text(first)
+        assert main(["validate", "--config", str(filled)]) == 0
+        assert capsys.readouterr().out == first
+
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("schema: {variables: []}\n")
@@ -496,6 +509,31 @@ def _solver_not_a_mapping(raw):
     raw["solver"] = 5
 
 
+def _misspelled_section(raw):
+    raw["discrimnation"] = raw.pop("discrimination")
+
+
+def _misspelled_nested_key(raw):
+    raw["discrimination"]["epsilonn"] = raw["discrimination"].pop("epsilon")
+
+
+def _misspelled_attribute(raw):
+    attrs = raw["distortion"]["metric"]["attributes"]
+    attrs["f11"] = attrs.pop("f1")
+
+
+def _scalar_between(raw):
+    raw["schema"]["filters"] = [{"column": "f1", "op": "between", "value": 5}]
+
+
+def _string_in(raw):
+    raw["schema"]["filters"] = [{"column": "f1", "op": "in", "value": "abc"}]
+
+
+def _expected_budget_without_c(raw):
+    raw["distortion"]["budget"] = {"mode": "expected"}
+
+
 def _descending_bins(raw):
     raw["schema"]["variables"][1]["quantizer"] = {
         "kind": "bins", "edges": [2.0, 1.0], "labels": ["u", "v", "w"]}
@@ -512,6 +550,12 @@ class TestConfigErrors:
         (_tol_not_a_number, "solver.tol"),
         (_descending_bins, "edges"),
         (_solver_not_a_mapping, "not a mapping"),
+        (_misspelled_section, "discrimnation"),
+        (_misspelled_nested_key, "discrimination.epsilonn"),
+        (_misspelled_attribute, "distortion.metric.attributes.f11"),
+        (_scalar_between, "schema.filters[0].value"),
+        (_string_in, "schema.filters[0].value"),
+        (_expected_budget_without_c, "distortion.budget.c"),
     ])
     def test_validate_exits_3_naming_the_field(self, tmp_path, capsys,
                                                break_config, field):

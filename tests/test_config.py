@@ -64,6 +64,25 @@ class TestRoundTrip:
         b = config_from_dict(tiny_config_dict(eps=0.31))
         assert a.fingerprint() != b.fingerprint()
 
+    def test_written_defaults_fingerprint_alike(self):
+        """Nested defaults written out or left off, and a whole-number
+        budget written as 1 or 1.0, give one fingerprint."""
+        terse, full = tiny_config_dict(), tiny_config_dict()
+        terse["schema"]["variables"][1]["quantizer"] = {}
+        full["schema"]["variables"][1]["quantizer"] = {"kind": "identity"}
+        del terse["distortion"]["metric"]["attributes"]["out"]["kind"]
+        full["distortion"]["metric"]["attributes"]["f1"]["above"] = FORBIDDEN
+        terse["distortion"]["budget"]["c"] = 1
+        full["distortion"]["budget"]["c"] = 1.0
+        assert config_from_dict(terse).fingerprint() == config_from_dict(full).fingerprint()
+        condition = {"var": "f1", "abs_jump_min": 1}
+        terse["distortion"]["metric"] = {
+            "kind": "rule_table", "rules": [{"value": 2.0, "if_any": [condition]}]}
+        full["distortion"]["metric"] = {
+            "kind": "rule_table",
+            "rules": [{"value": 2.0, "if_all": [], "if_any": [condition]}]}
+        assert config_from_dict(terse).fingerprint() == config_from_dict(full).fingerprint()
+
     def test_epsilon_map_entries(self):
         raw = tiny_config_dict()
         raw["discrimination"] = {
