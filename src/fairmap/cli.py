@@ -3,8 +3,10 @@
 Exit codes are a stable contract: 0 success, 2 infeasible optimization,
 3 configuration/usage error, 4 I/O or data error, 5 a KL objective that
 is infinite on the whole feasible set.  Every artifact embeds
-the configuration fingerprint; audit and transform refuse artifacts fit
-under a different configuration unless explicitly overridden.
+the configuration fingerprint, and a kernel the SHA-256 of its training
+file; audit and transform refuse artifacts fit under a different
+configuration, or a training file changed since, unless explicitly
+overridden.
 """
 
 from __future__ import annotations
@@ -31,7 +33,16 @@ from .audit import (
     robustness_bounds,
 )
 from .config import PipelineConfig, load_config
-from .dataio import read_dataset, read_kernel, write_dataset, write_kernel
+from .dataio import (
+    TRAINING_FILE,
+    file_sha256,
+    read_dataset,
+    read_kernel,
+    read_training,
+    write_dataset,
+    write_kernel,
+    write_training,
+)
 from .domain import estimate_empirical, l1_distance
 from .errors import (
     ConfigError,
@@ -39,6 +50,7 @@ from .errors import (
     FairmapError,
     LengthMismatchError,
     MissingOutcomeError,
+    ProvenanceMismatchError,
     SchemaMismatchError,
 )
 from .optimizer import Problem, assemble, sof_solve, solve, sweep_epsilon
@@ -82,9 +94,42 @@ def _read_input(config: PipelineConfig, path: str, filtered: bool = True):
     )
 
 
-def _load_training(config: PipelineConfig):
-    dataset = _read_input(config, config.input_path)
-    return dataset, estimate_empirical(dataset)
+def _training_binding(config: PipelineConfig, data_sha256: str) -> dict:
+    """What the training records depend on: the file's bytes, the layout
+    it is read with, and the configuration (schema and filters)."""
+    return {
+        "data_sha256": data_sha256,
+        "fingerprint": config.fingerprint(),
+        "input": repr((config.delimiter, config.has_header, config.columns)),
+    }
+
+
+def _training_records(config: PipelineConfig, args, kernel):
+    """The records ``fit`` read from the training file for ``kernel``, the
+    one read from ``args.kernel``.
+
+    When the kernel records the file's ``data_sha256``, a file changed
+    since is refused (parsed as it is now under
+    ``args.allow_provenance_mismatch``), and an unchanged one is served
+    from the ``training.npz`` saved beside the kernel if that was saved
+    from the same bytes under the same configuration.  Every other case
+    parses the file.
+    """
+    fit_digest = None if kernel is None else kernel.provenance.get("data_sha256")
+    if fit_digest is not None:
+        digest = file_sha256(config.input_path)
+        if digest == fit_digest:
+            saved = read_training(
+                os.path.join(os.path.dirname(args.kernel), TRAINING_FILE),
+                config.schema, _training_binding(config, digest))
+            if saved is not None:
+                return saved
+        elif not args.allow_provenance_mismatch:
+            raise ProvenanceMismatchError(
+                f"{config.input_path} has data_sha256 {digest}, "
+                f"kernel was fit on data_sha256 {fit_digest}"
+            )
+    return _read_input(config, config.input_path)
 
 
 def _assemble(config: PipelineConfig, pmf) -> Problem:
@@ -143,8 +188,9 @@ def _solution_payload(sol, config: PipelineConfig) -> dict:
 def cmd_fit(args) -> int:
     config = load_config(args.config)
     out_dir = _ensure_out(config, args.out_dir)
-    dataset, pmf = _load_training(config)
-    problem = _assemble(config, pmf)
+    digest = file_sha256(config.input_path)
+    dataset = _read_input(config, config.input_path)
+    problem = _assemble(config, estimate_empirical(dataset))
     sol = _solve(config, problem)
     payload = _solution_payload(sol, config)
     payload["n_records"] = len(dataset)
@@ -182,10 +228,14 @@ def cmd_fit(args) -> int:
         "fingerprint": config.fingerprint(),
         "objective": config.objective,
         "tol": config.solver.tol,
+        "data_sha256": digest,
+        "n_records": len(dataset),
     }
     write_kernel(
         os.path.join(out_dir, "kernel.csv"), replace(sol.kernel, provenance=provenance)
     )
+    write_training(os.path.join(out_dir, TRAINING_FILE), dataset,
+                   _training_binding(config, digest))
     return EXIT_OK
 
 
@@ -196,16 +246,15 @@ def cmd_transform(args) -> int:
     expected = None if args.allow_provenance_mismatch else config.fingerprint()
     kernel = read_kernel(args.kernel, config.schema, expected_fingerprint=expected)
     seed = args.seed_override if args.seed_override is not None else config.seed
-    dataset = _read_input(
+    training = not args.input and not args.no_filters
+    dataset = _training_records(config, args, kernel) if training else _read_input(
         config, args.input or config.input_path, filtered=not args.no_filters
     )
     if args.mode == "train":
         transformed = transform_train(dataset, kernel, seed)
     else:
-        if not args.input and not args.no_filters:
-            pmf = estimate_empirical(dataset)  # dataset is the training data
-        else:
-            _, pmf = _load_training(config)
+        pmf = estimate_empirical(
+            dataset if training else _training_records(config, args, kernel))
         mapper = derive_apply_kernel(kernel, pmf)
         for warning in mapper.warnings:
             print(f"warning: {warning}", file=sys.stderr)
@@ -256,15 +305,16 @@ def cmd_audit(args) -> int:
     config = load_config(args.config)
     out_dir = _ensure_out(config, args.out_dir)
     schema = config.schema
-    original = _read_input(config, args.original or config.input_path)
-    pmf = estimate_empirical(original)
-    spec = config.discrimination
-    target = spec.target if spec.target is not None else pmf.p_y()
-
     expected = None if args.allow_provenance_mismatch else config.fingerprint()
     kernel = None
     if args.kernel:
         kernel = read_kernel(args.kernel, schema, expected_fingerprint=expected)
+    original = (_read_input(config, args.original) if args.original
+                else _training_records(config, args, kernel))
+    pmf = estimate_empirical(original)
+    spec = config.discrimination
+    target = spec.target if spec.target is not None else pmf.p_y()
+
     transformed = None
     if args.transformed:
         # artifacts this package writes are self-describing: header row
@@ -415,8 +465,8 @@ def cmd_sweep(args) -> int:
         )
     grid = _parse_grid(args.eps_grid)
     out_dir = _ensure_out(config, args.out_dir)
-    _, pmf = _load_training(config)
-    problem = _assemble(config, pmf)
+    dataset = _read_input(config, config.input_path)
+    problem = _assemble(config, estimate_empirical(dataset))
     result = sweep_epsilon(
         problem, grid, tol=config.solver.tol, max_iters=config.solver.max_iters
     )

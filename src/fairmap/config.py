@@ -317,7 +317,7 @@ def _build_metric(dist: Optional[dict], schema: Schema):
             for r in mspec["rules"]
         ))
     validate_metric(metric, schema)
-    return metric, DistortionBudget(**dist["budget"])
+    return metric, _built("distortion.budget", DistortionBudget, dist["budget"])
 
 
 def _attribute_table(aspec: Optional[dict], alphabet: Alphabet):
@@ -327,6 +327,14 @@ def _attribute_table(aspec: Optional[dict], alphabet: Alphabet):
     if aspec["kind"] == "ordinal_jump":
         return ordinal_jump_table(len(alphabet), aspec["penalties"], above=aspec["above"])
     return label_table(alphabet.categories, aspec["values"])
+
+
+def _built(path: str, build, fields: dict):
+    """``build(**fields)``, whose refusal of a value names ``path``."""
+    try:
+        return build(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -348,8 +356,9 @@ def _compile(raw: dict) -> PipelineConfig:
     """The configuration of a filled mapping."""
     schema = Schema(tuple(
         Variable(Alphabet(v["name"], tuple(v["categories"]), v["ordinal"]), v["role"],
-                 None if v["quantizer"] is None else Quantizer(**v["quantizer"]))
-        for v in raw["schema"]["variables"]
+                 None if v["quantizer"] is None else
+                 _built(f"schema.variables[{i}].quantizer", Quantizer, v["quantizer"]))
+        for i, v in enumerate(raw["schema"]["variables"])
     ))
     disc = raw["discrimination"]
     x_names = {v.name for v in schema.x_vars}

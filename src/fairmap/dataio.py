@@ -16,12 +16,20 @@ Kernel files are CSV with composite category labels, one line per
 positive transition, grouped by input cell, with a leading provenance
 comment holding the kernel's ``key=value`` provenance record (the
 seed-independent config fingerprint among it).
+
+A training sidecar (``training.npz``, beside the kernel) holds the
+records ``fit`` was given, bound to the SHA-256 of the file they were
+read from and to the reading configuration, so that later commands need
+not parse that file again.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
+import zipfile
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
@@ -44,6 +52,7 @@ STREAM_COLUMN = "_stream"
 KERNEL_MAGIC = "# fairmap-kernel"
 _KERNEL_COLUMNS = ("d", "x", "y", "x_hat", "y_hat", "prob")
 DATA_MAGIC = "# fairmap-data"
+TRAINING_FILE = "training.npz"
 # rows parsed per step: few enough that a chunk's row lists are freed
 # before the cyclic GC promotes them to its oldest generation, whose full
 # collections walk every live object (about 20% of a 100k-row read
@@ -320,6 +329,41 @@ def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
 def _labels(variable, idx: np.ndarray) -> list:
     """Category labels of a column of indices, by one fancy index."""
     return np.array(variable.alphabet.categories, dtype=object)[idx].tolist()
+
+
+def file_sha256(path: str) -> str:
+    """Hex SHA-256 of a file's bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(partial(fh.read, 1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# training sidecar
+# ---------------------------------------------------------------------------
+
+
+def write_training(path: str, dataset: Dataset, binding: dict) -> None:
+    """Save the records of ``dataset`` under ``binding``, a mapping of
+    strings naming where they came from (see ``read_training``)."""
+    np.savez(path, d=dataset.d, x=dataset.x, y=dataset.y,
+             stream_ids=dataset.stream_ids,
+             binding=np.array(json.dumps(binding, sort_keys=True)))
+
+
+def read_training(path: str, schema: Schema, binding: dict) -> Optional[Dataset]:
+    """The records ``write_training`` saved under exactly ``binding``; None
+    when the file is missing, unreadable or saved under another binding."""
+    try:
+        with np.load(path, allow_pickle=False) as saved:
+            if str(saved["binding"]) != json.dumps(binding, sort_keys=True):
+                return None
+            return Dataset(schema, saved["d"], saved["x"], saved["y"],
+                           stream_ids=saved["stream_ids"])
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,16 @@ import numpy as np
 import pytest
 import yaml
 
+from fairmap import cli
 from fairmap.cli import main
 from fairmap.config import load_config
-from fairmap.dataio import read_dataset, read_kernel, write_kernel
+from fairmap.dataio import (
+    file_sha256,
+    read_dataset,
+    read_kernel,
+    write_kernel,
+    write_training,
+)
 from fairmap.optimizer import TransformKernel, identity_kernel
 from fairmap.presets import preset_dict
 
@@ -60,6 +67,9 @@ class TestFit:
         sums = kernel.probs.sum(axis=3)
         assert np.abs(sums - 1.0).max() <= 1e-9
         assert kernel.provenance["fingerprint"] == config.fingerprint()
+        assert kernel.provenance["data_sha256"] == file_sha256(config.input_path)
+        n_records = len(read_dataset(config.input_path, config.schema))
+        assert kernel.provenance["n_records"] == str(n_records) == str(report["n_records"])
 
     def test_infeasible_exit_code(self, workdir):
         tmp, cfg = workdir
@@ -539,6 +549,11 @@ def _descending_bins(raw):
         "kind": "bins", "edges": [2.0, 1.0], "labels": ["u", "v", "w"]}
 
 
+def _thresholds_not_increasing(raw):
+    raw["distortion"]["budget"] = {"mode": "thresholded",
+                                   "pairs": [[1.0, 0.1], [0.5, 0.2]]}
+
+
 class TestConfigErrors:
     """Every malformed or incomplete config is a configuration error (exit
     3) whose one ``error:`` line names the field or the fault, without a
@@ -548,7 +563,9 @@ class TestConfigErrors:
         (_without_categories, "categories"),
         (_pairwise_without_d1, "d1"),
         (_tol_not_a_number, "solver.tol"),
-        (_descending_bins, "edges"),
+        pytest.param(_descending_bins, "schema.variables[1].quantizer: bin edges",
+                     id="_descending_bins-edges"),
+        (_thresholds_not_increasing, "distortion.budget: thresholds"),
         (_solver_not_a_mapping, "not a mapping"),
         (_misspelled_section, "discrimnation"),
         (_misspelled_nested_key, "discrimination.epsilonn"),
@@ -568,3 +585,113 @@ class TestConfigErrors:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and field in line
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+class TestTrainingRecords:
+    """``fit`` binds its kernel to the training file's SHA-256 and saves the
+    records it read as ``training.npz``; ``transform`` and ``audit`` refuse
+    a changed file and otherwise reuse the saved records, with the outputs
+    a fresh parse gives."""
+
+    OUTPUTS = ("transformed_train.csv", "transformed_apply.csv",
+               "audit_report.json", "audit_report.txt", "cohort_deltas.csv")
+
+    @staticmethod
+    def commands(cfg, kernel, out):
+        return [
+            ["transform", "--config", str(cfg), "--kernel", str(kernel),
+             "--mode", "train", "--out-dir", str(out)],
+            ["transform", "--config", str(cfg), "--kernel", str(kernel),
+             "--mode", "apply", "--out-dir", str(out)],
+            ["audit", "--config", str(cfg), "--kernel", str(kernel),
+             "--transformed", str(out / "transformed_train.csv"),
+             "--out-dir", str(out)],
+        ]
+
+    def run_all(self, cfg, kernel, out, monkeypatch):
+        """Outputs of the three commands, and the files they parsed."""
+        parsed = []
+
+        def counted(path, *args, **kwargs):
+            parsed.append(str(path))
+            return read_dataset(path, *args, **kwargs)
+        monkeypatch.setattr(cli, "read_dataset", counted)
+        for argv in self.commands(cfg, kernel, out):
+            assert main(argv) == 0
+        monkeypatch.undo()
+        return {name: (out / name).read_bytes() for name in self.OUTPUTS}, parsed
+
+    def test_changed_training_file_refused_unless_overridden(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert main(["fit", "--config", str(cfg)]) == 0
+        kernel = tmp / "out" / "kernel.csv"
+        data = tmp / "data.csv"
+        lines = data.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[-1] = "1" if fields[-1] == "0" else "0"  # one outcome flipped
+        lines[1] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        for argv in self.commands(cfg, kernel, tmp / "ok"):
+            capsys.readouterr()
+            assert main(argv) == 3
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ") and "data_sha256" in line
+            assert main(argv + ["--allow-provenance-mismatch"]) == 0
+        # a kernel that records no data digest reads the file as it is
+        first, rest = kernel.read_text().split("\n", 1)
+        first = " ".join(p for p in first.split() if not p.startswith("data_sha256="))
+        kernel.write_text(first + "\n" + rest)
+        for argv in self.commands(cfg, kernel, tmp / "legacy"):
+            assert main(argv) == 0
+
+    def test_saved_records_give_the_parsed_outputs(self, workdir, monkeypatch):
+        tmp, cfg = workdir
+        assert main(["fit", "--config", str(cfg)]) == 0
+        kernel = tmp / "out" / "kernel.csv"
+        saved, parsed = self.run_all(cfg, kernel, tmp / "a", monkeypatch)
+        # only the audited transformed file is parsed
+        assert parsed == [str(tmp / "a" / "transformed_train.csv")]
+        (tmp / "out" / "training.npz").unlink()
+        fresh, parsed = self.run_all(cfg, kernel, tmp / "b", monkeypatch)
+        assert parsed.count(str(tmp / "data.csv")) == 3
+        assert saved == fresh
+
+    def other_data(self, tmp, cfg):
+        """A sidecar fit on data other than the workdir's."""
+        other = tmp / "other"
+        other.mkdir()
+        write_synthetic_csv(other / "data.csv", n=300, seed=11)
+        raw = yaml.safe_load(cfg.read_text())
+        raw["input"]["path"] = str(other / "data.csv")
+        raw["output"]["dir"] = str(other / "out")
+        (other / "config.yaml").write_text(yaml.safe_dump(raw))
+        assert main(["fit", "--config", str(other / "config.yaml")]) == 0
+        return (other / "out" / "training.npz").read_bytes()
+
+    def other_fingerprint(self, tmp, cfg):
+        """A sidecar of the workdir's data and digest, saved under another
+        configuration fingerprint (and holding other records)."""
+        config = load_config(str(cfg))
+        dataset = read_dataset(str(tmp / "data.csv"), config.schema)
+        sub = type(dataset)(config.schema, dataset.d[::2], dataset.x[::2],
+                            dataset.y[::2])
+        path = tmp / "foreign.npz"
+        write_training(str(path), sub, {
+            "data_sha256": file_sha256(config.input_path),
+            "fingerprint": "0" * 16,
+            "input": repr((config.delimiter, config.has_header, config.columns)),
+        })
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("foreign", ["other_data", "other_fingerprint"])
+    def test_foreign_sidecar_ignored(self, workdir, monkeypatch, foreign):
+        tmp, cfg = workdir
+        assert main(["fit", "--config", str(cfg)]) == 0
+        kernel = tmp / "out" / "kernel.csv"
+        sidecar = tmp / "out" / "training.npz"
+        sidecar.unlink()
+        fresh, _ = self.run_all(cfg, kernel, tmp / "a", monkeypatch)
+        sidecar.write_bytes(getattr(self, foreign)(tmp, cfg))
+        outputs, parsed = self.run_all(cfg, kernel, tmp / "b", monkeypatch)
+        assert parsed.count(str(tmp / "data.csv")) == 3
+        assert outputs == fresh

@@ -20,7 +20,9 @@ from fairmap.dataio import (
     _category_index,
     _header_record,
     read_dataset,
+    read_training,
     write_dataset,
+    write_training,
 )
 from fairmap.errors import (
     EmptyDatasetError,
@@ -362,3 +364,25 @@ class TestWriteOracle:
         kwargs = {"delimiter": delimiter, "fingerprint": fingerprint}
         assert (written_bytes(write_dataset, dataset, **kwargs)
                 == written_bytes(reference_write, dataset, **kwargs))
+
+
+class TestTrainingSidecar:
+    @settings(max_examples=25, deadline=None)
+    @given(datasets())
+    def test_round_trip_under_its_binding_only(self, dataset):
+        binding = {"data_sha256": "ab" * 32, "fingerprint": "f" * 16}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "training.npz")
+            write_training(path, dataset, binding)
+            back = read_training(path, dataset.schema, binding)
+            for name in ("d", "x", "y", "stream_ids"):
+                np.testing.assert_array_equal(getattr(back, name),
+                                              getattr(dataset, name))
+            other = {**binding, "fingerprint": "0" * 16}
+            assert read_training(path, dataset.schema, other) is None
+
+    def test_missing_or_unreadable_file_is_none(self, tmp_path):
+        schema = make_schema()
+        assert read_training(str(tmp_path / "absent.npz"), schema, {}) is None
+        (tmp_path / "junk.npz").write_bytes(b"not a zip archive")
+        assert read_training(str(tmp_path / "junk.npz"), schema, {}) is None
