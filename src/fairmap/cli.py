@@ -35,6 +35,7 @@ from .audit import (
 from .config import PipelineConfig, load_config
 from .dataio import (
     TRAINING_FILE,
+    data_record,
     file_sha256,
     read_dataset,
     read_kernel,
@@ -104,31 +105,35 @@ def _training_binding(config: PipelineConfig, data_sha256: str) -> dict:
     }
 
 
-def _training_records(config: PipelineConfig, args, kernel):
+def _training_records(config: PipelineConfig, args, kernel, record=None):
     """The records ``fit`` read from the training file for ``kernel``, the
-    one read from ``args.kernel``.
+    one read from ``args.kernel`` (or None).
 
-    When the kernel records the file's ``data_sha256``, a file changed
-    since is refused (parsed as it is now under
-    ``args.allow_provenance_mismatch``), and an unchanged one is served
-    from the ``training.npz`` saved beside the kernel if that was saved
-    from the same bytes under the same configuration.  Every other case
-    parses the file.
+    Each ``data_sha256`` recorded for that file, by the kernel and by
+    ``record`` (a transformed file's provenance record), must be the
+    file's digest now: a changed file is refused (parsed as it is now
+    under ``args.allow_provenance_mismatch``), and an unchanged one is
+    served from the ``training.npz`` saved beside the kernel if that was
+    saved from the same bytes under the same configuration.  Every other
+    case parses the file.
     """
-    fit_digest = None if kernel is None else kernel.provenance.get("data_sha256")
-    if fit_digest is not None:
-        digest = file_sha256(config.input_path)
-        if digest == fit_digest:
-            saved = read_training(
-                os.path.join(os.path.dirname(args.kernel), TRAINING_FILE),
-                config.schema, _training_binding(config, digest))
-            if saved is not None:
-                return saved
-        elif not args.allow_provenance_mismatch:
+    sources = (kernel.provenance if kernel else {}, record or {})
+    recorded = {s["data_sha256"] for s in sources if "data_sha256" in s}
+    if not recorded:
+        return _read_input(config, config.input_path)
+    digest = file_sha256(config.input_path)
+    if recorded != {digest}:
+        if not args.allow_provenance_mismatch:
             raise ProvenanceMismatchError(
-                f"{config.input_path} has data_sha256 {digest}, "
-                f"kernel was fit on data_sha256 {fit_digest}"
+                f"{config.input_path} has data_sha256 {digest}, the artifacts "
+                f"record data_sha256 {' '.join(sorted(recorded - {digest}))}"
             )
+    elif kernel is not None:
+        saved = read_training(
+            os.path.join(os.path.dirname(args.kernel), TRAINING_FILE),
+            config.schema, _training_binding(config, digest))
+        if saved is not None:
+            return saved
     return _read_input(config, config.input_path)
 
 
@@ -261,7 +266,8 @@ def cmd_transform(args) -> int:
         transformed = transform_apply(dataset, mapper, seed)
     out_path = os.path.join(out_dir, f"transformed_{args.mode}.csv")
     write_dataset(out_path, transformed, delimiter=config.delimiter,
-                  fingerprint=config.fingerprint())
+                  fingerprint=config.fingerprint(),
+                  data_sha256=kernel.provenance.get("data_sha256"))
     print(f"wrote {out_path} ({len(transformed)} records, seed {seed})")
     return EXIT_OK
 
@@ -309,8 +315,9 @@ def cmd_audit(args) -> int:
     kernel = None
     if args.kernel:
         kernel = read_kernel(args.kernel, schema, expected_fingerprint=expected)
+    record = data_record(args.transformed) if args.transformed else None
     original = (_read_input(config, args.original) if args.original
-                else _training_records(config, args, kernel))
+                else _training_records(config, args, kernel, record))
     pmf = estimate_empirical(original)
     spec = config.discrimination
     target = spec.target if spec.target is not None else pmf.p_y()

@@ -644,6 +644,34 @@ class TestTrainingRecords:
         for argv in self.commands(cfg, kernel, tmp / "legacy"):
             assert main(argv) == 0
 
+    def test_transformed_file_binds_audit_to_the_training_data(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert main(["fit", "--config", str(cfg)]) == 0
+        assert main([
+            "transform", "--config", str(cfg), "--kernel", str(tmp / "out" / "kernel.csv"),
+            "--mode", "train", "--out-dir", str(tmp / "t"),
+        ]) == 0
+        data, transformed = tmp / "data.csv", tmp / "t" / "transformed_train.csv"
+        digest = file_sha256(str(data))
+        first, rest = transformed.read_bytes().split(b"\n", 1)
+        assert first.decode().endswith(f" data_sha256={digest}")
+        # the outcomes of the first 40 training rows set to 1 afterwards
+        lines = data.read_text().splitlines()
+        lines[1:41] = [line[:line.rindex(",")] + ",1" for line in lines[1:41]]
+        data.write_text("\n".join(lines) + "\n")
+        argv = ["audit", "--config", str(cfg), "--transformed", str(transformed),
+                "--out-dir", str(tmp / "a")]
+        capsys.readouterr()
+        assert main(argv) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and f"data_sha256 {digest}" in line
+        assert main(argv + ["--allow-provenance-mismatch"]) == 0
+        # an explicit original is audited as given
+        assert main(argv + ["--original", str(data)]) == 0
+        # a transformed file that records no data digest reads as before
+        transformed.write_bytes(first.split(b" data_sha256=")[0] + b"\n" + rest)
+        assert main(argv) == 0
+
     def test_saved_records_give_the_parsed_outputs(self, workdir, monkeypatch):
         tmp, cfg = workdir
         assert main(["fit", "--config", str(cfg)]) == 0

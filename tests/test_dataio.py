@@ -19,6 +19,7 @@ from fairmap.dataio import (
     STREAM_COLUMN,
     _category_index,
     _header_record,
+    data_record,
     read_dataset,
     read_training,
     write_dataset,
@@ -343,27 +344,119 @@ class TestReadOracle:
         new, ref = read_both(text, make_schema())
         assert new == ref and new[0] == "raised" and message in new[2]
 
+    @pytest.mark.parametrize("rows, message", [
+        # stream ids are parsed after the other steps, but file order decides
+        (["F,A,20,F,s1", "X,A,20,F,1"], "cannot read 's1'"),
+        (["F,A,20,F,1", "X,A,20,F,s1"], "'X' is not a category"),
+        # a row the unmapped race drops never parses its stream id
+        (["F,?,20,F,s1", "X,A,20,F,1"], "'X' is not a category"),
+    ])
+    def test_earliest_failing_stream_id_decides(self, rows, message):
+        text = f"sex,race,age,charge,{STREAM_COLUMN}\n" + "\n".join(rows) + "\n"
+        new, ref = read_both(text, make_schema())
+        assert new == ref and new[0] == "raised" and message in new[2]
+
+    # a chunk is read column by column unless its shortest row is short or
+    # a first field is blank; these rows sit on either side of that test
+    CHUNKS = [1, 2, 3, dataio._CHUNK_ROWS]
+    HEADER = "days,sex,race,age,charge,out"
+
+    @staticmethod
+    def body(k, row, at):
+        """Three chunks of ``k`` good rows, ``row`` in place of the
+        middle chunk's first, middle or last."""
+        lines = [f"{i % 7},{'FM'[i % 2]},A,{20 + i % 50},F,{i % 2}" for i in range(3 * k)]
+        lines[k + {"first": 0, "middle": k // 2, "last": k - 1}[at]] = row
+        return lines
+
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    @pytest.mark.parametrize("row, kept", [
+        (" ,M,B,30,M,1", 0),  # a blank first field in a kept row
+        ("", -1),
+        ("   ", -1),
+        (" , ,\t, , , ", -1),
+    ])
+    def test_blank_first_field(self, chunk_rows, at, row, kept):
+        lines = self.body(chunk_rows, row, at)
+        text = self.HEADER + "\n" + "\n".join(lines) + "\n"
+        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
+            new, ref = read_both(text, make_schema())
+        assert new == ref and new[0] == "ok" and len(new[2]) == 3 * chunk_rows + kept
+
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    @pytest.mark.parametrize("offset", [0, 1, 2])
+    def test_blank_row_before_a_short_row(self, chunk_rows, offset):
+        lines = self.body(chunk_rows, "", "first")
+        lines[chunk_rows + offset:chunk_rows + offset + 1] = ["  ", "1,F,A"]
+        text = self.HEADER + "\n" + "\n".join(lines) + "\n"
+        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
+            new, ref = read_both(text, make_schema())
+        assert new == ref and new[0] == "raised" and "short row" in new[2]
+
+
+def quoting_schema():
+    """Labels ``csv`` must quote under some delimiter: ones holding a
+    delimiter or a quote character, and ones with outer blanks."""
+    return Schema((
+        Variable(Alphabet("grp", ("a,b", 'say "hi"', " pad ")), "D"),
+        Variable(Alphabet("kind", ("u;v", "w\tz")), "D"),
+        Variable(Alphabet("f", ("x", " y", "z ", "-")), "X"),
+        Variable(Alphabet("out", ("no", "yes, really")), "Y"),
+    ))
+
 
 @st.composite
-def datasets(draw):
-    schema = make_schema()
+def datasets(draw, schemas=(make_schema,)):
+    schema = draw(st.sampled_from(schemas))()
     n = draw(st.integers(1, 30))
     d = draw(st.lists(st.integers(0, schema.nd - 1), min_size=n, max_size=n))
     x = draw(st.lists(st.integers(0, schema.nx - 1), min_size=n, max_size=n))
-    y = draw(st.lists(st.integers(-1 if draw(st.booleans()) else 0, 1),
-                      min_size=n, max_size=n))
+    y_low = draw(st.sampled_from([-1, 0]))  # -1: apply-mode or mixed records
+    y_high = draw(st.sampled_from([-1, schema.ny - 1])) if y_low < 0 else schema.ny - 1
+    y = draw(st.lists(st.integers(y_low, y_high), min_size=n, max_size=n))
     sid = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
     return Dataset(schema, np.array(d), np.array(x), np.array(y),
                    stream_ids=np.array(sid, dtype=np.int64))
 
 
 class TestWriteOracle:
-    @settings(max_examples=100, deadline=None)
-    @given(datasets(), st.sampled_from([",", ";"]), st.sampled_from([None, "abc"]))
+    @settings(max_examples=300, deadline=None)
+    @given(datasets(schemas=(make_schema, quoting_schema)),
+           st.sampled_from([",", ";", "\t", " ", "-"]), st.sampled_from([None, "abc"]))
     def test_same_bytes(self, dataset, delimiter, fingerprint):
+        # "-" is a delimiter that negative stream ids hold
         kwargs = {"delimiter": delimiter, "fingerprint": fingerprint}
         assert (written_bytes(write_dataset, dataset, **kwargs)
                 == written_bytes(reference_write, dataset, **kwargs))
+
+    @pytest.mark.parametrize("apply_mode", [False, True])
+    def test_same_bytes_past_one_block(self, apply_mode):
+        schema = quoting_schema()
+        rng = np.random.default_rng(3)
+        n = 2 * dataio._WRITE_ROWS + 5
+        y = np.full(n, -1) if apply_mode else rng.integers(0, schema.ny, n)
+        dataset = Dataset(schema, rng.integers(0, schema.nd, n),
+                          rng.integers(0, schema.nx, n), y,
+                          stream_ids=rng.permutation(n) - n // 2)
+        for delimiter in (",", "\t"):
+            written = written_bytes(write_dataset, dataset, delimiter=delimiter)
+            assert written == written_bytes(reference_write, dataset,
+                                            delimiter=delimiter)
+            assert written.count(b"\r\n") == n + 1
+
+    def test_provenance_line_names_the_data_digest(self, tmp_path):
+        dataset = Dataset(make_schema(), np.array([0, 3]), np.array([1, 2]),
+                          np.array([1, 0]))
+        path = str(tmp_path / "out.csv")
+        write_dataset(path, dataset, fingerprint="abc", data_sha256="ab" * 32)
+        assert data_record(path) == {"fingerprint": "abc", "data_sha256": "ab" * 32}
+        with open(path, "rb") as fh:
+            fh.readline()
+            body = fh.read()
+        assert body == written_bytes(reference_write, dataset)
+        write_dataset(path, dataset)
+        assert data_record(path) == {}
 
 
 class TestTrainingSidecar:
