@@ -32,6 +32,10 @@ from .distortion import (
 from .domain import Alphabet, Quantizer, Schema, Variable
 from .errors import ConfigError
 
+# libyaml's parser where PyYAML was built with it (a config loads several
+# times faster)
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -391,7 +395,7 @@ def _compile(raw: dict) -> PipelineConfig:
 def load_config(path: str) -> PipelineConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return config_from_dict(raw or {})
@@ -399,7 +403,7 @@ def load_config(path: str) -> PipelineConfig:
 
 def loads_config(text: str) -> PipelineConfig:
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     return config_from_dict(raw or {})

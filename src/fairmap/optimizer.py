@@ -279,7 +279,7 @@ def _named(problem: Problem, diagnostics: Mapping[str, object]) -> dict:
 
 
 def solve(problem: Problem, tol: float = DEFAULT_TOL,
-          max_iters: int = DEFAULT_MAX_ITERS) -> Solution:
+          max_iters: int = DEFAULT_MAX_ITERS, bases: dict | None = None) -> Solution:
     """Solve the assembled program to a certified tolerance.
 
     The total-variation objective goes through an exact LP; the KL
@@ -289,8 +289,13 @@ def solve(problem: Problem, tol: float = DEFAULT_TOL,
     total violation) and a pointer at the most violated constraint; a KL
     objective that is infinite on the whole feasible set comes back as
     status ``infinite_objective`` with the cell that causes it named.
+
+    ``bases``, a dict, warm-starts the LPs from the optimal bases an
+    earlier solve of a program of the same shape left in it (and takes
+    this solve's); without it every LP starts cold.
     """
-    out = _path(problem.objective)(problem.program, tol=tol, max_iters=max_iters)
+    out = _path(problem.objective)(problem.program, tol=tol, max_iters=max_iters,
+                                   bases=bases)
     return Solution(
         status=out.status,
         kernel=_kernel_from_vec(problem, out.kvec),
@@ -350,13 +355,17 @@ class SweepResult:
 def sweep_epsilon(problem: Problem, eps_grid: Sequence[float],
                   tol: float = DEFAULT_TOL,
                   max_iters: int = DEFAULT_MAX_ITERS) -> SweepResult:
-    """Independent solves across an ascending epsilon grid."""
+    """Solves across an ascending epsilon grid, each point's LPs started
+    from the optimal bases that earlier points left (the program's shape
+    does not depend on epsilon).  Each entry is certified to ``tol`` as a
+    ``solve`` at its epsilon is, so its objective matches that solve's
+    within the tolerance, not bit for bit."""
     eps_grid = [float(e) for e in eps_grid]
     if eps_grid != sorted(eps_grid):
         raise InvalidParamsError("epsilon grid must be ascending")
-    entries = []
+    entries, bases = [], {}
     for eps in eps_grid:
-        sol = solve(problem.with_epsilon(eps), tol=tol, max_iters=max_iters)
+        sol = solve(problem.with_epsilon(eps), tol=tol, max_iters=max_iters, bases=bases)
         entries.append(SweepEntry(eps, sol.status, sol.objective))
     return SweepResult(tuple(entries), tol)
 

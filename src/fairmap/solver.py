@@ -23,7 +23,9 @@ enforced).  For KL, UB - L is also the termination criterion.
 
 Every LP is one HiGHS model (``_LPModel``, on SciPy's bundled HiGHS
 bindings ``scipy.optimize._highspy``): the l1 LP, phase 1 and the KL
-start LP run once, cold; the KL cut LPs are one model that gains rows.
+start LP run once; the KL cut LPs are one model that gains rows.  Each
+starts cold unless the caller passes ``bases`` (``sweep_epsilon`` does,
+across its grid; see ``_LPModel``).
 Every LP adds a tiny identity-deviation term to the objective so that
 ties between algebraically equivalent optima break deterministically
 toward the least-randomizing kernel.
@@ -151,11 +153,16 @@ class _LPModel:
     ``rows @ x <= rhs``, the program's simplex rows, 0 <= k <= 1 and
     aux >= 0.  HiGHS holds the rows as [G; ``rows``; simplex rows; appended
     rows].  ``add_rows`` appends ``<=`` rows, and every ``run`` after the
-    first restarts the dual simplex from the basis of the run before."""
+    first restarts the dual simplex from the basis of the run before.
+
+    ``bases`` (optional) carries optimal bases between models of one shape
+    (an LP of one program at another epsilon): the first ``run`` starts
+    from ``bases[name]`` when it holds one and, if optimal, stores its own
+    basis there."""
 
     def __init__(self, name: str, prog: SimplexImageProgram, c_k: np.ndarray, c_aux,
-                 g_aux=None, rows=None, rhs=None):
-        self.name, n_aux = name, len(c_aux)
+                 g_aux=None, rows=None, rhs=None, bases: dict | None = None):
+        self.name, self.bases, n_aux = name, bases, len(c_aux)
         aux = sp.csr_matrix((prog.h.size, n_aux)) if g_aux is None else g_aux
         if rows is None:
             rows, rhs = sp.csr_matrix((0, prog.n_vars + n_aux)), np.zeros(0)
@@ -208,6 +215,9 @@ class _LPModel:
         raises ``NumericalBreakdownError``."""
         if max_iters is not None:
             self._set("simplex_iteration_limit", max_iters)
+        bases, self.bases = self.bases, None
+        if bases and self.name in bases:
+            self._ok(self.highs.setBasis(bases[self.name]), "setBasis")
         if self.highs.run() == _highs.HighsStatus.kError:
             raise NumericalBreakdownError(f"{self.name} failed: HiGHS run returned kError")
         model_status = self.highs.getModelStatus()
@@ -217,6 +227,8 @@ class _LPModel:
                 f"{self.name} failed: HiGHS model status"
                 f" {self.highs.modelStatusToString(model_status)}"
             )
+        if bases is not None and status == STATUS_OPTIMAL:
+            bases[self.name] = self.highs.getBasis()
         sol, info = self.highs.getSolution(), self.highs.getInfo()
         x = np.asarray(sol.col_value) if sol.value_valid else None
         row_dual = (np.asarray(sol.row_dual)
@@ -284,8 +296,9 @@ def lagrangian_bound(prog: SimplexImageProgram, lam: np.ndarray, mu: np.ndarray,
 
 
 def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
-             max_iters: int = DEFAULT_MAX_ITERS) -> SolveOutcome:
-    """Exact LP solve of the total-variation (l1) objective."""
+             max_iters: int = DEFAULT_MAX_ITERS, bases: dict | None = None) -> SolveOutcome:
+    """Exact LP solve of the total-variation (l1) objective.  ``bases``
+    warm-starts the LP as in ``_LPModel``."""
     if tol <= 0:
         raise InvalidParamsError("tol must be positive")
     n, m, n_img = prog.n_vars, int(prog.h.size), int(prog.p_ref.size)
@@ -295,7 +308,7 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     run = _LPModel(
         "l1 LP", prog, -TIE_BREAK_WEIGHT * prog.anchor, np.ones(n_img),
         rows=sp.vstack([sp.hstack([-A, -I]), sp.hstack([A, -I])], format="csr"),
-        rhs=np.concatenate([-prog.p_ref, prog.p_ref]),
+        rhs=np.concatenate([-prog.p_ref, prog.p_ref]), bases=bases,
     ).run(STATUS_INFEASIBLE, STATUS_ITERATION_LIMIT, max_iters=max_iters)
     if run.status != STATUS_OPTIMAL:
         # a stopped LP need not hold a primal, nor a row-stochastic one;
@@ -326,7 +339,7 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
 
 
 def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
-             max_iters: int = DEFAULT_MAX_ITERS) -> SolveOutcome:
+             max_iters: int = DEFAULT_MAX_ITERS, bases: dict | None = None) -> SolveOutcome:
     """Kelley's cutting-plane method on the KL objective.
 
     On the supported cells the objective is sum_j p_j log p_j - sum_j p_j
@@ -344,6 +357,9 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     objective is infinite on the whole feasible set: the status is
     ``STATUS_INFINITE`` and ``diagnostics["uncovered_cell"]`` is the image
     index of the cell the start LP covers least.
+
+    ``bases`` warm-starts the start LP and the first cut LP as in
+    ``_LPModel``; the later cut LPs restart from their own model's basis.
     """
     if tol <= 0:
         raise InvalidParamsError("tol must be positive")
@@ -357,7 +373,7 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     start = _LPModel(
         "KL start LP", prog, np.zeros(n), [-1.0],
         rows=sp.hstack([-A_sup, sp.csr_matrix(p.reshape(-1, 1))], format="csr"),
-        rhs=np.zeros(sup.size),
+        rhs=np.zeros(sup.size), bases=bases,
     ).run(STATUS_INFEASIBLE)
     simplex_iterations = [start.iterations]
     if start.status == STATUS_INFEASIBLE:
@@ -395,7 +411,7 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     model = _LPModel(
         "cut LP", prog, -TIE_BREAK_WEIGHT * prog.anchor, np.concatenate([np.zeros(n_sup), p]),
         rows=sp.hstack([-A_sup, eye, sp.csr_matrix((n_sup, n_sup))], format="csr"),
-        rhs=np.zeros(n_sup),
+        rhs=np.zeros(n_sup), bases=bases,
     )
     cut_cols = np.column_stack([n + np.arange(n_sup), n + n_sup + np.arange(n_sup)])
     iters = 0

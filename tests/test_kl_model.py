@@ -179,6 +179,13 @@ def test_private_highs_api_smoke():
         three = ([0, 3, 6], [0, 1, 2, 0, 1, 2], [1.0, 3.0, 1.0, 2.0, 1.0, 1.0])
         warm = build(2, *two, np.full(2, -np.inf), np.array([4.0, 6.0]))
         solved(warm, -2.8, 2)
+        # an optimal basis, set on a fresh model of the same LP, is
+        # optimal there at once; getBasis returns a copy, which the rows
+        # added below leave at two rows
+        basis = warm.getBasis()
+        again = build(2, *two, np.full(2, -np.inf), np.array([4.0, 6.0]))
+        assert again.setBasis(basis) == highs.HighsStatus.kOk
+        assert solved(again, -2.8, 2) == 0
         assert warm.addRows(1, np.array([-np.inf]), np.array([2.5]), 2,
                             np.array([0], dtype=np.int32),
                             np.array([0, 1], dtype=np.int32),
@@ -189,6 +196,9 @@ def test_private_highs_api_smoke():
         row_dual = np.asarray(warm.getSolution().row_dual)
         assert (row_dual <= 0).all() and row_dual[2] == pytest.approx(-1.0), row_dual
         cold = build(3, *three, np.full(3, -np.inf), np.array([4.0, 6.0, 2.5]))
+        assert len(basis.row_status) == 2
+        # a basis of another shape is refused, not started from
+        assert cold.setBasis(basis) == highs.HighsStatus.kError
         assert warm_iterations < solved(cold, -2.5, 3)
 
         short = build(2, *two, np.full(2, -np.inf), np.array([4.0, 6.0]),
@@ -232,6 +242,16 @@ def test_cut_lps_restart_warm(compas_like):
     assert len(rest) == out.iterations - 1 >= 3
     assert min(start, first) > 0
     assert sum(rest) < 0.6 * first * len(rest)
+
+
+def test_basis_of_another_shape_is_refused(compas_like):
+    # a basis is only carried between programs of one shape; another
+    # shape is an error, not a silent cold start
+    bases = {}
+    solve_kl(compas_like.with_epsilon(0.45).program, bases=bases)
+    pmf, spec, metric, budget = random_instance(0)
+    with pytest.raises(NumericalBreakdownError, match="KL start LP failed: HiGHS setBasis"):
+        solve_kl(assemble(pmf, spec, metric, budget, "kl").program, bases=bases)
 
 
 def test_cut_lp_that_stops_short_raises(compas_like, monkeypatch):

@@ -1,8 +1,9 @@
 """Property tests over random small instances with zero-mass cells, in all
 three discrimination modes: the KL and l1 objectives share one feasible
-set, an epsilon sweep's objective never increases, the Lagrangian bound
-never exceeds a solved optimum, and records sampled through a solved
-kernel follow its pushforward.
+set, an epsilon sweep's objective never increases and its warm-started
+points agree with cold solves, the Lagrangian bound never exceeds a
+solved optimum, and records sampled through a solved kernel follow its
+pushforward.
 
 Some feasible instances leave KL infinite on the whole feasible set (every
 feasible kernel zeroes a populated cell; a pairwise bound against a group
@@ -158,6 +159,36 @@ def test_lagrangian_bound_never_exceeds_the_optimum(seed, objective):
         ]
         for lam_r, mu_r in drawn:
             assert lagrangian_bound(wider, lam_r, mu_r, kl) <= upper + 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["l1", "kl"]))
+@example(INFINITE_SEED, "kl")
+def test_warm_sweep_matches_independent_solves(seed, objective):
+    # a sweep starts each point's LPs from the bases of the point before;
+    # each entry must still be what a cold solve at its epsilon certifies
+    problem = assemble(*random_instance(seed), objective)
+    grid = np.sort(np.random.default_rng(seed + 1).uniform(0.0, 0.8, size=3))
+    result = sweep_epsilon(problem, grid)
+    for entry in result.entries:
+        cold = solve(problem.with_epsilon(entry.epsilon))
+        assert entry.status == cold.status
+        if cold.status == STATUS_OPTIMAL:
+            assert abs(entry.objective - cold.objective) <= result.tol
+    # a solve handed the bases of an optimal solve of the same program
+    # starts its first LP (the KL start LP, the l1 LP) from an optimum
+    def first_lp(sol):
+        return sol.diagnostics["simplex_iterations"][0] if objective == "kl" else sol.iterations
+
+    bases = {}
+    first = solve(problem, bases=bases)
+    name = "KL start LP" if objective == "kl" else "l1 LP"
+    assert (name in bases) == (first.status != STATUS_INFEASIBLE)
+    if name not in bases:
+        return
+    cold, warm = first_lp(first), first_lp(solve(problem, bases=bases))
+    # presolve alone settles some LPs, in 0 iterations either way
+    assert warm < cold or cold == warm == 0
 
 
 def within_binomial(counts: np.ndarray, probs: np.ndarray) -> bool:
