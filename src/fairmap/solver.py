@@ -201,7 +201,10 @@ class _LPModel:
         HiGHS's default scaling a warm-started primal's simplex-row sums
         drift past what a kernel row may miss 1 by (1e-9), and unscaled (0)
         the cut LP of an identity-optimal instance can end up to 2e-9 off
-        its optimum.  LPs that run once keep the default scaling."""
+        its optimum.  LPs that run once keep the default scaling, also
+        when started from a handed basis: there the primal's row sums
+        stayed within 1e-13 of 1 on adult- and compas-shaped sweeps, and
+        scaling 4 cost the adult l1 sweep simplex iterations."""
         self._set("simplex_scale_strategy", 4)
         self._ok(self.highs.addRows(
             rows.shape[0], np.full(rows.shape[0], -np.inf), rhs, rows.nnz,

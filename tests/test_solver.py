@@ -25,13 +25,14 @@ from conftest import (
     make_toy_instance,
     random_pmf,
 )
-from fairmap.constants import FORBIDDEN, TIE_BREAK_WEIGHT
+from fairmap.constants import FORBIDDEN, ROW_ATOL, TIE_BREAK_WEIGHT
 from fairmap.constraints import (
     LinearConstraintSet,
     VariableLayout,
     build_discrimination_constraints,
     build_distortion_constraints,
 )
+from fairmap.presets import preset_config
 from fairmap.solver import phase1_violation, solve_tv
 from test_properties import random_instance
 
@@ -563,6 +564,20 @@ class TestSweep:
         mids = [e.objective for e in result.entries[2:5]]
         assert all(o > 1e-4 for o in mids)
         assert mids == sorted(mids, reverse=True)
+
+    def test_warm_l1_sweep_keeps_kernel_rows_on_adult_preset(self):
+        # every point after the first starts the l1 LP from the basis the
+        # point before left, under HiGHS's default scaling; its primal is
+        # the kernel, whose rows must still sum to 1 within ROW_ATOL
+        cfg = preset_config("adult")
+        pmf = random_pmf(cfg.schema, np.random.default_rng(0), zero_fraction=0.5)
+        problem = assemble(pmf, cfg.discrimination, cfg.metric, cfg.budget, "l1")
+        bases = {}
+        for eps in (0.05, 0.10, 0.15, 0.20):
+            at = problem.with_epsilon(eps)
+            sol = solve(at, bases=bases)
+            assert sol.status == "optimal" and "l1 LP" in bases
+            assert at.max_residual(sol.kernel) <= ROW_ATOL
 
     def test_sweep_all_zero_when_loose(self, rng):
         pmf = random_pmf(make_schema(nx=1), rng)
