@@ -26,7 +26,7 @@ from .errors import (
     MissingOutcomeError,
     ZeroReferenceError,
 )
-from .optimizer import TransformKernel
+from .optimizer import TransformKernel, identity_kernel
 
 
 def pushforward_joint(pmf: JointPMF, kernel: TransformKernel) -> np.ndarray:
@@ -102,8 +102,9 @@ def audit_discrimination(
             joint_dy = source.p_dy()
         if target is None and spec.target is None:
             target = source.p_y()
-        if spec.mode == "conditional" and kernel is not None:
-            segment_j = _segment_js(source, kernel, spec)
+        if spec.mode == "conditional":
+            segment_j = _segment_js(
+                source, identity_kernel(source.schema) if kernel is None else kernel, spec)
     elif isinstance(source, Dataset):
         if kernel is not None:
             raise InvalidParamsError("pass either a dataset or a pmf+kernel")

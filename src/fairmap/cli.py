@@ -308,6 +308,8 @@ def _rates_table(before, after, schema) -> list[str]:
 
 
 def cmd_audit(args) -> int:
+    if not (args.kernel or args.transformed):
+        raise ConfigError("audit needs --kernel and/or --transformed")
     config = load_config(args.config)
     out_dir = _ensure_out(config, args.out_dir)
     schema = config.schema
@@ -333,8 +335,6 @@ def cmd_audit(args) -> int:
             has_header=True,
             expected_fingerprint=expected,
         )
-    if kernel is None and transformed is None:
-        raise ConfigError("audit needs --kernel and/or --transformed")
 
     payload: dict = {"fingerprint": config.fingerprint(), "n_records": len(original)}
     before = audit_discrimination(pmf, spec)

@@ -79,7 +79,7 @@ class SolverConfig:
     max_outer: int
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails this test too
             raise ConfigError("solver tol must be positive")
         if self.strategy not in ("full", "sof_fix_conditional", "sof_alternating"):
             raise ConfigError(f"unknown solver strategy {self.strategy!r}")

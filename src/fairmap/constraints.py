@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .constants import FORBIDDEN
-from .domain import JointPMF, Schema
+from .constants import FORBIDDEN, ROW_ATOL
+from .domain import JointPMF, Schema, probabilities
 from .distortion import DistortionBudget, DistortionMetric, distortion_matrix
 from .errors import (
     InvalidParamsError,
@@ -64,10 +64,8 @@ class DiscriminationSpec:
         if self.mode not in (MODE_TARGET, MODE_PAIRWISE, MODE_CONDITIONAL):
             raise InvalidParamsError(f"unknown discrimination mode {self.mode!r}")
         if self.target is not None:
-            target = np.asarray(self.target, dtype=np.float64)
-            if target.shape != (2,) or (target < 0).any() or abs(target.sum() - 1) > 1e-9:
-                raise InvalidParamsError("target must be a distribution over outcomes")
-            object.__setattr__(self, "target", target)
+            object.__setattr__(
+                self, "target", probabilities(self.target, (2,), ROW_ATOL, "target"))
         # NaN fails the comparison too; HiGHS refuses an infinite row bound
         if np.isscalar(self.epsilon):
             if not 0 <= self.epsilon < np.inf:

@@ -477,8 +477,8 @@ def write_kernel(path: str, kernel: TransformKernel) -> None:
 
 def _probability(raw: str) -> float:
     prob = float(raw)
-    if not np.isfinite(prob):  # the row-sum check cannot see a NaN
-        raise ValueError("not a finite number")
+    if not 0.0 <= prob < np.inf:  # the row-sum check misses NaN and offset negatives
+        raise ValueError("not a finite nonnegative number")
     return prob
 
 

@@ -142,22 +142,22 @@ def validate_metric(metric: DistortionMetric, schema: Schema) -> None:
             k = len(var.alphabet)
             if table.shape != (k, k):
                 raise InvalidParamsError(f"table for {var.name!r} must be {k}x{k}")
-            if (table < 0).any():
-                raise InvalidParamsError("negative distortion penalty")
+            if not (table >= 0).all():  # NaN fails this test too
+                raise InvalidParamsError("distortion penalty is negative or NaN")
             if np.abs(np.diagonal(table)).max(initial=0.0) != 0.0:
                 raise InvalidParamsError("identity transitions must cost 0")
         y_table = metric.y_table
         if y_table is None:
             raise InvalidParamsError("per-attribute metric needs a y_table")
-        if y_table.shape != (2, 2) or (y_table < 0).any():
-            raise InvalidParamsError("y_table must be 2x2 and nonnegative")
+        if y_table.shape != (2, 2) or not (y_table >= 0).all():
+            raise InvalidParamsError("y_table must be 2x2, nonnegative and not NaN")
         if y_table[0, 0] != 0.0 or y_table[1, 1] != 0.0:
             raise InvalidParamsError("identity transitions must cost 0")
     else:
         names = {v.name for v in schema.x_vars} | {schema.y_var.name}
         for rule in metric.rules:
-            if rule.value < 0:
-                raise InvalidParamsError("negative distortion penalty")
+            if not rule.value >= 0:
+                raise InvalidParamsError("distortion penalty is negative or NaN")
             for cond in rule.if_all + rule.if_any:
                 if cond.var not in names:
                     raise InvalidParamsError(f"rule condition on unknown {cond.var!r}")
@@ -166,8 +166,8 @@ def validate_metric(metric: DistortionMetric, schema: Schema) -> None:
         matrix = distortion_matrix(metric, schema)
         if np.abs(np.diagonal(matrix)).max(initial=0.0) != 0.0:
             raise InvalidParamsError("identity transitions must cost 0")
-        if (matrix < 0).any():
-            raise InvalidParamsError("negative distortion penalty")
+        if not (matrix >= 0).all():
+            raise InvalidParamsError("distortion penalty is negative or NaN")
 
 
 def evaluate_distortion(metric: DistortionMetric, schema: Schema,
@@ -268,6 +268,15 @@ def _apply_bounds(mask: np.ndarray, delta: np.ndarray,
     return mask
 
 
+def _check_budget(b) -> None:
+    """Refuse a negative budget, and a NaN one unless it marks a cell
+    without a budget in a per-cell array (``MissingBudgetError`` if that
+    cell has mass)."""
+    arr = np.asarray(b, dtype=np.float64)
+    if (arr < 0).any() or (arr.ndim == 0 and np.isnan(arr)):
+        raise InvalidParamsError("budget is negative or NaN")
+
+
 @dataclass(frozen=True)
 class DistortionBudget:
     """Budgets on the distortion a transform may inflict per input cell.
@@ -290,21 +299,18 @@ class DistortionBudget:
             if self.c is None:
                 raise InvalidParamsError("expected budget needs c")
             c = self.c if np.isscalar(self.c) else np.asarray(self.c, dtype=np.float64)
-            if np.any(np.asarray(c) < 0):
-                raise InvalidParamsError("budgets must be nonnegative")
+            _check_budget(c)
             object.__setattr__(self, "c", c)
         else:
             pairs = tuple((float(t), b) for t, b in self.pairs)
             if not pairs:
                 raise InvalidParamsError("thresholded budget needs pairs")
             thresholds = [t for t, _ in pairs]
-            if sorted(thresholds) != thresholds or len(set(thresholds)) != len(
-                thresholds
-            ):
-                raise InvalidParamsError("thresholds must be strictly increasing")
+            if np.isnan(thresholds).any() or not (np.diff(thresholds) > 0).all():
+                raise InvalidParamsError("thresholds must be strictly increasing numbers")
             scalars = [b for _, b in pairs if np.isscalar(b)]
-            if any(np.any(np.asarray(b) < 0) for _, b in pairs):
-                raise InvalidParamsError("budgets must be nonnegative")
+            for _, b in pairs:
+                _check_budget(b)
             if scalars == [b for _, b in pairs]:
                 if any(b2 > b1 + 1e-15 for (_, b1), (_, b2) in zip(pairs, pairs[1:])):
                     raise InvalidParamsError(

@@ -324,16 +324,8 @@ class JointPMF:
     n: Optional[int] = None
 
     def __post_init__(self):
-        mass = np.asarray(self.mass, dtype=np.float64)
         shape = (self.schema.nd, self.schema.nx, self.schema.ny)
-        if mass.shape != shape:
-            raise InvalidParamsError(f"mass must have shape {shape}")
-        if (mass < 0).any():
-            raise InvalidParamsError("negative probability mass")
-        total = float(mass.sum())
-        if abs(total - 1.0) > MASS_ATOL:
-            raise InvalidParamsError(f"total mass {total} not within {MASS_ATOL} of 1")
-        object.__setattr__(self, "mass", _readonly(mass))
+        object.__setattr__(self, "mass", probabilities(self.mass, shape, MASS_ATOL, "mass"))
 
     # convenient marginals used throughout the package
     def p_d(self) -> np.ndarray:
@@ -361,15 +353,9 @@ class MarginalPMF:
     mass: np.ndarray
 
     def __post_init__(self):
-        mass = np.asarray(self.mass, dtype=np.float64)
         shape = tuple(len(a) for a in self.variables)
-        if mass.shape != shape:
-            raise InvalidParamsError(f"marginal mass must have shape {shape}")
-        if (mass < 0).any():
-            raise InvalidParamsError("negative probability mass")
-        if abs(float(mass.sum()) - 1.0) > MASS_ATOL:
-            raise InvalidParamsError("marginal mass not normalized")
-        object.__setattr__(self, "mass", _readonly(mass))
+        object.__setattr__(
+            self, "mass", probabilities(self.mass, shape, MASS_ATOL, "marginal mass"))
 
 
 @dataclass(frozen=True)
@@ -387,12 +373,11 @@ class ConditionalPMF:
     absent: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        frozen = {}
-        for cell, row in self.rows.items():
-            row = np.asarray(row, dtype=np.float64)
-            if abs(float(row.sum()) - 1.0) > ROW_ATOL:
-                raise InvalidParamsError(f"conditional row {cell} does not sum to 1")
-            frozen[tuple(cell)] = _readonly(row)
+        shape = (int(np.prod([len(a) for a in self.target_variables])),)
+        frozen = {
+            tuple(cell): probabilities(row, shape, ROW_ATOL, f"conditional row {cell}")
+            for cell, row in self.rows.items()
+        }
         object.__setattr__(self, "rows", frozen)
         object.__setattr__(self, "absent", frozenset(self.absent))
 
@@ -506,3 +491,20 @@ def conditional(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore", divide="ignore"):
         cond = np.where(totals > 0.0, mass / np.where(totals > 0, totals, 1.0), 0.0)
     return cond, present
+
+
+def probabilities(values, shape: tuple, atol: float, name: str,
+                  axis: Optional[int] = None) -> np.ndarray:
+    """``values`` as a read-only float64 array of ``shape`` whose entries
+    are finite and nonnegative and sum to 1 within ``atol`` over the whole
+    array, or over ``axis``: the one rule of every pmf, conditional row,
+    kernel, apply mapper and target.  ``name`` names the array in a refusal."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != shape:
+        raise InvalidParamsError(f"{name} must have shape {shape}, not {arr.shape}")
+    # NaN fails every comparison, so it fails both of these
+    if not (arr.min() >= 0.0 and arr.max() < np.inf):
+        raise InvalidParamsError(f"{name} has negative or non-finite probabilities")
+    if not np.abs(arr.sum(axis=axis) - 1.0).max() <= atol:
+        raise InvalidParamsError(f"{name} does not sum to 1 within {atol}")
+    return _readonly(arr)

@@ -302,7 +302,7 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
              max_iters: int = DEFAULT_MAX_ITERS, bases: dict | None = None) -> SolveOutcome:
     """Exact LP solve of the total-variation (l1) objective.  ``bases``
     warm-starts the LP as in ``_LPModel``."""
-    if tol <= 0:
+    if not tol > 0:  # NaN fails this test too
         raise InvalidParamsError("tol must be positive")
     n, m, n_img = prog.n_vars, int(prog.h.size), int(prog.p_ref.size)
     # variables [k, u]; u_j >= |p_j - (A k)_j|
@@ -364,7 +364,7 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     ``bases`` warm-starts the start LP and the first cut LP as in
     ``_LPModel``; the later cut LPs restart from their own model's basis.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails this test too
         raise InvalidParamsError("tol must be positive")
     n, m = prog.n_vars, int(prog.h.size)
     sup = np.nonzero(prog.p_ref > 0)[0]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import MASS_ATOL, ROW_ATOL
 from .distortion import DistortionBudget
-from .domain import Dataset, JointPMF, Schema, conditional
+from .domain import Dataset, JointPMF, Schema, conditional, probabilities
 from .errors import InvalidParamsError, MissingOutcomeError
 from .optimizer import TransformKernel
 
@@ -50,16 +50,9 @@ class ApplyMapper:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
         nd, nx = self.schema.nd, self.schema.nx
-        if rows.shape != (nd, nx, nx):
-            raise InvalidParamsError(f"mapper must have shape {(nd, nx, nx)}")
-        if not np.isfinite(rows).all() or rows.min() < 0:
-            raise InvalidParamsError("mapper has negative or non-finite probabilities")
-        if np.abs(rows.sum(axis=2) - 1.0).max() > ROW_ATOL:
-            raise InvalidParamsError("mapper rows must sum to 1")
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(
+            self, "rows", probabilities(self.rows, (nd, nx, nx), ROW_ATOL, "mapper", axis=-1))
 
 
 def derive_apply_kernel(kernel: TransformKernel, pmf: JointPMF) -> ApplyMapper:

@@ -288,7 +288,8 @@ class TestTransform:
         (lambda f: f[:5], "5 fields, expected 6"),
         (lambda f: ["zz"] + f[1:], "column 'd'"),
         (lambda f: f[:5] + ["nan"], "column 'prob'"),
-    ], ids=["unparsable_prob", "short_line", "unknown_label", "nan_prob"])
+        (lambda f: f[:5] + ["-0.5"], "column 'prob'"),
+    ], ids=["unparsable_prob", "short_line", "unknown_label", "nan_prob", "negative_prob"])
     def test_malformed_kernel_line_is_data_error(self, workdir, capsys, edit, named):
         tmp, cfg, kernel = self.fit(workdir)
         lines = kernel.read_text().splitlines()
@@ -410,6 +411,16 @@ class TestAuditAndSweep:
         assert main([
             "audit", "--config", str(cfg), "--out-dir", str(tmp / "a4"),
         ]) == 3
+
+    def test_audit_without_artifact_refused_before_reading(self, workdir, capsys):
+        tmp, cfg = workdir
+        raw = yaml.safe_load(cfg.read_text())
+        raw["input"]["path"] = str(tmp / "missing.csv")
+        cfg2 = tmp / "missing.yaml"
+        cfg2.write_text(yaml.safe_dump(raw))
+        assert main(["audit", "--config", str(cfg2), "--out-dir", str(tmp / "a7")]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "--kernel" in line
 
     def test_audit_refuses_foreign_transformed_file(self, workdir):
         tmp, cfg, kernel = self.fit(workdir)
@@ -544,6 +555,35 @@ def _expected_budget_without_c(raw):
     raw["distortion"]["budget"] = {"mode": "expected"}
 
 
+def _nan_penalty(raw):
+    raw["distortion"]["metric"]["attributes"]["f1"]["penalties"] = {1: float("nan")}
+
+
+def _nan_rule_value(raw):
+    raw["distortion"]["metric"] = {"kind": "rule_table", "rules": [
+        {"value": float("nan"), "if_all": [{"var": "f1", "abs_jump": 1}]}]}
+
+
+def _nan_budget(raw):
+    raw["distortion"]["budget"]["c"] = float("nan")
+
+
+def _nan_pair_budget(raw):
+    raw["distortion"]["budget"] = {"mode": "thresholded", "pairs": [[1.0, float("nan")]]}
+
+
+def _nan_threshold(raw):
+    raw["distortion"]["budget"] = {"mode": "thresholded", "pairs": [[float("nan"), 0.1]]}
+
+
+def _nan_tol(raw):
+    raw["solver"] = {"tol": float("nan")}
+
+
+def _nan_target(raw):
+    raw["discrimination"] = {"mode": "target", "epsilon": 0.3, "target": [float("nan"), 0.5]}
+
+
 def _descending_bins(raw):
     raw["schema"]["variables"][1]["quantizer"] = {
         "kind": "bins", "edges": [2.0, 1.0], "labels": ["u", "v", "w"]}
@@ -573,6 +613,13 @@ class TestConfigErrors:
         (_scalar_between, "schema.filters[0].value"),
         (_string_in, "schema.filters[0].value"),
         (_expected_budget_without_c, "distortion.budget.c"),
+        (_nan_penalty, "distortion penalty is negative or NaN"),
+        (_nan_rule_value, "distortion penalty is negative or NaN"),
+        (_nan_budget, "distortion.budget: budget is negative or NaN"),
+        (_nan_pair_budget, "distortion.budget: budget is negative or NaN"),
+        (_nan_threshold, "distortion.budget: thresholds"),
+        (_nan_tol, "solver tol"),
+        (_nan_target, "target has negative or non-finite"),
     ])
     def test_validate_exits_3_naming_the_field(self, tmp_path, capsys,
                                                break_config, field):
@@ -585,6 +632,26 @@ class TestConfigErrors:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and field in line
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+    @pytest.mark.parametrize("objective", ["l1", "kl"])
+    @pytest.mark.parametrize("break_config, field", [
+        (_nan_penalty, "penalty"), (_nan_budget, "distortion.budget"),
+        (_nan_tol, "solver tol"), (_nan_target, "target"),
+    ])
+    def test_fit_refuses_nan_numbers(self, workdir, capsys, break_config, field,
+                                     objective):
+        # NaN passes a check written as "x < 0"; these configs once solved to
+        # a kernel, stalled, or ended in a misnamed or HiGHS error
+        tmp, cfg = workdir
+        raw = yaml.safe_load(cfg.read_text())
+        raw["objective"] = objective
+        break_config(raw)
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["fit", "--config", str(cfg)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and field in line
+        assert not (tmp / "out" / "kernel.csv").exists()
 
 
 class TestTrainingRecords:

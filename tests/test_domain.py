@@ -8,8 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmap import (
+    ApplyMapper,
+    ConditionalPMF,
     Dataset,
+    DiscriminationSpec,
     JointPMF,
+    MarginalPMF,
+    TransformKernel,
     condition,
     estimate_empirical,
     kl_divergence,
@@ -229,3 +234,60 @@ class TestInvariants:
             assert schema.d_from_label(schema.d_label(d)) == d
         for x in range(schema.nx):
             assert schema.x_from_label(schema.x_label(x)) == x
+
+
+def _valid_probabilities():
+    """Name -> (a valid array, the constructor that takes it) for every
+    probability array the package builds."""
+    schema = make_schema(nx=2)
+    pmf = random_pmf(schema, np.random.default_rng(0))
+    xy = tuple(v.alphabet for v in (*schema.x_vars, schema.y_var))
+    kernel = np.broadcast_to(pmf.p_xy().ravel(), (2, 2, 2, 4))
+    return {
+        "JointPMF": (pmf.mass, lambda a: JointPMF(schema, a)),
+        "MarginalPMF": (pmf.p_xy(), lambda a: MarginalPMF(xy, a)),
+        "ConditionalPMF": (np.full(4, 0.25), lambda a: ConditionalPMF(
+            (schema.d_vars[0].alphabet,), xy, {(0,): a})),
+        "TransformKernel": (kernel, lambda a: TransformKernel(schema, a)),
+        "ApplyMapper": (np.full((2, 2, 2), 0.5), lambda a: ApplyMapper(schema, a)),
+        "target": (np.array([0.3, 0.7]), lambda a: DiscriminationSpec(target=a)),
+    }
+
+
+def _first_row(a):
+    """The first row over the last axis, as a writable view."""
+    return a.reshape(-1, a.shape[-1])[0]
+
+
+def _nan(a):
+    _first_row(a)[0] = np.nan
+    return a
+
+
+def _negative(a):
+    row = _first_row(a)  # every sum stays at 1
+    row[0] += row[1] + 0.1
+    row[1] = -0.1
+    return a
+
+
+def _wrong_shape(a):
+    return np.append(a, 0.0)  # one more entry, of no mass
+
+
+def _off_by_1e3(a):
+    _first_row(a)[0] += 1e-3
+    return a
+
+
+class TestProbabilityRule:
+    """One rule holds for every probability array: the right shape,
+    finite nonnegative entries, sums within the site's tolerance of 1."""
+
+    @pytest.mark.parametrize("name", list(_valid_probabilities()))
+    @pytest.mark.parametrize("spoil", [_nan, _negative, _wrong_shape, _off_by_1e3])
+    def test_bad_array_refused(self, name, spoil):
+        valid, build = _valid_probabilities()[name]
+        build(valid.copy())
+        with pytest.raises(InvalidParamsError):
+            build(spoil(np.array(valid)))

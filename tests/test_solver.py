@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, minimize
 
 from fairmap import (
     DiscriminationSpec,
@@ -292,6 +292,57 @@ class TestConvexReferenceCrossCheck:
             except cp.error.SolverError:
                 ref.solve()
             assert abs(sol.objective - ref.value) <= 2e-6
+            checked += 1
+        assert checked >= 6
+
+
+def _slsqp_kl(P):
+    """KL optimum of a program by scipy's SLSQP: the analytic gradient of
+    sum p log(p / A k), dense simplex rows and G k <= h, bounds [0, 1]."""
+    sup = np.nonzero(P.p_ref > 0)[0]
+    p, A = P.p_ref[sup], P.A[sup].toarray()
+
+    def kl(k):
+        q = A @ k
+        return float(p @ np.log(p / q)), -A.T @ (p / q)
+
+    cons = [LinearConstraint(P.row_sum_matrix().toarray(), 1.0, 1.0)]
+    if P.h.size:
+        cons.append(LinearConstraint(P.G.toarray(), -np.inf, P.h))
+    lengths = np.diff(P.row_ptr)
+    res = minimize(kl, np.repeat(1.0 / lengths, lengths), jac=True, method="SLSQP",
+                   bounds=Bounds(0.0, 1.0), constraints=cons,
+                   options={"ftol": 1e-14, "maxiter": 1000})
+    assert res.success and P.residual(res.x) <= 1e-9
+    return res.fun
+
+
+class TestSLSQPReferenceCrossCheck:
+    def test_kl_against_slsqp(self):
+        # the instances of TestConvexReferenceCrossCheck, with a reference
+        # that needs nothing beyond scipy
+        rng = np.random.default_rng(123)
+        checked = 0
+        for _ in range(12):
+            nx = int(rng.integers(2, 5))
+            nd = int(rng.integers(2, 4))
+            pmf = random_pmf(make_schema(nx=nx, nd=nd), rng, zero_fraction=0.1)
+            xt = rng.uniform(0.3, 2.0, (nx, nx))
+            np.fill_diagonal(xt, 0)
+            metric = DistortionMetric(
+                "per_attribute", x_tables=(xt,),
+                y_table=np.array([[0, 1e4], [rng.uniform(0.5, 1.5), 0]]),
+                combiner="sum",
+            )
+            spec = DiscriminationSpec(
+                mode="pairwise", epsilon=float(rng.uniform(0.1, 0.4))
+            )
+            budget = DistortionBudget("expected", c=float(rng.uniform(0.5, 1.5)))
+            problem = assemble(pmf, spec, metric, budget, "kl")
+            sol = solve(problem, tol=1e-8)
+            if sol.status != "optimal":
+                continue
+            assert abs(sol.objective - _slsqp_kl(problem.program)) <= 2e-6
             checked += 1
         assert checked >= 6
 
