@@ -177,8 +177,6 @@ def _segment_js(pmf: JointPMF, kernel: TransformKernel,
                 target_b = spec.target
             else:
                 seg = pmf.mass[:, sel, :].sum(axis=(0, 1))
-                if seg.sum() <= 0:
-                    continue
                 target_b = seg / seg.sum()
             for y in (0, 1):
                 if target_b[y] > 0:
@@ -241,7 +239,7 @@ def check_estimation_discrimination(
     returned.  Conversely, when all ratio distances are within epsilon
     the advantage cannot exceed 1 + epsilon.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN fails this test too
         raise InvalidParamsError("epsilon must be nonnegative")
     report = map_advantage(joint_dy)
     joint = np.asarray(joint_dy, dtype=np.float64)
@@ -276,7 +274,7 @@ def type_concentration_tau(n: int, beta: float, m: int) -> float:
 
 def ratio_bound_exponent(tau: float, p_min: float) -> float:
     """g(tau, p_min) = sqrt(3 tau / p_min)."""
-    if tau < 0 or not 0 < p_min <= 1:
+    if not tau >= 0 or not 0 < p_min <= 1:
         raise InvalidParamsError("need tau >= 0 and 0 < p_min <= 1")
     return math.sqrt(3.0 * tau / p_min)
 
@@ -369,7 +367,7 @@ def robustness_bounds(
     """
     if not 0 < c_m <= 1:
         raise InvalidParamsError("need 0 < c_m <= 1")
-    if epsilon < 0 or mu < 0:
+    if not (epsilon >= 0 and mu >= 0):
         raise InvalidParamsError("epsilon and mu must be nonnegative")
     tau = type_concentration_tau(n, beta, m)
     drift = ratio_drift_bounds(tau, c_m, 1.0 - epsilon, 1.0 + epsilon)

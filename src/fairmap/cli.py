@@ -405,11 +405,7 @@ def cmd_audit(args) -> int:
             "l1": l1_distance(pmf.p_xy(), p_emp.p_xy()),
         }
         if config.metric is not None:
-            thresholds = (
-                [t for t, _ in config.budget.pairs]
-                if config.budget.mode == "thresholded"
-                else []
-            )
+            thresholds = [t for t, _ in config.budget.pairs if t is not None]
             summary = audit_distortion(
                 original, transformed, config.metric, thresholds=thresholds
             )

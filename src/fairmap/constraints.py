@@ -367,11 +367,11 @@ def build_distortion_constraints(
 ) -> LinearConstraintSet:
     """Per-input-cell distortion inequalities plus forbidden-entry fixes.
 
-    With D[r] the distortion row of layout row r's input cell:
-    expected mode bounds each row's expected distortion D[r] . k_r;
-    thresholded mode bounds each row's exceedance probability
-    (D[r] > t) . k_r for every threshold t, and a zero budget also pins
-    the affected entries to zero.  Entries at or above the forbidden
+    With D[r] the distortion row of layout row r's input cell, each
+    budget pair (t, c) gives one row per input cell: t None (the expected
+    mode) bounds the expected distortion D[r] . k_r; a threshold t bounds
+    the exceedance probability (D[r] > t) . k_r, and a zero budget also
+    pins the affected entries to zero.  Entries at or above the forbidden
     level are pinned whenever the budget cannot reach them.
     """
     if layout is None:
@@ -385,13 +385,9 @@ def build_distortion_constraints(
     D = delta[layout.x * schema.ny + layout.y]  # (n_rows, row_dim)
     names = cell_names(layout)
 
-    if budget.mode == "expected":
-        pairs = [(None, budget.cell_c(shape))]
-    else:
-        pairs = budget.cell_pairs(shape)
     blocks, rhs, labels = [], [], []
     fixed = np.zeros(D.shape, dtype=bool)
-    for t, cgrid in pairs:
+    for t, cgrid in budget.cells(shape):
         c = cgrid[cells]
         if np.isnan(c).any():
             raise MissingBudgetError("budget missing for a positive-mass cell")

@@ -269,28 +269,34 @@ def _apply_bounds(mask: np.ndarray, delta: np.ndarray,
 
 
 def _check_budget(b) -> None:
-    """Refuse a negative budget, and a NaN one unless it marks a cell
-    without a budget in a per-cell array (``MissingBudgetError`` if that
-    cell has mass)."""
+    """Refuse a negative or infinite budget, and a NaN one unless it marks
+    a cell without a budget in a per-cell array (``MissingBudgetError`` if
+    that cell has mass)."""
     arr = np.asarray(b, dtype=np.float64)
     if (arr < 0).any() or (arr.ndim == 0 and np.isnan(arr)):
         raise InvalidParamsError("budget is negative or NaN")
+    if np.isinf(arr).any():
+        raise InvalidParamsError(
+            "budget is infinite; give a large finite c, or leave out distortion"
+        )
 
 
 @dataclass(frozen=True)
 class DistortionBudget:
-    """Budgets on the distortion a transform may inflict per input cell.
+    """Budgets on the distortion a transform may inflict per input cell,
+    stored in one form: ``pairs``, a list of (threshold, budget).
 
-    mode "expected": bound on conditional expected distortion; ``c`` is a
-    scalar or an (nd, nx, ny) array.
-    mode "thresholded": bounds on exceedance probabilities; ``pairs`` is a
-    list of (threshold, budget), thresholds strictly increasing, budgets
-    nonincreasing.  Budgets may be per-cell arrays as well.
+    mode "expected": a bound on each cell's conditional expected
+    distortion; ``c`` is a scalar or an (nd, nx, ny) array, and ``pairs``
+    is the single pair (None, c).
+    mode "thresholded": bounds on exceedance probabilities; ``pairs`` is
+    given, thresholds strictly increasing, scalar budgets nonincreasing.
+    A budget may be a per-cell array in either mode.
     """
 
     mode: str
     c: object = None
-    pairs: tuple[tuple[float, object], ...] = ()
+    pairs: tuple[tuple[Optional[float], object], ...] = ()
 
     def __post_init__(self):
         if self.mode not in ("expected", "thresholded"):
@@ -298,9 +304,7 @@ class DistortionBudget:
         if self.mode == "expected":
             if self.c is None:
                 raise InvalidParamsError("expected budget needs c")
-            c = self.c if np.isscalar(self.c) else np.asarray(self.c, dtype=np.float64)
-            _check_budget(c)
-            object.__setattr__(self, "c", c)
+            pairs = ((None, self.c),)
         else:
             pairs = tuple((float(t), b) for t, b in self.pairs)
             if not pairs:
@@ -308,38 +312,28 @@ class DistortionBudget:
             thresholds = [t for t, _ in pairs]
             if np.isnan(thresholds).any() or not (np.diff(thresholds) > 0).all():
                 raise InvalidParamsError("thresholds must be strictly increasing numbers")
-            scalars = [b for _, b in pairs if np.isscalar(b)]
-            for _, b in pairs:
-                _check_budget(b)
-            if scalars == [b for _, b in pairs]:
-                if any(b2 > b1 + 1e-15 for (_, b1), (_, b2) in zip(pairs, pairs[1:])):
-                    raise InvalidParamsError(
-                        "budgets must be nonincreasing across thresholds"
-                    )
-            object.__setattr__(self, "pairs", pairs)
+        pairs = tuple(
+            (t, b if np.isscalar(b) else np.asarray(b, dtype=np.float64))
+            for t, b in pairs
+        )
+        for _, b in pairs:
+            _check_budget(b)
+        if all(np.isscalar(b) for _, b in pairs) and any(
+            b2 > b1 + 1e-15 for (_, b1), (_, b2) in zip(pairs, pairs[1:])
+        ):
+            raise InvalidParamsError("budgets must be nonincreasing across thresholds")
+        object.__setattr__(self, "pairs", pairs)
+        if self.mode == "expected":
+            object.__setattr__(self, "c", pairs[0][1])
 
-    def cell_c(self, shape: tuple[int, int, int]) -> np.ndarray:
-        """Expected-mode budgets broadcast to the full (nd, nx, ny) grid."""
-        if self.mode != "expected":
-            raise InvalidParamsError("cell_c only applies to expected budgets")
-        if np.isscalar(self.c):
-            return np.full(shape, float(self.c))
-        arr = np.asarray(self.c, dtype=np.float64)
-        if arr.shape != shape:
-            raise InvalidParamsError(f"budget array must have shape {shape}")
-        return arr
-
-    def cell_pairs(self, shape: tuple[int, int, int]):
-        """Thresholded-mode (threshold, per-cell budget array) pairs."""
-        if self.mode != "thresholded":
-            raise InvalidParamsError("cell_pairs only applies to thresholded budgets")
+    def cells(self, shape: tuple[int, int, int]):
+        """(threshold, budget) pairs, each budget on the full (nd, nx, ny)
+        grid: a scalar is broadcast, an array must have ``shape``."""
         out = []
         for t, b in self.pairs:
             if np.isscalar(b):
-                out.append((t, np.full(shape, float(b))))
-            else:
-                arr = np.asarray(b, dtype=np.float64)
-                if arr.shape != shape:
-                    raise InvalidParamsError(f"budget array must have shape {shape}")
-                out.append((t, arr))
+                b = np.full(shape, float(b))
+            elif b.shape != shape:
+                raise InvalidParamsError(f"budget array must have shape {shape}")
+            out.append((t, b))
         return out

@@ -316,9 +316,6 @@ class SweepResult:
     entries: tuple[SweepEntry, ...]
     tol: float
 
-    def objectives(self) -> list[float]:
-        return [e.objective for e in self.entries]
-
     @property
     def monotone_nonincreasing(self) -> bool:
         prev = None

@@ -194,10 +194,10 @@ def apply_distortion_bound(budget: DistortionBudget, pmf: JointPMF) -> ApplyBudg
     cond, present = conditional(pmf.mass)
     cells = [tuple(cell) for cell in np.argwhere(present).tolist()]
     shape = (schema.nd, schema.nx, schema.ny)
+    avgs = [(t, (cond * cgrid).sum(axis=2)) for t, cgrid in budget.cells(shape)]
     if budget.mode == "expected":
-        avg = (cond * budget.cell_c(shape)).sum(axis=2)
+        [(_, avg)] = avgs
         return ApplyBudget("expected", {c: float(avg[c]) for c in cells}, derived=False)
-    avgs = [(t, (cond * cgrid).sum(axis=2)) for t, cgrid in budget.cell_pairs(shape)]
     return ApplyBudget(
         "thresholded",
         {c: tuple((t, float(avg[c])) for t, avg in avgs) for c in cells},

@@ -158,7 +158,7 @@ def grid_search_oracle(inst: ToyInstance, objective: str = "l1",
     schema = pmf.schema
     ny = schema.ny
     delta = distortion_matrix(metric, schema)
-    cgrid = budget.cell_c((schema.nd, schema.nx, schema.ny))
+    [(_, cgrid)] = budget.cells((schema.nd, schema.nx, schema.ny))
     p_img = pmf.p_xy().ravel()
 
     free = []  # (weight, allowed entries, identity entry, c, delta row)

@@ -27,7 +27,7 @@ from fairmap import (
     robustness_bounds,
     solve,
 )
-from fairmap.audit import small_tau_ceiling
+from fairmap.audit import ratio_bound_exponent, small_tau_ceiling
 from fairmap.errors import InvalidParamsError, LengthMismatchError
 
 from conftest import make_schema, make_schema_multi, random_pmf
@@ -238,6 +238,24 @@ class TestRatioDriftBounds:
             ratio_drift_bounds(-0.1, 0.5)
         with pytest.raises(InvalidParamsError):
             ratio_drift_bounds(0.1, 0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_estimation_discrimination(np.full((2, 2), 0.25), NAN),
+    lambda: robustness_bounds(100, 0.05, 8, 0.1, NAN, 0.0),
+    lambda: robustness_bounds(100, 0.05, 8, 0.1, 0.1, NAN),
+    lambda: ratio_bound_exponent(NAN, 0.2),
+    lambda: ratio_drift_bounds(NAN, 0.2),
+], ids=["estimation_epsilon", "robustness_epsilon", "robustness_mu",
+        "ratio_bound_tau", "ratio_drift_tau"])
+def test_nan_fails_the_range_checks(call):
+    # a check written as "x < 0" lets NaN through to a verdict or a bound
+    # of NaN
+    with pytest.raises(InvalidParamsError):
+        call()
 
 
 class TestDiscriminationAudit:

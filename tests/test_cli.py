@@ -572,6 +572,14 @@ def _nan_pair_budget(raw):
     raw["distortion"]["budget"] = {"mode": "thresholded", "pairs": [[1.0, float("nan")]]}
 
 
+def _inf_budget(raw):
+    raw["distortion"]["budget"]["c"] = float("inf")
+
+
+def _inf_pair_budget(raw):
+    raw["distortion"]["budget"] = {"mode": "thresholded", "pairs": [[1.0, float("inf")]]}
+
+
 def _nan_threshold(raw):
     raw["distortion"]["budget"] = {"mode": "thresholded", "pairs": [[float("nan"), 0.1]]}
 
@@ -617,6 +625,8 @@ class TestConfigErrors:
         (_nan_rule_value, "distortion penalty is negative or NaN"),
         (_nan_budget, "distortion.budget: budget is negative or NaN"),
         (_nan_pair_budget, "distortion.budget: budget is negative or NaN"),
+        (_inf_budget, "distortion.budget: budget is infinite"),
+        (_inf_pair_budget, "distortion.budget: budget is infinite"),
         (_nan_threshold, "distortion.budget: thresholds"),
         (_nan_tol, "solver tol"),
         (_nan_target, "target has negative or non-finite"),
@@ -651,6 +661,19 @@ class TestConfigErrors:
         assert main(["fit", "--config", str(cfg)]) == 3
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and field in line
+        assert not (tmp / "out" / "kernel.csv").exists()
+
+    def test_fit_refuses_an_infinite_budget(self, workdir, capsys):
+        # an infinite row bound once gave an l1 kernel reported optimal
+        # with certificate nan (0 * inf in the Lagrangian bound)
+        tmp, cfg = workdir
+        raw = yaml.safe_load(cfg.read_text())
+        raw["objective"] = "l1"
+        _inf_budget(raw)
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["fit", "--config", str(cfg)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "distortion.budget" in line
         assert not (tmp / "out" / "kernel.csv").exists()
 
 

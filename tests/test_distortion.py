@@ -172,3 +172,45 @@ class TestValidation:
     def test_negative_budget_rejected(self):
         with pytest.raises(InvalidParamsError):
             DistortionBudget("expected", c=-0.1)
+
+    def test_infinite_cell_budget_rejected(self):
+        # an infinite row bound leaves the l1 certificate NaN and stalls KL;
+        # a NaN cell still marks a cell without a budget
+        cgrid = np.full((2, 3, 2), 0.5)
+        cgrid[1, 2, 0] = np.nan
+        DistortionBudget("expected", c=cgrid)
+        cgrid[0, 1, 1] = np.inf
+        with pytest.raises(InvalidParamsError, match="infinite"):
+            DistortionBudget("expected", c=cgrid)
+        with pytest.raises(InvalidParamsError, match="infinite"):
+            DistortionBudget("thresholded", pairs=((0.5, cgrid),))
+
+
+class TestBudgetCells:
+    """Both modes are one list of (threshold, per-cell budget) pairs."""
+
+    SHAPE = (2, 3, 2)
+
+    def test_expected_mode_is_the_pair_none_c(self):
+        budget = DistortionBudget("expected", c=0.4)
+        assert budget.pairs == ((None, 0.4),) and budget.c == 0.4
+        [(t, grid)] = budget.cells(self.SHAPE)
+        assert t is None
+        assert grid.shape == self.SHAPE and (grid == 0.4).all()
+
+    def test_per_cell_arrays_pass_through(self):
+        cgrid = np.arange(12.0).reshape(self.SHAPE)
+        [(t, grid)] = DistortionBudget("expected", c=cgrid.tolist()).cells(self.SHAPE)
+        assert t is None and np.array_equal(grid, cgrid)
+        budget = DistortionBudget("thresholded", pairs=((0.5, cgrid), (1.5, 0.0)))
+        [(t1, g1), (t2, g2)] = budget.cells(self.SHAPE)
+        assert (t1, t2) == (0.5, 1.5)
+        assert np.array_equal(g1, cgrid) and (g2 == 0.0).all()
+
+    @pytest.mark.parametrize("budget", [
+        DistortionBudget("expected", c=np.zeros((2, 3))),
+        DistortionBudget("thresholded", pairs=((0.5, 0.1), (1.0, np.zeros((3, 2, 2))))),
+    ], ids=["expected", "thresholded"])
+    def test_wrong_shape_refused(self, budget):
+        with pytest.raises(InvalidParamsError, match="shape"):
+            budget.cells(self.SHAPE)
