@@ -304,8 +304,12 @@ class DistortionBudget:
         if self.mode == "expected":
             if self.c is None:
                 raise InvalidParamsError("expected budget needs c")
+            if self.pairs:
+                raise InvalidParamsError("expected budget takes c, not pairs")
             pairs = ((None, self.c),)
         else:
+            if self.c is not None:
+                raise InvalidParamsError("thresholded budget takes pairs, not c")
             pairs = tuple((float(t), b) for t, b in self.pairs)
             if not pairs:
                 raise InvalidParamsError("thresholded budget needs pairs")

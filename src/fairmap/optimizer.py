@@ -347,19 +347,26 @@ class SweepResult:
 def sweep_epsilon(problem: Problem, eps_grid: Sequence[float],
                   tol: float = DEFAULT_TOL,
                   max_iters: int = DEFAULT_MAX_ITERS) -> SweepResult:
-    """Solves across an ascending epsilon grid, each point's LPs started
-    from the optimal bases that earlier points left (the program's shape
-    does not depend on epsilon).  Each entry is certified to ``tol`` as a
+    """Solves across an ascending epsilon grid; the entries follow the
+    grid.  Every epsilon is checked before the first LP runs.  The points
+    are solved from the largest epsilon down, each one's LPs started from
+    the optimal bases the looser points left (the program's shape does
+    not depend on epsilon), so only the loosest point starts cold and the
+    infeasible points come last.  Each entry is certified to ``tol`` as a
     ``solve`` at its epsilon is, so its objective matches that solve's
     within the tolerance, not bit for bit."""
     eps_grid = [float(e) for e in eps_grid]
     if eps_grid != sorted(eps_grid):
         raise InvalidParamsError("epsilon grid must be ascending")
-    entries, bases = [], {}
+    if problem.disc_spec is None:
+        raise InvalidParamsError("problem has no discrimination spec to vary")
     for eps in eps_grid:
+        problem.disc_spec.with_epsilon(eps)  # refuses a negative, NaN or infinite epsilon
+    entries, bases = [], {}
+    for eps in reversed(eps_grid):
         sol = solve(problem.with_epsilon(eps), tol=tol, max_iters=max_iters, bases=bases)
         entries.append(SweepEntry(eps, sol.status, sol.objective))
-    return SweepResult(tuple(entries), tol)
+    return SweepResult(tuple(reversed(entries)), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ Every LP is one HiGHS model (``_LPModel``, on SciPy's bundled HiGHS
 bindings ``scipy.optimize._highspy``): the l1 LP, phase 1 and the KL
 start LP run once; the KL cut LPs are one model that gains rows.  Each
 starts cold unless the caller passes ``bases`` (``sweep_epsilon`` does,
-across its grid; see ``_LPModel``).
+from the loosest grid point down, so that infeasible points and their
+phase-1 LPs start warm too; see ``_LPModel``).
 Every LP adds a tiny identity-deviation term to the objective so that
 ties between algebraically equivalent optima break deterministically
 toward the least-randomizing kernel.
@@ -240,17 +241,19 @@ class _LPModel:
                     int(info.simplex_iteration_count))
 
 
-def phase1_violation(prog: SimplexImageProgram) -> tuple[float, np.ndarray, dict]:
+def phase1_violation(prog: SimplexImageProgram,
+                     bases: dict | None = None) -> tuple[float, np.ndarray, dict]:
     """Minimum total side-constraint violation (simplex rows stay hard).
 
     Returns the optimal total violation, the violation-minimizing kernel,
     and diagnostics naming the worst constraint there and summing the
     violations by label family (the label's first word, such as
     ``disc[pairwise]``, ``dist[expected]`` or ``pin``), whose units differ.
+    ``bases`` warm-starts the LP as in ``_LPModel``.
     """
     n, m = prog.n_vars, int(prog.h.size)
     x = _LPModel("phase-1 LP", prog, np.zeros(n), np.ones(m),
-                 -sp.identity(m, format="csr")).run().x
+                 -sp.identity(m, format="csr"), bases=bases).run().x
     kvec = x[:n]
     if m == 0:
         return 0.0, kvec, {}
@@ -301,7 +304,7 @@ def lagrangian_bound(prog: SimplexImageProgram, lam: np.ndarray, mu: np.ndarray,
 def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
              max_iters: int = DEFAULT_MAX_ITERS, bases: dict | None = None) -> SolveOutcome:
     """Exact LP solve of the total-variation (l1) objective.  ``bases``
-    warm-starts the LP as in ``_LPModel``."""
+    warm-starts the LP, and phase 1 when it runs, as in ``_LPModel``."""
     if not tol > 0:  # NaN fails this test too
         raise InvalidParamsError("tol must be positive")
     n, m, n_img = prog.n_vars, int(prog.h.size), int(prog.p_ref.size)
@@ -317,7 +320,7 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
         # a stopped LP need not hold a primal, nor a row-stochastic one;
         # phase 1's kernel keeps every simplex row, and every side
         # constraint when the program is feasible
-        violation, kvec, diag = phase1_violation(prog)
+        violation, kvec, diag = phase1_violation(prog, bases)
         if run.status == STATUS_INFEASIBLE or violation > tol:
             return SolveOutcome(
                 STATUS_INFEASIBLE, kvec, float("nan"), violation,
@@ -361,8 +364,9 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     ``STATUS_INFINITE`` and ``diagnostics["uncovered_cell"]`` is the image
     index of the cell the start LP covers least.
 
-    ``bases`` warm-starts the start LP and the first cut LP as in
-    ``_LPModel``; the later cut LPs restart from their own model's basis.
+    ``bases`` warm-starts the start LP, the first cut LP and phase 1 as
+    in ``_LPModel``; the later cut LPs restart from their own model's
+    basis.
     """
     if not tol > 0:  # NaN fails this test too
         raise InvalidParamsError("tol must be positive")
@@ -380,7 +384,7 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     ).run(STATUS_INFEASIBLE)
     simplex_iterations = [start.iterations]
     if start.status == STATUS_INFEASIBLE:
-        violation, kvec, diag = phase1_violation(prog)
+        violation, kvec, diag = phase1_violation(prog, bases)
         diag["simplex_iterations"] = simplex_iterations
         return SolveOutcome(
             STATUS_INFEASIBLE, kvec, float("nan"), violation,

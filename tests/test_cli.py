@@ -452,6 +452,11 @@ class TestAuditAndSweep:
         assert lines[0].startswith("# fairmap-report fingerprint=")
         assert lines[1] == "epsilon,status,objective"
         assert len(lines) == 6
+        # the points are solved from the largest epsilon down, but both
+        # files follow the grid
+        grid = [0.05, 0.2, 0.5, 1.0]
+        assert [float(line.split(",")[0]) for line in lines[2:]] == grid
+        assert [e["epsilon"] for e in payload["entries"]] == grid
 
     @pytest.mark.parametrize("grid, named", [
         ("abc", "'abc'"), ("0.1,x", "'x'"), ("nan", "finite"), ("0.1,inf", "finite"),

@@ -169,6 +169,14 @@ class TestValidation:
         with pytest.raises(InvalidParamsError):
             DistortionBudget("thresholded", pairs=((0.5, 0.05), (1.0, 0.1)))
 
+    def test_other_modes_field_refused(self):
+        # the expected mode would drop the pairs, the thresholded mode
+        # would keep an unused c
+        with pytest.raises(InvalidParamsError, match="not pairs"):
+            DistortionBudget("expected", c=0.5, pairs=((1.0, 0.1),))
+        with pytest.raises(InvalidParamsError, match="not c"):
+            DistortionBudget("thresholded", c=0.5, pairs=((1.0, 0.1),))
+
     def test_negative_budget_rejected(self):
         with pytest.raises(InvalidParamsError):
             DistortionBudget("expected", c=-0.1)

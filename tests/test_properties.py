@@ -114,7 +114,7 @@ def test_sweep_is_monotone_nonincreasing(seed):
         problem = assemble(pmf, spec, metric, budget, objective)
         result = sweep_epsilon(problem, grid)
         assert len(result.entries) == grid.size
-        # a point's LPs start from the bases of the point before; each
+        # a point's LPs start from the bases the looser points left; each
         # entry must still be what a cold solve at its epsilon certifies
         for entry in result.entries:
             cold = solve(problem.with_epsilon(entry.epsilon))

@@ -32,6 +32,7 @@ from fairmap.constraints import (
     build_discrimination_constraints,
     build_distortion_constraints,
 )
+from fairmap.errors import InvalidParamsError
 from fairmap.presets import preset_config
 from fairmap.solver import phase1_violation, solve_tv
 from test_properties import random_instance
@@ -588,7 +589,10 @@ class TestLPBuilder:
 
 
 class TestSweep:
-    def test_sweep_shape_on_discriminatory_instance(self):
+    GRID = [0.2, 0.4, 0.7, 1.2, 2.0, 3.2]
+
+    @staticmethod
+    def discriminatory(objective="l1"):
         # outcome drops only, high-rate group budget-capped at 0.6: the
         # pairwise gap cannot shrink below 0.32/0.2 - 1 = 0.6, and the
         # identity needs eps >= 0.8/0.2 - 1 = 3
@@ -596,14 +600,17 @@ class TestSweep:
         cgrid = np.zeros((2, 1, 2))
         cgrid[0, 0, 1] = 0.6
         cgrid[1, 0, 1] = 1.0
-        problem = assemble(
+        return assemble(
             pmf,
             DiscriminationSpec(mode="pairwise", epsilon=0.1),
             flip_metric(),
             DistortionBudget("expected", c=cgrid),
-            objective="l1",
+            objective=objective,
         )
-        grid = [0.2, 0.4, 0.7, 1.2, 2.0, 3.2]
+
+    def test_sweep_shape_on_discriminatory_instance(self):
+        problem = self.discriminatory()
+        grid = self.GRID
         result = sweep_epsilon(problem, grid, tol=1e-6)
         statuses = [e.status for e in result.entries]
         assert statuses[:2] == ["infeasible", "infeasible"]
@@ -615,6 +622,55 @@ class TestSweep:
         mids = [e.objective for e in result.entries[2:5]]
         assert all(o > 1e-4 for o in mids)
         assert mids == sorted(mids, reverse=True)
+
+    @pytest.mark.parametrize("objective", ["l1", "kl"])
+    def test_infeasible_points_warm_start_phase_1(self, monkeypatch, objective):
+        # the points are solved from the loosest down, so the infeasible
+        # ones come last and each phase-1 LP after the first starts from
+        # the basis of the one before; each must still certify what a
+        # cold solve certifies
+        import fairmap.optimizer as optimizer
+        import fairmap.solver as solver
+
+        problem = self.discriminatory(objective)
+        lps, solved = [], []
+        run, solve_at = solver._LPModel.run, optimizer.solve
+
+        def recorded_run(model, *args, **kwargs):
+            out = run(model, *args, **kwargs)
+            lps.append((model.name, out.iterations))
+            return out
+
+        def recorded_solve(at, *args, **kwargs):
+            solved.append((at.disc_spec.epsilon, solve_at(at, *args, **kwargs)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(solver._LPModel, "run", recorded_run)
+        monkeypatch.setattr(optimizer, "solve", recorded_solve)
+        result = sweep_epsilon(problem, self.GRID, tol=1e-6)
+        assert [eps for eps, _ in solved] == self.GRID[::-1]
+        warm = [it for name, it in lps if name == "phase-1 LP"]
+        infeasible = [(eps, sol) for eps, sol in solved if sol.status == "infeasible"]
+        assert [eps for eps, _ in infeasible] == [0.4, 0.2] and len(warm) == 2
+        for i, (eps, sol) in enumerate(infeasible):
+            lps.clear()
+            cold = solve(problem.with_epsilon(eps), tol=1e-6)  # the unwrapped solve
+            [cold_iters] = [it for name, it in lps if name == "phase-1 LP"]
+            if i > 0:
+                assert warm[i] < cold_iters or warm[i] == cold_iters == 0
+            assert sol.status == cold.status
+            assert sol.certificate == pytest.approx(cold.certificate, abs=1e-9)
+        assert [e.status for e in result.entries] == [s.status for _, s in solved[::-1]]
+
+    @pytest.mark.parametrize("grid", [[0.2, float("nan")], [-0.1, 0.5], [0.2, float("inf")]])
+    def test_whole_grid_checked_before_the_first_solve(self, monkeypatch, grid):
+        import fairmap.optimizer as optimizer
+
+        calls = []
+        monkeypatch.setattr(optimizer, "solve", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidParamsError, match="epsilon"):
+            sweep_epsilon(self.discriminatory(), grid)
+        assert calls == []
 
     def test_warm_l1_sweep_keeps_kernel_rows_on_adult_preset(self):
         # every point after the first starts the l1 LP from the basis the
