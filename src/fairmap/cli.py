@@ -2,16 +2,20 @@
 
 Exit codes are a stable contract: 0 success, 2 infeasible optimization,
 3 configuration/usage error, 4 I/O or data error, 5 a KL objective that
-is infinite on the whole feasible set.  Every artifact embeds
-the configuration fingerprint, and a kernel the SHA-256 of its training
-file; audit and transform refuse artifacts fit under a different
-configuration, or a training file changed since, unless explicitly
-overridden.
+is infinite on the whole feasible set.
+
+Every artifact starts with one provenance record naming the
+configuration fingerprint; a kernel's and a transformed file's name the
+SHA-256 of the data they stand for as well.  ``_check_provenance`` is
+the one place that decides what those records must match: it runs
+before ``transform`` or ``audit`` parses any artifact or the training
+file, and ``--allow-provenance-mismatch`` waives its mismatches.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -35,8 +39,9 @@ from .audit import (
 from .config import PipelineConfig, load_config
 from .dataio import (
     TRAINING_FILE,
-    data_record,
     file_sha256,
+    provenance_line,
+    provenance_records,
     read_dataset,
     read_kernel,
     read_training,
@@ -105,30 +110,46 @@ def _training_binding(config: PipelineConfig, data_sha256: str) -> dict:
     }
 
 
-def _training_records(config: PipelineConfig, args, kernel, record=None):
-    """The records ``fit`` read from the training file for ``kernel``, the
-    one read from ``args.kernel`` (or None).
-
-    Each ``data_sha256`` recorded for that file, by the kernel and by
-    ``record`` (a transformed file's provenance record), must be the
-    file's digest now: a changed file is refused (parsed as it is now
-    under ``args.allow_provenance_mismatch``), and an unchanged one is
-    served from the ``training.npz`` saved beside the kernel if that was
-    saved from the same bytes under the same configuration.  Every other
-    case parses the file.
-    """
-    sources = (kernel.provenance if kernel else {}, record or {})
-    recorded = {s["data_sha256"] for s in sources if "data_sha256" in s}
-    if not recorded:
-        return _read_input(config, config.input_path)
-    digest = file_sha256(config.input_path)
-    if recorded != {digest}:
-        if not args.allow_provenance_mismatch:
+def _check_provenance(config: PipelineConfig, args, reads_training: bool,
+                      kernel: Optional[str] = None,
+                      transformed: Optional[str] = None) -> Optional[str]:
+    """Refuse the artifacts at ``kernel`` and ``transformed`` (paths or
+    None) before anything is parsed: one with more than one provenance
+    line; then, unless ``--allow-provenance-mismatch``, a record under
+    another fingerprint and, when the run reads the training file, a
+    ``data_sha256`` other than that file's.  Returns that file's SHA-256
+    when it is read and a record names one (the key of the
+    ``training.npz`` cache), else None."""
+    allow, expected = args.allow_provenance_mismatch, config.fingerprint()
+    records = []
+    for path, kind, what in ((kernel, "kernel", "kernel was fit"),
+                             (transformed, "data", "data file was produced")):
+        found = provenance_records(path, kind) if path else []
+        if len(found) > 1:
+            raise ProvenanceMismatchError(f"{path} has {len(found)} provenance lines")
+        fingerprint = found[0].get("fingerprint", "") if found else expected
+        if fingerprint != expected and not allow:
             raise ProvenanceMismatchError(
-                f"{config.input_path} has data_sha256 {digest}, the artifacts "
-                f"record data_sha256 {' '.join(sorted(recorded - {digest}))}"
-            )
-    elif kernel is not None:
+                f"{what} under fingerprint {fingerprint!r}, configuration is {expected!r}")
+        records += found
+    recorded = {r["data_sha256"] for r in records if "data_sha256" in r}
+    if not (reads_training and recorded):
+        return None
+    digest = file_sha256(config.input_path)
+    if recorded != {digest} and not allow:
+        raise ProvenanceMismatchError(
+            f"{config.input_path} has data_sha256 {digest}, the artifacts "
+            f"record data_sha256 {' '.join(sorted(recorded - {digest}))}"
+        )
+    return digest
+
+
+def _training_records(config: PipelineConfig, args, digest: Optional[str]):
+    """The records of the training file: those saved in the
+    ``training.npz`` beside ``args.kernel`` when it was saved from the
+    bytes whose SHA-256 is ``digest`` under this configuration, else the
+    file parsed.  The sidecar is only a cache; a None ``digest`` parses."""
+    if digest is not None and args.kernel:
         saved = read_training(
             os.path.join(os.path.dirname(args.kernel), TRAINING_FILE),
             config.schema, _training_binding(config, digest))
@@ -247,27 +268,31 @@ def cmd_fit(args) -> int:
 def cmd_transform(args) -> int:
     config = load_config(args.config)
     out_dir = _ensure_out(config, args.out_dir)
-    # artifacts must carry the config's fingerprint; None accepts any
-    expected = None if args.allow_provenance_mismatch else config.fingerprint()
-    kernel = read_kernel(args.kernel, config.schema, expected_fingerprint=expected)
-    seed = args.seed_override if args.seed_override is not None else config.seed
     training = not args.input and not args.no_filters
-    dataset = _training_records(config, args, kernel) if training else _read_input(
+    digest = _check_provenance(config, args, training or args.mode == "apply",
+                               kernel=args.kernel)
+    kernel = read_kernel(args.kernel, config.schema)
+    seed = args.seed_override if args.seed_override is not None else config.seed
+    dataset = _training_records(config, args, digest) if training else _read_input(
         config, args.input or config.input_path, filtered=not args.no_filters
     )
     if args.mode == "train":
         transformed = transform_train(dataset, kernel, seed)
     else:
         pmf = estimate_empirical(
-            dataset if training else _training_records(config, args, kernel))
+            dataset if training else _training_records(config, args, digest))
         mapper = derive_apply_kernel(kernel, pmf)
         for warning in mapper.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         transformed = transform_apply(dataset, mapper, seed)
+    # the data a file stands for: the rows a train-mode file was drawn
+    # from, the training data behind an apply-mode file's p(y | d, x)
+    source = (file_sha256(args.input) if args.input and args.mode == "train"
+              else kernel.provenance.get("data_sha256"))
+    record = {"fingerprint": config.fingerprint(), "data_sha256": source}
     out_path = os.path.join(out_dir, f"transformed_{args.mode}.csv")
     write_dataset(out_path, transformed, delimiter=config.delimiter,
-                  fingerprint=config.fingerprint(),
-                  data_sha256=kernel.provenance.get("data_sha256"))
+                  record={k: v for k, v in record.items() if v is not None})
     print(f"wrote {out_path} ({len(transformed)} records, seed {seed})")
     return EXIT_OK
 
@@ -313,28 +338,18 @@ def cmd_audit(args) -> int:
     config = load_config(args.config)
     out_dir = _ensure_out(config, args.out_dir)
     schema = config.schema
-    expected = None if args.allow_provenance_mismatch else config.fingerprint()
-    kernel = None
-    if args.kernel:
-        kernel = read_kernel(args.kernel, schema, expected_fingerprint=expected)
-    record = data_record(args.transformed) if args.transformed else None
+    digest = _check_provenance(config, args, not args.original,
+                               kernel=args.kernel, transformed=args.transformed)
+    kernel = read_kernel(args.kernel, schema) if args.kernel else None
     original = (_read_input(config, args.original) if args.original
-                else _training_records(config, args, kernel, record))
+                else _training_records(config, args, digest))
     pmf = estimate_empirical(original)
     spec = config.discrimination
     target = spec.target if spec.target is not None else pmf.p_y()
 
-    transformed = None
-    if args.transformed:
-        # artifacts this package writes are self-describing: header row
-        # plus a provenance comment, regardless of the raw input's layout
-        transformed = read_dataset(
-            args.transformed,
-            schema,
-            delimiter=config.delimiter,
-            has_header=True,
-            expected_fingerprint=expected,
-        )
+    # a transformed file has a header row whatever the input's layout
+    transformed = (read_dataset(args.transformed, schema, delimiter=config.delimiter)
+                   if args.transformed else None)
 
     payload: dict = {"fingerprint": config.fingerprint(), "n_records": len(original)}
     before = audit_discrimination(pmf, spec)
@@ -434,11 +449,9 @@ def cmd_audit(args) -> int:
 
 
 def _write_cohort_csv(path: str, rows, fingerprint: str) -> None:
-    import csv as _csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# fairmap-report fingerprint={fingerprint}\n")
-        writer = _csv.writer(fh)
+        fh.write(provenance_line("report", {"fingerprint": fingerprint}))
+        writer = csv.writer(fh)
         writer.writerow(["x", "d", "before", "after", "delta", "count"])
         for r in rows:
             writer.writerow(
@@ -475,7 +488,7 @@ def cmd_sweep(args) -> int:
     )
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# fairmap-report fingerprint={config.fingerprint()}\n")
+        fh.write(provenance_line("report", {"fingerprint": config.fingerprint()}))
         fh.write("epsilon,status,objective\n")
         for e in result.entries:
             fh.write(f"{e.epsilon:.9g},{e.status},{e.objective:.9g}\n")

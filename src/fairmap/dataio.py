@@ -1,4 +1,5 @@
-"""Delimiter-separated data files and kernel artifacts.
+"""Delimiter-separated data files, kernel artifacts and their provenance
+lines.
 
 Data files carry a header row naming the schema variables (an explicit
 column list can stand in for a missing header).  Ingestion applies row
@@ -19,14 +20,15 @@ pass in file order (see ``read_dataset``).
 Writing renders each occurring D cell, X cell and outcome label once
 with ``csv`` (so quoting is the ``csv`` module's), and each row is the
 join of those texts and its stream id, written in fixed blocks of rows.
-A written data file starts with a provenance comment holding the
-config fingerprint and, when known, the ``data_sha256`` of the data the
-kernel was fit on.
 
 Kernel files are CSV with composite category labels, one line per
-positive transition, grouped by input cell, with a leading provenance
-comment holding the kernel's ``key=value`` provenance record (the
-seed-independent config fingerprint among it).
+positive transition, grouped by input cell.
+
+Every artifact starts with one provenance line, ``# fairmap-<kind>``
+followed by a ``key=value`` record (``kind`` is ``kernel``, ``data`` or
+``report``): ``provenance_line`` renders it and ``provenance_records``
+reads it back.  This module only writes and reads the records; which
+record an artifact must carry is decided by the command line.
 
 A training sidecar (``training.npz``, beside the kernel) holds the
 records ``fit`` was given, bound to the SHA-256 of the file they were
@@ -53,15 +55,12 @@ from .errors import (
     EmptyDatasetError,
     FairmapError,
     InvalidParamsError,
-    ProvenanceMismatchError,
     SchemaMismatchError,
 )
 from .optimizer import TransformKernel
 
 STREAM_COLUMN = "_stream"
-KERNEL_MAGIC = "# fairmap-kernel"
 _KERNEL_COLUMNS = ("d", "x", "y", "x_hat", "y_hat", "prob")
-DATA_MAGIC = "# fairmap-data"
 TRAINING_FILE = "training.npz"
 # rows parsed per step: few enough that a chunk's row lists and column
 # tuples are freed before the cyclic GC promotes them to its oldest
@@ -95,22 +94,20 @@ def _category_index(variable, raw: str):
     return alphabet.categories.index(label)
 
 
-def _header_record(header: str, magic: str, expected_fingerprint: Optional[str],
-                   artifact: str) -> dict:
-    """The ``key=value`` record of a provenance header line; refuses a
-    fingerprint other than ``expected_fingerprint`` unless that is None."""
-    meta = dict(
-        part.split("=", 1)
-        for part in header[len(magic):].strip().split()
-        if "=" in part
-    )
-    found = meta.get("fingerprint", "")
-    if expected_fingerprint not in (None, found):
-        raise ProvenanceMismatchError(
-            f"{artifact} under fingerprint {found!r}, "
-            f"configuration is {expected_fingerprint!r}"
-        )
-    return meta
+def provenance_line(kind: str, record: dict) -> str:
+    """The provenance line of an artifact of ``kind``: ``# fairmap-<kind>``
+    and the ``key=value`` pairs of ``record``, newline included."""
+    pairs = " ".join(f"{k}={v}" for k, v in record.items())
+    return f"# fairmap-{kind} {pairs}\n"
+
+
+def _record(line: str, kind: str) -> Optional[dict]:
+    """The ``key=value`` record of a ``# fairmap-<kind>`` line; None for
+    any other line."""
+    magic = f"# fairmap-{kind}"
+    if not line.startswith(magic):
+        return None
+    return dict(part.split("=", 1) for part in line[len(magic):].split() if "=" in part)
 
 
 def _comments(fh) -> list:
@@ -126,13 +123,12 @@ def _comments(fh) -> list:
     return comments
 
 
-def data_record(path: str) -> dict:
-    """The ``key=value`` record of a data file's provenance comment; empty
-    when the file has none."""
+def provenance_records(path: str, kind: str) -> list:
+    """The records of the ``# fairmap-<kind>`` lines among a file's leading
+    ``#`` lines, in file order: one for an artifact this package wrote,
+    none for a file from elsewhere."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        comments = _comments(fh)
-    return next((_header_record(c, DATA_MAGIC, None, "") for c in comments
-                 if c.startswith(DATA_MAGIC)), {})
+        return [r for r in (_record(c, kind) for c in _comments(fh)) if r is not None]
 
 
 def _outcome_index(variable, raw: str):
@@ -255,17 +251,14 @@ def read_dataset(
     has_header: bool = True,
     columns: Optional[Sequence[str]] = None,
     filters: Sequence = (),
-    expected_fingerprint: Optional[str] = None,
 ) -> Dataset:
     """Load records; rows failing one of ``filters`` or mapping to a
     dropped category are discarded (pass no filters to keep every row of
     pre-filtered data).  A missing outcome column (or blank outcome
     fields) yields apply-mode records.
 
-    Files this package wrote start with a provenance comment; when
-    ``expected_fingerprint`` is given and such a comment is present, a
-    mismatch is refused (pass None to accept any provenance).  Leading
-    ``#`` lines are skipped either way.
+    Leading ``#`` lines, such as the provenance line of a file this
+    package wrote, are skipped.
 
     Errors are those of resolving the rows one by one in file order:
     filters, then D and X variables in declaration order, then the
@@ -276,14 +269,10 @@ def read_dataset(
     ``bins`` quantizer) raises ``SchemaMismatchError`` naming its column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        comments = _comments(fh)
+        _comments(fh)
         reader = csv.reader(fh, delimiter=delimiter)
         # rows whose fields are all blank are skipped
         first = next((r for r in reader if "".join(r).strip()), None)
-        for comment in comments:
-            if comment.startswith(DATA_MAGIC):
-                _header_record(comment, DATA_MAGIC, expected_fingerprint,
-                               "data file was produced")
         if first is None:
             raise EmptyDatasetError(f"{path} has no rows")
         if has_header:
@@ -352,14 +341,11 @@ def read_dataset(
 
 
 def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
-                  fingerprint: Optional[str] = None,
-                  data_sha256: Optional[str] = None) -> None:
+                  record: Optional[dict] = None) -> None:
     """Write records with protected attributes retained, per-variable
     category labels and each record's stream id in a last ``_stream``
-    column; outcomes are omitted entirely for apply-mode data.  A
-    provenance comment is prepended when a fingerprint is given; it names
-    ``data_sha256`` too (the digest of the data the kernel was fit on)
-    when that is given."""
+    column; outcomes are omitted entirely for apply-mode data.  The
+    provenance line of ``record`` comes first when it is given."""
     schema = dataset.schema
     has_y = dataset.has_outcomes
     header = [v.name for v in schema.d_vars + schema.x_vars]
@@ -392,11 +378,8 @@ def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
     # csv quotes the stream ids that hold the delimiter
     id_text = str if delimiter not in "-0123456789" else lambda i: text([i])[:-1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fingerprint is not None:
-            record = f"fingerprint={fingerprint}"
-            if data_sha256 is not None:
-                record += f" data_sha256={data_sha256}"
-            fh.write(f"{DATA_MAGIC} {record}\n")
+        if record is not None:
+            fh.write(provenance_line("data", record))
         csv.writer(fh, delimiter=delimiter).writerow(header)
         for start in range(0, len(ys), _WRITE_ROWS):
             block = slice(start, start + _WRITE_ROWS)
@@ -452,9 +435,8 @@ def read_training(path: str, schema: Schema, binding: dict) -> Optional[Dataset]
 def write_kernel(path: str, kernel: TransformKernel) -> None:
     """Write the kernel with its provenance record as the header line."""
     schema = kernel.schema
-    record = " ".join(f"{k}={v}" for k, v in kernel.provenance.items())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{KERNEL_MAGIC} {record}\n")
+        fh.write(provenance_line("kernel", kernel.provenance))
         writer = csv.writer(fh)
         writer.writerow(_KERNEL_COLUMNS)
         ny = schema.ny
@@ -482,16 +464,14 @@ def _probability(raw: str) -> float:
     return prob
 
 
-def read_kernel(path: str, schema: Schema,
-                expected_fingerprint: Optional[str] = None) -> TransformKernel:
-    """Parse a kernel artifact, validating row-stochasticity and, unless
-    ``expected_fingerprint`` is None, provenance."""
+def read_kernel(path: str, schema: Schema) -> TransformKernel:
+    """Parse a kernel artifact, validating row-stochasticity; the record of
+    its provenance line becomes the kernel's provenance."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith(KERNEL_MAGIC):
+        meta = _record(fh.readline(), "kernel")
+        if meta is None:
             raise SchemaMismatchError(f"{path} is not a kernel artifact")
         rest = fh.read()
-    meta = _header_record(first, KERNEL_MAGIC, expected_fingerprint, "kernel was fit")
     reader = csv.reader(io.StringIO(rest))
     header = next(reader)
     if [h.strip() for h in header] != list(_KERNEL_COLUMNS):
@@ -520,4 +500,4 @@ def read_kernel(path: str, schema: Schema,
     sums = probs.sum(axis=3)
     if np.abs(sums - 1.0).max() > ROW_ATOL:
         raise SchemaMismatchError("kernel rows do not sum to 1")
-    return TransformKernel(schema, probs, provenance=dict(meta))
+    return TransformKernel(schema, probs, provenance=meta)

@@ -42,7 +42,8 @@ class NumericalBreakdownError(FairmapError):
 
 
 class ProvenanceMismatchError(FairmapError):
-    """Artifact fingerprint does not match the active configuration."""
+    """An artifact's provenance record does not match the configuration or
+    the training data in use, or an artifact has more than one."""
 
 
 class SchemaMismatchError(FairmapError):

@@ -13,6 +13,7 @@ from fairmap.cli import main
 from fairmap.config import load_config
 from fairmap.dataio import (
     file_sha256,
+    provenance_records,
     read_dataset,
     read_kernel,
     write_kernel,
@@ -274,8 +275,9 @@ class TestTransform:
             "--out-dir", str(tmp / "ta"),
         ]) == 0
         out_file = tmp / "ta" / "transformed_apply.csv"
-        header = out_file.read_text().splitlines()[0]
-        assert "out" not in header.split(",")
+        header = next(line for line in out_file.read_text().splitlines()
+                      if not line.startswith("#"))
+        assert header.split(",") == ["grp", "f1", "_stream"]
         # train mode on the same unlabeled data must fail as a data error
         assert main([
             "transform", "--config", str(cfg), "--kernel", str(kernel),
@@ -483,6 +485,78 @@ class TestAuditAndSweep:
         ]) == 3
         assert strategy in capsys.readouterr().err
         assert not (tmp / "sweep" / "sweep.csv").exists()
+
+
+class TestProvenance:
+    """Each artifact starts with one provenance record; ``transform`` and
+    ``audit`` check the records before they parse anything."""
+
+    def test_each_artifact_starts_with_the_record_its_command_built(self, workdir):
+        tmp, cfg = workdir
+        config = load_config(str(cfg))
+        out = tmp / "out"
+        kernel = str(out / "kernel.csv")
+        assert main(["fit", "--config", str(cfg)]) == 0
+        for mode in ("train", "apply"):
+            assert main(["transform", "--config", str(cfg), "--kernel", kernel,
+                         "--mode", mode]) == 0
+        assert main(["audit", "--config", str(cfg), "--kernel", kernel,
+                     "--transformed", str(out / "transformed_train.csv")]) == 0
+        assert main(["sweep", "--config", str(cfg), "--eps-grid", "0.2,0.5"]) == 0
+        fingerprint, digest = config.fingerprint(), file_sha256(config.input_path)
+        n_records = json.loads((out / "fit_report.json").read_text())["n_records"]
+        data = ("data", {"fingerprint": fingerprint, "data_sha256": digest})
+        report = ("report", {"fingerprint": fingerprint})
+        built = {
+            "kernel.csv": ("kernel", {
+                "fingerprint": fingerprint, "objective": config.objective,
+                "tol": str(config.solver.tol), "data_sha256": digest,
+                "n_records": str(n_records)}),
+            "transformed_train.csv": data, "transformed_apply.csv": data,
+            "cohort_deltas.csv": report, "sweep.csv": report,
+        }
+        for name, (kind, record) in built.items():
+            first = (out / name).read_text().splitlines()[0]
+            assert first.startswith(f"# fairmap-{kind} ")
+            assert provenance_records(str(out / name), kind) == [record]
+
+    def test_kernel_of_another_schema_refused_before_its_labels(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert main(["fit", "--config", str(cfg)]) == 0
+        kernel = str(tmp / "out" / "kernel.csv")
+        raw = yaml.safe_load(cfg.read_text())
+        raw["schema"]["variables"][0]["categories"] = ["a", "c"]
+        other = tmp / "other.yaml"
+        other.write_text(yaml.safe_dump(raw))
+        for argv in (["transform", "--config", str(other), "--kernel", kernel],
+                     ["audit", "--config", str(other), "--kernel", kernel]):
+            capsys.readouterr()
+            assert main(argv + ["--out-dir", str(tmp / "o")]) == 3
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: kernel was fit under fingerprint")
+            # past the check, the kernel's group label "b" is unknown
+            assert main(argv + ["--out-dir", str(tmp / "o"),
+                                "--allow-provenance-mismatch"]) == 4
+
+    def test_second_provenance_line_refused(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert main(["fit", "--config", str(cfg)]) == 0
+        kernel = tmp / "out" / "kernel.csv"
+        assert main(["transform", "--config", str(cfg), "--kernel", str(kernel),
+                     "--mode", "train", "--out-dir", str(tmp / "t")]) == 0
+        transformed = tmp / "t" / "transformed_train.csv"
+        for path in (transformed, kernel):
+            first = path.read_text().splitlines(keepends=True)[0]
+            path.write_text(first + path.read_text())  # the same record twice
+        for argv in (
+            ["audit", "--config", str(cfg), "--transformed", str(transformed)],
+            ["transform", "--config", str(cfg), "--kernel", str(kernel)],
+        ):
+            for extra in ([], ["--allow-provenance-mismatch"]):
+                capsys.readouterr()
+                assert main(argv + ["--out-dir", str(tmp / "o")] + extra) == 3
+                [line] = capsys.readouterr().err.splitlines()
+                assert line.startswith("error: ") and "2 provenance lines" in line
 
 
 class TestPresetsAndValidate:
@@ -766,6 +840,31 @@ class TestTrainingRecords:
         # a transformed file that records no data digest reads as before
         transformed.write_bytes(first.split(b" data_sha256=")[0] + b"\n" + rest)
         assert main(argv) == 0
+
+    def test_train_file_of_another_input_names_that_input(self, workdir, capsys):
+        # its rows pair with the records of the file they were read from,
+        # not with the training records
+        tmp, cfg = workdir
+        other = str(write_synthetic_csv(tmp / "other.csv", n=400, seed=99))
+        assert main(["fit", "--config", str(cfg)]) == 0
+        kernel = str(tmp / "out" / "kernel.csv")
+        assert main(["transform", "--config", str(cfg), "--kernel", kernel,
+                     "--mode", "train", "--input", other, "--out-dir", str(tmp / "t")]) == 0
+        transformed = str(tmp / "t" / "transformed_train.csv")
+        digest = file_sha256(other)
+        assert provenance_records(transformed, "data") == [
+            {"fingerprint": load_config(str(cfg)).fingerprint(), "data_sha256": digest}]
+        audit = ["audit", "--config", str(cfg), "--transformed", transformed,
+                 "--out-dir", str(tmp / "a")]
+        for argv in (audit, audit + ["--kernel", kernel]):
+            capsys.readouterr()
+            assert main(argv) == 3
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ") and f"data_sha256 {digest}" in line
+            assert main(argv + ["--allow-provenance-mismatch"]) == 0
+        assert main(audit + ["--original", other]) == 0
+        payload = json.loads((tmp / "a" / "audit_report.json").read_text())
+        assert payload["distortion"]["mean"] <= 0.8 + 0.1  # near the budget
 
     def test_saved_records_give_the_parsed_outputs(self, workdir, monkeypatch):
         tmp, cfg = workdir

@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from fairmap import Alphabet, Dataset, Quantizer, Schema, Variable, dataio
 from fairmap.config import Filter
 from fairmap.dataio import (
-    DATA_MAGIC,
     STREAM_COLUMN,
     _category_index,
-    _header_record,
-    data_record,
+    provenance_records,
     read_dataset,
     read_training,
     write_dataset,
@@ -31,6 +29,8 @@ from fairmap.errors import (
     InvalidParamsError,
     SchemaMismatchError,
 )
+
+DATA_MAGIC = "# fairmap-data"  # how a data file's provenance line starts
 
 
 def read_field(column, resolve, raw):
@@ -47,8 +47,7 @@ def read_field(column, resolve, raw):
 
 
 def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
-                   filters=(), apply_filters=True, expected_fingerprint=None,
-                   allow_mismatch=False):
+                   filters=(), apply_filters=True):
     """The row loop ``read_dataset`` replaced: every row held in memory,
     filters and quantizers run once per row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -62,11 +61,6 @@ def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
         fh.seek(pos)
         reader = csv.reader(fh, delimiter=delimiter)
         rows = [r for r in reader if r and any(f.strip() for f in r)]
-    for comment in comments:
-        if comment.startswith(DATA_MAGIC):
-            _header_record(comment, DATA_MAGIC,
-                           None if allow_mismatch else expected_fingerprint,
-                           "data file was produced")
     if not rows:
         raise EmptyDatasetError(f"{path} has no rows")
     if has_header:
@@ -225,13 +219,10 @@ def outcome(fn):
 
 def read_both(text, schema, **kwargs):
     """``read_dataset`` against the reference loop, whose ``apply_filters``
-    and ``allow_mismatch`` switches map onto no filters and no expected
-    fingerprint."""
+    switch maps onto no filters."""
     new_kwargs = dict(kwargs)
     if not new_kwargs.pop("apply_filters", True):
         new_kwargs["filters"] = ()
-    if new_kwargs.pop("allow_mismatch", False):
-        new_kwargs["expected_fingerprint"] = None
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -301,8 +292,6 @@ def data_files(draw):
         "columns": None if has_header else header,
         "filters": filters,
         "apply_filters": apply_filters,
-        "expected_fingerprint": draw(st.sampled_from([None, "abc"])),
-        "allow_mismatch": draw(st.booleans()),
     }
     return text, schema, kwargs
 
@@ -426,9 +415,10 @@ class TestWriteOracle:
            st.sampled_from([",", ";", "\t", " ", "-"]), st.sampled_from([None, "abc"]))
     def test_same_bytes(self, dataset, delimiter, fingerprint):
         # "-" is a delimiter that negative stream ids hold
-        kwargs = {"delimiter": delimiter, "fingerprint": fingerprint}
-        assert (written_bytes(write_dataset, dataset, **kwargs)
-                == written_bytes(reference_write, dataset, **kwargs))
+        record = None if fingerprint is None else {"fingerprint": fingerprint}
+        assert (written_bytes(write_dataset, dataset, delimiter=delimiter, record=record)
+                == written_bytes(reference_write, dataset, delimiter=delimiter,
+                                 fingerprint=fingerprint))
 
     @pytest.mark.parametrize("apply_mode", [False, True])
     def test_same_bytes_past_one_block(self, apply_mode):
@@ -449,14 +439,15 @@ class TestWriteOracle:
         dataset = Dataset(make_schema(), np.array([0, 3]), np.array([1, 2]),
                           np.array([1, 0]))
         path = str(tmp_path / "out.csv")
-        write_dataset(path, dataset, fingerprint="abc", data_sha256="ab" * 32)
-        assert data_record(path) == {"fingerprint": "abc", "data_sha256": "ab" * 32}
+        record = {"fingerprint": "abc", "data_sha256": "ab" * 32}
+        write_dataset(path, dataset, record=record)
+        assert provenance_records(path, "data") == [record]
         with open(path, "rb") as fh:
             fh.readline()
             body = fh.read()
         assert body == written_bytes(reference_write, dataset)
         write_dataset(path, dataset)
-        assert data_record(path) == {}
+        assert provenance_records(path, "data") == []
 
 
 class TestTrainingSidecar:
