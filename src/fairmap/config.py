@@ -81,6 +81,9 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:  # NaN fails this test too
             raise ConfigError("solver tol must be positive")
+        for name in ("max_iters", "max_outer"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"solver {name} must be at least 1")
         if self.strategy not in ("full", "sof_fix_conditional", "sof_alternating"):
             raise ConfigError(f"unknown solver strategy {self.strategy!r}")
 

@@ -372,14 +372,13 @@ def build_distortion_constraints(
     mode) bounds the expected distortion D[r] . k_r; a threshold t bounds
     the exceedance probability (D[r] > t) . k_r, and a zero budget also
     pins the affected entries to zero.  Entries at or above the forbidden
-    level are pinned whenever the budget cannot reach them.
+    level are pinned whenever the budget cannot reach them.  The metric
+    is checked against the schema by ``distortion_matrix`` alone.
     """
     if layout is None:
         layout = VariableLayout.from_pmf(pmf)
     schema = pmf.schema
     delta = distortion_matrix(metric, schema)
-    if np.abs(np.diagonal(delta)).max(initial=0.0) != 0.0:
-        raise InvalidParamsError("identity transitions must cost 0")
     shape = (schema.nd, schema.nx, schema.ny)
     cells = (layout.d, layout.x, layout.y)
     D = delta[layout.x * schema.ny + layout.y]  # (n_rows, row_dim)

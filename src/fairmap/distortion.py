@@ -9,9 +9,10 @@ Two metric families cover the shipped presets and user configs:
   attribute.
 
 Both compile to a dense matrix over flattened (x, y) cells, which is what
-the constraint assembler and the auditors consume.  ``evaluate`` is the
-scalar reference path and is kept deliberately independent of the
-vectorized matrix builder.
+the constraint assembler and the auditors consume; building it is the one
+check of a metric, so the library refuses what ``fairmap validate``
+refuses.  ``evaluate_distortion`` is the scalar reference path and is
+kept deliberately independent of the vectorized matrix builder.
 """
 
 from __future__ import annotations
@@ -134,40 +135,9 @@ class DistortionMetric:
 
 
 def validate_metric(metric: DistortionMetric, schema: Schema) -> None:
-    """Hard validation: shapes line up, penalties nonnegative, identity free."""
-    if metric.kind == "per_attribute":
-        if len(metric.x_tables) != len(schema.x_vars):
-            raise InvalidParamsError("need one penalty table per feature variable")
-        for table, var in zip(metric.x_tables, schema.x_vars):
-            k = len(var.alphabet)
-            if table.shape != (k, k):
-                raise InvalidParamsError(f"table for {var.name!r} must be {k}x{k}")
-            if not (table >= 0).all():  # NaN fails this test too
-                raise InvalidParamsError("distortion penalty is negative or NaN")
-            if np.abs(np.diagonal(table)).max(initial=0.0) != 0.0:
-                raise InvalidParamsError("identity transitions must cost 0")
-        y_table = metric.y_table
-        if y_table is None:
-            raise InvalidParamsError("per-attribute metric needs a y_table")
-        if y_table.shape != (2, 2) or not (y_table >= 0).all():
-            raise InvalidParamsError("y_table must be 2x2, nonnegative and not NaN")
-        if y_table[0, 0] != 0.0 or y_table[1, 1] != 0.0:
-            raise InvalidParamsError("identity transitions must cost 0")
-    else:
-        names = {v.name for v in schema.x_vars} | {schema.y_var.name}
-        for rule in metric.rules:
-            if not rule.value >= 0:
-                raise InvalidParamsError("distortion penalty is negative or NaN")
-            for cond in rule.if_all + rule.if_any:
-                if cond.var not in names:
-                    raise InvalidParamsError(f"rule condition on unknown {cond.var!r}")
-        # the identity transition has all jumps zero; it must not match any
-        # rule with a nonzero value (checked exactly via the matrix below)
-        matrix = distortion_matrix(metric, schema)
-        if np.abs(np.diagonal(matrix)).max(initial=0.0) != 0.0:
-            raise InvalidParamsError("identity transitions must cost 0")
-        if not (matrix >= 0).all():
-            raise InvalidParamsError("distortion penalty is negative or NaN")
+    """Refuse a metric that is not a distortion over ``schema``; the check
+    is ``distortion_matrix``'s, so the library refuses what a config does."""
+    distortion_matrix(metric, schema)
 
 
 def evaluate_distortion(metric: DistortionMetric, schema: Schema,
@@ -206,52 +176,69 @@ def _x_parts(schema: Schema) -> np.ndarray:
 
 
 def distortion_matrix(metric: DistortionMetric, schema: Schema) -> np.ndarray:
-    """Dense (nx*ny, nx*ny) matrix of distortions; cell index is x*2 + y."""
+    """Dense (nx*ny, nx*ny) matrix of distortions; cell index is x*2 + y.
+
+    The one check of a metric against a schema: refuses tables that do not
+    fit it, a negative or NaN penalty or rule value, a rule on a name that
+    is no feature or outcome, and (last, on the matrix) a nonzero identity.
+    """
     nx, ny = schema.nx, schema.ny
     parts = _x_parts(schema)
     if metric.kind == "per_attribute":
+        if len(metric.x_tables) != len(schema.x_vars):
+            raise InvalidParamsError("need one penalty table per feature variable")
         xpart = np.zeros((nx, nx))
-        for i, table in enumerate(metric.x_tables):
+        for i, (table, var) in enumerate(zip(metric.x_tables, schema.x_vars)):
+            k = len(var.alphabet)
+            if table.shape != (k, k):
+                raise InvalidParamsError(f"table for {var.name!r} must be {k}x{k}")
+            if not (table >= 0).all():  # NaN fails this test too
+                raise InvalidParamsError("distortion penalty is negative or NaN")
             pen = table[parts[:, None, i], parts[None, :, i]]
             xpart += pen**2 if metric.combiner == COMBINE_SUM_OF_SQUARES else pen
         ypen = metric.y_table
+        if ypen is None:
+            raise InvalidParamsError("per-attribute metric needs a y_table")
+        if ypen.shape != (2, 2) or not (ypen >= 0).all():
+            raise InvalidParamsError("y_table must be 2x2, nonnegative and not NaN")
         ypart = ypen**2 if metric.combiner == COMBINE_SUM_OF_SQUARES else ypen
         full = xpart[:, None, :, None] + ypart[None, :, None, :]
     else:
         matched = np.zeros((nx, ny, nx, ny), dtype=bool)
         full = np.zeros((nx, ny, nx, ny))
-        jump_x = parts[None, :, :] - parts[:, None, :]  # (nx_from, nx_to, var)
+        # each variable's category-index jump (to - from), shaped to
+        # broadcast over (x_from, y_from, x_to, y_to)
+        jump_x = parts[None, :, :] - parts[:, None, :]
+        jumps = {var.name: jump_x[:, None, :, None, i]
+                 for i, var in enumerate(schema.x_vars)}
         jump_y = np.arange(ny)[None, :] - np.arange(ny)[:, None]
-        xpos = {var.name: i for i, var in enumerate(schema.x_vars)}
-
-        def cond_mask(cond: RuleCondition) -> np.ndarray:
-            if cond.var in xpos:
-                delta = jump_x[:, :, xpos[cond.var]]
-                mask = np.ones_like(delta, dtype=bool)
-                mask = _apply_bounds(mask, delta, cond)
-                return mask[:, None, :, None]
-            delta = jump_y
-            mask = np.ones_like(delta, dtype=bool)
-            mask = _apply_bounds(mask, delta, cond)
-            return mask[None, :, None, :]
-
+        jumps[schema.y_var.name] = jump_y[None, :, None, :]
         for rule in metric.rules:
+            if not rule.value >= 0:
+                raise InvalidParamsError("distortion penalty is negative or NaN")
+            for cond in rule.if_all + rule.if_any:
+                if cond.var not in jumps:
+                    raise InvalidParamsError(f"rule condition on unknown {cond.var!r}")
             mask = np.ones((nx, ny, nx, ny), dtype=bool)
             for cond in rule.if_all:
-                mask &= cond_mask(cond)
+                mask &= _bounds_mask(jumps[cond.var], cond)
             if rule.if_any:
                 any_mask = np.zeros((nx, ny, nx, ny), dtype=bool)
                 for cond in rule.if_any:
-                    any_mask |= cond_mask(cond)
+                    any_mask |= _bounds_mask(jumps[cond.var], cond)
                 mask &= any_mask
             take = mask & ~matched
             full[take] = rule.value
             matched |= mask
-    return full.reshape(nx * ny, nx * ny)
+    matrix = full.reshape(nx * ny, nx * ny)
+    if np.diagonal(matrix).any():  # every entry is >= 0 by now
+        raise InvalidParamsError("identity transitions must cost 0")
+    return matrix
 
 
-def _apply_bounds(mask: np.ndarray, delta: np.ndarray,
-                  cond: RuleCondition) -> np.ndarray:
+def _bounds_mask(delta: np.ndarray, cond: RuleCondition) -> np.ndarray:
+    """Where the jump ``delta`` meets every bound ``cond`` gives."""
+    mask = np.ones(delta.shape, dtype=bool)
     if cond.jump is not None:
         mask = mask & (delta == cond.jump)
     if cond.jump_min is not None:

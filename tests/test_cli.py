@@ -667,6 +667,15 @@ def _nan_tol(raw):
     raw["solver"] = {"tol": float("nan")}
 
 
+def _negative_max_iters(raw):
+    # l1 once died in HiGHS's setOptionValue, KL stopped at once uncertified
+    raw["solver"] = {"max_iters": -5}
+
+
+def _zero_max_outer(raw):
+    raw["solver"] = {"max_outer": 0}
+
+
 def _nan_target(raw):
     raw["discrimination"] = {"mode": "target", "epsilon": 0.3, "target": [float("nan"), 0.5]}
 
@@ -708,6 +717,8 @@ class TestConfigErrors:
         (_inf_pair_budget, "distortion.budget: budget is infinite"),
         (_nan_threshold, "distortion.budget: thresholds"),
         (_nan_tol, "solver tol"),
+        (_negative_max_iters, "solver max_iters"),
+        (_zero_max_outer, "solver max_outer"),
         (_nan_target, "target has negative or non-finite"),
     ])
     def test_validate_exits_3_naming_the_field(self, tmp_path, capsys,

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from fairmap import (
+    Dataset,
+    DiscriminationSpec,
     DistortionBudget,
     DistortionMetric,
+    RuleCondition,
+    TableRule,
+    assemble,
+    audit_distortion,
     distortion_matrix,
     evaluate_distortion,
     validate_metric,
@@ -14,7 +20,7 @@ from fairmap.constants import FORBIDDEN
 from fairmap.errors import InvalidParamsError
 from fairmap.presets import preset_config
 
-from conftest import make_schema_multi
+from conftest import make_schema_multi, random_pmf
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +146,19 @@ class TestAdultMetric:
         assert budgets == [0.1, 0.05, 0.0]
 
 
+def _per_attribute(age=None, job=None):
+    """A metric over ``make_schema_multi``: ``age`` sets entries of its
+    3x3 table, ``job`` replaces its 2x2 table."""
+    age_table = np.zeros((3, 3))
+    for (i, j), value in (age or {}).items():
+        age_table[i, j] = value
+    return DistortionMetric(
+        "per_attribute",
+        x_tables=(age_table, np.zeros((2, 2)) if job is None else job),
+        y_table=np.zeros((2, 2)),
+    )
+
+
 class TestValidation:
     def test_nonzero_identity_rejected(self):
         schema = make_schema_multi()
@@ -162,6 +181,31 @@ class TestValidation:
         )
         with pytest.raises(InvalidParamsError):
             validate_metric(bad, schema)
+
+    @pytest.mark.parametrize("metric, message", [
+        (_per_attribute(age={(0, 1): np.nan}), "penalty is negative or NaN"),
+        (_per_attribute(age={(0, 1): -1.0}), "penalty is negative or NaN"),
+        (_per_attribute(job=np.zeros((3, 3))), "table for 'job' must be 2x2"),
+        (DistortionMetric("rule_table", rules=(
+            TableRule(1.0, if_all=(RuleCondition("yy", abs_jump=1),)),)),
+         "rule condition on unknown 'yy'"),
+        (_per_attribute(age={(1, 1): 1.0}), "identity transitions must cost 0"),
+    ], ids=["nan", "negative", "shape", "unknown_var", "identity"])
+    def test_library_refuses_what_the_config_path_refuses(self, rng, metric, message):
+        # the assembler once solved the first four: a NaN penalty to an
+        # "optimal" l1 kernel with certificate nan, a 3x3 table for a
+        # 2-category feature cut to its top-left block, "yy" read as the
+        # outcome
+        schema = make_schema_multi()
+        spec = DiscriminationSpec(mode="pairwise", epsilon=0.5)
+        budget = DistortionBudget("expected", c=1.0)
+        with pytest.raises(InvalidParamsError, match=message):
+            validate_metric(metric, schema)
+        with pytest.raises(InvalidParamsError, match=message):
+            assemble(random_pmf(schema, rng), spec, metric, budget, "l1")
+        ds = Dataset(schema, np.zeros(3, int), np.arange(3), np.zeros(3, int))
+        with pytest.raises(InvalidParamsError, match=message):
+            audit_distortion(ds, ds, metric)
 
     def test_budget_threshold_ordering(self):
         with pytest.raises(InvalidParamsError):

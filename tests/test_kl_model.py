@@ -8,7 +8,7 @@ import pytest
 import scipy
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmap import JointPMF, assemble
@@ -22,6 +22,7 @@ from fairmap.solver import (
     STATUS_INFINITE,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
+    lagrangian_bound,
     solve_kl,
 )
 
@@ -54,8 +55,8 @@ def compas_like():
 def cold_lp(prog, c_k, c_aux, rows, rhs):
     """min c_k . k + c_aux . aux s.t. G k <= h, rows @ [k, aux] <= rhs,
     each simplex row sums to 1, 0 <= k <= 1 and aux >= 0, solved once
-    through ``linprog``.  Returns the result and the LP's dual objective
-    (NaN unless optimal)."""
+    through ``linprog``.  Returns the result and the multipliers of the
+    ``<=`` rows, G's first (None unless optimal)."""
     n, n_aux = prog.n_vars, len(c_aux)
     A_ub = sp.vstack([sp.hstack([prog.G, sp.csr_matrix((prog.h.size, n_aux))]), rows],
                      format="csr")
@@ -69,16 +70,18 @@ def cold_lp(prog, c_k, c_aux, rows, rhs):
                  "dual_feasibility_tolerance": 1e-10},
     )
     if res.status != 0:
-        return res, float("nan")
-    return res, float(res.ineqlin.marginals @ b_ub + res.eqlin.marginals.sum()
-                      + res.upper.marginals[:n].sum())
+        return res, None
+    return res, -res.ineqlin.marginals
 
 
 def cold_kelley(prog, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     """Kelley's loop of ``solve_kl`` with every cut LP rebuilt from all
     cuts so far and solved cold through ``linprog``.  Returns the status,
-    the best kernel vector, its KL objective and UB - LB."""
-    n = prog.n_vars
+    the best kernel vector, its KL objective and UB - LB.  LB is
+    ``lagrangian_bound`` at each cut LP's multipliers, a bound at any
+    multipliers: the LP's dual objective, which rests on HiGHS's
+    tolerances, once read 2.657e-10 above an optimum of 0."""
+    n, m = prog.n_vars, int(prog.h.size)
     sup = np.nonzero(prog.p_ref > 0)[0]
     p, A_sup, n_sup = prog.p_ref[sup], prog.A[sup], sup.size
     res, _ = cold_lp(prog, np.zeros(n), [-1.0],
@@ -93,7 +96,7 @@ def cold_kelley(prog, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
 
     best = res.x[:n]
     best_ub, lower = upper(best), -np.inf
-    offset = float(p @ np.log(p)) + TIE_BREAK_WEIGHT * prog.n_rows
+    mu = np.zeros(prog.p_ref.size)
     q_hat = low = A_sup @ best
     eye = sp.identity(n_sup, format="csr")
     cuts = [sp.hstack([-A_sup, eye, sp.csr_matrix((n_sup, n_sup))])]
@@ -102,12 +105,13 @@ def cold_kelley(prog, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     while best_ub - lower > tol and iters < max_iters:
         cuts.append(sp.hstack([sp.csr_matrix((n_sup, n)), sp.diags(-1.0 / q_hat), -eye]))
         cut_rhs.append(np.log(q_hat) - 1.0)
-        res, dual = cold_lp(prog, -TIE_BREAK_WEIGHT * prog.anchor,
-                            np.concatenate([np.zeros(n_sup), p]),
-                            sp.vstack(cuts), np.concatenate(cut_rhs))
+        res, y = cold_lp(prog, -TIE_BREAK_WEIGHT * prog.anchor,
+                         np.concatenate([np.zeros(n_sup), p]),
+                         sp.vstack(cuts), np.concatenate(cut_rhs))
         iters += 1
         assert res.status == 0, res.message
-        lower = max(lower, offset + dual)
+        mu[sup] = y[m:m + n_sup]
+        lower = max(lower, lagrangian_bound(prog, y[:m], mu, kl=True))
         kvec = res.x[:n]
         if upper(kvec) < best_ub:
             best, best_ub = kvec, upper(kvec)
@@ -221,6 +225,7 @@ def test_private_highs_api_smoke():
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(14791)
 def test_matches_cold_loop_on_random_instances(seed):
     pmf, spec, metric, budget = random_instance(seed)
     assert_matches_cold(assemble(pmf, spec, metric, budget, "kl").program)
