@@ -45,19 +45,15 @@ from .distortion import (
 )
 from .domain import (
     Alphabet,
-    ConditionalPMF,
     Dataset,
     JointPMF,
-    MarginalPMF,
     Quantizer,
     Schema,
     Variable,
-    condition,
     conditional,
     estimate_empirical,
     kl_divergence,
     l1_distance,
-    marginalize,
 )
 from .optimizer import (
     Problem,

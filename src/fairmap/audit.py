@@ -481,7 +481,7 @@ def audit_utility(pmf: JointPMF, kernel: TransformKernel) -> UtilityReport:
 @dataclass(frozen=True)
 class CohortDeltaRow:
     x_label: str
-    d_label: str  # "" for the overall (group-marginalized) column
+    d_label: str  # "" for the overall (all-groups) column
     before: float
     after: float
     count: int

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 2 infeasible optimization,
 3 configuration/usage error, 4 I/O or data error, 5 a KL objective that
-is infinite on the whole feasible set.
+is infinite on the whole feasible set.  A solver failure
+(``NumericalBreakdownError``, naming the LP and HiGHS's status) exits 3.
 
 Every artifact starts with one provenance record naming the
 configuration fingerprint; a kernel's and a transformed file's name the

@@ -3,7 +3,7 @@
 # Total-mass tolerance for stored joint distributions.
 MASS_ATOL = 1e-12
 
-# Row-stochasticity tolerance for conditional rows and kernel rows.
+# Row-stochasticity tolerance for kernel and apply-mapper rows and targets.
 ROW_ATOL = 1e-9
 
 # Distortion level at and above which a transition counts as forbidden.

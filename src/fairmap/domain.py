@@ -9,13 +9,13 @@ construction and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.special import rel_entr
 
-from .constants import MASS_ATOL, ROW_ATOL
+from .constants import MASS_ATOL
 from .errors import (
     EmptyDatasetError,
     InvalidParamsError,
@@ -344,47 +344,6 @@ class JointPMF:
         return self.mass.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class MarginalPMF:
-    """Distribution over an ordered subset of schema variables (one array
-    axis per variable, in schema declaration order)."""
-
-    variables: tuple[Alphabet, ...]
-    mass: np.ndarray
-
-    def __post_init__(self):
-        shape = tuple(len(a) for a in self.variables)
-        object.__setattr__(
-            self, "mass", probabilities(self.mass, shape, MASS_ATOL, "marginal mass"))
-
-
-@dataclass(frozen=True)
-class ConditionalPMF:
-    """Rows of conditional probabilities, one per positive-mass given-cell.
-
-    ``rows`` maps a given-cell index tuple to a vector over flattened
-    target cells.  Zero-mass given-cells are listed in ``absent`` instead
-    of being invented; downstream consumers skip them with a warning.
-    """
-
-    given_variables: tuple[Alphabet, ...]
-    target_variables: tuple[Alphabet, ...]
-    rows: Mapping[tuple, np.ndarray]
-    absent: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        shape = (int(np.prod([len(a) for a in self.target_variables])),)
-        frozen = {
-            tuple(cell): probabilities(row, shape, ROW_ATOL, f"conditional row {cell}")
-            for cell, row in self.rows.items()
-        }
-        object.__setattr__(self, "rows", frozen)
-        object.__setattr__(self, "absent", frozenset(self.absent))
-
-    def row(self, cell: tuple) -> np.ndarray:
-        return self.rows[tuple(cell)]
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -403,58 +362,11 @@ def estimate_empirical(dataset: Dataset) -> JointPMF:
     return JointPMF(schema, counts / counts.sum(), n=len(dataset))
 
 
-def _axes_by_variable(pmf: JointPMF) -> tuple[tuple[Alphabet, ...], np.ndarray]:
-    """Joint mass reshaped with one axis per schema variable (D, X, Y order)."""
-    schema = pmf.schema
-    ordered = schema.d_vars + schema.x_vars + (schema.y_var,)
-    alphabets = tuple(v.alphabet for v in ordered)
-    shape = tuple(len(a) for a in alphabets)
-    return alphabets, pmf.mass.reshape(shape)
-
-
-def marginalize(pmf: JointPMF, keep: Iterable[str]) -> MarginalPMF:
-    """Sum out all variables not named in ``keep``; mass is preserved."""
-    keep = set(keep)
-    alphabets, full = _axes_by_variable(pmf)
-    names = [a.name for a in alphabets]
-    for name in keep:
-        if name not in names:
-            raise UnknownVariableError(name)
-    drop_axes = tuple(i for i, name in enumerate(names) if name not in keep)
-    kept = tuple(a for a in alphabets if a.name in keep)
-    mass = full.sum(axis=drop_axes) if drop_axes else full
-    return MarginalPMF(kept, mass)
-
-
-def condition(pmf: JointPMF, given: Iterable[str]) -> ConditionalPMF:
-    """Conditional of the remaining variables given the named ones.
-
-    Rows exist only for given-cells with positive marginal mass; the rest
-    are reported as absent rather than filled in.
-    """
-    given = list(given)
-    alphabets, full = _axes_by_variable(pmf)
-    names = [a.name for a in alphabets]
-    for name in given:
-        if name not in names:
-            raise UnknownVariableError(name)
-    given_axes = tuple(i for i, name in enumerate(names) if name in given)
-    target_axes = tuple(i for i in range(len(names)) if i not in given_axes)
-    given_alpha = tuple(alphabets[i] for i in given_axes)
-    target_alpha = tuple(alphabets[i] for i in target_axes)
-    # move given axes to the front, flatten both groups
-    moved = np.moveaxis(full, given_axes, range(len(given_axes)))
-    cells = list(np.ndindex(*(len(a) for a in given_alpha)))
-    cond, present = conditional(moved.reshape(len(cells), -1))
-    rows = {cell: cond[i] for i, cell in enumerate(cells) if present[i]}
-    absent = {cell for cell, p in zip(cells, present) if not p}
-    return ConditionalPMF(given_alpha, target_alpha, rows, frozenset(absent))
-
-
-def _as_vector(p) -> np.ndarray:
-    if isinstance(p, (JointPMF, MarginalPMF)):
-        return np.asarray(p.mass, dtype=np.float64).ravel()
-    return np.asarray(p, dtype=np.float64).ravel()
+def _vectors(p, q) -> tuple[np.ndarray, np.ndarray]:
+    pv, qv = (np.asarray(a, dtype=np.float64).ravel() for a in (p, q))
+    if pv.shape != qv.shape:
+        raise SupportMismatchError(f"supports differ: {pv.shape} vs {qv.shape}")
+    return pv, qv
 
 
 def kl_divergence(p, q) -> float:
@@ -462,21 +374,13 @@ def kl_divergence(p, q) -> float:
 
     Clamped at 0 (Gibbs' inequality): the sum rounds below 0 for p and q
     a few ulps apart."""
-    pv, qv = _as_vector(p), _as_vector(q)
-    if pv.shape != qv.shape:
-        raise SupportMismatchError(
-            f"supports differ: {pv.shape} vs {qv.shape}"
-        )
+    pv, qv = _vectors(p, q)
     return max(float(rel_entr(pv, qv).sum()), 0.0)
 
 
 def l1_distance(p, q) -> float:
     """Sum of absolute differences (twice the total variation); at most 2."""
-    pv, qv = _as_vector(p), _as_vector(q)
-    if pv.shape != qv.shape:
-        raise SupportMismatchError(
-            f"supports differ: {pv.shape} vs {qv.shape}"
-        )
+    pv, qv = _vectors(p, q)
     return float(np.abs(pv - qv).sum())
 
 
@@ -497,8 +401,8 @@ def probabilities(values, shape: tuple, atol: float, name: str,
                   axis: Optional[int] = None) -> np.ndarray:
     """``values`` as a read-only float64 array of ``shape`` whose entries
     are finite and nonnegative and sum to 1 within ``atol`` over the whole
-    array, or over ``axis``: the one rule of every pmf, conditional row,
-    kernel, apply mapper and target.  ``name`` names the array in a refusal."""
+    array, or over ``axis``: the one rule of every pmf, kernel, apply
+    mapper and target.  ``name`` names the array in a refusal."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
         raise InvalidParamsError(f"{name} must have shape {shape}, not {arr.shape}")

@@ -72,10 +72,6 @@ class TransformKernel:
             self, "probs", probabilities(probs, shape, ROW_ATOL, "kernel", axis=-1))
         object.__setattr__(self, "provenance", dict(self.provenance))
 
-    def row(self, d: int, x: int, y: int) -> np.ndarray:
-        """Row as an (nx, ny) array over transformed cells."""
-        return self.probs[d, x, y].reshape(self.schema.nx, self.schema.ny)
-
 
 def _identity_probs(schema: Schema) -> np.ndarray:
     nd, nx, ny = schema.nd, schema.nx, schema.ny

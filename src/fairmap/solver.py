@@ -177,15 +177,21 @@ class _LPModel:
         model.col_upper_ = np.concatenate([np.ones(prog.n_vars), np.full(n_aux, np.inf)])
         model.row_lower_ = np.concatenate([np.full(A.shape[0] - ones.size, -np.inf), ones])
         model.row_upper_ = np.concatenate([prog.h, rhs, ones])
+        self.highs = _highs._Highs()
+        for key, value in _OPTIONS.items():
+            self._set(key, value)
+        # HiGHS drops entries at or below small_matrix_value (rounding
+        # residue, such as a substituted factor's) and then warns
+        status, small = self.highs.getOptionValue("small_matrix_value")
+        self._ok(status, "getOptionValue('small_matrix_value')")
+        A.data[np.abs(A.data) <= small] = 0.0
+        A.eliminate_zeros()
         matrix = model.a_matrix_
         matrix.format_ = _highs.MatrixFormat.kColwise
         matrix.num_col_, matrix.num_row_ = A.shape[1], A.shape[0]
         matrix.start_ = A.indptr.astype(np.int32)
         matrix.index_ = A.indices.astype(np.int32)
         matrix.value_ = A.data
-        self.highs = _highs._Highs()
-        for key, value in _OPTIONS.items():
-            self._set(key, value)
         self._ok(self.highs.passModel(model), "passModel")
 
     def _ok(self, status, call: str) -> None:
@@ -307,6 +313,8 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     warm-starts the LP, and phase 1 when it runs, as in ``_LPModel``."""
     if not tol > 0:  # NaN fails this test too
         raise InvalidParamsError("tol must be positive")
+    if not max_iters >= 0:
+        raise InvalidParamsError("max_iters must be nonnegative")
     n, m, n_img = prog.n_vars, int(prog.h.size), int(prog.p_ref.size)
     # variables [k, u]; u_j >= |p_j - (A k)_j|
     A = prog.A
@@ -370,6 +378,8 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     """
     if not tol > 0:  # NaN fails this test too
         raise InvalidParamsError("tol must be positive")
+    if not max_iters >= 0:
+        raise InvalidParamsError("max_iters must be nonnegative")
     n, m = prog.n_vars, int(prog.h.size)
     sup = np.nonzero(prog.p_ref > 0)[0]
     p = prog.p_ref[sup]

@@ -1,8 +1,8 @@
 """Applying a learned kernel to data.
 
 Train mode randomizes (x, y) jointly per record through the full kernel;
-apply mode first marginalizes the outcome out of the kernel (weighting by
-the outcome-given-input conditional) and randomizes features only.
+apply mode first sums the outcome out of the kernel (weighting by the
+outcome-given-input conditional) and randomizes features only.
 
 Randomness is counter-based: each record owns a Philox stream keyed by
 (master seed, record stream id), so output is reproducible, independent
@@ -65,7 +65,7 @@ def derive_apply_kernel(kernel: TransformKernel, pmf: JointPMF) -> ApplyMapper:
     schema = kernel.schema
     nd, nx, ny = schema.nd, schema.nx, schema.ny
     cond, present = conditional(pmf.mass)
-    # per (d, x, y): kernel row marginalized over y_hat -> (nd, nx, ny, nx)
+    # per (d, x, y): kernel row summed over y_hat -> (nd, nx, ny, nx)
     k_x = kernel.probs.reshape(nd, nx, ny, nx, ny).sum(axis=4)
     rows = np.einsum("dxy,dxyk->dxk", cond, k_x)
     d_absent, x_absent = np.nonzero(~present)
@@ -78,7 +78,7 @@ def derive_apply_kernel(kernel: TransformKernel, pmf: JointPMF) -> ApplyMapper:
     ]
     sums = rows.sum(axis=2, keepdims=True)
     if np.abs(sums - 1.0).max() > MASS_ATOL * 1e3:
-        raise InvalidParamsError("apply rows failed to marginalize cleanly")
+        raise InvalidParamsError("apply rows failed to sum to 1")
     rows = rows / sums
     return ApplyMapper(schema, rows, warnings=tuple(warnings))
 

@@ -21,7 +21,7 @@ from fairmap import (
     ratio_distance,
 )
 from fairmap.constants import FORBIDDEN
-from fairmap.errors import MissingBudgetError, ZeroReferenceError
+from fairmap.errors import MissingBudgetError, UnknownVariableError, ZeroReferenceError
 
 from conftest import make_schema, make_schema_multi, random_pmf
 
@@ -141,6 +141,12 @@ class TestDiscriminationAssembly:
         cs = build_discrimination_constraints(spec, pmf)
         # 2 groups x 2 segments x 2 outcomes x 2 sides unless undersized
         assert cs.n_constraints + 4 * len(cs.warnings) == 16
+
+    def test_unknown_variable(self, rng):
+        pmf = random_pmf(make_schema(nx=2), rng, n=1000)
+        spec = DiscriminationSpec(mode="conditional", epsilon=0.2, condition_on=("nope",))
+        with pytest.raises(UnknownVariableError):
+            build_discrimination_constraints(spec, pmf)
 
     def test_conditional_undersized_segment_warns(self):
         schema = make_schema(nx=2)

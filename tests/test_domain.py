@@ -9,24 +9,20 @@ from hypothesis import strategies as st
 
 from fairmap import (
     ApplyMapper,
-    ConditionalPMF,
     Dataset,
     DiscriminationSpec,
     JointPMF,
-    MarginalPMF,
     TransformKernel,
-    condition,
+    conditional,
     estimate_empirical,
     kl_divergence,
     l1_distance,
-    marginalize,
 )
 from fairmap.errors import (
     EmptyDatasetError,
     InvalidParamsError,
     MissingOutcomeError,
     SupportMismatchError,
-    UnknownVariableError,
 )
 
 from conftest import make_schema, make_schema_multi, random_pmf
@@ -75,71 +71,46 @@ class TestEstimation:
             Dataset.from_records(schema, [(2, 0, 0)])
 
 
-class TestMarginalizeCondition:
-    def test_marginalize_nothing_is_identity(self, rng):
-        pmf = random_pmf(make_schema_multi(), rng)
-        names = [v.name for v in pmf.schema.variables]
-        marg = marginalize(pmf, names)
-        np.testing.assert_allclose(
-            marg.mass.ravel(), pmf.mass.ravel(), atol=1e-15
-        )
+class TestConditional:
+    """``conditional`` divides each row over the last axis by its total."""
 
-    def test_marginalize_uniform(self):
-        schema = make_schema(nx=2)
-        pmf = JointPMF(schema, np.full((2, 2, 2), 1 / 8))
-        marg = marginalize(pmf, ["group"])
-        np.testing.assert_allclose(marg.mass, [0.5, 0.5])
-
-    def test_unknown_variable(self, rng):
-        pmf = random_pmf(make_schema(), rng)
-        with pytest.raises(UnknownVariableError):
-            marginalize(pmf, ["nope"])
-
-    def test_condition_hand_normalized(self):
+    def test_hand_normalized(self):
         # p over (d, y) encoded with a single x value:
         # [[0.4, 0.1], [0.2, 0.3]] -> rows (0.8, 0.2) and (0.4, 0.6)
-        schema = make_schema(nx=1)
-        mass = np.array([[[0.4, 0.1]], [[0.2, 0.3]]])
-        pmf = JointPMF(schema, mass)
-        cond = condition(pmf, ["group", "feat"])
-        np.testing.assert_allclose(cond.row((0, 0)), [0.8, 0.2], atol=1e-15)
-        np.testing.assert_allclose(cond.row((1, 0)), [0.4, 0.6], atol=1e-15)
+        pmf = JointPMF(make_schema(nx=1), np.array([[[0.4, 0.1]], [[0.2, 0.3]]]))
+        cond, present = conditional(pmf.mass)
+        np.testing.assert_allclose(cond[:, 0], [[0.8, 0.2], [0.4, 0.6]], atol=1e-15)
+        assert present.all()
 
-    def test_condition_independent(self, rng):
-        schema = make_schema(nx=1)
+    def test_independent(self):
         pd = np.array([0.3, 0.7])
         py = np.array([0.6, 0.4])
-        pmf = JointPMF(schema, (pd[:, None] * py[None, :]).reshape(2, 1, 2))
-        cond = condition(pmf, ["group"])
-        for d in range(2):
-            np.testing.assert_allclose(cond.row((d,)), py, atol=1e-12)
+        pmf = JointPMF(make_schema(nx=1), (pd[:, None] * py[None, :]).reshape(2, 1, 2))
+        cond, _ = conditional(pmf.p_dy())
+        np.testing.assert_allclose(cond, [py, py], atol=1e-12)
 
-    def test_condition_empty_given_is_joint(self, rng):
+    def test_one_row_is_the_joint(self, rng):
         pmf = random_pmf(make_schema(nx=2), rng)
-        cond = condition(pmf, [])
-        np.testing.assert_allclose(cond.row(()), pmf.mass.ravel(), atol=1e-15)
+        cond, present = conditional(pmf.mass.reshape(1, -1))
+        np.testing.assert_allclose(cond[0], pmf.mass.ravel(), atol=1e-15)
+        assert present.tolist() == [True]
 
     def test_zero_mass_rows_absent(self):
-        schema = make_schema(nx=1)
-        mass = np.array([[[0.5, 0.5]], [[0.0, 0.0]]])
-        pmf = JointPMF(schema, mass)
-        cond = condition(pmf, ["group"])
-        assert (1,) in cond.absent
-        assert (1,) not in cond.rows
+        pmf = JointPMF(make_schema(nx=1), np.array([[[0.5, 0.5]], [[0.0, 0.0]]]))
+        cond, present = conditional(pmf.mass.reshape(2, -1))
+        assert present.tolist() == [True, False]
+        assert not cond[1].any()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_condition_marginalize_recombine(self, seed):
+    def test_marginal_times_conditional_is_joint(self, seed):
+        # p(g) p(. | g) = p, with the zero-mass groups of p left out
         rng = np.random.default_rng(seed)
         pmf = random_pmf(make_schema(nx=2), rng, zero_fraction=0.2)
-        marg = marginalize(pmf, ["group"])
-        cond = condition(pmf, ["group"])
-        rebuilt = np.zeros_like(pmf.mass)
-        for d in range(2):
-            if (d,) in cond.absent:
-                assert marg.mass[d] == 0.0
-                continue
-            rebuilt[d] = (marg.mass[d] * cond.row((d,))).reshape(2, 2)
+        nd = pmf.schema.nd
+        cond, present = conditional(pmf.mass.reshape(nd, -1))
+        np.testing.assert_array_equal(present, pmf.p_d() > 0)
+        rebuilt = (pmf.p_d()[:, None] * cond).reshape(pmf.mass.shape)
         np.testing.assert_allclose(rebuilt, pmf.mass, atol=1e-12)
 
 
@@ -215,8 +186,6 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         pmf = random_pmf(make_schema_multi(), rng, zero_fraction=0.3)
         assert abs(pmf.mass.sum() - 1.0) <= 1e-12
-        marg = marginalize(pmf, ["sex", "age"])
-        assert abs(marg.mass.sum() - 1.0) <= 1e-12
 
     def test_pmf_rejects_denormalized(self):
         schema = make_schema(nx=1)
@@ -241,13 +210,9 @@ def _valid_probabilities():
     probability array the package builds."""
     schema = make_schema(nx=2)
     pmf = random_pmf(schema, np.random.default_rng(0))
-    xy = tuple(v.alphabet for v in (*schema.x_vars, schema.y_var))
     kernel = np.broadcast_to(pmf.p_xy().ravel(), (2, 2, 2, 4))
     return {
         "JointPMF": (pmf.mass, lambda a: JointPMF(schema, a)),
-        "MarginalPMF": (pmf.p_xy(), lambda a: MarginalPMF(xy, a)),
-        "ConditionalPMF": (np.full(4, 0.25), lambda a: ConditionalPMF(
-            (schema.d_vars[0].alphabet,), xy, {(0,): a})),
         "TransformKernel": (kernel, lambda a: TransformKernel(schema, a)),
         "ApplyMapper": (np.full((2, 2, 2), 0.5), lambda a: ApplyMapper(schema, a)),
         "target": (np.array([0.3, 0.7]), lambda a: DiscriminationSpec(target=a)),

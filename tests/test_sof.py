@@ -8,6 +8,7 @@ from fairmap import (
     DistortionBudget,
     DistortionMetric,
     JointPMF,
+    TransformKernel,
     assemble,
     sof_solve,
     solve,
@@ -183,6 +184,17 @@ class TestAlternating:
         assert sol.status == "infinite_objective"
         assert sol.objective == float("inf")
         assert sol.diagnostics["uncovered_cell"] == "x=x0 y=1"
+        assert sol.residual <= 1e-9
+
+    def test_rounding_residue_in_a_factor_is_no_breakdown(self):
+        # a w-block program here carries constraint entries below 1e-9,
+        # rounding residue of the m factor; HiGHS drops such entries, and
+        # its warning that it did once aborted the solve
+        problem = assemble(*sof_instance(np.random.default_rng(0), eps=0.1, c=0.6, nx=4),
+                           objective="kl")
+        sol = sof_solve(problem, strategy="alternating")
+        assert sol.status == "optimal" and sol.certificate <= 1e-6
+        TransformKernel(problem.pmf.schema, sol.kernel.probs)
         assert sol.residual <= 1e-9
 
 

@@ -349,6 +349,15 @@ class TestSLSQPReferenceCrossCheck:
 
 
 class TestSolveContracts:
+    @pytest.mark.parametrize("objective", ["l1", "kl"])
+    @pytest.mark.parametrize("name,value", [("tol", float("nan")), ("tol", 0.0),
+                                            ("max_iters", -5), ("max_iters", float("nan"))])
+    def test_bad_limits_refused(self, objective, name, value):
+        # 0 stays a valid cap (see test_l1_iteration_limit)
+        problem = assemble(*random_instance(1), objective=objective)
+        with pytest.raises(InvalidParamsError, match=name):
+            solve(problem, **{name: value})
+
     def test_loose_epsilon_identity_optimal(self, rng):
         pmf = random_pmf(make_schema(nx=2), rng)
         problem = assemble(

@@ -72,7 +72,7 @@ class TestDeriveApplyKernel:
                 np.testing.assert_allclose(mapper.rows[d, x], [0.7, 0.3], atol=1e-12)
 
     def test_outcome_only_kernel_gives_identity_mapper(self, rng):
-        # flipping the outcome but never the features marginalizes to the
+        # flipping the outcome but never the features sums out to the
         # identity regardless of the outcome conditional
         schema = make_schema(nx=2)
         pmf = random_pmf(schema, rng)
