@@ -283,7 +283,8 @@ def solve(problem: Problem, tol: float = DEFAULT_TOL,
 
     ``bases``, a dict, warm-starts the LPs from the optimal bases an
     earlier solve of a program of the same shape left in it (and takes
-    this solve's); without it every LP starts cold.
+    this solve's).  A handed basis wins; every LP without one starts from
+    the identity kernel's basis.  Either bypasses HiGHS's presolve.
     """
     out = _path(problem.objective)(problem.program, tol=tol, max_iters=max_iters,
                                    bases=bases)
@@ -347,8 +348,9 @@ def sweep_epsilon(problem: Problem, eps_grid: Sequence[float],
     grid.  Every epsilon is checked before the first LP runs.  The points
     are solved from the largest epsilon down, each one's LPs started from
     the optimal bases the looser points left (the program's shape does
-    not depend on epsilon), so only the loosest point starts cold and the
-    infeasible points come last.  Each entry is certified to ``tol`` as a
+    not depend on epsilon), so the infeasible points come last.  The
+    loosest point's LPs, and the first phase-1 LP, start from the
+    identity kernel's basis.  Each entry is certified to ``tol`` as a
     ``solve`` at its epsilon is, so its objective matches that solve's
     within the tolerance, not bit for bit."""
     eps_grid = [float(e) for e in eps_grid]

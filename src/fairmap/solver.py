@@ -23,10 +23,14 @@ enforced).  For KL, UB - L is also the termination criterion.
 
 Every LP is one HiGHS model (``_LPModel``, on SciPy's bundled HiGHS
 bindings ``scipy.optimize._highspy``): the l1 LP, phase 1 and the KL
-start LP run once; the KL cut LPs are one model that gains rows.  Each
-starts cold unless the caller passes ``bases`` (``sweep_epsilon`` does,
-from the loosest grid point down, so that infeasible points and their
-phase-1 LPs start warm too; see ``_LPModel``).
+start LP run once; the KL cut LPs are one model that gains rows.  The
+first run of each starts from a basis, never from HiGHS's all-slack one:
+the basis the caller hands in ``bases`` when it holds one
+(``sweep_epsilon`` hands each grid point the bases of the looser points),
+else the identity kernel's.  The identity kernel meets every simplex and
+distortion row, so the dual simplex only repairs the discrimination rows
+it violates.  A basis, handed or identity, bypasses HiGHS's presolve
+(see ``_LPModel``).
 Every LP adds a tiny identity-deviation term to the objective so that
 ties between algebraically equivalent optima break deterministically
 toward the least-randomizing kernel.
@@ -53,10 +57,10 @@ STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_INFINITE = "infinite_objective"
 
 # HiGHS options of every LP (those linprog passed: dual simplex, tight
-# feasibility tolerances)
+# feasibility tolerances; no presolve option, since every run starts from
+# a basis, which bypasses presolve)
 _OPTIONS = {
     "output_flag": False,
-    "presolve": "on",
     "simplex_strategy": 1,  # dual
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -159,24 +163,22 @@ class _LPModel:
     ``bases`` (optional) carries optimal bases between models of one shape
     (an LP of one program at another epsilon): the first ``run`` starts
     from ``bases[name]`` when it holds one and, if optimal, stores its own
-    basis there."""
+    basis there.  Otherwise the first ``run`` starts from the identity
+    kernel's basis (see ``_identity_basis``; the cut LP passes
+    ``aux_basic``).  A handed basis wins over the identity one, and either
+    bypasses HiGHS's presolve."""
 
     def __init__(self, name: str, prog: SimplexImageProgram, c_k: np.ndarray, c_aux,
-                 g_aux=None, rows=None, rhs=None, bases: dict | None = None):
-        self.name, self.bases, n_aux = name, bases, len(c_aux)
+                 g_aux=None, rows=None, rhs=None, bases: dict | None = None,
+                 aux_basic: bool = False):
+        self.name, self.bases, self.prog, self.aux_basic = name, bases, prog, aux_basic
+        self.fresh, n_aux = True, len(c_aux)
         aux = sp.csr_matrix((prog.h.size, n_aux)) if g_aux is None else g_aux
         if rows is None:
             rows, rhs = sp.csr_matrix((0, prog.n_vars + n_aux)), np.zeros(0)
+        self.n_given_rows = rows.shape[0]
         A = sp.vstack([sp.hstack([prog.G, aux]), rows, sp.hstack(
             [prog.row_sum_matrix(), sp.csr_matrix((prog.n_rows, n_aux))])], format="csc")
-        ones = np.ones(prog.n_rows)
-        model = _highs.HighsLp()
-        model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
-        model.col_cost_ = np.concatenate([c_k, c_aux])
-        model.col_lower_ = np.zeros(A.shape[1])
-        model.col_upper_ = np.concatenate([np.ones(prog.n_vars), np.full(n_aux, np.inf)])
-        model.row_lower_ = np.concatenate([np.full(A.shape[0] - ones.size, -np.inf), ones])
-        model.row_upper_ = np.concatenate([prog.h, rhs, ones])
         self.highs = _highs._Highs()
         for key, value in _OPTIONS.items():
             self._set(key, value)
@@ -186,13 +188,19 @@ class _LPModel:
         self._ok(status, "getOptionValue('small_matrix_value')")
         A.data[np.abs(A.data) <= small] = 0.0
         A.eliminate_zeros()
-        matrix = model.a_matrix_
-        matrix.format_ = _highs.MatrixFormat.kColwise
-        matrix.num_col_, matrix.num_row_ = A.shape[1], A.shape[0]
-        matrix.start_ = A.indptr.astype(np.int32)
-        matrix.index_ = A.indices.astype(np.int32)
-        matrix.value_ = A.data
-        self._ok(self.highs.passModel(model), "passModel")
+        # the array overload (HighsLp's setters convert arrays element by
+        # element); its integrality array must be full length
+        ones = np.ones(prog.n_rows)
+        num_row, num_col = A.shape
+        self._ok(self.highs.passModel(
+            num_col, num_row, A.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
+            0.0, np.concatenate([c_k, c_aux]), np.zeros(num_col),
+            np.concatenate([np.ones(prog.n_vars), np.full(n_aux, np.inf)]),
+            np.concatenate([np.full(num_row - ones.size, -np.inf), ones]),
+            np.concatenate([prog.h, rhs, ones]),
+            A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data,
+            np.zeros(num_col, dtype=np.int32),
+        ), "passModel")
 
     def _ok(self, status, call: str) -> None:
         if status != _highs.HighsStatus.kOk:
@@ -219,15 +227,49 @@ class _LPModel:
             rows.data,
         ), "addRows")
 
+    def _identity_basis(self) -> _highs.HighsBasis:
+        """The basis at the identity kernel.  In each simplex row the entry
+        with the largest anchor value (the first on ties) is basic: the
+        identity entry of the full program, which is never pinned.  Every
+        other column is nonbasic at 0, every simplex row is nonbasic and
+        the slack of every other row is basic.  With ``aux_basic`` (the cut
+        LP, built with one tangent row per link row before its first run)
+        the aux columns are basic instead, and ``rows`` and the appended
+        rows are tight.
+
+        The basis matrix is block-triangular with unit or nonzero
+        diagonal, so it is nonsingular, and it holds one basic entry per
+        row.  For the l1 LP and phase 1 it is also dual feasible: every
+        nonbasic column's reduced cost is 0, 1 or tau times an anchor gap."""
+        prog, status = self.prog, _highs.HighsBasisStatus
+        n, starts = prog.n_vars, prog.row_ptr[:-1]
+        top = np.repeat(np.maximum.reduceat(prog.anchor, starts), np.diff(prog.row_ptr))
+        cols = np.full(self.highs.getNumCol(), status.kLower, dtype=object)
+        cols[np.minimum.reduceat(np.where(prog.anchor == top, np.arange(n), n), starts)] = (
+            status.kBasic)
+        other = status.kBasic
+        if self.aux_basic:
+            cols[n:], other = status.kBasic, status.kUpper
+        m = prog.h.size
+        n_appended = self.highs.getNumRow() - m - self.n_given_rows - prog.n_rows
+        basis = _highs.HighsBasis()
+        basis.col_status = cols.tolist()
+        basis.row_status = ([status.kBasic] * m + [other] * self.n_given_rows
+                            + [status.kLower] * prog.n_rows + [other] * n_appended)
+        basis.alien, basis.valid = False, True
+        return basis
+
     def run(self, *allowed: str, max_iters: int | None = None) -> _Run:
         """Solve, within ``max_iters`` simplex iterations if given.  An
         outcome other than optimal or one of the ``allowed`` statuses
         raises ``NumericalBreakdownError``."""
         if max_iters is not None:
             self._set("simplex_iteration_limit", max_iters)
-        bases, self.bases = self.bases, None
-        if bases and self.name in bases:
-            self._ok(self.highs.setBasis(bases[self.name]), "setBasis")
+        fresh, self.fresh = self.fresh, False
+        if fresh:
+            handed = (self.bases or {}).get(self.name)
+            self._ok(self.highs.setBasis(self._identity_basis() if handed is None else handed),
+                     "setBasis")
         if self.highs.run() == _highs.HighsStatus.kError:
             raise NumericalBreakdownError(f"{self.name} failed: HiGHS run returned kError")
         model_status = self.highs.getModelStatus()
@@ -237,8 +279,8 @@ class _LPModel:
                 f"{self.name} failed: HiGHS model status"
                 f" {self.highs.modelStatusToString(model_status)}"
             )
-        if bases is not None and status == STATUS_OPTIMAL:
-            bases[self.name] = self.highs.getBasis()
+        if fresh and self.bases is not None and status == STATUS_OPTIMAL:
+            self.bases[self.name] = self.highs.getBasis()
         sol, info = self.highs.getSolution(), self.highs.getInfo()
         x = np.asarray(sol.col_value) if sol.value_valid else None
         row_dual = (np.asarray(sol.row_dual)
@@ -255,7 +297,8 @@ def phase1_violation(prog: SimplexImageProgram,
     and diagnostics naming the worst constraint there and summing the
     violations by label family (the label's first word, such as
     ``disc[pairwise]``, ``dist[expected]`` or ``pin``), whose units differ.
-    ``bases`` warm-starts the LP as in ``_LPModel``.
+    The LP starts from the identity kernel's basis, or from the one
+    ``bases`` hands it, as in ``_LPModel``.
     """
     n, m = prog.n_vars, int(prog.h.size)
     x = _LPModel("phase-1 LP", prog, np.zeros(n), np.ones(m),
@@ -309,8 +352,9 @@ def lagrangian_bound(prog: SimplexImageProgram, lam: np.ndarray, mu: np.ndarray,
 
 def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
              max_iters: int = DEFAULT_MAX_ITERS, bases: dict | None = None) -> SolveOutcome:
-    """Exact LP solve of the total-variation (l1) objective.  ``bases``
-    warm-starts the LP, and phase 1 when it runs, as in ``_LPModel``."""
+    """Exact LP solve of the total-variation (l1) objective.  The LP, and
+    phase 1 when it runs, start from the identity kernel's basis, or from
+    the one ``bases`` hands them, as in ``_LPModel``."""
     if not tol > 0:  # NaN fails this test too
         raise InvalidParamsError("tol must be positive")
     if not max_iters >= 0:
@@ -372,9 +416,9 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     ``STATUS_INFINITE`` and ``diagnostics["uncovered_cell"]`` is the image
     index of the cell the start LP covers least.
 
-    ``bases`` warm-starts the start LP, the first cut LP and phase 1 as
-    in ``_LPModel``; the later cut LPs restart from their own model's
-    basis.
+    The start LP, the first cut LP and phase 1 start from the identity
+    kernel's basis, or from the one ``bases`` hands them, as in
+    ``_LPModel``; the later cut LPs restart from their own model's basis.
     """
     if not tol > 0:  # NaN fails this test too
         raise InvalidParamsError("tol must be positive")
@@ -428,7 +472,7 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     model = _LPModel(
         "cut LP", prog, -TIE_BREAK_WEIGHT * prog.anchor, np.concatenate([np.zeros(n_sup), p]),
         rows=sp.hstack([-A_sup, eye, sp.csr_matrix((n_sup, n_sup))], format="csr"),
-        rhs=np.zeros(n_sup), bases=bases,
+        rhs=np.zeros(n_sup), bases=bases, aux_basic=True,
     )
     cut_cols = np.column_stack([n + np.arange(n_sup), n + n_sup + np.arange(n_sup)])
     iters = 0

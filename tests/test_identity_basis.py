@@ -1,0 +1,128 @@
+"""The identity kernel's basis, from which every LP that is handed no
+basis starts: its shape on every LP of random programs, cold solves that
+agree with reference LPs solved through ``linprog``, and factorized
+programs, whose anchor is not 0/1."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairmap import assemble
+from fairmap.constants import DEFAULT_TOL, TIE_BREAK_WEIGHT
+from fairmap.optimizer import sof_solve
+from fairmap.solver import (
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    _highs,
+    _LPModel,
+    solve_kl,
+    solve_tv,
+)
+
+from test_kl_model import cold_kelley, cold_lp
+from test_properties import random_instance
+from test_sof import sof_instance
+
+BASIC = _highs.HighsBasisStatus.kBasic
+
+
+@pytest.fixture
+def identity_bases(monkeypatch):
+    """(model, basis, HiGHS's row count then) of every identity basis
+    built while the test runs."""
+    built = []
+    identity_basis = _LPModel._identity_basis
+
+    def recorded(model):
+        basis = identity_basis(model)
+        built.append((model, basis, model.highs.getNumRow()))
+        return basis
+
+    monkeypatch.setattr(_LPModel, "_identity_basis", recorded)
+    return built
+
+
+def assert_identity_shape(model, basis, num_row):
+    prog = model.prog
+    cols = np.array([s == BASIC for s in basis.col_status])
+    rows = np.array([s == BASIC for s in basis.row_status])
+    assert cols.size == model.highs.getNumCol() and rows.size == num_row
+    assert cols.sum() + rows.sum() == rows.size
+    # one kernel entry per simplex row, one of the row's largest anchor
+    # entries; the simplex rows are nonbasic
+    kernel = cols[:prog.n_vars]
+    assert (np.add.reduceat(kernel, prog.row_ptr[:-1]) == 1).all()
+    top = np.maximum.reduceat(prog.anchor, prog.row_ptr[:-1])
+    assert (prog.anchor[kernel] == top).all()
+    m = prog.h.size
+    simplex = slice(m + model.n_given_rows, m + model.n_given_rows + prog.n_rows)
+    assert not rows[simplex].any()
+    assert rows[:m].all()
+
+
+def reference(prog, objective):
+    """The status and optimum (tie-break included) of ``prog`` by LPs
+    solved cold through ``linprog``: one l1 LP, or Kelley's loop."""
+    if objective == "kl":
+        status, kvec, value, _ = cold_kelley(prog)
+        return status, (value + prog.tie_term(kvec) if status == STATUS_OPTIMAL else None)
+    n_img = prog.p_ref.size
+    eye = sp.identity(n_img, format="csr")
+    res, _ = cold_lp(prog, -TIE_BREAK_WEIGHT * prog.anchor, np.ones(n_img),
+                     sp.vstack([sp.hstack([-prog.A, -eye]), sp.hstack([prog.A, -eye])]),
+                     np.concatenate([-prog.p_ref, prog.p_ref]))
+    if res.status == 2:
+        return STATUS_INFEASIBLE, None
+    assert res.status == 0, res.message
+    return STATUS_OPTIMAL, res.fun + TIE_BREAK_WEIGHT * prog.n_rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["l1", "kl"]))
+def test_cold_solve_matches_reference_lps(seed, objective):
+    prog = assemble(*random_instance(seed), objective).program
+    out = (solve_kl if objective == "kl" else solve_tv)(prog)
+    status, optimum = reference(prog, objective)
+    assert out.status == status
+    if status == STATUS_OPTIMAL:
+        assert abs(out.objective + prog.tie_term(out.kvec) - optimum) <= DEFAULT_TOL
+
+
+def test_basis_shape_on_every_lp(identity_bases):
+    # random programs, feasible and not, reach all four LPs; every
+    # identity basis is accepted (setBasis returns kOk, or the solve raises)
+    for seed in range(12):
+        for objective in ("l1", "kl"):
+            prog = assemble(*random_instance(seed), objective).program
+            (solve_kl if objective == "kl" else solve_tv)(prog)
+    names = {model.name for model, _, _ in identity_bases}
+    assert names == {"l1 LP", "phase-1 LP", "KL start LP", "cut LP"}
+    for model, basis, num_row in identity_bases:
+        assert_identity_shape(model, basis, num_row)
+        if model.name == "cut LP":
+            # its q and t columns are basic, its link rows and the tangent
+            # rows it gained before its first run tight
+            prog, linked = model.prog, model.prog.h.size + model.n_given_rows
+            assert all(s == BASIC for s in basis.col_status[prog.n_vars:])
+            tight = basis.row_status[prog.h.size:linked] + basis.row_status[
+                linked + prog.n_rows:]
+            assert len(tight) == 2 * model.n_given_rows
+            assert not any(s == BASIC for s in tight)
+
+
+@pytest.mark.parametrize("objective", ["l1", "kl"])
+@pytest.mark.parametrize("strategy", ["fix_conditional", "alternating"])
+def test_factorized_programs_start_from_their_largest_anchor(identity_bases, objective,
+                                                              strategy):
+    # the substituted programs' anchors are not 0/1; this instance once
+    # broke HiGHS on a rounding residue in its matrix
+    pmf, spec, metric, budget = sof_instance(np.random.default_rng(0), eps=0.1, c=0.6, nx=4)
+    sol = sof_solve(assemble(pmf, spec, metric, budget, objective=objective), strategy)
+    assert sol.status in (STATUS_OPTIMAL, STATUS_INFEASIBLE)
+    fractional = [built for built in identity_bases
+                  if not np.isin(built[0].prog.anchor, (0.0, 1.0)).all()]
+    assert fractional
+    for built in fractional:
+        assert_identity_shape(*built)

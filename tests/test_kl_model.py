@@ -146,8 +146,9 @@ def test_private_highs_api_smoke():
     # min -x0 - x1 s.t. x0 + 2 x1 <= 4, 3 x0 + x1 <= 6, 0 <= x <= 10;
     # then the cut x0 + x1 <= 2.5.  Presolve is off: it solves a
     # two-column LP outright, leaving no simplex iterations to compare.
-    # Then the same LP stopped after one iteration, and with x0 + x1 >= 9
-    # in place of the cut, which is infeasible
+    # Then a basis built by hand, the same LP stopped after one
+    # iteration, and with x0 + x1 >= 9 in place of the cut, which is
+    # infeasible
     message = (f"scipy {scipy.__version__}: the private HiGHS bindings"
                " (scipy.optimize._highspy._core) that every LP uses changed")
     try:
@@ -157,17 +158,13 @@ def test_private_highs_api_smoke():
             h = highs._Highs()
             for key, val in dict(_OPTIONS, presolve="off", **options).items():
                 assert h.setOptionValue(key, val) == highs.HighsStatus.kOk, key
-            lp = highs.HighsLp()
-            lp.num_col_, lp.num_row_ = 2, n_rows
-            lp.col_cost_ = np.array([-1.0, -1.0])
-            lp.col_lower_, lp.col_upper_ = np.zeros(2), np.full(2, 10.0)
-            lp.row_lower_, lp.row_upper_ = lower, upper
-            lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-            lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = 2, n_rows
-            lp.a_matrix_.start_ = np.array(starts, dtype=np.int32)
-            lp.a_matrix_.index_ = np.array(index, dtype=np.int32)
-            lp.a_matrix_.value_ = np.array(value)
-            assert h.passModel(lp) == highs.HighsStatus.kOk
+            # the array overload; its integrality array must be full length
+            assert h.passModel(
+                2, n_rows, len(value), highs.MatrixFormat.kColwise,
+                highs.ObjSense.kMinimize, 0.0, np.array([-1.0, -1.0]), np.zeros(2),
+                np.full(2, 10.0), lower, upper, np.array(starts, dtype=np.int32),
+                np.array(index, dtype=np.int32), np.array(value), np.zeros(2, dtype=np.int32),
+            ) == highs.HighsStatus.kOk
             return h
 
         def solved(h, objective, n_rows):
@@ -205,6 +202,22 @@ def test_private_highs_api_smoke():
         assert cold.setBasis(basis) == highs.HighsStatus.kError
         assert warm_iterations < solved(cold, -2.5, 3)
 
+        # a basis built by hand (as solver._LPModel builds the identity
+        # kernel's): x0 basic, x1 at its lower bound and the first row's
+        # slack basic is checked and taken; one basic entry too many is
+        # refused
+        status = highs.HighsBasisStatus
+        hand = highs.HighsBasis()
+        hand.col_status = [status.kBasic, status.kLower]
+        hand.row_status = [status.kBasic, status.kUpper]
+        hand.alien, hand.valid = False, True
+        started = build(2, *two, np.full(2, -np.inf), np.array([4.0, 6.0]))
+        assert started.setBasis(hand) == highs.HighsStatus.kOk
+        solved(started, -2.8, 2)
+        hand.row_status = [status.kBasic, status.kBasic]
+        assert build(2, *two, np.full(2, -np.inf),
+                     np.array([4.0, 6.0])).setBasis(hand) == highs.HighsStatus.kError
+
         short = build(2, *two, np.full(2, -np.inf), np.array([4.0, 6.0]),
                       simplex_iteration_limit=1)
         assert short.run() == highs.HighsStatus.kWarning
@@ -238,15 +251,27 @@ def test_matches_cold_loop_on_compas_like(compas_like, epsilon):
     assert_matches_cold(prog)
 
 
-def test_cut_lps_restart_warm(compas_like):
-    # solved cold, each later cut LP here costs 1.8 to 2.7 times the
-    # simplex iterations of the first (the LPs only grow); restarted from
-    # the last basis, 0.13 times on average
-    out = solve_kl(compas_like.with_epsilon(0.45).program)
+def test_cut_lps_restart_warm(compas_like, monkeypatch):
+    # each model sets one basis, before its first run: the start LP's,
+    # then the cut-LP model's once it holds its first tangent rows; every
+    # later cut LP restarts from the basis its model's last run left, not
+    # from the identity kernel's, which fits only the first tangent rows
+    from fairmap.solver import _highs
+
+    set_basis, rows_at_set = _highs._Highs.setBasis, []
+
+    def recorded(highs, basis):
+        rows_at_set.append(highs.getNumRow())
+        return set_basis(highs, basis)
+
+    monkeypatch.setattr(_highs._Highs, "setBasis", recorded)
+    prog = compas_like.with_epsilon(0.45).program
+    out = solve_kl(prog)
     start, first, *rest = out.diagnostics["simplex_iterations"]
     assert len(rest) == out.iterations - 1 >= 3
     assert min(start, first) > 0
-    assert sum(rest) < 0.6 * first * len(rest)
+    n_sup, base = int((prog.p_ref > 0).sum()), prog.h.size + prog.n_rows
+    assert rows_at_set == [base + n_sup, base + 2 * n_sup]
 
 
 def test_basis_of_another_shape_is_refused(compas_like):

@@ -185,7 +185,8 @@ def test_handed_basis_starts_the_first_lp_warm(seed, objective):
     if name not in bases:
         return
     cold, warm = first_lp(first), first_lp(solve(problem, bases=bases))
-    # presolve alone settles some LPs, in 0 iterations either way
+    # the identity kernel's basis is optimal for some LPs (0 iterations
+    # either way)
     assert warm < cold or cold == warm == 0
 
 
