@@ -4,14 +4,17 @@ Every constraint emitted here is affine in the transformation-kernel
 variables: one probability row per positive-mass input cell (d, x, y),
 laid out row-major over transformed cells (x_hat, y_hat).  Each block
 is one sparse array expression over the layout's (d, x, y) index arrays,
-returned as ``G k <= h`` with labels for diagnostics.  Only the solver
+returned as ``G k <= h`` with labels for diagnostics.  A block is built
+on the layout entries it is given as columns: every entry for the public
+builders, and only the entries the distortion budget leaves free for
+``side_constraints``, the rows of an assembled program.  Only the solver
 reads these blocks: the auditors recompute rates and distortions from
 the pushforward joint, so they check the blocks independently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -209,20 +212,21 @@ def segments(schema: Schema, condition_on: Sequence[str]) -> tuple[np.ndarray, l
     return b_of_x, labels
 
 
-def _rate_matrix(layout: VariableLayout, group: np.ndarray,
-                 mass: np.ndarray) -> sp.csr_matrix:
-    """R with (R k)[g * ny + y] = p(Y_hat = y | group g) for every group.
+def _rate_matrix(layout: VariableLayout, group: np.ndarray, mass: np.ndarray,
+                 free: np.ndarray) -> sp.csr_matrix:
+    """R with (R k)[g * ny + y] = p(Y_hat = y | group g) for every group,
+    on the layout entries ``free``.
 
     ``group`` numbers the group of each layout row; row g * ny + y of R
     holds w_r / mass[g] at k_r(x_hat, y) for every row r of group g.
     """
-    per_row = sp.csr_matrix(
-        (layout.weights / mass[group], (group, np.arange(layout.n_rows))),
-        shape=(mass.size, layout.n_rows),
-    )
+    r, j = np.divmod(free, layout.row_dim)
+    g = group[r]
     ny = layout.schema.ny
-    outcome = sp.csr_matrix(np.tile(np.eye(ny), layout.schema.nx))  # (ny, row_dim)
-    return sp.kron(per_row, outcome, format="csr")
+    return sp.csr_matrix(
+        (layout.weights[r] / mass[g], (g * ny + j % ny, np.arange(free.size))),
+        shape=(mass.size * ny, free.size),
+    )
 
 
 def _scaled_rows(R: sp.csr_matrix, rows: list, coefs: list) -> sp.csr_matrix:
@@ -235,7 +239,9 @@ def _scaled_rows(R: sp.csr_matrix, rows: list, coefs: list) -> sp.csr_matrix:
 def build_discrimination_constraints(
     spec: DiscriminationSpec, pmf: JointPMF, layout: Optional[VariableLayout] = None
 ) -> LinearConstraintSet:
-    """Linear inequalities implementing the chosen discrimination control.
+    """Linear inequalities implementing the chosen discrimination control,
+    built on every layout entry (``side_constraints`` builds the same rows
+    on the free entries alone).
 
     All three modes are rows of one group-rate matrix R (see
     ``_rate_matrix``).  Target mode bounds each group's transformed
@@ -247,6 +253,13 @@ def build_discrimination_constraints(
     """
     if layout is None:
         layout = VariableLayout.from_pmf(pmf)
+    return _discrimination_rows(spec, pmf, layout, np.arange(layout.n_vars))
+
+
+def _discrimination_rows(spec: DiscriminationSpec, pmf: JointPMF, layout: VariableLayout,
+                         free: np.ndarray) -> LinearConstraintSet:
+    """The rows of ``build_discrimination_constraints``, built on the
+    layout entries ``free``."""
     schema = pmf.schema
     rows, coefs, rhs, labels, warnings = [], [], [], [], []
 
@@ -270,7 +283,7 @@ def build_discrimination_constraints(
         np.add.at(mass, group, layout.weights)
     else:
         group, mass = layout.d, pmf.p_d()
-    R = _rate_matrix(layout, group, mass)
+    R = _rate_matrix(layout, group, mass, free)
 
     if spec.mode == MODE_CONDITIONAL:
         # outcome marginal within each segment, the default target
@@ -348,14 +361,15 @@ def build_discrimination_constraints(
     return LinearConstraintSet(G, np.array(rhs), tuple(labels), tuple(warnings))
 
 
-def _block_rows(values: np.ndarray) -> sp.csr_matrix:
-    """One constraint row per kernel row: row r of the dense (n_rows,
-    row_dim) ``values`` placed on row r's variables, zeros dropped."""
-    r, j = np.nonzero(values)
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(values, axis=1))))
+def _block_rows(values: np.ndarray, row_ptr: np.ndarray) -> sp.csr_matrix:
+    """One constraint row per kernel row, from one value per column: row r
+    holds the values of columns row_ptr[r]:row_ptr[r + 1] (kernel row r's
+    entries), zeros dropped."""
+    nonzero = values != 0.0
+    ends = np.concatenate(([0], np.cumsum(nonzero)))
     return sp.csr_matrix(
-        (values[r, j], r * values.shape[1] + j, indptr),
-        shape=(values.shape[0], values.size),
+        (values[nonzero], np.flatnonzero(nonzero), ends[row_ptr]),
+        shape=(row_ptr.size - 1, values.size),
     )
 
 
@@ -365,47 +379,99 @@ def build_distortion_constraints(
     pmf: JointPMF,
     layout: Optional[VariableLayout] = None,
 ) -> LinearConstraintSet:
-    """Per-input-cell distortion inequalities plus forbidden-entry fixes.
+    """Per-input-cell distortion inequalities plus forbidden-entry fixes,
+    built on every layout entry (``side_constraints`` builds the same rows
+    on the entries left free, without ``fixed_zero``).
 
     With D[r] the distortion row of layout row r's input cell, each
     budget pair (t, c) gives one row per input cell: t None (the expected
     mode) bounds the expected distortion D[r] . k_r; a threshold t bounds
     the exceedance probability (D[r] > t) . k_r, and a zero budget also
     pins the affected entries to zero.  Entries at or above the forbidden
-    level are pinned whenever the budget cannot reach them.  The metric
-    is checked against the schema by ``distortion_matrix`` alone.
+    level are pinned whenever the budget cannot reach them.  The pinned
+    entries are ``fixed_zero``.
     """
     if layout is None:
         layout = VariableLayout.from_pmf(pmf)
-    schema = pmf.schema
+    D, pairs, pinned = _distortion_terms(metric, budget, layout)
+    return replace(_distortion_rows(D, pairs, layout, np.arange(layout.n_vars)),
+                   fixed_zero=pinned)
+
+
+def _distortion_terms(metric: DistortionMetric, budget: DistortionBudget,
+                      layout: VariableLayout):
+    """The distortion D of every layout entry (D[r * row_dim + j] moves
+    layout row r's input cell to image cell j), each budget pair (t, c)
+    with c per layout row, and the entries the budget pins to zero.  The
+    metric is checked against the schema by ``distortion_matrix`` alone.
+    """
+    schema = layout.schema
     delta = distortion_matrix(metric, schema)
     shape = (schema.nd, schema.nx, schema.ny)
     cells = (layout.d, layout.x, layout.y)
     D = delta[layout.x * schema.ny + layout.y]  # (n_rows, row_dim)
-    names = cell_names(layout)
-
-    blocks, rhs, labels = [], [], []
-    fixed = np.zeros(D.shape, dtype=bool)
+    pairs = []
+    pinned = np.zeros(D.shape, dtype=bool)
     for t, cgrid in budget.cells(shape):
         c = cgrid[cells]
         if np.isnan(c).any():
             raise MissingBudgetError("budget missing for a positive-mass cell")
         if t is None:
-            blocks.append(_block_rows(D))
-            fixed |= (D >= FORBIDDEN) & (c < FORBIDDEN)[:, None]
+            pinned |= (D >= FORBIDDEN) & (c < FORBIDDEN)[:, None]
+        else:
+            pinned |= (D > t) & (c == 0.0)[:, None]
+        pairs.append((t, c))
+    return D.ravel(), pairs, pinned.ravel()
+
+
+def _distortion_rows(D: np.ndarray, pairs: list, layout: VariableLayout,
+                     free: np.ndarray) -> LinearConstraintSet:
+    """The rows of ``build_distortion_constraints`` for the D and budget
+    pairs of ``_distortion_terms``, built on the layout entries ``free``.
+    A zero budget keeps its row, so each pair has one row per input cell.
+    """
+    row_ptr = np.searchsorted(free, np.arange(layout.n_rows + 1) * layout.row_dim)
+    D = D[free]  # one value per column
+    names = cell_names(layout)
+    blocks, labels = [], []
+    for t, c in pairs:
+        if t is None:
+            blocks.append(_block_rows(D, row_ptr))
             labels.extend("dist[expected] " + names)
         else:
-            # a zero budget pins the affected entries as well; the row
-            # stays, so each threshold has one row per input cell
-            over = D > t
-            blocks.append(_block_rows(over.astype(np.float64)))
-            fixed |= over & (c == 0.0)[:, None]
+            blocks.append(_block_rows((D > t).astype(np.float64), row_ptr))
             labels.extend(f"dist[>{t}] " + names)
-        rhs.append(c)
-    G = sp.vstack(blocks, format="csr")
     return LinearConstraintSet(
-        G, np.concatenate(rhs), tuple(labels), (), fixed.ravel()
+        sp.vstack(blocks, format="csr"), np.concatenate([c for _, c in pairs]), tuple(labels)
     )
+
+
+def side_constraints(
+    pmf: JointPMF,
+    layout: VariableLayout,
+    disc_spec: Optional[DiscriminationSpec],
+    metric: Optional[DistortionMetric],
+    budget: Optional[DistortionBudget],
+) -> tuple[LinearConstraintSet, np.ndarray]:
+    """The discrimination rows, then the distortion rows, of a kernel
+    program, and the layout entries that are its variables.
+
+    The entries the distortion budget pins to zero are found first, and
+    both blocks are built on the other (free) entries alone: no
+    full-layout block is built.  The rows equal the two builders' blocks
+    restricted to the free entries.  Omitted parts contribute no rows.
+    """
+    if metric is None:
+        free = np.arange(layout.n_vars)
+    else:
+        D, pairs, pinned = _distortion_terms(metric, budget, layout)
+        free = np.flatnonzero(~pinned)
+    blocks = []
+    if disc_spec is not None:
+        blocks.append(_discrimination_rows(disc_spec, pmf, layout, free))
+    if metric is not None:
+        blocks.append(_distortion_rows(D, pairs, layout, free))
+    return LinearConstraintSet.concat(blocks, free.size), free
 
 
 def cell_names(layout: VariableLayout) -> np.ndarray:

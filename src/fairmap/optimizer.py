@@ -19,14 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, ROW_ATOL
-from .constraints import (
-    DiscriminationSpec,
-    LinearConstraintSet,
-    VariableLayout,
-    build_discrimination_constraints,
-    build_distortion_constraints,
-    cell_names,
-)
+from .constraints import DiscriminationSpec, VariableLayout, cell_names, side_constraints
 from .distortion import DistortionBudget, DistortionMetric
 from .domain import (JointPMF, Schema, conditional, kl_divergence, l1_distance,
                      probabilities)
@@ -201,29 +194,23 @@ def assemble(
 
     ``disc_spec`` or the distortion pair may be omitted (useful for
     studying one force in isolation); omitted parts contribute no
-    constraints.
+    constraints.  Transitions the distortion budget pins to zero are not
+    variables, and every row is built on the free entries alone (see
+    ``constraints.side_constraints``).
     """
     if objective not in (OBJECTIVE_KL, OBJECTIVE_L1):
         raise InvalidParamsError(f"unknown objective {objective!r}")
     if (metric is None) != (budget is None):
         raise InvalidParamsError("metric and budget must be given together")
     layout = VariableLayout.from_pmf(pmf)
-    blocks = []
-    if disc_spec is not None:
-        blocks.append(build_discrimination_constraints(disc_spec, pmf, layout))
-    if metric is not None:
-        blocks.append(build_distortion_constraints(metric, budget, pmf, layout))
-    merged = LinearConstraintSet.concat(blocks, layout.n_vars)
-    # pinned transitions are not variables
-    pinned = merged.fixed_zero
-    free = np.arange(layout.n_vars) if pinned is None else np.flatnonzero(~pinned)
+    side, free = side_constraints(pmf, layout, disc_spec, metric, budget)
     program = SimplexImageProgram(
         row_ptr=np.searchsorted(free, np.arange(layout.n_rows + 1) * layout.row_dim),
         A=_image_map(layout, free),
         p_ref=pmf.p_xy().ravel(),
-        G=merged.G[:, free],
-        h=merged.h,
-        labels=merged.labels,
+        G=side.G,
+        h=side.h,
+        labels=side.labels,
         anchor=_identity_anchor(layout, free),
     )
     return Problem(
@@ -235,7 +222,7 @@ def assemble(
         layout=layout,
         free=free,
         program=program,
-        warnings=merged.warnings,
+        warnings=side.warnings,
     )
 
 

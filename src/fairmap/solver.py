@@ -8,8 +8,10 @@ variables, and all side constraints are affine.
 
 Two solve paths:
 
-* total-variation objective: rewritten exactly as a linear program
-  (auxiliary variables for the absolute values) and handed to HiGHS;
+* total-variation objective: rewritten exactly as a linear program and
+  handed to HiGHS.  One auxiliary variable and one row per image cell
+  bound the positive part of p_j - (A k)_j, and twice their sum is the
+  l1 distance up to a constant (see ``solve_tv``);
 * KL objective: Kelley's cutting-plane method.  The objective is
   separable in the image q = A k, so each iteration is one LP of the same
   [k, aux] shape, with tangent cuts of -log standing in for the
@@ -239,8 +241,11 @@ class _LPModel:
 
         The basis matrix is block-triangular with unit or nonzero
         diagonal, so it is nonsingular, and it holds one basic entry per
-        row.  For the l1 LP and phase 1 it is also dual feasible: every
-        nonbasic column's reduced cost is 0, 1 or tau times an anchor gap."""
+        row.  For phase 1, and for the l1 LP of a program whose A columns
+        sum to one value on each simplex row (every full program), it is
+        also dual feasible: every nonbasic column's reduced cost is 0 or 1
+        (phase 1), 2 (the l1 LP's deviation columns) or tau times an anchor
+        gap."""
         prog, status = self.prog, _highs.HighsBasisStatus
         n, starts = prog.n_vars, prog.row_ptr[:-1]
         top = np.repeat(np.maximum.reduceat(prog.anchor, starts), np.diff(prog.row_ptr))
@@ -360,13 +365,19 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     if not max_iters >= 0:
         raise InvalidParamsError("max_iters must be nonnegative")
     n, m, n_img = prog.n_vars, int(prog.h.size), int(prog.p_ref.size)
-    # variables [k, u]; u_j >= |p_j - (A k)_j|
-    A = prog.A
-    I = sp.identity(n_img, format="csr")
+    # variables [k, u]; u_j >= p_j - (A k)_j, one row per image cell.  As
+    # |x| = 2 x_+ - x, 2 sum_j u_j = |p - A k|_1 + 1^T p - s . k at the
+    # optimal u, with s = 1^T A.  On a full program s is the row's weight on
+    # every entry of a simplex row, so s . k is 1 on every kernel.  Where s
+    # varies within a row (a factorized block with pin rows), c_k gains s
+    # less its row maximum, so the LP objective is |p - A k|_1 plus a
+    # constant either way
+    s = np.asarray(prog.A.sum(axis=0)).ravel()
+    s -= np.repeat(np.maximum.reduceat(s, prog.row_ptr[:-1]), np.diff(prog.row_ptr))
     run = _LPModel(
-        "l1 LP", prog, -TIE_BREAK_WEIGHT * prog.anchor, np.ones(n_img),
-        rows=sp.vstack([sp.hstack([-A, -I]), sp.hstack([A, -I])], format="csr"),
-        rhs=np.concatenate([-prog.p_ref, prog.p_ref]), bases=bases,
+        "l1 LP", prog, s - TIE_BREAK_WEIGHT * prog.anchor, np.full(n_img, 2.0),
+        rows=sp.hstack([-prog.A, -sp.identity(n_img)], format="csr"),
+        rhs=-prog.p_ref, bases=bases,
     ).run(STATUS_INFEASIBLE, STATUS_ITERATION_LIMIT, max_iters=max_iters)
     if run.status != STATUS_OPTIMAL:
         # a stopped LP need not hold a primal, nor a row-stochastic one;
@@ -385,11 +396,15 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
         )
     kvec = run.x[:n]
     objective = float(np.abs(prog.p_ref - prog.image(kvec)).sum())
-    # HiGHS's duals of ``<=`` rows are <= 0 (zero multipliers when it
-    # reported none); nu_j prices (A k)_j in both rows of |p_j - (A k)_j|
-    y = -run.row_dual if run.row_dual is not None else np.zeros(m + 2 * n_img)
-    lower = lagrangian_bound(prog, y[:m], y[m:m + n_img] - y[m + n_img:m + 2 * n_img],
-                             kl=False)
+    # HiGHS's duals of ``<=`` rows are <= 0; nu_j in [0, 2] prices the
+    # deviation row of image cell j, and mu_j = nu_j - 1 prices (A k)_j in
+    # |p_j - (A k)_j|.  L is then the LP's dual value less the constant
+    # above, so it is as tight as the LP (zero multipliers when HiGHS
+    # reported none)
+    lam, mu = np.zeros(m), np.zeros(n_img)
+    if run.row_dual is not None:
+        lam, mu = -run.row_dual[:m], -run.row_dual[m:m + n_img] - 1.0
+    lower = lagrangian_bound(prog, lam, mu, kl=False)
     return SolveOutcome(
         STATUS_OPTIMAL, kvec, objective, objective + prog.tie_term(kvec) - lower,
         prog.residual(kvec), run.iterations,

@@ -12,8 +12,10 @@ from fairmap import (
     DistortionBudget,
     DistortionMetric,
     JointPMF,
+    LinearConstraintSet,
     TransformKernel,
     VariableLayout,
+    assemble,
     audit_discrimination,
     build_discrimination_constraints,
     build_distortion_constraints,
@@ -22,8 +24,11 @@ from fairmap import (
 )
 from fairmap.constants import FORBIDDEN
 from fairmap.errors import MissingBudgetError, UnknownVariableError, ZeroReferenceError
+from fairmap.optimizer import _identity_anchor, _image_map
+from fairmap.presets import preset_config
 
 from conftest import make_schema, make_schema_multi, random_pmf
+from test_properties import random_instance
 
 
 def kernel_vec(layout, kernel):
@@ -370,7 +375,9 @@ def _three_cell_metric():
     )
 
 
-def _pinned_case(name):
+def _pinned_inputs(name):
+    """(pmf, disc_spec, metric, budget) of a pinned case: a discrimination
+    spec or a distortion pair, the other omitted."""
     multi = make_schema_multi()
     if name == "target_zero_group":
         schema = make_schema(nx=3, nd=3)
@@ -379,17 +386,15 @@ def _pinned_case(name):
             + [(0, 2, 1), (2, 0, 0)],
         )
         eps = {(y, d): 0.05 + 0.1 * y + 0.02 * d for y in (0, 1) for d in range(3)}
-        return build_discrimination_constraints(
-            DiscriminationSpec(mode="target", epsilon=eps), pmf)
+        return pmf, DiscriminationSpec(mode="target", epsilon=eps), None, None
     if name == "pairwise_asymmetric":
         pmf = patterned_pmf(make_schema(nx=2, nd=3), zeros=[(1, 1, 0)])
-        return build_discrimination_constraints(
-            DiscriminationSpec(mode="pairwise", epsilon=_pairwise_eps()), pmf)
+        return pmf, DiscriminationSpec(mode="pairwise", epsilon=_pairwise_eps()), None, None
     if name == "conditional_explicit_target":
         pmf = patterned_pmf(multi, zeros=[(0, 1, 1), (2, 4, 0), (3, 5, 1)])
         spec = DiscriminationSpec(mode="conditional", target=np.array([0.35, 0.65]),
                                   epsilon=0.2, condition_on=("job",))
-        return build_discrimination_constraints(spec, pmf)
+        return pmf, spec, None, None
     if name == "conditional_default_target":
         # zero mass in segment (d=1, x=3); condition order differs from
         # the declaration order
@@ -398,28 +403,34 @@ def _pinned_case(name):
                for y in (0, 1) for d in range(4) for b in range(6)}
         spec = DiscriminationSpec(mode="conditional", epsilon=eps,
                                   condition_on=("job", "age"))
-        return build_discrimination_constraints(spec, pmf)
+        return pmf, spec, None, None
     if name == "conditional_undersized":
         pmf = patterned_pmf(multi, zeros=[(0, 0, 0), (0, 1, 0), (0, 1, 1)], n=300)
         spec = DiscriminationSpec(mode="conditional", epsilon=0.25,
                                   condition_on=("age",), min_cell_count=20)
-        return build_discrimination_constraints(spec, pmf)
+        return pmf, spec, None, None
     if name == "expected_forbidden":
         schema = make_schema(nx=3, nd=2)
         pmf = patterned_pmf(schema, zeros=[(0, 1, 1), (1, 2, 0)])
         cgrid = ((np.arange(12) * 5) % 7 * 0.25).reshape(2, 3, 2)
         cgrid[1, 0, 1] = 2 * FORBIDDEN  # reaches the forbidden entries
         cgrid[1, 2, 0] = np.nan  # zero-mass cell: no budget needed
-        return build_distortion_constraints(
-            _three_cell_metric(), DistortionBudget("expected", c=cgrid), pmf)
+        return pmf, None, _three_cell_metric(), DistortionBudget("expected", c=cgrid)
     if name == "thresholded_zero_budget":
         schema = make_schema(nx=3, nd=2)
         pmf = patterned_pmf(schema, zeros=[(1, 1, 0)])
         per_cell = ((np.arange(12) * 3) % 4 * 0.1).reshape(2, 3, 2)
         budget = DistortionBudget(
             "thresholded", pairs=((0.75, 0.4), (1.5, per_cell), (2.5, 0.0)))
-        return build_distortion_constraints(_three_cell_metric(), budget, pmf)
+        return pmf, None, _three_cell_metric(), budget
     raise KeyError(name)
+
+
+def _pinned_case(name):
+    pmf, spec, metric, budget = _pinned_inputs(name)
+    if spec is not None:
+        return build_discrimination_constraints(spec, pmf)
+    return build_distortion_constraints(metric, budget, pmf)
 
 
 def block_digests(cs):
@@ -487,3 +498,84 @@ class TestPinnedBytes:
         assert all((np.diff(G.indices[a:b]) > 0).all()
                    for a, b in zip(G.indptr[:-1], G.indptr[1:]))
         assert (G.data != 0).all()
+
+
+# ---------------------------------------------------------------------------
+# the assembled program: rows built on the free entries alone
+# ---------------------------------------------------------------------------
+
+
+def reference_program(pmf, spec, metric, budget):
+    """The side rows, free entries and image map of a program built from
+    the builders' full-layout blocks, stacked and then restricted to the
+    entries no block pins."""
+    layout = VariableLayout.from_pmf(pmf)
+    blocks = []
+    if spec is not None:
+        blocks.append(build_discrimination_constraints(spec, pmf, layout))
+    if metric is not None:
+        blocks.append(build_distortion_constraints(metric, budget, pmf, layout))
+    merged = LinearConstraintSet.concat(blocks, layout.n_vars)
+    pinned = merged.fixed_zero
+    free = np.arange(layout.n_vars) if pinned is None else np.flatnonzero(~pinned)
+    return dict(
+        G=merged.G[:, free], h=merged.h, labels=merged.labels, warnings=merged.warnings,
+        free=free, A=_image_map(layout, free), anchor=_identity_anchor(layout, free),
+        row_ptr=np.searchsorted(free, np.arange(layout.n_rows + 1) * layout.row_dim),
+    )
+
+
+def program_bytes(parts):
+    """Every array of a program as (dtype, bytes); labels and warnings as text."""
+    out = {}
+    for name in ("G", "A"):
+        for attr in ("data", "indices", "indptr"):
+            arr = getattr(parts[name], attr)
+            out[f"{name}.{attr}"] = (arr.dtype.str, arr.tobytes())
+        out[f"{name}.shape"] = parts[name].shape
+    for name in ("h", "free", "anchor", "row_ptr"):
+        out[name] = (parts[name].dtype.str, parts[name].tobytes())
+    out["labels"] = "\n".join(parts["labels"])
+    out["warnings"] = "\n".join(parts["warnings"])
+    return out
+
+
+def assert_program_matches_reference(pmf, spec, metric, budget, objective):
+    problem = assemble(pmf, spec, metric, budget, objective)
+    prog = problem.program
+    built = dict(G=prog.G, h=prog.h, labels=prog.labels, warnings=problem.warnings,
+                 free=problem.free, A=prog.A, anchor=prog.anchor, row_ptr=prog.row_ptr)
+    expected = program_bytes(reference_program(pmf, spec, metric, budget))
+    got = program_bytes(built)
+    assert [k for k in expected if got[k] != expected[k]] == []
+
+
+class TestProgramOnFreeEntries:
+    """``assemble`` builds its rows on the free entries only; the program
+    must equal, byte for byte, the full-layout blocks restricted to them."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["l1", "kl"]))
+    def test_random_instances(self, seed, objective):
+        assert_program_matches_reference(*random_instance(seed), objective)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_pinned_cases(self, name):
+        assert_program_matches_reference(*_pinned_inputs(name), "l1")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_adult_preset_with_a_zero_threshold_budget(self, seed):
+        # the preset's thresholded budget ends in a zero pair, which pins
+        # every transition it exceeds; with the spec omitted, only the
+        # distortion rows remain
+        cfg = preset_config("adult")
+        assert 0.0 in [c for _, c in cfg.budget.pairs]
+        pmf = random_pmf(cfg.schema, np.random.default_rng(seed), zero_fraction=0.5)
+        for spec in (cfg.discrimination, None):
+            assert_program_matches_reference(pmf, spec, cfg.metric, cfg.budget, "l1")
+        problem = assemble(pmf, cfg.discrimination, cfg.metric, cfg.budget, "l1")
+        assert 0 < problem.free.size < problem.layout.n_vars
+
+    def test_without_side_constraints(self, rng):
+        pmf = random_pmf(make_schema(nx=2, nd=3), rng, zero_fraction=0.25)
+        assert_program_matches_reference(pmf, None, None, None, "kl")

@@ -1,7 +1,8 @@
 """The identity kernel's basis, from which every LP that is handed no
 basis starts: its shape on every LP of random programs, cold solves that
 agree with reference LPs solved through ``linprog``, and factorized
-programs, whose anchor is not 0/1."""
+programs, whose anchor is not 0/1 and whose l1 blocks are checked
+against the same reference LPs."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairmap import assemble
+from fairmap import assemble, optimizer
 from fairmap.constants import DEFAULT_TOL, TIE_BREAK_WEIGHT
 from fairmap.optimizer import sof_solve
 from fairmap.solver import (
@@ -23,7 +24,7 @@ from fairmap.solver import (
 
 from test_kl_model import cold_kelley, cold_lp
 from test_properties import random_instance
-from test_sof import sof_instance
+from test_sof import raise_forbidden_metric, sof_instance
 
 BASIC = _highs.HighsBasisStatus.kBasic
 
@@ -64,7 +65,8 @@ def assert_identity_shape(model, basis, num_row):
 
 def reference(prog, objective):
     """The status and optimum (tie-break included) of ``prog`` by LPs
-    solved cold through ``linprog``: one l1 LP, or Kelley's loop."""
+    solved cold through ``linprog``: one l1 LP, with two rows per image
+    cell for |p_j - (A k)_j|, or Kelley's loop."""
     if objective == "kl":
         status, kvec, value, _ = cold_kelley(prog)
         return status, (value + prog.tie_term(kvec) if status == STATUS_OPTIMAL else None)
@@ -126,3 +128,45 @@ def test_factorized_programs_start_from_their_largest_anchor(identity_bases, obj
     assert fractional
     for built in fractional:
         assert_identity_shape(*built)
+
+
+# (seed, epsilon, c, nx, forbidden outcome raise) of ``sof_instance``s
+# whose blocks reach optimal l1 LPs; a forbidden raise adds pin rows
+SOF_L1_CASES = [
+    (0, 0.5, 1.5, 2, False),
+    (3, 0.3, 0.6, 3, False),
+    (0, 0.1, 0.6, 4, False),
+    (0, 0.5, 1.5, 2, True),
+    (2, 0.5, 1.5, 2, True),
+]
+
+
+@pytest.mark.parametrize("strategy", ["fix_conditional", "alternating"])
+@pytest.mark.parametrize("seed,eps,c,nx,forbidden", SOF_L1_CASES)
+def test_factorized_l1_blocks_match_reference_lps(monkeypatch, strategy, seed, eps, c, nx,
+                                                  forbidden):
+    # the l1 LP has one row per image cell; on an m- or w-block with pin
+    # rows the column sums of A differ within a simplex row, and the
+    # optimum and the certificate must still be exact
+    solved = []
+
+    def recorded(prog, **kwargs):
+        solved.append((prog, solve_tv(prog, **kwargs)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(optimizer, "solve_tv", recorded)
+    pmf, spec, metric, budget = sof_instance(np.random.default_rng(seed), eps=eps, c=c, nx=nx)
+    if forbidden:
+        metric = raise_forbidden_metric(pmf.schema)
+    sof_solve(assemble(pmf, spec, metric, budget, objective="l1"), strategy)
+    optimal = []
+    for prog, out in solved:
+        status, optimum = reference(prog, "l1")
+        assert out.status == status
+        if status == STATUS_OPTIMAL:
+            assert abs(out.objective + prog.tie_term(out.kvec) - optimum) <= 1e-9
+            assert out.certificate <= 1e-9
+            optimal.append(any(label.startswith("pin ") for label in prog.labels))
+    if strategy == "alternating":
+        assert len(optimal) >= 3
+        assert all(optimal) if forbidden else not any(optimal)
