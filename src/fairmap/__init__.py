@@ -26,10 +26,7 @@ from .audit import (
 )
 from .constraints import (
     DiscriminationSpec,
-    LinearConstraintSet,
     VariableLayout,
-    build_discrimination_constraints,
-    build_distortion_constraints,
     ratio_distance,
 )
 from .distortion import (
@@ -41,7 +38,6 @@ from .distortion import (
     evaluate_distortion,
     label_table,
     ordinal_jump_table,
-    validate_metric,
 )
 from .domain import (
     Alphabet,

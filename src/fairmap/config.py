@@ -25,9 +25,9 @@ from .distortion import (
     DistortionMetric,
     RuleCondition,
     TableRule,
+    distortion_matrix,
     label_table,
     ordinal_jump_table,
-    validate_metric,
 )
 from .domain import Alphabet, Quantizer, Schema, Variable
 from .errors import ConfigError
@@ -323,7 +323,7 @@ def _build_metric(dist: Optional[dict], schema: Schema):
                       if_any=tuple(RuleCondition(**c) for c in r["if_any"]))
             for r in mspec["rules"]
         ))
-    validate_metric(metric, schema)
+    distortion_matrix(metric, schema)
     return metric, _built("distortion.budget", DistortionBudget, dist["budget"])
 
 

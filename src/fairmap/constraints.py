@@ -4,17 +4,16 @@ Every constraint emitted here is affine in the transformation-kernel
 variables: one probability row per positive-mass input cell (d, x, y),
 laid out row-major over transformed cells (x_hat, y_hat).  Each block
 is one sparse array expression over the layout's (d, x, y) index arrays,
-returned as ``G k <= h`` with labels for diagnostics.  A block is built
-on the layout entries it is given as columns: every entry for the public
-builders, and only the entries the distortion budget leaves free for
-``side_constraints``, the rows of an assembled program.  Only the solver
-reads these blocks: the auditors recompute rates and distortions from
-the pushforward joint, so they check the blocks independently.
+returned as ``G k <= h`` with labels for diagnostics.  Every block is
+built by ``side_constraints`` on the layout entries that the distortion
+budget leaves free, the variables of an assembled program.  Only the
+solver reads these blocks: the auditors recompute rates and distortions
+from the pushforward joint, so they check the blocks independently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -151,7 +150,6 @@ class LinearConstraintSet:
     h: np.ndarray
     labels: tuple[str, ...]
     warnings: tuple[str, ...] = ()
-    fixed_zero: Optional[np.ndarray] = None  # variables pinned to zero
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.float64)
@@ -164,32 +162,17 @@ class LinearConstraintSet:
     def n_constraints(self) -> int:
         return int(self.h.size)
 
-    def residuals(self, kvec: np.ndarray) -> np.ndarray:
-        """Signed violations G k - h (positive means violated)."""
-        if self.n_constraints == 0:
-            return np.zeros(0)
-        return np.asarray(self.G @ kvec - self.h)
-
-    @staticmethod
-    def empty(n_vars: int) -> "LinearConstraintSet":
-        return LinearConstraintSet(
-            sp.csr_matrix((0, n_vars)), np.zeros(0), (), (), None
-        )
-
     @staticmethod
     def concat(sets: Sequence["LinearConstraintSet"], n_vars: int) -> "LinearConstraintSet":
-        sets = [s for s in sets if s is not None]
+        """The blocks stacked in order; no blocks give no rows over ``n_vars``."""
         if not sets:
-            return LinearConstraintSet.empty(n_vars)
-        G = sp.vstack([s.G for s in sets], format="csr")
-        h = np.concatenate([s.h for s in sets])
-        labels = tuple(l for s in sets for l in s.labels)
-        warnings = tuple(w for s in sets for w in s.warnings)
-        fixed = None
-        for s in sets:
-            if s.fixed_zero is not None:
-                fixed = s.fixed_zero if fixed is None else (fixed | s.fixed_zero)
-        return LinearConstraintSet(G, h, labels, warnings, fixed)
+            return LinearConstraintSet(sp.csr_matrix((0, n_vars)), np.zeros(0), ())
+        return LinearConstraintSet(
+            sp.vstack([s.G for s in sets], format="csr"),
+            np.concatenate([s.h for s in sets]),
+            tuple(l for s in sets for l in s.labels),
+            tuple(w for s in sets for w in s.warnings),
+        )
 
 
 def segments(schema: Schema, condition_on: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -236,12 +219,10 @@ def _scaled_rows(R: sp.csr_matrix, rows: list, coefs: list) -> sp.csr_matrix:
     return out
 
 
-def build_discrimination_constraints(
-    spec: DiscriminationSpec, pmf: JointPMF, layout: Optional[VariableLayout] = None
-) -> LinearConstraintSet:
+def _discrimination_rows(spec: DiscriminationSpec, pmf: JointPMF, layout: VariableLayout,
+                         free: np.ndarray) -> LinearConstraintSet:
     """Linear inequalities implementing the chosen discrimination control,
-    built on every layout entry (``side_constraints`` builds the same rows
-    on the free entries alone).
+    built on the layout entries ``free``.
 
     All three modes are rows of one group-rate matrix R (see
     ``_rate_matrix``).  Target mode bounds each group's transformed
@@ -251,15 +232,6 @@ def build_discrimination_constraints(
     bound to groups (d, segment).  Zero-mass groups and undersized
     segments are skipped with a warning instead of inventing constraints.
     """
-    if layout is None:
-        layout = VariableLayout.from_pmf(pmf)
-    return _discrimination_rows(spec, pmf, layout, np.arange(layout.n_vars))
-
-
-def _discrimination_rows(spec: DiscriminationSpec, pmf: JointPMF, layout: VariableLayout,
-                         free: np.ndarray) -> LinearConstraintSet:
-    """The rows of ``build_discrimination_constraints``, built on the
-    layout entries ``free``."""
     schema = pmf.schema
     rows, coefs, rhs, labels, warnings = [], [], [], [], []
 
@@ -373,37 +345,16 @@ def _block_rows(values: np.ndarray, row_ptr: np.ndarray) -> sp.csr_matrix:
     )
 
 
-def build_distortion_constraints(
-    metric: DistortionMetric,
-    budget: DistortionBudget,
-    pmf: JointPMF,
-    layout: Optional[VariableLayout] = None,
-) -> LinearConstraintSet:
-    """Per-input-cell distortion inequalities plus forbidden-entry fixes,
-    built on every layout entry (``side_constraints`` builds the same rows
-    on the entries left free, without ``fixed_zero``).
-
-    With D[r] the distortion row of layout row r's input cell, each
-    budget pair (t, c) gives one row per input cell: t None (the expected
-    mode) bounds the expected distortion D[r] . k_r; a threshold t bounds
-    the exceedance probability (D[r] > t) . k_r, and a zero budget also
-    pins the affected entries to zero.  Entries at or above the forbidden
-    level are pinned whenever the budget cannot reach them.  The pinned
-    entries are ``fixed_zero``.
-    """
-    if layout is None:
-        layout = VariableLayout.from_pmf(pmf)
-    D, pairs, pinned = _distortion_terms(metric, budget, layout)
-    return replace(_distortion_rows(D, pairs, layout, np.arange(layout.n_vars)),
-                   fixed_zero=pinned)
-
-
 def _distortion_terms(metric: DistortionMetric, budget: DistortionBudget,
                       layout: VariableLayout):
     """The distortion D of every layout entry (D[r * row_dim + j] moves
     layout row r's input cell to image cell j), each budget pair (t, c)
-    with c per layout row, and the entries the budget pins to zero.  The
-    metric is checked against the schema by ``distortion_matrix`` alone.
+    with c per layout row, and the entries the budget pins to zero.
+
+    A threshold t with a zero budget pins the entries with D > t.  Under
+    the expected mode (t None), entries at or above the forbidden level
+    are pinned wherever the budget cannot reach them.  The metric is
+    checked against the schema by ``distortion_matrix`` alone.
     """
     schema = layout.schema
     delta = distortion_matrix(metric, schema)
@@ -426,9 +377,14 @@ def _distortion_terms(metric: DistortionMetric, budget: DistortionBudget,
 
 def _distortion_rows(D: np.ndarray, pairs: list, layout: VariableLayout,
                      free: np.ndarray) -> LinearConstraintSet:
-    """The rows of ``build_distortion_constraints`` for the D and budget
-    pairs of ``_distortion_terms``, built on the layout entries ``free``.
-    A zero budget keeps its row, so each pair has one row per input cell.
+    """Per-input-cell distortion inequalities for the D and budget pairs
+    of ``_distortion_terms``, built on the layout entries ``free``.
+
+    With D[r] the distortion row of layout row r's input cell, each
+    budget pair (t, c) gives one row per input cell: t None (the expected
+    mode) bounds the expected distortion D[r] . k_r, and a threshold t
+    bounds the exceedance probability (D[r] > t) . k_r.  A zero budget
+    keeps its row, so each pair has one row per input cell.
     """
     row_ptr = np.searchsorted(free, np.arange(layout.n_rows + 1) * layout.row_dim)
     D = D[free]  # one value per column
@@ -456,10 +412,12 @@ def side_constraints(
     """The discrimination rows, then the distortion rows, of a kernel
     program, and the layout entries that are its variables.
 
-    The entries the distortion budget pins to zero are found first, and
-    both blocks are built on the other (free) entries alone: no
-    full-layout block is built.  The rows equal the two builders' blocks
-    restricted to the free entries.  Omitted parts contribute no rows.
+    The entries the distortion budget pins to zero (see
+    ``_distortion_terms``) are found first and left out of the program,
+    so ``free`` is the one record of them.  Both blocks are built on the
+    free entries alone: the discrimination rows of ``disc_spec`` (see
+    ``_discrimination_rows``), then one row per budget pair and input
+    cell (see ``_distortion_rows``).  Omitted parts contribute no rows.
     """
     if metric is None:
         free = np.arange(layout.n_vars)

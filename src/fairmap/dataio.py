@@ -480,10 +480,12 @@ def read_kernel(path: str, schema: Schema) -> TransformKernel:
     parsers = (schema.d_from_label, schema.x_from_label, schema.y_from_label,
                schema.x_from_label, schema.y_from_label, _probability)
     probs = np.zeros((nd, nx, ny, nx * ny))
+    listed_on = np.zeros(probs.shape, dtype=np.int64)  # file line of each entry
     for row in reader:
         if not row:
             continue
-        line = f"{path} line {reader.line_num + 1}"  # after the provenance line
+        line_no = reader.line_num + 1  # after the provenance line
+        line = f"{path} line {line_no}"
         if len(row) != len(_KERNEL_COLUMNS):
             raise SchemaMismatchError(
                 f"{line}: {len(row)} fields, expected {len(_KERNEL_COLUMNS)}")
@@ -496,7 +498,12 @@ def read_kernel(path: str, schema: Schema) -> TransformKernel:
                     f"{line}, column {column!r}: cannot read {raw!r} ({exc})"
                 ) from exc
         d, x, y, xh, yh, prob = fields
-        probs[d, x, y, xh * ny + yh] = prob
+        entry = (d, x, y, xh * ny + yh)
+        if listed_on[entry]:
+            raise SchemaMismatchError(
+                f"{line}: repeats the transition of line {listed_on[entry]}")
+        listed_on[entry] = line_no
+        probs[entry] = prob
     sums = probs.sum(axis=3)
     if np.abs(sums - 1.0).max() > ROW_ATOL:
         raise SchemaMismatchError("kernel rows do not sum to 1")

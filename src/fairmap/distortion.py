@@ -134,12 +134,6 @@ class DistortionMetric:
                 )
 
 
-def validate_metric(metric: DistortionMetric, schema: Schema) -> None:
-    """Refuse a metric that is not a distortion over ``schema``; the check
-    is ``distortion_matrix``'s, so the library refuses what a config does."""
-    distortion_matrix(metric, schema)
-
-
 def evaluate_distortion(metric: DistortionMetric, schema: Schema,
                         from_cell: tuple[int, int],
                         to_cell: tuple[int, int]) -> float:
@@ -277,7 +271,8 @@ class DistortionBudget:
     distortion; ``c`` is a scalar or an (nd, nx, ny) array, and ``pairs``
     is the single pair (None, c).
     mode "thresholded": bounds on exceedance probabilities; ``pairs`` is
-    given, thresholds strictly increasing, scalar budgets nonincreasing.
+    given, thresholds nonnegative and strictly increasing, scalar budgets
+    nonincreasing.
     A budget may be a per-cell array in either mode.
     """
 
@@ -303,6 +298,10 @@ class DistortionBudget:
             thresholds = [t for t, _ in pairs]
             if np.isnan(thresholds).any() or not (np.diff(thresholds) > 0).all():
                 raise InvalidParamsError("thresholds must be strictly increasing numbers")
+            if thresholds[0] < 0:
+                # every distortion is >= 0: D > t would hold on every
+                # entry, the identity's too
+                raise InvalidParamsError("thresholds must be nonnegative")
         pairs = tuple(
             (t, b if np.isscalar(b) else np.asarray(b, dtype=np.float64))
             for t, b in pairs

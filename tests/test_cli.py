@@ -286,16 +286,20 @@ class TestTransform:
         ]) == 4
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda f: f[:5] + ["abc"], "column 'prob'"),
-        (lambda f: f[:5], "5 fields, expected 6"),
-        (lambda f: ["zz"] + f[1:], "column 'd'"),
-        (lambda f: f[:5] + ["nan"], "column 'prob'"),
-        (lambda f: f[:5] + ["-0.5"], "column 'prob'"),
-    ], ids=["unparsable_prob", "short_line", "unknown_label", "nan_prob", "negative_prob"])
+        (lambda f: [f[:5] + ["abc"]], "column 'prob'"),
+        (lambda f: [f[:5]], "5 fields, expected 6"),
+        (lambda f: [["zz"] + f[1:]], "column 'd'"),
+        (lambda f: [f[:5] + ["nan"]], "column 'prob'"),
+        (lambda f: [f[:5] + ["-0.5"]], "column 'prob'"),
+        # a repeat once overwrote the first: a row listing mass 2 read back
+        (lambda f: [f, f], "line 4: repeats the transition of line 3"),
+    ], ids=["unparsable_prob", "short_line", "unknown_label", "nan_prob", "negative_prob",
+            "repeated_transition"])
     def test_malformed_kernel_line_is_data_error(self, workdir, capsys, edit, named):
         tmp, cfg, kernel = self.fit(workdir)
         lines = kernel.read_text().splitlines()
-        lines[2] = ",".join(edit(lines[2].split(",")))  # the first transition
+        # the first transition, replaced by the lines of the edit
+        lines[2:3] = [",".join(f) for f in edit(lines[2].split(","))]
         kernel.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main([
@@ -663,6 +667,10 @@ def _nan_threshold(raw):
     raw["distortion"]["budget"] = {"mode": "thresholded", "pairs": [[float("nan"), 0.1]]}
 
 
+def _negative_threshold(raw):
+    raw["distortion"]["budget"] = {"mode": "thresholded", "pairs": [[-1.0, 0.0]]}
+
+
 def _nan_tol(raw):
     raw["solver"] = {"tol": float("nan")}
 
@@ -716,6 +724,7 @@ class TestConfigErrors:
         (_inf_budget, "distortion.budget: budget is infinite"),
         (_inf_pair_budget, "distortion.budget: budget is infinite"),
         (_nan_threshold, "distortion.budget: thresholds"),
+        (_negative_threshold, "distortion.budget: thresholds must be nonnegative"),
         (_nan_tol, "solver tol"),
         (_negative_max_iters, "solver max_iters"),
         (_zero_max_outer, "solver max_outer"),

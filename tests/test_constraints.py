@@ -12,17 +12,20 @@ from fairmap import (
     DistortionBudget,
     DistortionMetric,
     JointPMF,
-    LinearConstraintSet,
     TransformKernel,
     VariableLayout,
     assemble,
     audit_discrimination,
-    build_discrimination_constraints,
-    build_distortion_constraints,
     identity_kernel,
     ratio_distance,
 )
 from fairmap.constants import FORBIDDEN
+from fairmap.constraints import (
+    LinearConstraintSet,
+    _discrimination_rows,
+    _distortion_rows,
+    _distortion_terms,
+)
 from fairmap.errors import MissingBudgetError, UnknownVariableError, ZeroReferenceError
 from fairmap.optimizer import _identity_anchor, _image_map
 from fairmap.presets import preset_config
@@ -37,6 +40,22 @@ def kernel_vec(layout, kernel):
 
 def cells(layout):
     return list(zip(layout.d.tolist(), layout.x.tolist(), layout.y.tolist()))
+
+
+def full_layout_rows(pmf, spec, metric=None, budget=None, layout=None):
+    """The side rows of a program in which every layout entry is a
+    variable, and the entries the budget pins (None without a metric):
+    the full-layout reference that an assembled program restricts."""
+    if layout is None:
+        layout = VariableLayout.from_pmf(pmf)
+    every = np.arange(layout.n_vars)
+    blocks, pinned = [], None
+    if spec is not None:
+        blocks.append(_discrimination_rows(spec, pmf, layout, every))
+    if metric is not None:
+        D, pairs, pinned = _distortion_terms(metric, budget, layout)
+        blocks.append(_distortion_rows(D, pairs, layout, every))
+    return LinearConstraintSet.concat(blocks, layout.n_vars), pinned
 
 
 def flip_metric(cost01=1.0, cost10=1.0):
@@ -82,13 +101,13 @@ class TestDiscriminationAssembly:
     def test_target_counting_two_groups_binary(self, rng):
         pmf = random_pmf(make_schema(nx=1), rng)
         spec = DiscriminationSpec(mode="target", epsilon=0.1)
-        cs = build_discrimination_constraints(spec, pmf)
+        cs, _ = full_layout_rows(pmf, spec)
         assert cs.n_constraints == 8  # 2 outcomes x 2 groups x 2 sides
 
     def test_pairwise_counting(self, rng):
         pmf = random_pmf(make_schema(nx=1, nd=3), rng)
         spec = DiscriminationSpec(mode="pairwise", epsilon=0.1)
-        cs = build_discrimination_constraints(spec, pmf)
+        cs, _ = full_layout_rows(pmf, spec)
         # 3 unordered pairs x 2 outcomes x 2 one-sided bounds
         assert cs.n_constraints == 12
 
@@ -101,8 +120,8 @@ class TestDiscriminationAssembly:
         kvec = kernel_vec(layout, identity_kernel(schema))
         for eps in (0.0, 0.1, 0.7):
             spec = DiscriminationSpec(mode="target", epsilon=eps)
-            cs = build_discrimination_constraints(spec, pmf, layout)
-            assert cs.residuals(kvec).max() <= 1e-12
+            cs, _ = full_layout_rows(pmf, spec, layout=layout)
+            assert (cs.G @ kvec - cs.h).max() <= 1e-12
 
     def test_identity_kernel_on_biased_pmf_violates(self):
         # group rates 0.593 vs 0.430: pairwise J > 0.1 at the identity
@@ -114,8 +133,8 @@ class TestDiscriminationAssembly:
         layout = VariableLayout.from_pmf(pmf)
         kvec = kernel_vec(layout, identity_kernel(schema))
         spec = DiscriminationSpec(mode="pairwise", epsilon=0.1)
-        cs = build_discrimination_constraints(spec, pmf, layout)
-        assert cs.residuals(kvec).max() > 0.01
+        cs, _ = full_layout_rows(pmf, spec, layout=layout)
+        assert (cs.G @ kvec - cs.h).max() > 0.01
 
     def test_zero_mass_group_skipped_with_warning(self):
         schema = make_schema(nx=1, nd=3)
@@ -124,7 +143,7 @@ class TestDiscriminationAssembly:
         mass[1, 0] = [0.1, 0.4]
         pmf = JointPMF(schema, mass)
         spec = DiscriminationSpec(mode="target", epsilon=0.1)
-        cs = build_discrimination_constraints(spec, pmf)
+        cs, _ = full_layout_rows(pmf, spec)
         assert cs.n_constraints == 8
         assert any("zero mass" in w for w in cs.warnings)
 
@@ -134,7 +153,7 @@ class TestDiscriminationAssembly:
             mode="target", target=np.array([1.0, 0.0]), epsilon=0.1
         )
         with pytest.raises(ZeroReferenceError):
-            build_discrimination_constraints(spec, pmf)
+            full_layout_rows(pmf, spec)
 
     def test_conditional_segments_and_min_count(self, rng):
         schema = make_schema(nx=2)
@@ -143,7 +162,7 @@ class TestDiscriminationAssembly:
             mode="conditional", epsilon=0.2, condition_on=("feat",),
             min_cell_count=20,
         )
-        cs = build_discrimination_constraints(spec, pmf)
+        cs, _ = full_layout_rows(pmf, spec)
         # 2 groups x 2 segments x 2 outcomes x 2 sides unless undersized
         assert cs.n_constraints + 4 * len(cs.warnings) == 16
 
@@ -151,7 +170,7 @@ class TestDiscriminationAssembly:
         pmf = random_pmf(make_schema(nx=2), rng, n=1000)
         spec = DiscriminationSpec(mode="conditional", epsilon=0.2, condition_on=("nope",))
         with pytest.raises(UnknownVariableError):
-            build_discrimination_constraints(spec, pmf)
+            full_layout_rows(pmf, spec)
 
     def test_conditional_undersized_segment_warns(self):
         schema = make_schema(nx=2)
@@ -164,7 +183,7 @@ class TestDiscriminationAssembly:
             mode="conditional", epsilon=0.2, condition_on=("feat",),
             min_cell_count=20,
         )
-        cs = build_discrimination_constraints(spec, pmf)
+        cs, _ = full_layout_rows(pmf, spec)
         assert any("fewer than 20" in w for w in cs.warnings)
         assert cs.n_constraints == 8  # only the populated segment survives
 
@@ -182,9 +201,9 @@ class TestDiscriminationAssembly:
             # the default target is the outcome marginal, which must be
             # positive on both outcomes
             with pytest.raises(ZeroReferenceError, match="positive on both outcomes"):
-                build_discrimination_constraints(spec, pmf, layout)
+                full_layout_rows(pmf, spec, layout=layout)
             return
-        cs = build_discrimination_constraints(spec, pmf, layout)
+        cs, _ = full_layout_rows(pmf, spec, layout=layout)
         k1 = rng.dirichlet(np.ones(layout.row_dim), size=layout.n_rows).ravel()
         k2 = rng.dirichlet(np.ones(layout.row_dim), size=layout.n_rows).ravel()
         mid = 0.5 * (k1 + k2)
@@ -218,7 +237,7 @@ class TestRowsMeanRates:
                                       condition_on=condition_on)
         else:
             spec = DiscriminationSpec(mode=mode, target=target, epsilon=eps)
-        cs = build_discrimination_constraints(spec, pmf)
+        cs, _ = full_layout_rows(pmf, spec)
         layout = VariableLayout.from_pmf(pmf)
         gk = cs.G @ kernel_vec(layout, kernel)
         report = audit_discrimination(pmf, spec, kernel=kernel)
@@ -253,8 +272,8 @@ class TestDistortionAssembly:
         schema = make_schema(nx=1)
         pmf = random_pmf(schema, rng, zero_fraction=0.3)
         layout = VariableLayout.from_pmf(pmf)
-        cs = build_distortion_constraints(
-            flip_metric(), DistortionBudget("expected", c=0.5), pmf, layout
+        cs, _ = full_layout_rows(
+            pmf, None, flip_metric(), DistortionBudget("expected", c=0.5), layout
         )
         assert cs.n_constraints == layout.n_rows
 
@@ -262,16 +281,16 @@ class TestDistortionAssembly:
         schema = make_schema(nx=1)
         pmf = random_pmf(schema, rng)
         layout = VariableLayout.from_pmf(pmf)
-        cs = build_distortion_constraints(
-            flip_metric(), DistortionBudget("expected", c=0.0), pmf, layout
+        cs, _ = full_layout_rows(
+            pmf, None, flip_metric(), DistortionBudget("expected", c=0.0), layout
         )
         kvec = kernel_vec(layout, identity_kernel(schema))
-        assert cs.residuals(kvec).max() <= 0.0
+        assert (cs.G @ kvec - cs.h).max() <= 0.0
         # any off-identity mass violates
         bad = kvec.copy()
         bad[0], bad[1] = 0.9, 0.1
         if layout.y[0] == 0:
-            assert cs.residuals(bad).max() > 0.0
+            assert (cs.G @ bad - cs.h).max() > 0.0
 
     def test_thresholded_counts_and_zero_budget_pinning(self, rng):
         schema = make_schema(nx=1)
@@ -281,16 +300,16 @@ class TestDistortionAssembly:
             "thresholded", pairs=((0.9, 0.1), (1.9, 0.05), (2.9, 0.0))
         )
         metric = flip_metric(cost01=3.0, cost10=1.0)
-        cs = build_distortion_constraints(metric, budget, pmf, layout)
+        cs, pinned = full_layout_rows(pmf, None, metric, budget, layout)
         assert cs.n_constraints == 3 * layout.n_rows
-        assert cs.fixed_zero is not None
+        assert pinned is not None
         # flipping 0 -> 1 costs 3 > 2.9 with budget 0: pinned
         for row, (d, x, y) in enumerate(cells(layout)):
             base = row * layout.row_dim
             if y == 0:
-                assert cs.fixed_zero[base + 1]
+                assert pinned[base + 1]
             else:
-                assert not cs.fixed_zero[base]
+                assert not pinned[base]
 
     def test_thresholded_reduces_to_exceedance_bound(self, rng):
         # single threshold + 0/1-valued distortion: the constraint is the
@@ -300,12 +319,13 @@ class TestDistortionAssembly:
         layout = VariableLayout.from_pmf(pmf)
         metric = flip_metric(cost01=1.0, cost10=1.0)
         budget = DistortionBudget("thresholded", pairs=((0.5, 0.2),))
-        cs = build_distortion_constraints(metric, budget, pmf, layout)
+        cs, _ = full_layout_rows(pmf, None, metric, budget, layout)
         kvec = rng.dirichlet(np.ones(2), size=layout.n_rows).ravel()
+        residuals = cs.G @ kvec - cs.h
         for row, (d, x, y) in enumerate(cells(layout)):
             flip_mass = kvec[row * 2 + (1 - y)]
             expected_residual = flip_mass - 0.2
-            assert cs.residuals(kvec)[row] == pytest.approx(
+            assert residuals[row] == pytest.approx(
                 expected_residual, abs=1e-12
             )
 
@@ -314,20 +334,20 @@ class TestDistortionAssembly:
         pmf = random_pmf(schema, rng)
         layout = VariableLayout.from_pmf(pmf)
         metric = flip_metric(cost01=1e4, cost10=2.0)
-        cs = build_distortion_constraints(
-            metric, DistortionBudget("expected", c=0.5), pmf, layout
+        _, pinned = full_layout_rows(
+            pmf, None, metric, DistortionBudget("expected", c=0.5), layout
         )
         for row, (d, x, y) in enumerate(cells(layout)):
             base = row * layout.row_dim
-            assert cs.fixed_zero[base + 1] == (y == 0)
+            assert pinned[base + 1] == (y == 0)
 
     def test_missing_budget_raises(self, rng):
         schema = make_schema(nx=1)
         pmf = random_pmf(schema, rng)
         cgrid = np.full((2, 1, 2), np.nan)
         with pytest.raises(MissingBudgetError):
-            build_distortion_constraints(
-                flip_metric(), DistortionBudget("expected", c=cgrid), pmf
+            full_layout_rows(
+                pmf, None, flip_metric(), DistortionBudget("expected", c=cgrid)
             )
 
     def test_layout_counts(self, rng):
@@ -427,13 +447,11 @@ def _pinned_inputs(name):
 
 
 def _pinned_case(name):
-    pmf, spec, metric, budget = _pinned_inputs(name)
-    if spec is not None:
-        return build_discrimination_constraints(spec, pmf)
-    return build_distortion_constraints(metric, budget, pmf)
+    """The full-layout rows of a pinned case, and its pinned entries."""
+    return full_layout_rows(*_pinned_inputs(name))
 
 
-def block_digests(cs):
+def block_digests(cs, pinned):
     """sha256 (first 16 hex digits) of each part of an assembled block."""
     parts = {
         "data": cs.G.data.tobytes(),
@@ -442,13 +460,12 @@ def block_digests(cs):
         "h": cs.h.tobytes(),
         "labels": "\n".join(cs.labels).encode(),
         "warnings": "\n".join(cs.warnings).encode(),
-        "fixed_zero": b"none" if cs.fixed_zero is None
-        else cs.fixed_zero.astype(np.uint8).tobytes(),
+        "pinned": b"none" if pinned is None else pinned.astype(np.uint8).tobytes(),
     }
     return {k: hashlib.sha256(v).hexdigest()[:16] for k, v in parts.items()}
 
 
-_PARTS = ("data", "indices", "indptr", "h", "labels", "warnings", "fixed_zero")
+_PARTS = ("data", "indices", "indptr", "h", "labels", "warnings", "pinned")
 
 
 # a changed digest means the solver is handed a different program
@@ -487,12 +504,11 @@ PINNED_DIGESTS = {
 class TestPinnedBytes:
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_digests(self, name):
-        cs = _pinned_case(name)
-        assert block_digests(cs) == PINNED_DIGESTS[name]
+        assert block_digests(*_pinned_case(name)) == PINNED_DIGESTS[name]
 
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_canonical_csr(self, name):
-        G = _pinned_case(name).G
+        G = _pinned_case(name)[0].G
         assert G.format == "csr"
         assert G.has_sorted_indices
         assert all((np.diff(G.indices[a:b]) > 0).all()
@@ -507,16 +523,9 @@ class TestPinnedBytes:
 
 def reference_program(pmf, spec, metric, budget):
     """The side rows, free entries and image map of a program built from
-    the builders' full-layout blocks, stacked and then restricted to the
-    entries no block pins."""
+    the full-layout rows, restricted to the entries the budget leaves free."""
     layout = VariableLayout.from_pmf(pmf)
-    blocks = []
-    if spec is not None:
-        blocks.append(build_discrimination_constraints(spec, pmf, layout))
-    if metric is not None:
-        blocks.append(build_distortion_constraints(metric, budget, pmf, layout))
-    merged = LinearConstraintSet.concat(blocks, layout.n_vars)
-    pinned = merged.fixed_zero
+    merged, pinned = full_layout_rows(pmf, spec, metric, budget, layout)
     free = np.arange(layout.n_vars) if pinned is None else np.flatnonzero(~pinned)
     return dict(
         G=merged.G[:, free], h=merged.h, labels=merged.labels, warnings=merged.warnings,

@@ -14,7 +14,6 @@ from fairmap import (
     audit_distortion,
     distortion_matrix,
     evaluate_distortion,
-    validate_metric,
 )
 from fairmap.constants import FORBIDDEN
 from fairmap.errors import InvalidParamsError
@@ -168,7 +167,7 @@ class TestValidation:
             y_table=np.zeros((2, 2)),
         )
         with pytest.raises(InvalidParamsError):
-            validate_metric(bad, schema)
+            distortion_matrix(bad, schema)
 
     def test_negative_penalty_rejected(self):
         schema = make_schema_multi()
@@ -180,7 +179,7 @@ class TestValidation:
             y_table=np.zeros((2, 2)),
         )
         with pytest.raises(InvalidParamsError):
-            validate_metric(bad, schema)
+            distortion_matrix(bad, schema)
 
     @pytest.mark.parametrize("metric, message", [
         (_per_attribute(age={(0, 1): np.nan}), "penalty is negative or NaN"),
@@ -200,7 +199,7 @@ class TestValidation:
         spec = DiscriminationSpec(mode="pairwise", epsilon=0.5)
         budget = DistortionBudget("expected", c=1.0)
         with pytest.raises(InvalidParamsError, match=message):
-            validate_metric(metric, schema)
+            distortion_matrix(metric, schema)
         with pytest.raises(InvalidParamsError, match=message):
             assemble(random_pmf(schema, rng), spec, metric, budget, "l1")
         ds = Dataset(schema, np.zeros(3, int), np.arange(3), np.zeros(3, int))
@@ -212,6 +211,15 @@ class TestValidation:
             DistortionBudget("thresholded", pairs=((1.0, 0.1), (0.5, 0.05)))
         with pytest.raises(InvalidParamsError):
             DistortionBudget("thresholded", pairs=((0.5, 0.05), (1.0, 0.1)))
+
+    def test_negative_threshold_rejected(self):
+        # every distortion is >= 0, so a zero budget above a negative
+        # threshold would pin every entry, the identity's too
+        with pytest.raises(InvalidParamsError, match="nonnegative"):
+            DistortionBudget("thresholded", pairs=((-1.0, 0.0),))
+        with pytest.raises(InvalidParamsError, match="nonnegative"):
+            DistortionBudget("thresholded", pairs=((-0.5, 0.2), (1.0, 0.1)))
+        DistortionBudget("thresholded", pairs=((0.0, 0.0),))
 
     def test_other_modes_field_refused(self):
         # the expected mode would drop the pairs, the thresholded mode

@@ -10,8 +10,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairmap import assemble, optimizer
+from fairmap import DistortionBudget, assemble, optimizer
 from fairmap.constants import DEFAULT_TOL, TIE_BREAK_WEIGHT
+from fairmap.errors import InvalidParamsError
 from fairmap.optimizer import sof_solve
 from fairmap.solver import (
     STATUS_INFEASIBLE,
@@ -90,6 +91,25 @@ def test_cold_solve_matches_reference_lps(seed, objective):
     assert out.status == status
     if status == STATUS_OPTIMAL:
         assert abs(out.objective + prog.tie_term(out.kvec) - optimum) <= DEFAULT_TOL
+
+
+def test_every_simplex_row_keeps_its_identity_entry():
+    # the identity basis and the Lagrangian bound take one entry of every
+    # simplex row; no budget may pin a row's identity entry (distortion 0)
+    for seed in range(30):
+        pmf, spec, metric, expected = random_instance(seed)
+        for budget in (expected,
+                       DistortionBudget("thresholded", pairs=((0.0, 0.0),)),
+                       DistortionBudget("thresholded", pairs=((0.5, 0.3), (1.0, 0.0)))):
+            problem = assemble(pmf, spec, metric, budget, "l1")
+            layout = problem.layout
+            identity = (np.arange(layout.n_rows) * layout.row_dim
+                        + layout.x * layout.schema.ny + layout.y)
+            assert np.isin(identity, problem.free).all()
+            assert (np.diff(problem.program.row_ptr) > 0).all()
+    # a zero budget above a negative threshold would pin every entry
+    with pytest.raises(InvalidParamsError, match="nonnegative"):
+        DistortionBudget("thresholded", pairs=((-1.0, 0.0),))
 
 
 def test_basis_shape_on_every_lp(identity_bases):

@@ -14,8 +14,6 @@ from fairmap import (
     solve,
 )
 
-from fairmap.constraints import build_distortion_constraints
-
 from conftest import make_schema, random_pmf
 from test_properties import INFINITE_SEED, random_instance
 
@@ -234,7 +232,8 @@ class TestPins:
         sol = sof_solve(problem, strategy="alternating", max_outer=25)
         assert sol.status == "optimal"
         layout = problem.layout
-        pinned = build_distortion_constraints(metric, budget, pmf, layout).fixed_zero
+        pinned = np.ones(layout.n_vars, dtype=bool)
+        pinned[problem.free] = False
         assert pinned.any()
         entries = sol.kernel.probs[layout.d, layout.x, layout.y].ravel()
         assert entries[pinned].max() <= 1e-9

@@ -26,15 +26,11 @@ from conftest import (
     random_pmf,
 )
 from fairmap.constants import FORBIDDEN, ROW_ATOL, TIE_BREAK_WEIGHT
-from fairmap.constraints import (
-    LinearConstraintSet,
-    VariableLayout,
-    build_discrimination_constraints,
-    build_distortion_constraints,
-)
+from fairmap.constraints import VariableLayout
 from fairmap.errors import InvalidParamsError
 from fairmap.presets import preset_config
 from fairmap.solver import phase1_violation, solve_tv
+from test_constraints import full_layout_rows
 from test_properties import random_instance
 
 
@@ -87,17 +83,12 @@ def forbidden_instance(seed):
 class BoundedReference:
     """The kernel program with every layout entry a variable: the pinned
     ones are bounded by 0 instead of left out.  Built here from the
-    constraint builders alone and solved with ``linprog`` directly."""
+    full-layout rows alone and solved with ``linprog`` directly."""
 
     def __init__(self, pmf, spec, metric, budget):
         layout = VariableLayout.from_pmf(pmf)
-        merged = LinearConstraintSet.concat(
-            [build_discrimination_constraints(spec, pmf, layout),
-             build_distortion_constraints(metric, budget, pmf, layout)],
-            layout.n_vars,
-        )
+        merged, self.pinned = full_layout_rows(pmf, spec, metric, budget, layout)
         self.G, self.h = merged.G, merged.h
-        self.pinned = merged.fixed_zero
         self.ub = np.where(self.pinned, 0.0, 1.0)
         self.A = sp.kron(layout.weights.reshape(1, -1),
                          sp.identity(layout.row_dim), format="csr")
