@@ -173,6 +173,15 @@ _str, _int, _float, _bool = _scalar(str), _scalar(int), _scalar(float), _scalar(
 _value = _scalar(lambda v: v)  # a filter operand, compared as a number or text
 
 
+def _delimiter(value, path):
+    """One character that can separate fields: not a quote, CR or LF."""
+    value = _str(value, path)
+    if len(value) != 1 or value in '"\r\n':
+        raise ConfigError(f"{path}: {value!r} is not one character other than"
+                          " a quote, CR or LF")
+    return value
+
+
 def _list(item, length=None):
     def convert(value, path):
         if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
@@ -264,7 +273,7 @@ _BUDGET = _kinds("mode", "expected", {
 
 _FIELDS = {
     "input": ({}, _section({
-        "path": ("", _str), "delimiter": (",", _str), "has_header": (True, _bool),
+        "path": ("", _str), "delimiter": (",", _delimiter), "has_header": (True, _bool),
         "columns": (None, _list(_str)),
     })),
     "schema": (REQUIRED, _section({

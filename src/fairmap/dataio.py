@@ -7,15 +7,26 @@ filters first, then per-variable quantization; a value that already is a
 category label passes through unchanged, so transformed artifacts read
 back without re-quantization.
 
-Ingestion streams the file once in chunks of rows, transposes each
-chunk into column tuples and keeps only the columns it needs, as integer
-codes into each column's distinct raw values.  A chunk is checked row by
+Ingestion reads a file's bytes once, as UTF-8 with an optional
+byte-order mark, and turns the columns it needs into integer codes into
+each column's distinct raw values, by one of two paths chosen from the
+bytes.  A *plain* file (no ``"``, no NUL, no CR outside a CRLF pair,
+valid UTF-8, every line with the header's field count and no blank first
+field) is tokenized with numpy: the offsets of its delimiter and newline
+bytes form a (lines, fields) table, each wanted field is keyed by the
+8-byte words that cover it, and each distinct value is decoded once, so
+no Python object is made per field.  Any other file (quoted fields,
+blank or short or long rows, lone CRs) goes through ``csv``, which
+streams it in chunks of rows, transposes each chunk into column tuples
+and numbers each column's distinct strings; a chunk is checked row by
 row (for blank and short rows) only when its shortest row is short or
-one of its first fields is blank.  Filters and quantizers then run once
-per distinct value, not once per row, and records are indexed through
-the code arrays; stream ids, all distinct, are kept as raw fields and
-parsed once per surviving row.  Errors are still those of a row-by-row
-pass in file order (see ``read_dataset``).
+one of its first fields is blank.  Both paths hand the same codes to one
+resolver: filters and quantizers run once per distinct value, not once
+per row, and records are indexed through the code arrays.  Stream ids,
+all distinct, get no codes: the plain path parses the ones that are
+ASCII digits in numpy, and ``int`` reads every other one that survives.
+Errors are those of a row-by-row pass in file order (see
+``read_dataset``).
 
 Writing renders each occurring D cell, X cell and outcome label once
 with ``csv`` (so quoting is the ``csv`` module's), and each row is the
@@ -38,6 +49,7 @@ not parse that file again.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -62,12 +74,14 @@ from .optimizer import TransformKernel
 STREAM_COLUMN = "_stream"
 _KERNEL_COLUMNS = ("d", "x", "y", "x_hat", "y_hat", "prob")
 TRAINING_FILE = "training.npz"
-# rows parsed per step: few enough that a chunk's row lists and column
-# tuples are freed before the cyclic GC promotes them to its oldest
-# generation, whose full collections walk every live object.  Medians of
-# 11 reads of a 100k-row compas-shaped file (2-core Xeon VM, Python 3.11):
-# 0.23 s at 256 rows, 0.21 s at 512, 0.28 s at 1024, 0.30 s at 2048 and
-# 0.35 s at 8192; with the GC off every size reads alike
+# rows the ``csv`` path parses per step (it sizes that path only; the
+# plain path tokenizes the whole file at once): few enough that a chunk's
+# row lists and column tuples are freed before the cyclic GC promotes
+# them to its oldest generation, whose full collections walk every live
+# object.  Medians of 11 reads of a 100k-row compas-shaped file (2-core
+# Xeon VM, Python 3.11): 0.23 s at 256 rows, 0.21 s at 512, 0.28 s at
+# 1024, 0.30 s at 2048 and 0.35 s at 8192; with the GC off every size
+# reads alike
 _CHUNK_ROWS = 512
 # rows joined per write, so the text held at once stays bounded
 _WRITE_ROWS = 8192
@@ -127,7 +141,7 @@ def provenance_records(path: str, kind: str) -> list:
     """The records of the ``# fairmap-<kind>`` lines among a file's leading
     ``#`` lines, in file order: one for an artifact this package wrote,
     none for a file from elsewhere."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return [r for r in (_record(c, kind) for c in _comments(fh)) if r is not None]
 
 
@@ -156,10 +170,10 @@ def _encode_columns(rows, width: int, cols: Sequence[int], stream_col=None):
     raw strings per wanted column.  Stops at the first row shorter than
     ``width``.
 
-    Returns ``({col: (distinct raw values, codes)}, stream fields, short
-    row or None)``; the codes, and the raw fields of ``stream_col`` (whose
-    values are all distinct, so they get no codes), cover the rows before
-    the short row.
+    Returns ``({col: (distinct raw values, codes)}, stream, short row or
+    None)``; the codes and the ``stream`` of ``stream_col`` (see
+    ``_stream_ids``; none of its fields is parsed yet) cover the rows
+    before the short row.
     """
     seen = {col: _Codes() for col in cols}
     parts = {col: [] for col in cols}
@@ -190,7 +204,184 @@ def _encode_columns(rows, width: int, cols: Sequence[int], stream_col=None):
         col: (list(seen[col]), np.concatenate(parts[col] or [np.empty(0, np.int64)]))
         for col in cols
     }
-    return encoded, stream, short
+    return encoded, (np.zeros(len(stream), np.int64), dict(enumerate(stream))), short
+
+
+# bytes a field can start with and still be blank to ``str.strip``: ASCII
+# whitespace, and every non-ASCII byte (some code points are whitespace)
+_MAYBE_BLANK = np.array([c >= 128 or chr(c).isspace() for c in range(256)])
+# _WORD_MASKS[k] keeps the low k bytes of a little-endian word
+_WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_DIGITS = np.full(256, -1, dtype=np.int64)
+_DIGITS[ord("0"):ord("9") + 1] = np.arange(10)
+# 2^64 / golden ratio: multiplicative (Fibonacci) hashing of 64-bit keys
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+# at most 2^20 buckets (8 MiB), however long the file
+_MAX_BUCKET_BITS = 20
+
+
+def _compact(keys):
+    """The distinct values of ``keys`` (a uint64 array) and each key's
+    index among them, in no particular order.
+
+    Each key goes to a bucket: the bucket of its own number when every key
+    has one, else a hashed one.  When every key then finds itself in its
+    bucket, no bucket is shared by two distinct keys and the used buckets
+    are the distinct values; otherwise ``np.unique`` decides.
+    """
+    bits = min(_MAX_BUCKET_BITS, max(8, (2 * keys.size).bit_length()))
+    if keys.max(initial=0) >> np.uint64(bits):
+        slot = ((keys * _HASH) >> np.uint64(64 - bits)).astype(np.intp)
+    else:
+        slot = keys.astype(np.intp)
+    table = np.zeros(1 << bits, dtype=np.uint64)
+    table[slot] = keys  # which of a shared bucket's keys lands is unspecified
+    if np.array_equal(table[slot], keys):
+        used = np.zeros(1 << bits, dtype=bool)
+        used[slot] = True
+        buckets = np.flatnonzero(used)
+        rank = np.empty(1 << bits, dtype=np.intp)
+        rank[buckets] = np.arange(buckets.size)
+        return table[buckets], rank[slot]
+    distinct, codes = np.unique(keys, return_inverse=True)
+    return distinct, codes.reshape(-1)
+
+
+def _field_codes(words, starts, ends):
+    """The distinct fields among ``data[starts[i]:ends[i]]``, decoded, and
+    each field's index among them.
+
+    ``words[j]`` is the little-endian 8-byte word at offset ``j`` of the
+    data.  A field is keyed by the words that cover it with the bytes past
+    its end set to 0; a plain file holds no NUL, so equal keys are equal
+    fields.  Each word is compacted on its own, and then with the codes
+    of the words before it.
+    """
+    lengths = ends - starts
+    for k in range(max(1, -(-int(lengths.max(initial=0)) // 8))):
+        kept = np.clip(lengths - 8 * k, 0, 8)
+        at = starts + 8 * k if k == 0 else np.where(kept > 0, starts + 8 * k, 0)
+        word = words[at] & _WORD_MASKS[kept]
+        distinct, word_codes = _compact(word)
+        if k == 0:
+            spelled, codes = distinct[:, None], word_codes
+            continue
+        radix = np.uint64(distinct.size)
+        pairs, codes = _compact(codes.astype(np.uint64) * radix
+                                + word_codes.astype(np.uint64))
+        before, this = np.divmod(pairs.astype(np.intp), distinct.size)
+        spelled = np.column_stack([spelled[before], distinct[this]])
+    size = spelled.shape[1] * 8
+    blob = spelled.astype("<u8").tobytes()
+    return [blob[i:i + size].rstrip(b"\0").decode()
+            for i in range(0, len(blob), size)], codes
+
+
+def _digit_ids(buf, starts, ends):
+    """Each field of ``buf`` as an int64, where it is an optional ``-``
+    and 1 to 18 ASCII digits (so it fits), and the mask of those fields."""
+    minus = buf[starts] == ord("-")
+    first = starts + minus
+    n_digits = ends - first
+    parsed = (n_digits >= 1) & (n_digits <= 18)
+    ids = np.zeros(starts.size, dtype=np.int64)
+    for j in range(int(n_digits[parsed].max(initial=0))):
+        on = parsed & (n_digits > j)
+        digit = _DIGITS[buf[np.where(on, first + j, 0)]]
+        parsed &= ~on | (digit >= 0)
+        ids = np.where(on, ids * 10 + digit, ids)
+    return np.where(minus, -ids, ids), parsed
+
+
+class _PlainFile:
+    """A plain file's bytes and, for each line, the offsets of its field
+    separators (each delimiter and the line's LF): the ``csv`` module
+    would split it into the same fields."""
+
+    def __init__(self, data: bytes, buf: np.ndarray, start: int, table: np.ndarray,
+                 delimiter: str):
+        self.data, self.buf, self.table, self.delimiter = data, buf, table, delimiter
+        # the 8-byte word at each offset of the data (``buf`` has 8 more bytes)
+        self.words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=buf, strides=(1,))
+        self.line_starts = np.concatenate([[start], table[:-1, -1] + 1]).astype(table.dtype)
+
+    @classmethod
+    def parse(cls, data: bytes, delimiter: str, width: Optional[int] = None):
+        """The table of ``data`` when it is plain with ``width`` fields per
+        line (by default, the first line's count), else None."""
+        sep = delimiter.encode()
+        if (len(sep) != 1 or sep in b'"\r\n\0' or b'"' in data or b"\0" in data
+                or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+            return None
+        if not data.isascii():
+            try:
+                data.decode()
+            except UnicodeDecodeError:
+                return None
+        start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+        while data.startswith(b"#", start):  # comment lines
+            start = data.find(b"\n", start) + 1
+            if not start:
+                return None
+        if start == len(data):
+            return None
+        if not data.endswith(b"\n"):
+            data += b"\n"
+        if width is None:
+            width = data.count(sep, start, data.index(b"\n", start)) + 1
+        buf = np.frombuffer(data + bytes(8), dtype=np.uint8)
+        body = buf[start:len(data)]
+        is_sep = body == ord("\n")
+        n_lines = np.count_nonzero(is_sep)
+        is_sep |= body == sep[0]
+        ends = np.flatnonzero(is_sep).astype(np.int32 if len(data) < 2**31 else np.int64)
+        del is_sep
+        ends += start
+        if ends.size != n_lines * width:
+            return None
+        table = ends.reshape(n_lines, width)
+        if not (buf[table[:, -1]] == ord("\n")).all():
+            return None
+        # csv refuses a field longer than its limit; a line that long goes to csv
+        if np.diff(table[:, -1], prepend=start - 1).max() > csv.field_size_limit():
+            return None
+        plain = cls(data, buf, start, table, delimiter)
+        starts, ends = plain._span(0, slice(None))
+        suspect = _MAYBE_BLANK[buf[starts]] | (starts == ends)
+        if suspect.any():
+            values, _ = _field_codes(plain.words, starts[suspect], ends[suspect])
+            if not all(map(str.strip, values)):
+                return None
+        return plain
+
+    def _span(self, col: int, rows: slice):
+        """Start and end offsets of field ``col`` of each line in ``rows``."""
+        table = self.table[rows]
+        starts = (table[:, col - 1] + 1 if col else self.line_starts[rows]).astype(np.intp)
+        ends = table[:, col].astype(np.intp)
+        if col == table.shape[1] - 1:
+            ends = ends - (self.buf[ends - 1] == ord("\r"))  # a CRLF's CR
+        return starts, ends
+
+    def first_row(self) -> list:
+        """The fields of the first line."""
+        line = self.data[self.line_starts[0]:self.table[0, -1]]
+        return line.rstrip(b"\r").decode().split(self.delimiter)
+
+    def encode(self, skip: int, cols: Sequence[int], stream_col=None):
+        """What ``_encode_columns`` returns for the lines after the first
+        ``skip``: codes of ``cols``, the stream of ``stream_col`` with its
+        ASCII-digit ids parsed, and no short row."""
+        rows = slice(skip, None)
+        encoded = {col: _field_codes(self.words, *self._span(col, rows)) for col in cols}
+        stream = None
+        if stream_col is not None:
+            starts, ends = self._span(stream_col, rows)
+            ids, parsed = _digit_ids(self.buf, starts, ends)
+            other = np.flatnonzero(~parsed)
+            stream = (ids, {row: self.data[s:e].decode() for row, s, e in zip(
+                other.tolist(), starts[other].tolist(), ends[other].tolist())})
+        return encoded, stream, None
 
 
 def _resolve(steps, encoded):
@@ -227,21 +418,36 @@ def _resolve(steps, encoded):
     return alive, tables, failure
 
 
-def _stream_ids(fields, alive, col, failure):
-    """``int`` of the surviving rows' stream fields, and the earlier of
-    ``failure`` and the first surviving row whose field ``int`` cannot
-    read (the ids are None then)."""
-    kept = list(compress(fields, alive.tolist()))
-    try:
-        return np.array(list(map(int, kept))), failure
-    except ValueError:
-        for row, raw in zip(np.flatnonzero(alive).tolist(), kept):
-            try:
-                int(raw)
-            except ValueError:
-                if failure is None or row < failure[0]:
-                    failure = (row, col, int, raw)
-                return None, failure
+def _stream_ids(stream, alive, col, failure):
+    """The surviving rows' stream ids, and the earlier of ``failure`` and
+    the first surviving row whose field ``int`` cannot read (the ids are
+    None then).
+
+    ``stream`` is ``(ids, fields)``: the ids of the rows whose fields are
+    already parsed, and ``{row: raw field}``, in row order, of the rows
+    whose fields ``int`` still has to read.  The result is what
+    ``np.array`` makes of the ids as Python ints.
+    """
+    ids, fields = stream
+    survives = alive.tolist()
+    rows = [row for row in fields if survives[row]]
+    values = []
+    for row in rows:
+        try:
+            values.append(int(fields[row]))
+        except ValueError:
+            if failure is None or row < failure[0]:
+                failure = (row, col, int, fields[row])
+            return None, failure
+    kept = ids[alive]
+    at = (np.cumsum(alive) - 1)[rows]
+    if all(-2**63 <= value < 2**63 for value in values):
+        kept[at] = values
+        return kept, failure
+    kept = kept.tolist()  # an id past int64: np.array picks the dtype
+    for i, value in zip(at.tolist(), values):
+        kept[i] = value
+    return np.array(kept), failure
 
 
 def read_dataset(
@@ -257,8 +463,9 @@ def read_dataset(
     pre-filtered data).  A missing outcome column (or blank outcome
     fields) yields apply-mode records.
 
-    Leading ``#`` lines, such as the provenance line of a file this
-    package wrote, are skipped.
+    The file is read as UTF-8; a leading byte-order mark is skipped, and
+    so are leading ``#`` lines, such as the provenance line of a file
+    this package wrote.
 
     Errors are those of resolving the rows one by one in file order:
     filters, then D and X variables in declaration order, then the
@@ -268,43 +475,54 @@ def read_dataset(
     field that cannot be parsed as a number (a stream id, a value under a
     ``bins`` quantizer) raises ``SchemaMismatchError`` naming its column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        _comments(fh)
-        reader = csv.reader(fh, delimiter=delimiter)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # a headerless plain file has as many fields per line as ``columns``
+    plain = _PlainFile.parse(data, delimiter,
+                             None if has_header or columns is None else len(columns))
+    if plain is None:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+        _comments(text)
+        reader = csv.reader(text, delimiter=delimiter)
         # rows whose fields are all blank are skipped
         first = next((r for r in reader if "".join(r).strip()), None)
-        if first is None:
-            raise EmptyDatasetError(f"{path} has no rows")
-        if has_header:
-            header = [h.strip() for h in first]
-        else:
-            if columns is None:
-                raise InvalidParamsError("need explicit columns when there is no header")
-            header = [h.strip() for h in columns]
-            reader = chain([first], reader)
-        col_of = {name: i for i, name in enumerate(header)}
+    else:
+        first = plain.first_row()
+    if first is None:
+        raise EmptyDatasetError(f"{path} has no rows")
+    if has_header:
+        header = [h.strip() for h in first]
+    else:
+        if columns is None:
+            raise InvalidParamsError("need explicit columns when there is no header")
+        header = [h.strip() for h in columns]
+    col_of = {name: i for i, name in enumerate(header)}
 
-        variables = schema.d_vars + schema.x_vars
-        needed = [v.name for v in variables]
-        for name in needed:
-            if name not in col_of:
-                raise SchemaMismatchError(f"column {name!r} missing from {path}")
-        y_name = schema.y_var.name
-        has_y = y_name in col_of
-        for f in filters:
-            if f.column not in col_of:
-                raise SchemaMismatchError(
-                    f"filter column {f.column!r} missing from {path}"
-                )
-        stream_col = col_of.get(STREAM_COLUMN)
+    variables = schema.d_vars + schema.x_vars
+    needed = [v.name for v in variables]
+    for name in needed:
+        if name not in col_of:
+            raise SchemaMismatchError(f"column {name!r} missing from {path}")
+    y_name = schema.y_var.name
+    has_y = y_name in col_of
+    for f in filters:
+        if f.column not in col_of:
+            raise SchemaMismatchError(
+                f"filter column {f.column!r} missing from {path}"
+            )
+    stream_col = col_of.get(STREAM_COLUMN)
 
-        # (column, resolver) in the order the row loop applies them
-        steps = [(col_of[f.column], _accepting(f)) for f in filters]
-        steps += [(col_of[v.name], partial(_category_index, v)) for v in variables]
-        if has_y:
-            steps.append((col_of[y_name], partial(_outcome_index, schema.y_var)))
-        encoded, stream, short = _encode_columns(
-            reader, len(header), sorted({col for col, _ in steps}), stream_col)
+    # (column, resolver) in the order the row loop applies them
+    steps = [(col_of[f.column], _accepting(f)) for f in filters]
+    steps += [(col_of[v.name], partial(_category_index, v)) for v in variables]
+    if has_y:
+        steps.append((col_of[y_name], partial(_outcome_index, schema.y_var)))
+    cols = sorted({col for col, _ in steps})
+    if plain is None:
+        rows = reader if has_header else chain([first], reader)
+        encoded, stream, short = _encode_columns(rows, len(header), cols, stream_col)
+    else:
+        encoded, stream, short = plain.encode(int(has_header), cols, stream_col)
 
     alive, tables, failure = _resolve(steps, encoded)
     stream_ids = None

@@ -688,6 +688,28 @@ def _nan_target(raw):
     raw["discrimination"] = {"mode": "target", "epsilon": 0.3, "target": [float("nan"), 0.5]}
 
 
+def _empty_delimiter(raw):
+    # fit died with a TypeError from csv.reader
+    raw["input"]["delimiter"] = ""
+
+
+def _two_char_delimiter(raw):
+    raw["input"]["delimiter"] = ";;"
+
+
+def _quote_delimiter(raw):
+    # fit once exited 4 naming a missing column
+    raw["input"]["delimiter"] = '"'
+
+
+def _newline_delimiter(raw):
+    raw["input"]["delimiter"] = "\n"
+
+
+def _cr_delimiter(raw):
+    raw["input"]["delimiter"] = "\r"
+
+
 def _descending_bins(raw):
     raw["schema"]["variables"][1]["quantizer"] = {
         "kind": "bins", "edges": [2.0, 1.0], "labels": ["u", "v", "w"]}
@@ -729,6 +751,11 @@ class TestConfigErrors:
         (_negative_max_iters, "solver max_iters"),
         (_zero_max_outer, "solver max_outer"),
         (_nan_target, "target has negative or non-finite"),
+        (_empty_delimiter, "input.delimiter"),
+        (_two_char_delimiter, "input.delimiter"),
+        (_quote_delimiter, "input.delimiter"),
+        (_newline_delimiter, "input.delimiter"),
+        (_cr_delimiter, "input.delimiter"),
     ])
     def test_validate_exits_3_naming_the_field(self, tmp_path, capsys,
                                                break_config, field):

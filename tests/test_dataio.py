@@ -1,8 +1,11 @@
-"""Column-at-a-time ingestion and writing against the row-at-a-time
-reference loops they replaced: same records, same exceptions, same bytes."""
+"""Column-at-a-time ingestion (numpy on plain files, ``csv`` on the rest)
+and writing against the row-at-a-time reference loops they replaced: same
+records, same exceptions, same bytes; and which reader a file gets."""
 
 import csv
+import importlib.util
 import os
+import sys
 import tempfile
 from functools import partial
 from unittest import mock
@@ -11,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import yaml
 
 from fairmap import Alphabet, Dataset, Quantizer, Schema, Variable, dataio
+from fairmap.cli import main
 from fairmap.config import Filter
 from fairmap.dataio import (
     STREAM_COLUMN,
@@ -29,8 +34,10 @@ from fairmap.errors import (
     InvalidParamsError,
     SchemaMismatchError,
 )
+from fairmap.presets import preset_config, preset_dict
 
 DATA_MAGIC = "# fairmap-data"  # how a data file's provenance line starts
+BENCH_INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "inputs.py")
 
 
 def read_field(column, resolve, raw):
@@ -50,7 +57,7 @@ def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
                    filters=(), apply_filters=True):
     """The row loop ``read_dataset`` replaced: every row held in memory,
     filters and quantizers run once per row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         comments = []
         pos = fh.tell()
         line = fh.readline()
@@ -167,7 +174,7 @@ def make_schema(race_default=None, race_drop=True):
     return Schema((
         Variable(Alphabet("sex", ("F", "M")), "D"),
         Variable(Alphabet("race", ("a", "b", "o")), "D", Quantizer(
-            "map", mapping={"A": "a", "B": "b"}, default=race_default,
+            "map", mapping={"A": "a", "B": "b", "Åland": "b"}, default=race_default,
             drop_unmapped=race_drop)),
         Variable(Alphabet("age", ("young", "mid", "old")), "X", Quantizer(
             "bins", edges=(25, 45), labels=("young", "mid", "old"))),
@@ -185,24 +192,27 @@ FILTERS = (
 # raw values per column; the bad ones (an unknown category, an unmapped
 # value, one the bins cannot parse, an outcome outside {0, 1}, a stream
 # id that is no integer or overflows) appear only in columns an example
-# marks as carrying errors
+# marks as carrying errors.  Some values span more than one 8-byte word,
+# some are not ASCII (a no-break space strips away), and the stream ids
+# sit on either side of 18 digits
 GOOD = {
-    "sex": ["F", "M", " M "],
-    "race": ["A", "B", "a"],
-    "age": ["20", "30", "45", "70", "young"],
+    "sex": ["F", "M", " M ", "\u00a0F"],
+    "race": ["A", "B", "a", "Åland"],
+    "age": ["20", "30", "45", "70", "young", "000000000000030"],
     "charge": ["F", "M"],
-    "days": ["-40", "0", "10", "x"],
-    "score": ["Low", "High", "N/A"],
+    "days": ["-40", "0", "10", "x", "-0000000000010"],
+    "score": ["Low", "High", "N/A", "très élevé vraiment"],
     "out": ["0", "1", "", " "],
-    STREAM_COLUMN: ["0", "7", "-3", " 12 "],
+    STREAM_COLUMN: ["0", "7", "-3", " 12 ", "+5", "١٢", "123456789012345678",
+                    "-999999999999999999", "1234567890123456789"],
 }
 BAD = {
     "sex": ["X"],
-    "race": ["?", "C"],
+    "race": ["?", "C", "Ålanders"],
     "age": ["abc"],
     "charge": ["Q", "O"],
     "out": ["2"],
-    STREAM_COLUMN: ["s1", "18446744073709551616"],
+    STREAM_COLUMN: ["s1", "-", "18446744073709551616", "9999999999999999999"],
 }
 COLUMNS = ("sex", "race", "age", "charge", "days", "score", "out", STREAM_COLUMN)
 
@@ -268,24 +278,40 @@ def data_files(draw):
     present = draw(st.permutations(COLUMNS))
     header = [c for c in present
               if draw(st.booleans()) or (c in required and not missing_ok)]
-    delimiter = draw(st.sampled_from([",", ";"]))
-    with_short_rows = draw(st.integers(0, 3)) == 0
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    # rows the plain reader leaves to csv, in about half of the examples
+    irregular = draw(st.one_of(st.just(set()), st.sets(st.sampled_from(
+        ["short", "long", "blank", "quoted"]))))
     lines = []
     for _ in range(draw(st.integers(0, 25))):
-        kind = draw(st.integers(0, 19))
-        if kind == 0:
-            lines.append(draw(st.sampled_from(["", "  ", delimiter.join(["  "] * 3)])))
+        kind = draw(st.integers(0, 9))
+        if kind == 0 and "blank" in irregular:
+            lines.append(draw(st.sampled_from(
+                ["", "  ", "\u3000", delimiter.join(["  "] * 3)])))
             continue
         fields = [draw(st.sampled_from(pools[c])) for c in header]
-        if kind == 1 and with_short_rows:
+        if kind == 1 and "short" in irregular:
             fields = fields[:draw(st.integers(1, max(1, len(fields) - 1)))]
+        if kind == 2 and "long" in irregular:
+            fields += draw(st.lists(st.sampled_from(["", "x", "1"]), min_size=1, max_size=2))
+        if kind == 3 and "quoted" in irregular and fields:
+            # quoted as it is, or holding the delimiter
+            at = draw(st.integers(0, len(fields) - 1))
+            fields[at] = draw(st.sampled_from(
+                [f'"{fields[at]}"', f'"{fields[at]}{delimiter}x"']))
         lines.append(delimiter.join(fields))
     has_header = draw(st.booleans())
     comments = draw(st.lists(st.sampled_from([
         "# a note", f"{DATA_MAGIC} fingerprint=abc", f"{DATA_MAGIC} fingerprint=zzz",
     ]), max_size=2))
     body = ([delimiter.join(f" {h} " for h in header)] if has_header else []) + lines
-    text = "".join(c + "\n" for c in comments) + "\n".join(body) + "\n"
+    # LF, CRLF or lone-CR line ends, or LF and CRLF mixed
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r", None]))
+    ends = [ending or draw(st.sampled_from(["\n", "\r\n"])) for _ in comments + body]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # no newline after the last line
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    text = bom + "".join(line + end for line, end in zip(comments + body, ends))
     kwargs = {
         "delimiter": delimiter,
         "has_header": has_header,
@@ -470,3 +496,138 @@ class TestTrainingSidecar:
         assert read_training(str(tmp_path / "absent.npz"), schema, {}) is None
         (tmp_path / "junk.npz").write_bytes(b"not a zip archive")
         assert read_training(str(tmp_path / "junk.npz"), schema, {}) is None
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    """``bench/inputs.py``, which writes the benchmark's data files."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # for its dataclasses
+        spec.loader.exec_module(module)
+    return module
+
+
+def path_taken(path, schema, **kwargs):
+    """The reader ``read_dataset`` runs on the file at ``path``, "numpy" or
+    "csv"; what it returns or raises is checked against the reference."""
+    with mock.patch.object(dataio, "_encode_columns",
+                           wraps=dataio._encode_columns) as by_csv, \
+            mock.patch.object(dataio._PlainFile, "encode", autospec=True,
+                              side_effect=dataio._PlainFile.encode) as by_numpy:
+        new = outcome(lambda: read_dataset(path, schema, **kwargs))
+    assert new == outcome(lambda: reference_read(path, schema, **kwargs))
+    assert by_csv.called != by_numpy.called
+    return "numpy" if by_numpy.called else "csv"
+
+
+def compas_file(bench_inputs, path, n=2000, seed=5):
+    """A bench-shaped compas file and the preset configuration reading it."""
+    bench_inputs.write_compas(str(path), bench_inputs.compas_input(n, seed))
+    return preset_config("compas", input_path=str(path))
+
+
+class TestReadPaths:
+    """Which reader runs is decided by the file's bytes: files this package
+    and the benchmark write are read without ``csv``, so a silent fallback
+    would show here, and irregular files still go to ``csv``."""
+
+    def test_transform_outputs(self, tmp_path, bench_inputs):
+        compas_file(bench_inputs, tmp_path / "compas.csv")
+        raw = preset_dict("compas")
+        raw["input"]["path"] = str(tmp_path / "compas.csv")
+        raw["discrimination"]["epsilon"] = 0.6  # feasible on 2,000 rows
+        raw["objective"] = "l1"
+        raw["output"] = {"dir": str(tmp_path / "out")}
+        config = tmp_path / "compas.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        base = ["--config", str(config), "--kernel", str(tmp_path / "out" / "kernel.csv")]
+        assert main(["fit", "--config", str(config)]) == 0
+        schema = preset_config("compas").schema
+        for mode in ("train", "apply"):
+            assert main(["transform", *base, "--mode", mode]) == 0
+            path = tmp_path / "out" / f"transformed_{mode}.csv"
+            provenance, header, row = path.read_bytes().split(b"\n")[:3]
+            assert provenance.startswith(b"# fairmap-data") and not provenance.endswith(b"\r")
+            assert header.endswith(b"_stream\r") and row.endswith(b"\r")
+            assert path_taken(str(path), schema) == "numpy"
+
+    def test_bench_compas_file(self, tmp_path, bench_inputs):
+        path = tmp_path / "compas.csv"
+        cfg = compas_file(bench_inputs, path)
+        assert path_taken(str(path), cfg.schema, filters=cfg.filters) == "numpy"
+
+    def test_headerless_padded_adult_file(self, tmp_path, bench_inputs):
+        path = tmp_path / "adult.data"
+        bench_inputs.write_adult(str(path), bench_inputs.adult_input(2000, 5))
+        assert b", Private, " in path.read_bytes()
+        cfg = preset_config("adult", input_path=str(path))
+        assert not cfg.has_header
+        assert path_taken(str(path), cfg.schema, has_header=False, columns=cfg.columns,
+                          filters=cfg.filters) == "numpy"
+
+    @pytest.mark.parametrize("rows", [
+        ["F,A,20,F", "", "M,B,30,M"],  # a blank row
+        ["F,A,20,F", "M,B"],  # a short row
+        ["F,A", "20,F"],  # two short rows with one row's fields between them
+        ["F,A,20,F", "M,B,30,M,1"],  # a long row
+        ["F,A,20,F", "M,B,30,M", "  ,B,30,M"],  # a blank first field
+        ['F,A,20,"F"', "M,B,30,M"],  # a quoted field
+        ["F,A,20,F\rM,B,30,M"],  # a lone CR
+    ])
+    def test_irregular_files_go_to_csv(self, tmp_path, rows):
+        path = tmp_path / "data.csv"
+        path.write_bytes(("sex,race,age,charge\n" + "\n".join(rows) + "\n").encode())
+        assert path_taken(str(path), make_schema()) == "csv"
+
+    def test_quoted_labels_go_to_csv(self, tmp_path):
+        schema = quoting_schema()
+        n = schema.nd * schema.nx * schema.ny
+        cells = np.arange(n)
+        dataset = Dataset(schema, cells // (schema.nx * schema.ny),
+                          cells // schema.ny % schema.nx, cells % schema.ny)
+        path = str(tmp_path / "out.csv")
+        write_dataset(path, dataset)
+        assert path_taken(path, schema) == "csv"
+
+    def test_bucket_collisions_fall_back_to_unique(self, tmp_path, bench_inputs):
+        # every key past the table's size hashes to bucket 0
+        path = tmp_path / "compas.csv"
+        cfg = compas_file(bench_inputs, path, n=500)
+        keys = np.array([5, 1 << 40, 3 << 40, 1 << 40, 7 << 50, 5], dtype=np.uint64)
+        with mock.patch.object(dataio, "_HASH", np.uint64(0)), \
+                mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            distinct, codes = dataio._compact(keys)
+            assert unique.call_count == 1
+            assert path_taken(str(path), cfg.schema, filters=cfg.filters) == "numpy"
+            assert unique.call_count > 1
+        assert np.array_equal(distinct[codes], keys) and distinct.size == 4
+
+    def test_digit_ids_stop_where_int64_could_overflow(self):
+        # 19 digits can pass 2^63 - 1; those, and anything but an optional
+        # minus and ASCII digits, are left to int()
+        fields = [b"0", b"-12", b"007", b"123456789012345678", b"-999999999999999999",
+                  b"9999999999999999999", b"+5", b" 1", b"-", b"", "١٢".encode()]
+        data = b"".join(fields)
+        ends = np.cumsum([len(f) for f in fields])
+        ids, parsed = dataio._digit_ids(np.frombuffer(data + bytes(8), dtype=np.uint8),
+                                        ends - [len(f) for f in fields], ends)
+        assert parsed.tolist() == [True] * 5 + [False] * 6
+        assert ids[parsed].tolist() == [int(f) for f in fields[:5]]
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_byte_order_mark_is_skipped(self, tmp_path, has_header, quoted):
+        # spreadsheet programs start a UTF-8 export with one
+        first = '"F"' if quoted else "F"
+        text = (f"\ufeff{DATA_MAGIC} fingerprint=abc\n"
+                + ("sex,race,age,charge\n" if has_header else "")
+                + f"{first},A,20,F\nM,B,30,M\n")
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8")
+        kwargs = {} if has_header else {"has_header": False,
+                                        "columns": ["sex", "race", "age", "charge"]}
+        assert path_taken(str(path), make_schema(), **kwargs) == ("csv" if quoted else "numpy")
+        ds = read_dataset(str(path), make_schema(), **kwargs)
+        assert ds.d.tolist() == [0, 4] and ds.x.tolist() == [0, 3]
+        assert provenance_records(str(path), "data") == [{"fingerprint": "abc"}]
