@@ -528,8 +528,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors (an unknown flag, a missing required
+    one) print the usage and raise ``ConfigError``, so that they exit 3
+    with one ``error:`` line, not argparse's 2, which means infeasible
+    here.  ``--help`` and ``--version`` still exit 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fairmap",
         description=(
             "Learn, apply, and audit randomized pre-processing transforms"
@@ -587,8 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (
         OSError,

@@ -11,6 +11,7 @@ audits can refuse mismatched inputs.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import operator
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .distortion import (
     ordinal_jump_table,
 )
 from .domain import Alphabet, Quantizer, Schema, Variable
-from .errors import ConfigError
+from .errors import ConfigError, decode_utf8
 
 # libyaml's parser where PyYAML was built with it (a config loads several
 # times faster)
@@ -405,17 +406,19 @@ def _compile(raw: dict) -> PipelineConfig:
 
 
 def load_config(path: str) -> PipelineConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return config_from_dict(raw or {})
+    with open(path, "rb") as fh:
+        text = io.StringIO(decode_utf8(fh.read(), path, ConfigError))
+    text.name = path  # the name YAML's error messages give the file
+    return _parse(text, path)
 
 
 def loads_config(text: str) -> PipelineConfig:
+    return _parse(text, "config")
+
+
+def _parse(text, name: str) -> PipelineConfig:
     try:
         raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
+        raise ConfigError(f"cannot parse {name}: {exc}") from exc
     return config_from_dict(raw or {})

@@ -8,29 +8,33 @@ category label passes through unchanged, so transformed artifacts read
 back without re-quantization.
 
 Ingestion reads a file's bytes once, as UTF-8 with an optional
-byte-order mark, and turns the columns it needs into integer codes into
-each column's distinct raw values, by one of two paths chosen from the
-bytes.  A *plain* file (no ``"``, no NUL, no CR outside a CRLF pair,
-valid UTF-8, every line with the header's field count and no blank first
-field) is tokenized with numpy: the offsets of its delimiter and newline
-bytes form a (lines, fields) table, each wanted field is keyed by the
-8-byte words that cover it, and each distinct value is decoded once, so
-no Python object is made per field.  Any other file (quoted fields,
-blank or short or long rows, lone CRs) goes through ``csv``, which
-streams it in chunks of rows, transposes each chunk into column tuples
-and numbers each column's distinct strings; a chunk is checked row by
-row (for blank and short rows) only when its shortest row is short or
-one of its first fields is blank.  Both paths hand the same codes to one
-resolver: filters and quantizers run once per distinct value, not once
-per row, and records are indexed through the code arrays.  Stream ids,
-all distinct, get no codes: the plain path parses the ones that are
+byte-order mark (other bytes are refused, naming their offset), and
+turns the columns it needs into integer codes into each column's
+distinct raw values, by one of two paths chosen from the bytes.  A
+*plain* file (no ``"``, no NUL, no CR outside a CRLF pair, every line
+with the header's field count and no blank first field) is tokenized
+with numpy: the offsets of its delimiter and newline bytes form a
+(lines, fields) table, each wanted field is keyed by the 8-byte words
+that cover it, and each distinct value is decoded once, so no Python
+object is made per field.  The plain path filters first: it encodes and
+resolves the filter columns of every line, then encodes the other
+wanted columns on the lines the filters keep.  Any other file (quoted
+fields, blank or short or long rows, lone CRs) goes through ``csv``,
+which streams it in chunks of rows, transposes each chunk into column
+tuples and numbers each column's distinct strings; a chunk is checked
+row by row (for blank and short rows) only when its shortest row is
+short or one of its first fields is blank.  Both paths hand their codes
+to one resolver: filters and quantizers run once per distinct value, not
+once per row, and records are indexed through the code arrays.  Stream
+ids, all distinct, get no codes: the plain path parses the ones that are
 ASCII digits in numpy, and ``int`` reads every other one that survives.
 Errors are those of a row-by-row pass in file order (see
 ``read_dataset``).
 
-Writing renders each occurring D cell, X cell and outcome label once
-with ``csv`` (so quoting is the ``csv`` module's), and each row is the
-join of those texts and its stream id, written in fixed blocks of rows.
+Writing renders the text of each occurring output cell, the labels of
+its (d, x, y) or, in apply mode, its (d, x), once with ``csv`` (so
+quoting is the ``csv`` module's); each row is that text, its stream id
+and the line end, written in fixed blocks of rows.
 
 Kernel files are CSV with composite category labels, one line per
 positive transition, grouped by input cell.
@@ -55,8 +59,8 @@ import hashlib
 import io
 import json
 import zipfile
-from functools import partial
-from itertools import chain, compress, islice
+from functools import cache, partial
+from itertools import chain, islice, takewhile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,6 +72,7 @@ from .errors import (
     FairmapError,
     InvalidParamsError,
     SchemaMismatchError,
+    decode_utf8,
 )
 from .optimizer import TransformKernel
 
@@ -140,9 +145,14 @@ def _comments(fh) -> list:
 def provenance_records(path: str, kind: str) -> list:
     """The records of the ``# fairmap-<kind>`` lines among a file's leading
     ``#`` lines, in file order: one for an artifact this package wrote,
-    none for a file from elsewhere."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return [r for r in (_record(c, kind) for c in _comments(fh)) if r is not None]
+    none for a file from elsewhere.  Only those lines are read, and bytes
+    in them that are not UTF-8 raise ``SchemaMismatchError``."""
+    with open(path, "rb") as fh:
+        head = b"".join(takewhile(
+            lambda line: line.removeprefix(codecs.BOM_UTF8).startswith(b"#"), fh))
+    text = io.StringIO(decode_utf8(head, path, SchemaMismatchError).removeprefix("\ufeff"),
+                       newline="")
+    return [r for r in (_record(c, kind) for c in _comments(text)) if r is not None]
 
 
 def _outcome_index(variable, raw: str):
@@ -307,17 +317,13 @@ class _PlainFile:
 
     @classmethod
     def parse(cls, data: bytes, delimiter: str, width: Optional[int] = None):
-        """The table of ``data`` when it is plain with ``width`` fields per
-        line (by default, the first line's count), else None."""
+        """The table of ``data``, which is UTF-8, when it is plain with
+        ``width`` fields per line (by default, the first line's count),
+        else None."""
         sep = delimiter.encode()
         if (len(sep) != 1 or sep in b'"\r\n\0' or b'"' in data or b"\0" in data
                 or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
             return None
-        if not data.isascii():
-            try:
-                data.decode()
-            except UnicodeDecodeError:
-                return None
         start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
         while data.startswith(b"#", start):  # comment lines
             start = data.find(b"\n", start) + 1
@@ -354,13 +360,14 @@ class _PlainFile:
                 return None
         return plain
 
-    def _span(self, col: int, rows: slice):
-        """Start and end offsets of field ``col`` of each line in ``rows``."""
-        table = self.table[rows]
-        starts = (table[:, col - 1] + 1 if col else self.line_starts[rows]).astype(np.intp)
-        ends = table[:, col].astype(np.intp)
+    def _span(self, col: int, lines):
+        """Start and end offsets of field ``col`` of each line in ``lines``
+        (a slice or an index array)."""
+        table = self.table
+        starts = (table[lines, col - 1] + 1 if col else self.line_starts[lines]).astype(np.intp)
+        ends = table[lines, col].astype(np.intp)
         if col == table.shape[1] - 1:
-            ends = ends - (self.buf[ends - 1] == ord("\r"))  # a CRLF's CR
+            ends -= self.buf[ends - 1] == ord("\r")  # a CRLF's CR
         return starts, ends
 
     def first_row(self) -> list:
@@ -368,20 +375,19 @@ class _PlainFile:
         line = self.data[self.line_starts[0]:self.table[0, -1]]
         return line.rstrip(b"\r").decode().split(self.delimiter)
 
-    def encode(self, skip: int, cols: Sequence[int], stream_col=None):
-        """What ``_encode_columns`` returns for the lines after the first
-        ``skip``: codes of ``cols``, the stream of ``stream_col`` with its
-        ASCII-digit ids parsed, and no short row."""
-        rows = slice(skip, None)
-        encoded = {col: _field_codes(self.words, *self._span(col, rows)) for col in cols}
+    def encode(self, lines, cols: Sequence[int], stream_col=None):
+        """What ``_encode_columns`` returns for ``lines`` (a slice or an
+        index array), short row aside: codes of ``cols``, and the stream of
+        ``stream_col`` with its ASCII-digit ids parsed."""
+        encoded = {col: _field_codes(self.words, *self._span(col, lines)) for col in cols}
         stream = None
         if stream_col is not None:
-            starts, ends = self._span(stream_col, rows)
+            starts, ends = self._span(stream_col, lines)
             ids, parsed = _digit_ids(self.buf, starts, ends)
             other = np.flatnonzero(~parsed)
             stream = (ids, {row: self.data[s:e].decode() for row, s, e in zip(
                 other.tolist(), starts[other].tolist(), ends[other].tolist())})
-        return encoded, stream, None
+        return encoded, stream
 
 
 def _resolve(steps, encoded):
@@ -418,15 +424,23 @@ def _resolve(steps, encoded):
     return alive, tables, failure
 
 
+def _stream_id(raw: str) -> int:
+    """A stream id: an integer that fits int64 (``OverflowError`` when it
+    does not)."""
+    value = int(raw)
+    if not -2**63 <= value < 2**63:
+        raise OverflowError(f"stream id {raw.strip()} is outside int64")
+    return value
+
+
 def _stream_ids(stream, alive, col, failure):
     """The surviving rows' stream ids, and the earlier of ``failure`` and
-    the first surviving row whose field ``int`` cannot read (the ids are
-    None then).
+    the first surviving row whose field ``_stream_id`` refuses (the ids
+    are None then).
 
     ``stream`` is ``(ids, fields)``: the ids of the rows whose fields are
     already parsed, and ``{row: raw field}``, in row order, of the rows
-    whose fields ``int`` still has to read.  The result is what
-    ``np.array`` makes of the ids as Python ints.
+    whose fields ``_stream_id`` still has to read.
     """
     ids, fields = stream
     survives = alive.tolist()
@@ -434,20 +448,24 @@ def _stream_ids(stream, alive, col, failure):
     values = []
     for row in rows:
         try:
-            values.append(int(fields[row]))
-        except ValueError:
+            values.append(_stream_id(fields[row]))
+        except (ValueError, OverflowError):
             if failure is None or row < failure[0]:
-                failure = (row, col, int, fields[row])
+                failure = (row, col, _stream_id, fields[row])
             return None, failure
     kept = ids[alive]
-    at = (np.cumsum(alive) - 1)[rows]
-    if all(-2**63 <= value < 2**63 for value in values):
-        kept[at] = values
-        return kept, failure
-    kept = kept.tolist()  # an id past int64: np.array picks the dtype
-    for i, value in zip(at.tolist(), values):
-        kept[i] = value
-    return np.array(kept), failure
+    kept[(np.cumsum(alive) - 1)[rows]] = values
+    return kept, failure
+
+
+def _line_number(data: bytes, delimiter: str, index: int) -> int:
+    """The line of the file ``data`` on which its non-blank row ``index``
+    (0 for the first row after the leading ``#`` lines) ends."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    skipped = len(_comments(text))
+    reader = csv.reader(text, delimiter=delimiter)
+    next(islice((row for row in reader if "".join(row).strip()), index, None))
+    return skipped + reader.line_num
 
 
 def read_dataset(
@@ -463,9 +481,10 @@ def read_dataset(
     pre-filtered data).  A missing outcome column (or blank outcome
     fields) yields apply-mode records.
 
-    The file is read as UTF-8; a leading byte-order mark is skipped, and
-    so are leading ``#`` lines, such as the provenance line of a file
-    this package wrote.
+    The file is read as UTF-8 (other bytes raise ``SchemaMismatchError``
+    naming their offset); a leading byte-order mark is skipped, and so
+    are leading ``#`` lines, such as the provenance line of a file this
+    package wrote.
 
     Errors are those of resolving the rows one by one in file order:
     filters, then D and X variables in declaration order, then the
@@ -473,10 +492,13 @@ def read_dataset(
     only when a row reaching that step carries it, and the first such
     row (or the first short row, if earlier) decides the exception.  A
     field that cannot be parsed as a number (a stream id, a value under a
-    ``bins`` quantizer) raises ``SchemaMismatchError`` naming its column.
+    ``bins`` quantizer) raises ``SchemaMismatchError`` naming its column,
+    and a stream id outside int64 one naming its line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    if not data.isascii():
+        decode_utf8(data, path, SchemaMismatchError)
     # a headerless plain file has as many fields per line as ``columns``
     plain = _PlainFile.parse(data, delimiter,
                              None if has_header or columns is None else len(columns))
@@ -513,23 +535,35 @@ def read_dataset(
     stream_col = col_of.get(STREAM_COLUMN)
 
     # (column, resolver) in the order the row loop applies them
-    steps = [(col_of[f.column], _accepting(f)) for f in filters]
-    steps += [(col_of[v.name], partial(_category_index, v)) for v in variables]
+    filter_steps = [(col_of[f.column], _accepting(f)) for f in filters]
+    var_steps = [(col_of[v.name], partial(_category_index, v)) for v in variables]
     if has_y:
-        steps.append((col_of[y_name], partial(_outcome_index, schema.y_var)))
-    cols = sorted({col for col, _ in steps})
+        var_steps.append((col_of[y_name], partial(_outcome_index, schema.y_var)))
+    failure = short = None
     if plain is None:
+        steps = filter_steps + var_steps
         rows = reader if has_header else chain([first], reader)
-        encoded, stream, short = _encode_columns(rows, len(header), cols, stream_col)
+        encoded, stream, short = _encode_columns(
+            rows, len(header), sorted({col for col, _ in steps}), stream_col)
     else:
-        encoded, stream, short = plain.encode(int(has_header), cols, stream_col)
+        steps, lines = var_steps, slice(int(has_header), None)
+        if filter_steps:
+            # filter first, then encode the other columns on the kept lines
+            encoded, _ = plain.encode(lines, sorted({col for col, _ in filter_steps}))
+            passed, _, failure = _resolve(filter_steps, encoded)
+            if failure is not None:  # a later row cannot decide the exception
+                passed[failure[0]:] = False
+            lines = np.flatnonzero(passed) + lines.start
+        encoded, stream = plain.encode(lines, sorted({col for col, _ in steps}), stream_col)
 
-    alive, tables, failure = _resolve(steps, encoded)
+    alive, tables, later = _resolve(steps, encoded)
     stream_ids = None
     if stream_col is not None:
-        stream_ids, failure = _stream_ids(stream, alive, stream_col, failure)
+        stream_ids, later = _stream_ids(stream, alive, stream_col, later)
+    # a failure among the kept lines comes before the filters' own
+    failure = later or failure
     if failure is not None:
-        _, col, resolve, raw = failure
+        row, col, resolve, raw = failure
         try:
             resolve(raw)  # raises again: the exception of the first failing row
         except FairmapError:
@@ -538,6 +572,12 @@ def read_dataset(
             raise SchemaMismatchError(
                 f"column {header[col]!r}: cannot read {raw!r} ({exc})"
             ) from exc
+        except OverflowError as exc:  # a stream id outside int64
+            # the row's index among the non-blank rows, header included
+            index = (row + has_header if plain is None
+                     else int(np.arange(len(plain.table))[lines][row]))
+            raise SchemaMismatchError(
+                f"{path} line {_line_number(data, delimiter, index)}: {exc}") from exc
     if short is not None:
         raise SchemaMismatchError(f"short row in {path}: {short!r}")
     if not alive.any():
@@ -547,7 +587,7 @@ def read_dataset(
         return np.array([-1 if r is None else r for r in table],
                         dtype=np.int64)[codes[alive]]
 
-    var_tables = tables[len(filters):]
+    var_tables = tables[len(steps) - len(var_steps):]
     nd_vars = len(schema.d_vars)
     n_dx = nd_vars + len(schema.x_vars)
     d = np.ravel_multi_index([kept(*t) for t in var_tables[:nd_vars]],
@@ -565,11 +605,6 @@ def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
     column; outcomes are omitted entirely for apply-mode data.  The
     provenance line of ``record`` comes first when it is given."""
     schema = dataset.schema
-    has_y = dataset.has_outcomes
-    header = [v.name for v in schema.d_vars + schema.x_vars]
-    if has_y:
-        header.append(schema.y_var.name)
-    header.append(STREAM_COLUMN)
     end = csv.excel.lineterminator
 
     def text(fields):
@@ -578,35 +613,32 @@ def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
         csv.writer(buf, delimiter=delimiter).writerow([*fields, ""])
         return buf.getvalue()[:-len(end)]
 
-    def prefixes(variables, sizes, flat):
-        """The text of each occurring cell's labels, indexed by cell."""
-        table = [None] * int(np.prod(sizes))
-        cells = np.unique(flat)
-        for cell, *idx in zip(cells.tolist(), *np.unravel_index(cells, sizes)):
-            table[cell] = text(v.alphabet.categories[i] for v, i in zip(variables, idx))
-        return table
-
-    prefix_d = prefixes(schema.d_vars, schema.d_sizes, dataset.d)
-    prefix_x = prefixes(schema.x_vars, schema.x_sizes, dataset.x)
-    if has_y:
-        prefix_y = [text([label]) for label in schema.y_var.alphabet.categories]
-        ys = dataset.y
-    else:
-        prefix_y, ys = [""], np.zeros_like(dataset.y)
+    # each record's output cell: its (d, x, y), or its (d, x) in apply mode
+    variables = schema.d_vars + schema.x_vars
+    sizes, cell = (schema.nd, schema.nx), (dataset.d, dataset.x)
+    if dataset.has_outcomes:
+        variables += (schema.y_var,)
+        sizes, cell = sizes + (schema.ny,), cell + (dataset.y,)
+    header = [v.name for v in variables] + [STREAM_COLUMN]
+    cells = np.ravel_multi_index(cell, sizes)
+    # the text of each occurring cell's labels, indexed by cell
+    texts = [None] * int(np.prod(sizes))
+    occurring = np.flatnonzero(np.bincount(cells, minlength=len(texts)))
+    labels = np.unravel_index(occurring, [len(v.alphabet.categories) for v in variables])
+    for at, *idx in zip(occurring.tolist(), *(i.tolist() for i in labels)):
+        texts[at] = text(v.alphabet.categories[i] for v, i in zip(variables, idx))
     # csv quotes the stream ids that hold the delimiter
     id_text = str if delimiter not in "-0123456789" else lambda i: text([i])[:-1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if record is not None:
             fh.write(provenance_line("data", record))
         csv.writer(fh, delimiter=delimiter).writerow(header)
-        for start in range(0, len(ys), _WRITE_ROWS):
+        for start in range(0, len(cells), _WRITE_ROWS):
             block = slice(start, start + _WRITE_ROWS)
             fh.write("".join([
-                prefix_d[d] + prefix_x[x] + prefix_y[y] + i + end
-                for d, x, y, i in zip(dataset.d[block].tolist(),
-                                      dataset.x[block].tolist(),
-                                      ys[block].tolist(),
-                                      map(id_text, dataset.stream_ids[block].tolist()))
+                texts[c] + i + end
+                for c, i in zip(cells[block].tolist(),
+                                map(id_text, dataset.stream_ids[block].tolist()))
             ]))
 
 
@@ -684,21 +716,23 @@ def _probability(raw: str) -> float:
 
 def read_kernel(path: str, schema: Schema) -> TransformKernel:
     """Parse a kernel artifact, validating row-stochasticity; the record of
-    its provenance line becomes the kernel's provenance."""
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = _record(fh.readline(), "kernel")
-        if meta is None:
-            raise SchemaMismatchError(f"{path} is not a kernel artifact")
-        rest = fh.read()
-    reader = csv.reader(io.StringIO(rest))
+    its provenance line becomes the kernel's provenance.  Each distinct
+    label is parsed once, and the first bad line decides the error."""
+    with open(path, "rb") as fh:
+        text = io.StringIO(decode_utf8(fh.read(), path, SchemaMismatchError), newline=None)
+    meta = _record(text.readline(), "kernel")
+    if meta is None:
+        raise SchemaMismatchError(f"{path} is not a kernel artifact")
+    reader = csv.reader(text)
     header = next(reader)
     if [h.strip() for h in header] != list(_KERNEL_COLUMNS):
         raise SchemaMismatchError(f"unexpected kernel header {header!r}")
     nd, nx, ny = schema.nd, schema.nx, schema.ny
-    parsers = (schema.d_from_label, schema.x_from_label, schema.y_from_label,
-               schema.x_from_label, schema.y_from_label, _probability)
+    # a failed parse is not cached, so it raises again on each line
+    x_index, y_index = cache(schema.x_from_label), cache(schema.y_from_label)
+    parsers = (cache(schema.d_from_label), x_index, y_index, x_index, y_index, _probability)
     probs = np.zeros((nd, nx, ny, nx * ny))
-    listed_on = np.zeros(probs.shape, dtype=np.int64)  # file line of each entry
+    listed_on = {}  # file line of each entry
     for row in reader:
         if not row:
             continue
@@ -717,7 +751,7 @@ def read_kernel(path: str, schema: Schema) -> TransformKernel:
                 ) from exc
         d, x, y, xh, yh, prob = fields
         entry = (d, x, y, xh * ny + yh)
-        if listed_on[entry]:
+        if entry in listed_on:
             raise SchemaMismatchError(
                 f"{line}: repeats the transition of line {listed_on[entry]}")
         listed_on[entry] = line_no

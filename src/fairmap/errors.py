@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one refusal of
+bytes that are not UTF-8."""
 
 
 class FairmapError(Exception):
@@ -52,3 +53,14 @@ class SchemaMismatchError(FairmapError):
 
 class ConfigError(FairmapError):
     """Pipeline configuration is malformed or inconsistent."""
+
+
+def decode_utf8(data: bytes, path: str, error: type) -> str:
+    """``data`` (the bytes of the file at ``path``) decoded as UTF-8; bytes
+    that are not UTF-8 raise ``error`` naming the file and the offset of
+    the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} ({data[exc.start]:#04x}) is not "
+                    f"UTF-8 ({exc.reason})") from exc

@@ -84,51 +84,89 @@ def derive_apply_kernel(kernel: TransformKernel, pmf: JointPMF) -> ApplyMapper:
 
 
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 
 
-def _mulhilo(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products ``a * b``, through
-    32-bit halves so that no partial product overflows 64 bits."""
-    a_lo, a_hi = a & _MASK32, a >> np.uint64(32)
-    b_lo, b_hi = b & _MASK32, b >> np.uint64(32)
-    mid = a_hi * b_lo + ((a_lo * b_lo) >> np.uint64(32))
-    cross = a_lo * b_hi + (mid & _MASK32)
-    hi = a_hi * b_hi + (mid >> np.uint64(32)) + (cross >> np.uint64(32))
-    return hi, a * b
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High words of the 128-bit products ``a * b``, through 32-bit halves
+    so that no partial product overflows 64 bits."""
+    b_lo, b_hi = b & _MASK32, b >> _SHIFT32
+    a_lo = a & _MASK32
+    hi = a >> _SHIFT32
+    mid = a_lo * b_lo
+    mid >>= _SHIFT32
+    part = hi * b_lo
+    mid += part
+    np.bitwise_and(mid, _MASK32, out=part)
+    a_lo *= b_hi
+    part += a_lo
+    part >>= _SHIFT32
+    mid >>= _SHIFT32
+    hi *= b_hi
+    hi += mid
+    hi += part
+    return hi
 
 
 def _philox_uniforms(master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
     """``SeedSpec(master_seed).stream(sid).random()`` for every ``sid``:
     the first 64-bit word of Philox4x64-10 at counter 1 (numpy's
     generator increments its counter before the first block), shifted to
-    53 bits and scaled into [0, 1)."""
-    sids = np.asarray(stream_ids, dtype=np.int64).view(np.uint64)
-    n = sids.size
-    k0 = np.full(n, master_seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
-    k1 = sids.copy()
-    c0 = np.ones(n, dtype=np.uint64)
-    c1, c2, c3 = (np.zeros(n, dtype=np.uint64) for _ in range(3))
-    for rnd in range(10):
-        if rnd:
-            k0 += _PHILOX_W[0]
-            k1 += _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return (c0 >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    53 bits and scaled into [0, 1).  The last round computes only that
+    word."""
+    k1 = np.asarray(stream_ids, dtype=np.int64).view(np.uint64).copy()
+    # each round's first key word, the same for every record
+    k0 = [np.uint64((master_seed + r * int(_PHILOX_W[0])) & 0xFFFFFFFFFFFFFFFF)
+          for r in range(10)]
+    # round 0 takes the counter (1, 0, 0, 0) to (k0, 0, k1, M0)
+    c0, c1, c2 = np.full(k1.size, k0[0]), np.zeros_like(k1), k1.copy()
+    c3 = np.full(k1.size, _PHILOX_M[0])
+    for rnd in range(1, 9):
+        k1 += _PHILOX_W[1]
+        hi0 = _mulhi(c0, _PHILOX_M[0])
+        c0 *= _PHILOX_M[0]
+        hi1 = _mulhi(c2, _PHILOX_M[1])
+        c2 *= _PHILOX_M[1]
+        hi1 ^= c1
+        hi1 ^= k0[rnd]
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, c2, hi0, c0
+    # round 9: its first word only
+    word = _mulhi(c2, _PHILOX_M[1])
+    word ^= c1
+    word ^= k0[9]
+    word >>= np.uint64(11)
+    return word * (1.0 / 9007199254740992.0)
 
 
-def _sample_categories(rows: np.ndarray, seed: SeedSpec,
-                       stream_ids: np.ndarray) -> np.ndarray:
-    """One draw per record from its probability row via its own stream:
-    the first index whose cumulative mass exceeds the record's uniform,
-    clamped to the last index when rounding leaves the row's total
-    below the draw."""
-    cums = np.cumsum(rows, axis=1)
+def _sample_categories(rows: np.ndarray, seed: SeedSpec, stream_ids: np.ndarray,
+                       cells=None) -> np.ndarray:
+    """One draw per record from its (nonnegative) probability row via its
+    own stream: the first index whose cumulative mass exceeds the record's
+    uniform, clamped to the last index when rounding leaves the row's
+    total below the draw.
+
+    Record ``i`` draws from ``rows[cells[i]]`` (from ``rows[i]`` when
+    ``cells`` is None).  Each row some record draws from is summed once,
+    and its records are drawn together.
+    """
     u = _philox_uniforms(seed.master_seed, stream_ids)
-    drawn = (cums <= u[:, None]).sum(axis=1)
+    if cells is None:
+        cells = np.arange(u.size)
+    order = np.argsort(cells)
+    ordered = cells[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    cums = np.cumsum(rows[ordered[starts]], axis=1)
+    u = u[order]
+    bounds = [*starts.tolist(), u.size]
+    drawn = np.empty_like(order)
+    drawn[order] = np.concatenate([
+        np.searchsorted(cum, u[start:stop], side="right")
+        for cum, start, stop in zip(cums, bounds, bounds[1:])
+    ])
     return np.minimum(drawn, rows.shape[1] - 1)
 
 
@@ -142,8 +180,10 @@ def transform_train(dataset: Dataset, kernel: TransformKernel,
     if not dataset.has_outcomes:
         raise MissingOutcomeError("train-mode transformation requires outcomes")
     schema = dataset.schema
-    rows = kernel.probs[dataset.d, dataset.x, dataset.y]
-    drawn = _sample_categories(rows, SeedSpec(seed), dataset.stream_ids)
+    nd, nx, ny = schema.nd, schema.nx, schema.ny
+    drawn = _sample_categories(
+        kernel.probs.reshape(nd * nx * ny, nx * ny), SeedSpec(seed), dataset.stream_ids,
+        np.ravel_multi_index((dataset.d, dataset.x, dataset.y), (nd, nx, ny)))
     return Dataset(
         schema,
         dataset.d,
@@ -157,8 +197,10 @@ def transform_apply(dataset: Dataset, mapper: ApplyMapper, seed: int) -> Dataset
     """Randomize features of (possibly unlabeled) data; outcomes are not
     produced."""
     schema = dataset.schema
-    rows = mapper.rows[dataset.d, dataset.x]
-    drawn = _sample_categories(rows, SeedSpec(seed), dataset.stream_ids)
+    nd, nx = schema.nd, schema.nx
+    drawn = _sample_categories(
+        mapper.rows.reshape(nd * nx, nx), SeedSpec(seed), dataset.stream_ids,
+        np.ravel_multi_index((dataset.d, dataset.x), (nd, nx)))
     return Dataset(
         schema,
         dataset.d,

@@ -19,6 +19,7 @@ from fairmap.dataio import (
     write_kernel,
     write_training,
 )
+from fairmap.errors import SchemaMismatchError
 from fairmap.optimizer import TransformKernel, identity_kernel
 from fairmap.presets import preset_dict
 
@@ -308,6 +309,29 @@ class TestTransform:
         ]) == 4
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and "line 3" in line and named in line
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda f, g: [f, g[:5] + ["abc"], f], "line 4, column 'prob'"),
+        (lambda f, g: [f, f, ["zz"] + g[1:]], "line 4: repeats the transition of line 3"),
+        (lambda f, g: [f, g[:5], ["zz"] + f[1:]], "line 4: 5 fields, expected 6"),
+        # line 3 parsed f's x label; a label never seen fails where it first appears
+        (lambda f, g: [f, [f[0], "zz"] + g[2:], [f[0], "zz"] + f[2:]], "line 4, column 'x'"),
+    ], ids=["bad_prob", "repeat", "short_line", "unknown_label"])
+    def test_first_bad_kernel_line_after_a_good_one_decides(self, workdir, capsys, edit,
+                                                            named):
+        # kernel labels are parsed once each, not once per line
+        tmp, cfg, kernel = self.fit(workdir)
+        lines = kernel.read_text().splitlines()
+        first, second = (line.split(",") for line in lines[2:4])
+        lines[2:4] = [",".join(f) for f in edit(first, second)]
+        kernel.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([
+            "transform", "--config", str(cfg), "--kernel", str(kernel),
+            "--out-dir", str(tmp / "tk"),
+        ]) == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {kernel} ") and named in line
 
     def test_kernel_entries_off_by_rounding_read_back(self, workdir):
         # solver kernels hold entries such as 1 + 2**-52 and -1e-16
@@ -964,3 +988,92 @@ class TestTrainingRecords:
         outputs, parsed = self.run_all(cfg, kernel, tmp / "b", monkeypatch)
         assert parsed.count(str(tmp / "data.csv")) == 3
         assert outputs == fresh
+
+
+class TestDocumentedExitCodes:
+    """Inputs that once ended outside the documented exit codes: bytes
+    that are not UTF-8 (exit 1 and a traceback), argparse usage errors
+    (exit 2, which means infeasible here) and stream ids past int64
+    (silently merged into one).  Each now ends in its code with one
+    ``error:`` line."""
+
+    @staticmethod
+    def error_line(capsys):
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        [line] = [line for line in captured.err.splitlines() if "error:" in line]
+        return line
+
+    @staticmethod
+    def spoil(path, at):
+        """Put the byte 0xff at offset ``at`` of the file at ``path``."""
+        body = path.read_bytes()
+        path.write_bytes(body[:at] + b"\xff" + body[at:])
+
+    def test_data_file_not_utf8(self, workdir, capsys):
+        tmp, cfg = workdir
+        data = tmp / "data.csv"
+        at = data.read_bytes().index(b"\n") + 3
+        self.spoil(data, at)
+        assert main(["fit", "--config", str(cfg)]) == 4
+        assert self.error_line(capsys) == (
+            f"error: {data}: byte {at} (0xff) is not UTF-8 (invalid start byte)")
+
+    def test_config_not_utf8(self, workdir, capsys):
+        tmp, cfg = workdir
+        cfg.write_bytes(b"# caf\xff\n" + cfg.read_bytes())
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert self.error_line(capsys) == (
+            f"error: {cfg}: byte 5 (0xff) is not UTF-8 (invalid start byte)")
+
+    def fitted_kernel(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert main(["fit", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        return tmp, cfg, tmp / "out" / "kernel.csv"
+
+    def test_kernel_not_utf8(self, workdir, capsys):
+        tmp, cfg, kernel = self.fitted_kernel(workdir, capsys)
+        body = kernel.read_bytes()
+        at = body.index(b"\n", body.index(b"\n") + 1) + 2  # in line 3's d label
+        self.spoil(kernel, at)
+        assert main(["transform", "--config", str(cfg), "--kernel", str(kernel)]) == 4
+        assert self.error_line(capsys) == (
+            f"error: {kernel}: byte {at} (0xff) is not UTF-8 (invalid start byte)")
+
+    def test_provenance_line_not_utf8(self, workdir, capsys):
+        tmp, cfg, kernel = self.fitted_kernel(workdir, capsys)
+        at = len("# fairmap-kernel ")
+        self.spoil(kernel, at)
+        assert main(["transform", "--config", str(cfg), "--kernel", str(kernel)]) == 4
+        assert self.error_line(capsys) == (
+            f"error: {kernel}: byte {at} (0xff) is not UTF-8 (invalid start byte)")
+        with pytest.raises(SchemaMismatchError, match=f"byte {at} "):
+            provenance_records(str(kernel), "kernel")
+
+    @pytest.mark.parametrize("sid", [2**63, 2**64 - 1, -(2**63) - 1])
+    def test_stream_id_outside_int64(self, tmp_path, capsys, sid):
+        data = tmp_path / "ids.csv"
+        data.write_text(f"grp,f1,out,_stream\na,u,1,0\nb,v,0,{sid}\n")
+        raw = tiny_config_dict(path=str(data))
+        raw["output"] = {"dir": str(tmp_path / "out")}
+        cfg = tmp_path / "ids.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["fit", "--config", str(cfg)]) == 4
+        assert self.error_line(capsys) == (
+            f"error: {data} line 3: stream id {sid} is outside int64")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--config", "x.yaml", "--bogus"], "unrecognized arguments: --bogus"),
+        (["fit"], "the following arguments are required: --config"),
+    ], ids=["unknown_flag", "missing_config"])
+    def test_usage_error(self, capsys, argv, message):
+        assert main(argv) == 3
+        line = self.error_line(capsys)
+        assert line.startswith("error: fairmap") and line.endswith(message)
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0 and "error" not in capsys.readouterr().err

@@ -56,7 +56,8 @@ def read_field(column, resolve, raw):
 def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
                    filters=(), apply_filters=True):
     """The row loop ``read_dataset`` replaced: every row held in memory,
-    filters and quantizers run once per row."""
+    filters and quantizers run once per row, and a stream id outside int64
+    refused naming the line its row ends on."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         comments = []
         pos = fh.tell()
@@ -67,17 +68,19 @@ def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
             line = fh.readline()
         fh.seek(pos)
         reader = csv.reader(fh, delimiter=delimiter)
-        rows = [r for r in reader if r and any(f.strip() for f in r)]
+        numbered = [(r, len(comments) + reader.line_num) for r in reader
+                    if r and any(f.strip() for f in r)]
+    rows = [r for r, _ in numbered]
     if not rows:
         raise EmptyDatasetError(f"{path} has no rows")
     if has_header:
         header = [h.strip() for h in rows[0]]
-        body = rows[1:]
+        body = numbered[1:]
     else:
         if columns is None:
             raise InvalidParamsError("need explicit columns when there is no header")
         header = [h.strip() for h in columns]
-        body = rows
+        body = numbered
     col_of = {name: i for i, name in enumerate(header)}
 
     needed = [v.name for v in schema.d_vars + schema.x_vars]
@@ -97,7 +100,7 @@ def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
     stream_col = col_of.get(STREAM_COLUMN)
 
     d_list, x_list, y_list, sid_list = [], [], [], []
-    for row in body:
+    for row, line_no in body:
         if len(row) < len(header):
             raise SchemaMismatchError(f"short row in {path}: {row!r}")
         if any(not f.accepts(row[col_of[f.column]]) for f in active_filters):
@@ -127,7 +130,11 @@ def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
         x_list.append(schema.flatten_x(x_parts))
         y_list.append(y_idx)
         if stream_col is not None:
-            sid_list.append(read_field(STREAM_COLUMN, int, row[stream_col]))
+            sid = read_field(STREAM_COLUMN, int, row[stream_col])
+            if not -2**63 <= sid < 2**63:
+                raise SchemaMismatchError(f"{path} line {line_no}: stream id "
+                                          f"{row[stream_col].strip()} is outside int64")
+            sid_list.append(sid)
     if not d_list:
         raise EmptyDatasetError(f"no records of {path} survive ingestion")
     return Dataset(
@@ -527,6 +534,39 @@ def compas_file(bench_inputs, path, n=2000, seed=5):
     return preset_config("compas", input_path=str(path))
 
 
+class TestFilterFirst:
+    """On a plain file the filters run on every row, and the other columns
+    are encoded on the rows they keep only: a bad value in a row the
+    filters drop is never looked at, and in a kept row it raises what the
+    row loop raises."""
+
+    HEADER = "sex,race,age,charge,days,score,out"
+    GOOD = ["F,A,20,F,0,Low,1", "M,B,30,M,5,High,0", "M,A,50,F,-3,Low,0"]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("X,A,20,F", "'X' is not a category of 'sex'"),
+        ("F,A,abc,F", "column 'age': cannot read 'abc'"),
+    ], ids=["unknown_label", "unparsable_bins_value"])
+    @pytest.mark.parametrize("days", ["99", "0"], ids=["filtered_out", "kept"])
+    def test_bad_value_raises_only_in_a_kept_row(self, tmp_path, bad, message, days):
+        path = tmp_path / "data.csv"
+        rows = self.GOOD[:2] + [f"{bad},{days},Low,0"] + self.GOOD[2:]
+        path.write_text(self.HEADER + "\n" + "\n".join(rows) + "\n")
+        # the records, or the exception and message, of the row loop
+        assert path_taken(str(path), make_schema(), filters=FILTERS) == "numpy"
+        with mock.patch.object(dataio._PlainFile, "encode", autospec=True,
+                               side_effect=dataio._PlainFile.encode) as encode:
+            result = outcome(lambda: read_dataset(str(path), make_schema(),
+                                                  filters=FILTERS))
+        if days == "99":
+            assert result[0] == "ok" and len(result[2]) == 3
+        else:
+            assert result[:2] == ("raised", SchemaMismatchError) and message in result[2]
+        (_, filtered, filter_cols), (_, kept, _, _) = (c.args for c in encode.call_args_list)
+        assert filtered == slice(1, None) and len(filter_cols) == len(FILTERS)
+        assert kept.tolist() == ([1, 2, 4] if days == "99" else [1, 2, 3, 4])
+
+
 class TestReadPaths:
     """Which reader runs is decided by the file's bytes: files this package
     and the benchmark write are read without ``csv``, so a silent fallback
@@ -614,6 +654,32 @@ class TestReadPaths:
                                         ends - [len(f) for f in fields], ends)
         assert parsed.tolist() == [True] * 5 + [False] * 6
         assert ids[parsed].tolist() == [int(f) for f in fields[:5]]
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_int64_bounds_read_back(self, tmp_path, quoted):
+        # 19-digit ids go to int(); the two ends of int64 are ids, the
+        # values past them are refused (see TestReadOracle)
+        first = '"F"' if quoted else "F"
+        path = tmp_path / "ids.csv"
+        path.write_text(f"sex,race,age,charge,{STREAM_COLUMN}\n"
+                        f"{first},A,20,F,{2**63 - 1}\nM,B,30,M,{-(2**63)}\n")
+        assert path_taken(str(path), make_schema()) == ("csv" if quoted else "numpy")
+        ids = read_dataset(str(path), make_schema()).stream_ids
+        assert ids.dtype == np.int64 and ids.tolist() == [2**63 - 1, -(2**63)]
+
+    @pytest.mark.parametrize("rows, message", [
+        (["F,A,20,F,1", f"M,B,30,M,{2**63}"], f"line 4: stream id {2**63} is outside"),
+        ([f'"F",A,20,F,{-(2**63) - 1}'], f"line 3: stream id {-(2**63) - 1} is outside"),
+        # a row the unmapped race drops never parses its stream id
+        (["F,?,20,F,99999999999999999999", "X,A,20,F,1"], "'X' is not a category"),
+    ])
+    def test_ids_past_int64_refused_naming_the_line(self, rows, message):
+        # the row loop's exception, on both readers (a quote sends the
+        # second file to csv), after a provenance line
+        text = (f"{DATA_MAGIC} fingerprint=abc\nsex,race,age,charge,{STREAM_COLUMN}\n"
+                + "\n".join(rows) + "\n")
+        new, ref = read_both(text, make_schema())
+        assert new == ref and new[0] == "raised" and message in new[2]
 
     @pytest.mark.parametrize("quoted", [False, True])
     @pytest.mark.parametrize("has_header", [True, False])
