@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -539,6 +540,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@cache  # parsing leaves the parser as it is, so one serves every in-process call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fairmap",

@@ -419,6 +419,6 @@ def loads_config(text: str) -> PipelineConfig:
 def _parse(text, name: str) -> PipelineConfig:
     try:
         raw = yaml.load(text, Loader=_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {name}: {exc}") from exc
+    except yaml.YAMLError as exc:  # PyYAML's message spans lines; an error is one
+        raise ConfigError(f"cannot parse {name}: {' '.join(str(exc).split())}") from exc
     return config_from_dict(raw or {})

@@ -4,11 +4,14 @@ Every constraint emitted here is affine in the transformation-kernel
 variables: one probability row per positive-mass input cell (d, x, y),
 laid out row-major over transformed cells (x_hat, y_hat).  Each block
 is one sparse array expression over the layout's (d, x, y) index arrays,
-returned as ``G k <= h`` with labels for diagnostics.  Every block is
-built by ``side_constraints`` on the layout entries that the distortion
-budget leaves free, the variables of an assembled program.  Only the
-solver reads these blocks: the auditors recompute rates and distortions
-from the pushforward joint, so they check the blocks independently.
+returned as ``G k <= h`` with labels for diagnostics: the discrimination
+rows are one product C R of a group-rate matrix R and a small
+coefficient matrix C, the only place besides h where epsilon enters.
+``side_constraints`` builds and stacks every block on the layout entries
+that the distortion budget leaves free, the variables of an assembled
+program.  Only the solver reads these blocks: the auditors recompute
+rates and distortions from the pushforward joint, so they check the
+blocks independently.
 """
 
 from __future__ import annotations
@@ -142,39 +145,6 @@ class VariableLayout:
         return self.n_rows * self.row_dim
 
 
-@dataclass(frozen=True)
-class LinearConstraintSet:
-    """Affine inequalities ``G k <= h`` over kernel variables."""
-
-    G: sp.csr_matrix
-    h: np.ndarray
-    labels: tuple[str, ...]
-    warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.float64)
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        if self.G.shape[0] != h.size or len(self.labels) != h.size:
-            raise InvalidParamsError("constraint blocks misaligned")
-
-    @property
-    def n_constraints(self) -> int:
-        return int(self.h.size)
-
-    @staticmethod
-    def concat(sets: Sequence["LinearConstraintSet"], n_vars: int) -> "LinearConstraintSet":
-        """The blocks stacked in order; no blocks give no rows over ``n_vars``."""
-        if not sets:
-            return LinearConstraintSet(sp.csr_matrix((0, n_vars)), np.zeros(0), ())
-        return LinearConstraintSet(
-            sp.vstack([s.G for s in sets], format="csr"),
-            np.concatenate([s.h for s in sets]),
-            tuple(l for s in sets for l in s.labels),
-            tuple(w for s in sets for w in s.warnings),
-        )
-
-
 def segments(schema: Schema, condition_on: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     """Segment number b of every feature cell x, and each segment's label.
 
@@ -212,38 +182,39 @@ def _rate_matrix(layout: VariableLayout, group: np.ndarray, mass: np.ndarray,
     )
 
 
-def _scaled_rows(R: sp.csr_matrix, rows: list, coefs: list) -> sp.csr_matrix:
-    """The rows ``rows`` of R, each multiplied by its coefficient."""
-    out = R[np.asarray(rows, dtype=np.intp)]
-    out.data *= np.repeat(coefs, np.diff(out.indptr))
-    return out
-
-
 def _discrimination_rows(spec: DiscriminationSpec, pmf: JointPMF, layout: VariableLayout,
-                         free: np.ndarray) -> LinearConstraintSet:
-    """Linear inequalities implementing the chosen discrimination control,
-    built on the layout entries ``free``.
+                         free: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, tuple, tuple]:
+    """The rows ``G k <= h`` of the chosen discrimination control on the
+    layout entries ``free``, their labels, and the warnings of skipped groups.
 
-    All three modes are rows of one group-rate matrix R (see
-    ``_rate_matrix``).  Target mode bounds each group's transformed
-    outcome rate inside ``(1 +/- eps) * target`` (rows +R and -R);
-    pairwise mode bounds each pair of group rates against each other
-    (rows R_d1 - (1 + eps) R_d2); conditional mode applies the target
-    bound to groups (d, segment).  Zero-mass groups and undersized
-    segments are skipped with a warning instead of inventing constraints.
+    Every row combines at most two rows of one group-rate matrix R (see
+    ``_rate_matrix``): G = C R, with epsilon only in C and h.  Target mode
+    bounds each group's transformed outcome rate inside ``(1 +/- eps) *
+    target`` (rows +R_g and -R_g); pairwise mode bounds each pair of group
+    rates against each other (rows R_d1 - (1 + eps) R_d2); conditional
+    mode applies the target bound to groups (d, segment).  Zero-mass groups
+    and undersized segments are skipped with a warning instead of
+    inventing constraints.
     """
     schema = pmf.schema
-    rows, coefs, rhs, labels, warnings = [], [], [], [], []
+    c_row, c_col, c_val, rhs, labels, warnings = [], [], [], [], [], []
+
+    def row(terms, b: float, label: str) -> None:
+        # one constraint sum(coef * R[r] for r, coef in terms) k <= b
+        for r, coef in terms:
+            c_row.append(len(rhs))
+            c_col.append(r)
+            c_val.append(coef)
+        rhs.append(b)
+        labels.append(label)
 
     def bound(g: int, key: tuple, target: np.ndarray, name: str) -> None:
         # (1 - eps) target_y <= rate of group g <= (1 + eps) target_y
         for y in (0, 1):
             eps = spec.eps((y,) + key)
-            rows.extend((g * 2 + y,) * 2)
-            coefs.extend((1.0, -1.0))
-            rhs.extend(((1.0 + eps) * target[y], -(1.0 - eps) * target[y]))
             label = name.format(y=schema.y_label(y))
-            labels.extend((label + " upper", label + " lower"))
+            row([(g * 2 + y, 1.0)], (1.0 + eps) * target[y], label + " upper")
+            row([(g * 2 + y, -1.0)], -(1.0 - eps) * target[y], label + " lower")
 
     if spec.mode == MODE_CONDITIONAL:
         if not spec.condition_on:
@@ -253,11 +224,6 @@ def _discrimination_rows(spec: DiscriminationSpec, pmf: JointPMF, layout: Variab
         group = layout.d * nb + b_of_x[layout.x]
         mass = np.zeros(schema.nd * nb)
         np.add.at(mass, group, layout.weights)
-    else:
-        group, mass = layout.d, pmf.p_d()
-    R = _rate_matrix(layout, group, mass, free)
-
-    if spec.mode == MODE_CONDITIONAL:
         # outcome marginal within each segment, the default target
         seg = np.zeros((nb, 2))
         np.add.at(seg, b_of_x, pmf.p_xy())
@@ -270,67 +236,50 @@ def _discrimination_rows(spec: DiscriminationSpec, pmf: JointPMF, layout: Variab
                     warnings.append(f"segment {cell_name} has zero mass; skipped")
                     continue
                 if n is not None and mass[g] * n < spec.min_cell_count:
-                    warnings.append(
-                        f"segment {cell_name} has fewer than"
-                        f" {spec.min_cell_count} samples; skipped"
-                    )
+                    warnings.append(f"segment {cell_name} has fewer than"
+                                    f" {spec.min_cell_count} samples; skipped")
                     continue
                 target_b = spec.target
                 if target_b is None:
                     target_b = seg[b] / seg[b].sum()
                 if (target_b <= 0).any():
-                    raise ZeroReferenceError(
-                        f"segment target for {cell_name} hits zero"
-                    )
+                    raise ZeroReferenceError(f"segment target for {cell_name} hits zero")
                 bound(g, (d, b), target_b, "disc[cond] y={y} " + cell_name)
-        return LinearConstraintSet(
-            _scaled_rows(R, rows, coefs), np.array(rhs), tuple(labels), tuple(warnings)
-        )
-
-    present = []
-    for d in range(schema.nd):
-        if mass[d] <= 0.0:
-            warnings.append(f"group {schema.d_label(d)!r} has zero mass; skipped")
-        else:
-            present.append(d)
+    else:
+        group, mass = layout.d, pmf.p_d()
+        present = []
+        for d in range(schema.nd):
+            if mass[d] <= 0.0:
+                warnings.append(f"group {schema.d_label(d)!r} has zero mass; skipped")
+            else:
+                present.append(d)
     if spec.mode == MODE_TARGET:
         target = spec.resolve_target(pmf)
         for d in present:
             bound(d, (d,), target, "disc[target] y={y} d=" + schema.d_label(d))
-        G = _scaled_rows(R, rows, coefs)
-    else:  # pairwise: rows c1 * R_r1 + c2 * R_r2, each R column used once
-        rows2, coefs2 = [], []
+    elif spec.mode == MODE_PAIRWISE:
         for i, d1 in enumerate(present):
             for d2 in present[i + 1 :]:
                 for y in (0, 1):
                     e12 = spec.eps((y, d1, d2))
                     e21 = spec.eps((y, d2, d1))
                     r1, r2 = d1 * 2 + y, d2 * 2 + y
-                    name = (
-                        f"disc[pairwise] y={schema.y_label(y)}"
-                        f" d1={schema.d_label(d1)} d2={schema.d_label(d2)}"
-                    )
-                    sides = [
-                        (r1, 1.0, r2, -(1.0 + e12), " upper(1|2)"),
-                        (r2, 1.0, r1, -(1.0 + e21), " upper(2|1)"),
-                    ]
+                    name = (f"disc[pairwise] y={schema.y_label(y)}"
+                            f" d1={schema.d_label(d1)} d2={schema.d_label(d2)}")
+                    row([(r1, 1.0), (r2, -(1.0 + e12))], 0.0, name + " upper(1|2)")
+                    row([(r2, 1.0), (r1, -(1.0 + e21))], 0.0, name + " upper(2|1)")
                     if e12 != e21:
                         # asymmetric tolerances: the lower sides are not
                         # implied by the opposite upper sides
-                        sides += [
-                            (r1, -1.0, r2, 1.0 - e12, " lower(1|2)"),
-                            (r2, -1.0, r1, 1.0 - e21, " lower(2|1)"),
-                        ]
-                    for ra, ca, rb, cb, side in sides:
-                        rows.append(ra)
-                        coefs.append(ca)
-                        rows2.append(rb)
-                        coefs2.append(cb)
-                        rhs.append(0.0)
-                        labels.append(name + side)
-        # the sum drops the zeros a tolerance of exactly 1 leaves
-        G = _scaled_rows(R, rows, coefs) + _scaled_rows(R, rows2, coefs2)
-    return LinearConstraintSet(G, np.array(rhs), tuple(labels), tuple(warnings))
+                        row([(r1, -1.0), (r2, 1.0 - e12)], 0.0, name + " lower(1|2)")
+                        row([(r2, -1.0), (r1, 1.0 - e21)], 0.0, name + " lower(2|1)")
+    R = _rate_matrix(layout, group, mass, free)
+    C = sp.csr_matrix((c_val, (c_row, c_col)), shape=(len(rhs), R.shape[0]))
+    # each entry of C R is one scaled entry of R, whose rows use disjoint columns;
+    # the product drops the zeros a tolerance of 1 leaves but may leave indices unsorted
+    G = C @ R
+    G.sort_indices()
+    return G, np.array(rhs, dtype=np.float64), tuple(labels), tuple(warnings)
 
 
 def _block_rows(values: np.ndarray, row_ptr: np.ndarray) -> sp.csr_matrix:
@@ -376,9 +325,10 @@ def _distortion_terms(metric: DistortionMetric, budget: DistortionBudget,
 
 
 def _distortion_rows(D: np.ndarray, pairs: list, layout: VariableLayout,
-                     free: np.ndarray) -> LinearConstraintSet:
-    """Per-input-cell distortion inequalities for the D and budget pairs
-    of ``_distortion_terms``, built on the layout entries ``free``.
+                     free: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, tuple]:
+    """Per-input-cell distortion inequalities ``G k <= h`` for the D and
+    budget pairs of ``_distortion_terms``, built on the layout entries
+    ``free``, with their labels.
 
     With D[r] the distortion row of layout row r's input cell, each
     budget pair (t, c) gives one row per input cell: t None (the expected
@@ -397,9 +347,8 @@ def _distortion_rows(D: np.ndarray, pairs: list, layout: VariableLayout,
         else:
             blocks.append(_block_rows((D > t).astype(np.float64), row_ptr))
             labels.extend(f"dist[>{t}] " + names)
-    return LinearConstraintSet(
-        sp.vstack(blocks, format="csr"), np.concatenate([c for _, c in pairs]), tuple(labels)
-    )
+    return (sp.vstack(blocks, format="csr"), np.concatenate([c for _, c in pairs]),
+            tuple(labels))
 
 
 def side_constraints(
@@ -408,13 +357,14 @@ def side_constraints(
     disc_spec: Optional[DiscriminationSpec],
     metric: Optional[DistortionMetric],
     budget: Optional[DistortionBudget],
-) -> tuple[LinearConstraintSet, np.ndarray]:
-    """The discrimination rows, then the distortion rows, of a kernel
-    program, and the layout entries that are its variables.
+) -> tuple[sp.csr_matrix, np.ndarray, tuple, tuple, np.ndarray]:
+    """The side rows ``G k <= h`` of a kernel program, their labels, the
+    warnings of skipped groups, and the layout entries that are its
+    variables.
 
     The entries the distortion budget pins to zero (see
     ``_distortion_terms``) are found first and left out of the program,
-    so ``free`` is the one record of them.  Both blocks are built on the
+    so ``free`` is the one record of them.  Every row is built on the
     free entries alone: the discrimination rows of ``disc_spec`` (see
     ``_discrimination_rows``), then one row per budget pair and input
     cell (see ``_distortion_rows``).  Omitted parts contribute no rows.
@@ -424,12 +374,14 @@ def side_constraints(
     else:
         D, pairs, pinned = _distortion_terms(metric, budget, layout)
         free = np.flatnonzero(~pinned)
-    blocks = []
+    blocks = [(sp.csr_matrix((0, free.size)), np.zeros(0), (), ())]
     if disc_spec is not None:
         blocks.append(_discrimination_rows(disc_spec, pmf, layout, free))
     if metric is not None:
-        blocks.append(_distortion_rows(D, pairs, layout, free))
-    return LinearConstraintSet.concat(blocks, free.size), free
+        blocks.append(_distortion_rows(D, pairs, layout, free) + ((),))
+    G, h, labels, warnings = zip(*blocks)
+    return (sp.vstack(G, format="csr"), np.concatenate(h), sum(labels, ()),
+            sum(warnings, ()), free)
 
 
 def cell_names(layout: VariableLayout) -> np.ndarray:

@@ -60,7 +60,7 @@ import io
 import json
 import zipfile
 from functools import cache, partial
-from itertools import chain, islice, takewhile
+from itertools import chain, islice, repeat, takewhile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -635,11 +635,9 @@ def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
         csv.writer(fh, delimiter=delimiter).writerow(header)
         for start in range(0, len(cells), _WRITE_ROWS):
             block = slice(start, start + _WRITE_ROWS)
-            fh.write("".join([
-                texts[c] + i + end
-                for c, i in zip(cells[block].tolist(),
-                                map(id_text, dataset.stream_ids[block].tolist()))
-            ]))
+            fh.write("".join(chain.from_iterable(zip(
+                map(texts.__getitem__, cells[block].tolist()),
+                map(id_text, dataset.stream_ids[block].tolist()), repeat(end)))))
 
 
 def file_sha256(path: str) -> str:

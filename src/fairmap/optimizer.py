@@ -203,14 +203,14 @@ def assemble(
     if (metric is None) != (budget is None):
         raise InvalidParamsError("metric and budget must be given together")
     layout = VariableLayout.from_pmf(pmf)
-    side, free = side_constraints(pmf, layout, disc_spec, metric, budget)
+    G, h, labels, warnings, free = side_constraints(pmf, layout, disc_spec, metric, budget)
     program = SimplexImageProgram(
         row_ptr=np.searchsorted(free, np.arange(layout.n_rows + 1) * layout.row_dim),
         A=_image_map(layout, free),
         p_ref=pmf.p_xy().ravel(),
-        G=side.G,
-        h=side.h,
-        labels=side.labels,
+        G=G,
+        h=h,
+        labels=labels,
         anchor=_identity_anchor(layout, free),
     )
     return Problem(
@@ -222,7 +222,7 @@ def assemble(
         layout=layout,
         free=free,
         program=program,
-        warnings=side.warnings,
+        warnings=warnings,
     )
 
 

@@ -1,12 +1,18 @@
 """End-to-end command-line pipeline tests on synthetic data."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fairmap import cli
 from fairmap.cli import main
@@ -1077,3 +1083,85 @@ class TestDocumentedExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([flag])
         assert exc.value.code == 0 and "error" not in capsys.readouterr().err
+
+
+def mutate(body, edits):
+    """``body`` after each (kind, at, chunk) edit in turn: insert ``chunk``,
+    delete ``len(chunk)`` bytes, or flip the byte at ``at`` by XOR with
+    ``chunk[0]`` (1 when that is 0); ``at`` wraps around the length."""
+    for kind, at, chunk in edits:
+        at %= len(body) + 1
+        if kind == "insert":
+            body = body[:at] + chunk + body[at:]
+        elif kind == "delete":
+            body = body[:at] + body[at + len(chunk):]
+        elif at < len(body):
+            body = body[:at] + bytes([body[at] ^ (chunk[0] or 1)]) + body[at + 1:]
+    return body
+
+
+# raw bytes, and tokens that a field, a number or a line could take
+_CHUNKS = st.one_of(st.binary(min_size=1, max_size=3), st.sampled_from([
+    b",", b"\n", b"\r", b'"', b"#", b":", b"-", b" ", b"\t", b"\x00", b"\xff", b"0",
+    b"1e9", b"nan", b"inf", b"-1", b"_stream", b"a,u,1\n", b"[", b"{",
+]))
+_EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "flip"]),
+                            st.integers(0, 1 << 16), _CHUNKS), min_size=1, max_size=4)
+
+
+class TestMutatedInputs:
+    """Bytes inserted into, deleted from or flipped in a valid data file,
+    config or ``kernel.csv`` end every command in a documented exit code
+    (0, 2, 3, 4 or 5), never in an exception, and an exit 3 or 4 prints
+    exactly one line, the ``error:`` line."""
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        """The valid files (data, config text with a ``{data}`` hole for
+        the data path, kernel fit on them) as bytes, and a scratch root."""
+        tmp = tmp_path_factory.mktemp("mutated")
+        data = write_synthetic_csv(tmp / "data.csv", n=120)
+        raw = tiny_config_dict(path="{data}")
+        raw["output"] = {"dir": str(tmp / "out")}
+        config = yaml.safe_dump(raw)
+        (tmp / "config.yaml").write_text(config.replace("{data}", str(data)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["fit", "--config", str(tmp / "config.yaml")]) == 0
+        return dict(data=data.read_bytes(), config=config.encode(),
+                    kernel=(tmp / "out" / "kernel.csv").read_bytes(), root=tmp)
+
+    @staticmethod
+    def run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        assert code in (0, 2, 3, 4, 5), (argv, code, err.getvalue())
+        lines = [line for line in err.getvalue().splitlines()
+                 if not line.startswith("warning: ")]
+        if code in (3, 4):
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        else:
+            assert lines == [], (argv, code, lines)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(target=st.sampled_from(["data", "config", "kernel"]), edits=_EDITS)
+    @example(target="config", edits=[("insert", 0, b"\x00")])  # PyYAML's two-line message
+    def test_every_command_ends_in_a_documented_code(self, base, target, edits):
+        with tempfile.TemporaryDirectory(dir=base["root"]) as name:
+            tmp = Path(name)
+            files = {k: tmp / f for k, f in (("data", "data.csv"), ("config", "config.yaml"),
+                                             ("kernel", "kernel.csv"))}
+            body = dict(base, config=base["config"].replace(b"{data}", bytes(files["data"])))
+            body[target] = mutate(body[target], edits)
+            for k, path in files.items():
+                path.write_bytes(body[k])
+            cfg, kernel, out = files["config"], files["kernel"], tmp / "out"
+            self.run(["validate", "--config", cfg])
+            self.run(["fit", "--config", cfg, "--out-dir", out])
+            for mode in ("train", "apply"):
+                self.run(["transform", "--config", cfg, "--kernel", kernel, "--mode", mode,
+                          "--out-dir", out])
+            transformed = out / "transformed_train.csv"
+            self.run(["audit", "--config", cfg, "--kernel", kernel, "--out-dir", out]
+                     + (["--transformed", transformed] if transformed.exists() else []))

@@ -1,9 +1,11 @@
 """Constraint-assembly unit and property tests."""
 
 import hashlib
+from collections import namedtuple
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,6 @@ from fairmap import (
 )
 from fairmap.constants import FORBIDDEN
 from fairmap.constraints import (
-    LinearConstraintSet,
     _discrimination_rows,
     _distortion_rows,
     _distortion_terms,
@@ -42,20 +43,26 @@ def cells(layout):
     return list(zip(layout.d.tolist(), layout.x.tolist(), layout.y.tolist()))
 
 
+SideRows = namedtuple("SideRows", "G h labels warnings")
+
+
 def full_layout_rows(pmf, spec, metric=None, budget=None, layout=None):
-    """The side rows of a program in which every layout entry is a
-    variable, and the entries the budget pins (None without a metric):
-    the full-layout reference that an assembled program restricts."""
+    """The side rows (G, h, labels, warnings) of a program in which every
+    layout entry is a variable, and the entries the budget pins (None
+    without a metric): the full-layout reference that an assembled
+    program restricts."""
     if layout is None:
         layout = VariableLayout.from_pmf(pmf)
     every = np.arange(layout.n_vars)
-    blocks, pinned = [], None
+    blocks, pinned = [(sp.csr_matrix((0, layout.n_vars)), np.zeros(0), (), ())], None
     if spec is not None:
         blocks.append(_discrimination_rows(spec, pmf, layout, every))
     if metric is not None:
         D, pairs, pinned = _distortion_terms(metric, budget, layout)
-        blocks.append(_distortion_rows(D, pairs, layout, every))
-    return LinearConstraintSet.concat(blocks, layout.n_vars), pinned
+        blocks.append(_distortion_rows(D, pairs, layout, every) + ((),))
+    G, h, labels, warnings = zip(*blocks)
+    return SideRows(sp.vstack(G, format="csr"), np.concatenate(h), sum(labels, ()),
+                    sum(warnings, ())), pinned
 
 
 def flip_metric(cost01=1.0, cost10=1.0):
@@ -102,14 +109,14 @@ class TestDiscriminationAssembly:
         pmf = random_pmf(make_schema(nx=1), rng)
         spec = DiscriminationSpec(mode="target", epsilon=0.1)
         cs, _ = full_layout_rows(pmf, spec)
-        assert cs.n_constraints == 8  # 2 outcomes x 2 groups x 2 sides
+        assert cs.h.size == 8  # 2 outcomes x 2 groups x 2 sides
 
     def test_pairwise_counting(self, rng):
         pmf = random_pmf(make_schema(nx=1, nd=3), rng)
         spec = DiscriminationSpec(mode="pairwise", epsilon=0.1)
         cs, _ = full_layout_rows(pmf, spec)
         # 3 unordered pairs x 2 outcomes x 2 one-sided bounds
-        assert cs.n_constraints == 12
+        assert cs.h.size == 12
 
     def test_identity_kernel_on_independent_pmf_satisfies(self, rng):
         schema = make_schema(nx=2)
@@ -144,7 +151,7 @@ class TestDiscriminationAssembly:
         pmf = JointPMF(schema, mass)
         spec = DiscriminationSpec(mode="target", epsilon=0.1)
         cs, _ = full_layout_rows(pmf, spec)
-        assert cs.n_constraints == 8
+        assert cs.h.size == 8
         assert any("zero mass" in w for w in cs.warnings)
 
     def test_degenerate_target_rejected(self, rng):
@@ -164,7 +171,7 @@ class TestDiscriminationAssembly:
         )
         cs, _ = full_layout_rows(pmf, spec)
         # 2 groups x 2 segments x 2 outcomes x 2 sides unless undersized
-        assert cs.n_constraints + 4 * len(cs.warnings) == 16
+        assert cs.h.size + 4 * len(cs.warnings) == 16
 
     def test_unknown_variable(self, rng):
         pmf = random_pmf(make_schema(nx=2), rng, n=1000)
@@ -185,7 +192,7 @@ class TestDiscriminationAssembly:
         )
         cs, _ = full_layout_rows(pmf, spec)
         assert any("fewer than 20" in w for w in cs.warnings)
-        assert cs.n_constraints == 8  # only the populated segment survives
+        assert cs.h.size == 8  # only the populated segment survives
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -238,6 +245,7 @@ class TestRowsMeanRates:
         else:
             spec = DiscriminationSpec(mode=mode, target=target, epsilon=eps)
         cs, _ = full_layout_rows(pmf, spec)
+        assert cs.G.shape[0] == cs.h.size == len(cs.labels)
         layout = VariableLayout.from_pmf(pmf)
         gk = cs.G @ kernel_vec(layout, kernel)
         report = audit_discrimination(pmf, spec, kernel=kernel)
@@ -275,7 +283,7 @@ class TestDistortionAssembly:
         cs, _ = full_layout_rows(
             pmf, None, flip_metric(), DistortionBudget("expected", c=0.5), layout
         )
-        assert cs.n_constraints == layout.n_rows
+        assert cs.h.size == layout.n_rows
 
     def test_zero_budget_forces_identity(self, rng):
         schema = make_schema(nx=1)
@@ -301,7 +309,7 @@ class TestDistortionAssembly:
         )
         metric = flip_metric(cost01=3.0, cost10=1.0)
         cs, pinned = full_layout_rows(pmf, None, metric, budget, layout)
-        assert cs.n_constraints == 3 * layout.n_rows
+        assert cs.h.size == 3 * layout.n_rows == cs.G.shape[0] == len(cs.labels)
         assert pinned is not None
         # flipping 0 -> 1 costs 3 > 2.9 with budget 0: pinned
         for row, (d, x, y) in enumerate(cells(layout)):
@@ -410,6 +418,16 @@ def _pinned_inputs(name):
     if name == "pairwise_asymmetric":
         pmf = patterned_pmf(make_schema(nx=2, nd=3), zeros=[(1, 1, 0)])
         return pmf, DiscriminationSpec(mode="pairwise", epsilon=_pairwise_eps()), None, None
+    if name == "pairwise_unit_tolerance":
+        # eps(y, d1, d2) = 1 for one ordered pair d1 < d2: the lower side
+        # (1|2) then has coefficient 1 - eps = 0 on the rate of d2, so
+        # that row holds -R_d1 alone
+        pmf = patterned_pmf(make_schema(nx=2, nd=3), zeros=[(2, 0, 1)])
+        eps = {(y, d1, d2): 0.2 for y in (0, 1) for d1 in range(3) for d2 in range(3)
+               if d1 != d2}
+        eps[(0, 0, 1)] = 1.0
+        eps[(1, 1, 2)] = 1.0
+        return pmf, DiscriminationSpec(mode="pairwise", epsilon=eps), None, None
     if name == "conditional_explicit_target":
         pmf = patterned_pmf(multi, zeros=[(0, 1, 1), (2, 4, 0), (3, 5, 1)])
         spec = DiscriminationSpec(mode="conditional", target=np.array([0.35, 0.65]),
@@ -477,6 +495,10 @@ PINNED_DIGESTS = {
     "pairwise_asymmetric": dict(zip(_PARTS, (
         "d5b6ec9aee75ef05", "bbd36dc7fd32be74", "3832598882069a4b",
         "38723a2e5e8a17aa", "4c6be0a83a3cc9a7", "e3b0c44298fc1c14", "140bedbf9c3f6d56",
+    ))),
+    "pairwise_unit_tolerance": dict(zip(_PARTS, (
+        "580562e0aa8217e3", "242458e3e1181ea5", "3ee2aa58872868a9",
+        "38723a2e5e8a17aa", "85da0f8ee057bee0", "e3b0c44298fc1c14", "140bedbf9c3f6d56",
     ))),
     "conditional_explicit_target": dict(zip(_PARTS, (
         "af719500881411db", "48eccb74c9edf128", "9bc89446beb5cfad",
