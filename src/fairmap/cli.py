@@ -173,14 +173,9 @@ def _assemble(config: PipelineConfig, pmf) -> Problem:
 def _solve(config: PipelineConfig, problem: Problem):
     if config.solver.strategy == "full":
         return solve(problem, tol=config.solver.tol, max_iters=config.solver.max_iters)
-    strategy = (
-        "fix_conditional"
-        if config.solver.strategy == "sof_fix_conditional"
-        else "alternating"
-    )
     return sof_solve(
         problem,
-        strategy=strategy,
+        strategy=config.solver.strategy.removeprefix("sof_"),
         tol=config.solver.tol,
         max_outer=config.solver.max_outer,
         max_iters=config.solver.max_iters,

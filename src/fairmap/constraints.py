@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .constants import FORBIDDEN, ROW_ATOL
-from .domain import JointPMF, Schema, probabilities
+from .domain import JointPMF, Schema, composite_labels, probabilities
 from .distortion import DistortionBudget, DistortionMetric, distortion_matrix
 from .errors import (
     InvalidParamsError,
@@ -145,7 +145,7 @@ class VariableLayout:
         return self.n_rows * self.row_dim
 
 
-def segments(schema: Schema, condition_on: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+def segments(schema: Schema, condition_on: Sequence[str]) -> tuple[np.ndarray, Sequence[str]]:
     """Segment number b of every feature cell x, and each segment's label.
 
     b flattens the categories of the ``condition_on`` variables row-major
@@ -157,12 +157,9 @@ def segments(schema: Schema, condition_on: Sequence[str]) -> tuple[np.ndarray, l
         if name not in x_names:
             raise UnknownVariableError(name)
     pos = [x_names.index(name) for name in condition_on]
-    sizes = [schema.x_sizes[i] for i in pos]
     parts = np.unravel_index(np.arange(schema.nx), schema.x_sizes)
-    b_of_x = np.ravel_multi_index([parts[i] for i in pos], sizes)
-    cats = [schema.x_vars[i].alphabet.categories for i in pos]
-    labels = ["|".join(c[i] for c, i in zip(cats, idx)) for idx in np.ndindex(*sizes)]
-    return b_of_x, labels
+    b_of_x = np.ravel_multi_index([parts[i] for i in pos], [schema.x_sizes[i] for i in pos])
+    return b_of_x, composite_labels([schema.x_vars[i] for i in pos])
 
 
 def _rate_matrix(layout: VariableLayout, group: np.ndarray, mass: np.ndarray,
@@ -387,10 +384,7 @@ def side_constraints(
 def cell_names(layout: VariableLayout) -> np.ndarray:
     """The label "d=.. x=.. y=.." of every layout row's input cell."""
     schema = layout.schema
-
-    def table(label, n):
-        return np.array([label(i) for i in range(n)], dtype=object)
-
-    return ("d=" + table(schema.d_label, schema.nd)[layout.d]
-            + " x=" + table(schema.x_label, schema.nx)[layout.x]
-            + " y=" + table(schema.y_label, schema.ny)[layout.y])
+    d_labels, x_labels, y_labels = (np.array(t, dtype=object) for t in (
+        schema.d_labels, schema.x_labels, schema.y_var.alphabet.categories))
+    return ("d=" + d_labels[layout.d] + " x=" + x_labels[layout.x]
+            + " y=" + y_labels[layout.y])

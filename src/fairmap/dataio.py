@@ -59,7 +59,7 @@ import hashlib
 import io
 import json
 import zipfile
-from functools import cache, partial
+from functools import partial
 from itertools import chain, islice, repeat, takewhile
 from typing import Optional, Sequence
 
@@ -687,22 +687,13 @@ def write_kernel(path: str, kernel: TransformKernel) -> None:
         fh.write(provenance_line("kernel", kernel.provenance))
         writer = csv.writer(fh)
         writer.writerow(_KERNEL_COLUMNS)
-        ny = schema.ny
-        for d in range(schema.nd):
-            for x in range(schema.nx):
-                for y in range(ny):
-                    row = kernel.probs[d, x, y]
-                    for j in np.nonzero(row)[0]:
-                        writer.writerow(
-                            [
-                                schema.d_label(d),
-                                schema.x_label(x),
-                                schema.y_label(y),
-                                schema.x_label(int(j) // ny),
-                                schema.y_label(int(j) % ny),
-                                f"{row[j]:.17g}",
-                            ]
-                        )
+        entries = np.nonzero(kernel.probs)  # C order: by d, x, y, then (x_hat, y_hat)
+        d, x, y, j = entries
+        d_labels, x_labels, y_labels = (np.array(t, dtype=object) for t in (
+            schema.d_labels, schema.x_labels, schema.y_var.alphabet.categories))
+        writer.writerows(zip(
+            d_labels[d], x_labels[x], y_labels[y], x_labels[j // schema.ny],
+            y_labels[j % schema.ny], (f"{p:.17g}" for p in kernel.probs[entries].tolist())))
 
 
 def _probability(raw: str) -> float:
@@ -714,8 +705,9 @@ def _probability(raw: str) -> float:
 
 def read_kernel(path: str, schema: Schema) -> TransformKernel:
     """Parse a kernel artifact, validating row-stochasticity; the record of
-    its provenance line becomes the kernel's provenance.  Each distinct
-    label is parsed once, and the first bad line decides the error."""
+    its provenance line becomes the kernel's provenance.  Labels are looked
+    up in the schema's label tables, and the first bad line decides the
+    error."""
     with open(path, "rb") as fh:
         text = io.StringIO(decode_utf8(fh.read(), path, SchemaMismatchError), newline=None)
     meta = _record(text.readline(), "kernel")
@@ -726,9 +718,8 @@ def read_kernel(path: str, schema: Schema) -> TransformKernel:
     if [h.strip() for h in header] != list(_KERNEL_COLUMNS):
         raise SchemaMismatchError(f"unexpected kernel header {header!r}")
     nd, nx, ny = schema.nd, schema.nx, schema.ny
-    # a failed parse is not cached, so it raises again on each line
-    x_index, y_index = cache(schema.x_from_label), cache(schema.y_from_label)
-    parsers = (cache(schema.d_from_label), x_index, y_index, x_index, y_index, _probability)
+    x_index, y_index = schema.x_from_label, schema.y_from_label
+    parsers = (schema.d_from_label, x_index, y_index, x_index, y_index, _probability)
     probs = np.zeros((nd, nx, ny, nx * ny))
     listed_on = {}  # file line of each entry
     for row in reader:

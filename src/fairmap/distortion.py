@@ -140,8 +140,8 @@ def evaluate_distortion(metric: DistortionMetric, schema: Schema,
     """Distortion of moving one individual from (x, y) to (x_hat, y_hat)."""
     x_from, y_from = from_cell
     x_to, y_to = to_cell
-    parts_from = schema.unflatten_x(x_from)
-    parts_to = schema.unflatten_x(x_to)
+    parts_from = np.unravel_index(x_from, schema.x_sizes)
+    parts_to = np.unravel_index(x_to, schema.x_sizes)
     if metric.kind == "per_attribute":
         pens = [
             float(t[i, j]) for t, i, j in zip(metric.x_tables, parts_from, parts_to)

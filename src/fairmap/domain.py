@@ -10,6 +10,8 @@ construction and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -137,11 +139,9 @@ class Variable:
         return self.alphabet.name
 
 
-def _flatten(sizes: Sequence[int], indices: Sequence[int]) -> int:
-    flat = 0
-    for size, idx in zip(sizes, indices):
-        flat = flat * size + idx
-    return flat
+def composite_labels(variables: Sequence[Variable]) -> tuple[str, ...]:
+    """The "|"-joined label of each row-major product of the variables' categories."""
+    return tuple(map(COMPOSITE_SEP.join, product(*(v.alphabet.categories for v in variables))))
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,8 @@ class Schema:
 
     Exactly one binary outcome variable Y; at least one D and one X
     variable.  Multi-variable groups flatten row-major in declaration
-    order and round-trip through "|"-joined composite labels.
+    order and round-trip through "|"-joined composite labels, so no D or
+    X category may contain "|".
     """
 
     variables: tuple[Variable, ...]
@@ -170,6 +171,9 @@ class Schema:
             raise InvalidParamsError("outcome variable must be binary")
         if not d_vars or not x_vars:
             raise InvalidParamsError("schema needs at least one D and one X variable")
+        for v in d_vars + x_vars:
+            if any(COMPOSITE_SEP in c for c in v.alphabet.categories):
+                raise InvalidParamsError(f"a category of {v.name!r} contains {COMPOSITE_SEP!r}")
         object.__setattr__(self, "d_vars", d_vars)
         object.__setattr__(self, "x_vars", x_vars)
         object.__setattr__(self, "y_var", y_vars[0])
@@ -201,49 +205,43 @@ class Schema:
                 return v
         raise UnknownVariableError(name)
 
-    # -- composite indices and labels -------------------------------------------
-    def flatten_d(self, indices: Sequence[int]) -> int:
-        return _flatten(self.d_sizes, indices)
+    # -- composite labels ------------------------------------------------------
+    @cached_property
+    def d_labels(self) -> tuple[str, ...]:
+        """The composite label of each flat group index."""
+        return composite_labels(self.d_vars)
 
-    def flatten_x(self, indices: Sequence[int]) -> int:
-        return _flatten(self.x_sizes, indices)
+    @cached_property
+    def x_labels(self) -> tuple[str, ...]:
+        """The composite label of each flat feature index."""
+        return composite_labels(self.x_vars)
 
-    def unflatten_d(self, flat: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.unravel_index(flat, self.d_sizes))
-
-    def unflatten_x(self, flat: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.unravel_index(flat, self.x_sizes))
+    @cached_property
+    def _flat(self) -> dict[str, dict[str, int]]:
+        """The inverse of each label table, by role."""
+        return {role: {label: i for i, label in enumerate(labels)}
+                for role, labels in ((ROLE_D, self.d_labels), (ROLE_X, self.x_labels))}
 
     def d_label(self, flat: int) -> str:
-        parts = self.unflatten_d(flat)
-        return COMPOSITE_SEP.join(
-            v.alphabet.categories[i] for v, i in zip(self.d_vars, parts)
-        )
+        return self.d_labels[flat]
 
     def x_label(self, flat: int) -> str:
-        parts = self.unflatten_x(flat)
-        return COMPOSITE_SEP.join(
-            v.alphabet.categories[i] for v, i in zip(self.x_vars, parts)
-        )
+        return self.x_labels[flat]
 
     def y_label(self, idx: int) -> str:
         return self.y_var.alphabet.categories[idx]
 
     def d_from_label(self, label: str) -> int:
-        parts = label.split(COMPOSITE_SEP)
-        if len(parts) != len(self.d_vars):
-            raise InvalidParamsError(f"bad composite D label {label!r}")
-        return self.flatten_d(
-            [v.alphabet.index(p) for v, p in zip(self.d_vars, parts)]
-        )
+        return self._from_label(ROLE_D, label)
 
     def x_from_label(self, label: str) -> int:
-        parts = label.split(COMPOSITE_SEP)
-        if len(parts) != len(self.x_vars):
-            raise InvalidParamsError(f"bad composite X label {label!r}")
-        return self.flatten_x(
-            [v.alphabet.index(p) for v, p in zip(self.x_vars, parts)]
-        )
+        return self._from_label(ROLE_X, label)
+
+    def _from_label(self, role: str, label: str) -> int:
+        try:
+            return self._flat[role][label]
+        except KeyError:
+            raise InvalidParamsError(f"unknown composite {role} label {label!r}") from None
 
     def y_from_label(self, label: str) -> int:
         return self.y_var.alphabet.index(label)

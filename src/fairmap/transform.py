@@ -142,20 +142,17 @@ def _philox_uniforms(master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
     return word * (1.0 / 9007199254740992.0)
 
 
-def _sample_categories(rows: np.ndarray, seed: SeedSpec, stream_ids: np.ndarray,
-                       cells=None) -> np.ndarray:
+def _sample_categories(rows: np.ndarray, master_seed: int, stream_ids: np.ndarray,
+                       cells: np.ndarray) -> np.ndarray:
     """One draw per record from its (nonnegative) probability row via its
-    own stream: the first index whose cumulative mass exceeds the record's
-    uniform, clamped to the last index when rounding leaves the row's
-    total below the draw.
+    own stream of ``SeedSpec(master_seed)``: the first index whose
+    cumulative mass exceeds the record's uniform, clamped to the last index
+    when rounding leaves the row's total below the draw.
 
-    Record ``i`` draws from ``rows[cells[i]]`` (from ``rows[i]`` when
-    ``cells`` is None).  Each row some record draws from is summed once,
-    and its records are drawn together.
+    Record ``i`` draws from ``rows[cells[i]]``.  Each row some record draws
+    from is summed once, and its records are drawn together.
     """
-    u = _philox_uniforms(seed.master_seed, stream_ids)
-    if cells is None:
-        cells = np.arange(u.size)
+    u = _philox_uniforms(master_seed, stream_ids)
     order = np.argsort(cells)
     ordered = cells[order]
     starts = np.flatnonzero(np.diff(ordered, prepend=-1))
@@ -182,7 +179,7 @@ def transform_train(dataset: Dataset, kernel: TransformKernel,
     schema = dataset.schema
     nd, nx, ny = schema.nd, schema.nx, schema.ny
     drawn = _sample_categories(
-        kernel.probs.reshape(nd * nx * ny, nx * ny), SeedSpec(seed), dataset.stream_ids,
+        kernel.probs.reshape(nd * nx * ny, nx * ny), seed, dataset.stream_ids,
         np.ravel_multi_index((dataset.d, dataset.x, dataset.y), (nd, nx, ny)))
     return Dataset(
         schema,
@@ -199,7 +196,7 @@ def transform_apply(dataset: Dataset, mapper: ApplyMapper, seed: int) -> Dataset
     schema = dataset.schema
     nd, nx = schema.nd, schema.nx
     drawn = _sample_categories(
-        mapper.rows.reshape(nd * nx, nx), SeedSpec(seed), dataset.stream_ids,
+        mapper.rows.reshape(nd * nx, nx), seed, dataset.stream_ids,
         np.ravel_multi_index((dataset.d, dataset.x), (nd, nx)))
     return Dataset(
         schema,

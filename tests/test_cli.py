@@ -740,6 +740,14 @@ def _cr_delimiter(raw):
     raw["input"]["delimiter"] = "\r"
 
 
+def _separator_in_a_group(raw):
+    # "x|y" joined with a second group variable's "m" is "x|y|m", which a
+    # kernel file could not name unambiguously
+    raw["schema"]["variables"][0]["categories"] = ["x|y", "z"]
+    raw["schema"]["variables"].insert(
+        1, {"name": "sex", "role": "D", "categories": ["m", "f"]})
+
+
 def _descending_bins(raw):
     raw["schema"]["variables"][1]["quantizer"] = {
         "kind": "bins", "edges": [2.0, 1.0], "labels": ["u", "v", "w"]}
@@ -786,6 +794,7 @@ class TestConfigErrors:
         (_quote_delimiter, "input.delimiter"),
         (_newline_delimiter, "input.delimiter"),
         (_cr_delimiter, "input.delimiter"),
+        (_separator_in_a_group, "'grp' contains '|'"),
     ])
     def test_validate_exits_3_naming_the_field(self, tmp_path, capsys,
                                                break_config, field):

@@ -206,11 +206,11 @@ class TestPresets:
         assert cfg.discrimination.epsilon == 0.1
         assert cfg.budget.mode == "expected" and cfg.budget.c == 0.5
         # spot values: age +1 with recidivism drop = 1 + 4; charge = 4
-        frm = (schema.flatten_x((0, 0, 0)), 1)
-        to = (schema.flatten_x((1, 0, 0)), 0)
+        frm = (int(np.ravel_multi_index((0, 0, 0), schema.x_sizes)), 1)
+        to = (int(np.ravel_multi_index((1, 0, 0), schema.x_sizes)), 0)
         assert evaluate_distortion(metric, schema, frm, to) == 5.0
-        frm = (schema.flatten_x((0, 0, 0)), 0)
-        to = (schema.flatten_x((0, 0, 0)), 1)
+        frm = (int(np.ravel_multi_index((0, 0, 0), schema.x_sizes)), 0)
+        to = (int(np.ravel_multi_index((0, 0, 0), schema.x_sizes)), 1)
         assert evaluate_distortion(metric, schema, frm, to) >= FORBIDDEN
 
     def test_adult_compiles_with_paper_rules(self):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 import yaml
 
 from fairmap import Alphabet, Dataset, Quantizer, Schema, Variable, dataio
@@ -22,10 +23,13 @@ from fairmap.config import Filter
 from fairmap.dataio import (
     STREAM_COLUMN,
     _category_index,
+    provenance_line,
     provenance_records,
     read_dataset,
+    read_kernel,
     read_training,
     write_dataset,
+    write_kernel,
     write_training,
 )
 from fairmap.errors import (
@@ -34,6 +38,7 @@ from fairmap.errors import (
     InvalidParamsError,
     SchemaMismatchError,
 )
+from fairmap.optimizer import TransformKernel
 from fairmap.presets import preset_config, preset_dict
 
 DATA_MAGIC = "# fairmap-data"  # how a data file's provenance line starts
@@ -126,8 +131,8 @@ def reference_read(path, schema, delimiter=",", has_header=True, columns=None,
                 continue
         else:
             y_idx = -1
-        d_list.append(schema.flatten_d(d_parts))
-        x_list.append(schema.flatten_x(x_parts))
+        d_list.append(int(np.ravel_multi_index(d_parts, schema.d_sizes)))
+        x_list.append(int(np.ravel_multi_index(x_parts, schema.x_sizes)))
         y_list.append(y_idx)
         if stream_col is not None:
             sid = read_field(STREAM_COLUMN, int, row[stream_col])
@@ -160,8 +165,8 @@ def reference_write(path, dataset, delimiter=",", fingerprint=None):
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(header)
         for i in range(len(dataset)):
-            d_parts = schema.unflatten_d(int(dataset.d[i]))
-            x_parts = schema.unflatten_x(int(dataset.x[i]))
+            d_parts = np.unravel_index(dataset.d[i], schema.d_sizes)
+            x_parts = np.unravel_index(dataset.x[i], schema.x_sizes)
             row = [
                 v.alphabet.categories[p]
                 for v, p in zip(schema.d_vars, d_parts)
@@ -173,6 +178,35 @@ def reference_write(path, dataset, delimiter=",", fingerprint=None):
                 row.append(schema.y_label(int(dataset.y[i])))
             row.append(str(int(dataset.stream_ids[i])))
             writer.writerow(row)
+
+
+def reference_write_kernel(path, kernel):
+    """The d/x/y loop ``write_kernel`` replaced: one ``writerow`` per
+    nonzero entry, labels joined from each index's parts."""
+    schema = kernel.schema
+
+    def label(variables, sizes, flat):
+        parts = np.unravel_index(flat, sizes)
+        return "|".join(v.alphabet.categories[i] for v, i in zip(variables, parts))
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(provenance_line("kernel", kernel.provenance))
+        writer = csv.writer(fh)
+        writer.writerow(["d", "x", "y", "x_hat", "y_hat", "prob"])
+        ny = schema.ny
+        for d in range(schema.nd):
+            for x in range(schema.nx):
+                for y in range(ny):
+                    row = kernel.probs[d, x, y]
+                    for j in np.nonzero(row)[0]:
+                        writer.writerow([
+                            label(schema.d_vars, schema.d_sizes, d),
+                            label(schema.x_vars, schema.x_sizes, x),
+                            schema.y_label(y),
+                            label(schema.x_vars, schema.x_sizes, int(j) // ny),
+                            schema.y_label(int(j) % ny),
+                            f"{row[j]:.17g}",
+                        ])
 
 
 def make_schema(race_default=None, race_drop=True):
@@ -481,6 +515,47 @@ class TestWriteOracle:
         assert body == written_bytes(reference_write, dataset)
         write_dataset(path, dataset)
         assert provenance_records(path, "data") == []
+
+
+def kernel_quoting_schema():
+    """Two D and two X variables whose composite labels ``csv`` must quote
+    (a comma, a quote character) or keep as they are (a leading blank)."""
+    return Schema((
+        Variable(Alphabet("grp", ("a,b", 'say "hi"')), "D"),
+        Variable(Alphabet("kind", (" pad", "u")), "D"),
+        Variable(Alphabet("f", ("x", " y")), "X"),
+        Variable(Alphabet("g", ('"q"', "1,5", "z")), "X"),
+        Variable(Alphabet("out", ("no", "yes, really")), "Y"),
+    ))
+
+
+@st.composite
+def kernels(draw):
+    """Kernels with zero entries, subnormal and point-mass rows."""
+    schema = kernel_quoting_schema()
+    shape = (schema.nd, schema.nx, schema.ny, schema.nx * schema.ny)
+    weights = draw(hnp.arrays(np.float64, shape,
+                              elements=st.just(0.0) | st.floats(0.0, 1.0)))
+    weights[weights.sum(axis=3) == 0.0, 0] = 1.0
+    return TransformKernel(schema, weights / weights.sum(axis=3, keepdims=True),
+                           provenance={"fingerprint": "abc"})
+
+
+class TestKernelWriterOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(kernels())
+    def test_same_bytes_and_read_back(self, kernel):
+        written = written_bytes(write_kernel, kernel)
+        assert written == written_bytes(reference_write_kernel, kernel)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "kernel.csv")
+            with open(path, "wb") as fh:
+                fh.write(written)
+            back = read_kernel(path, kernel.schema)
+        assert np.array_equal(back.probs, kernel.probs)
+        assert back.provenance == {"fingerprint": "abc"}
+        # every row holds mass, so every group's label is written, quoted
+        assert b'"a,b| pad",' in written and b'"say ""hi""|u",' in written
 
 
 class TestTrainingSidecar:

@@ -35,7 +35,7 @@ def adult():
 
 
 def _compas_cell(schema, age, charge, priors, y):
-    x = schema.flatten_x((age, charge, priors))
+    x = int(np.ravel_multi_index((age, charge, priors), schema.x_sizes))
     return (x, y)
 
 
@@ -86,7 +86,7 @@ class TestCompasMetric:
 
 
 def _adult_cell(schema, age, edu, y):
-    return (schema.flatten_x((age, edu)), y)
+    return (int(np.ravel_multi_index((age, edu), schema.x_sizes)), y)
 
 
 class TestAdultMetric:

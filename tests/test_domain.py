@@ -8,11 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmap import (
+    Alphabet,
     ApplyMapper,
     Dataset,
     DiscriminationSpec,
     JointPMF,
+    Schema,
     TransformKernel,
+    Variable,
     conditional,
     estimate_empirical,
     kl_divergence,
@@ -199,10 +202,32 @@ class TestInvariants:
 
     def test_composite_labels_roundtrip(self):
         schema = make_schema_multi()
-        for d in range(schema.nd):
-            assert schema.d_from_label(schema.d_label(d)) == d
-        for x in range(schema.nx):
-            assert schema.x_from_label(schema.x_label(x)) == x
+        for variables, sizes, labels, parse in (
+                (schema.d_vars, schema.d_sizes, schema.d_labels, schema.d_from_label),
+                (schema.x_vars, schema.x_sizes, schema.x_labels, schema.x_from_label)):
+            assert len(labels) == np.prod(sizes)
+            for flat, label in enumerate(labels):
+                parts = np.unravel_index(flat, sizes)
+                assert label == "|".join(
+                    v.alphabet.categories[i] for v, i in zip(variables, parts))
+                assert parse(label) == flat
+            for unknown in ("m", "m|r0|young", "m|r2", "young|a|", ""):
+                with pytest.raises(InvalidParamsError, match="label"):
+                    parse(unknown)
+        assert [schema.d_label(d) for d in range(schema.nd)] == list(schema.d_labels)
+        assert [schema.x_label(x) for x in range(schema.nx)] == list(schema.x_labels)
+
+    @pytest.mark.parametrize("d_cats, x_cats, named", [
+        (("x|y", "z"), ("c", "d"), "race"),
+        (("a", "b"), ("c", "b|c"), "job"),
+    ])
+    def test_separator_in_a_category_is_refused(self, d_cats, x_cats, named):
+        # a "|" inside a category makes composite labels ambiguous: the
+        # groups ("a|b", "c") and ("a", "b|c") would both read "a|b|c"
+        with pytest.raises(InvalidParamsError, match=f"{named}.*contains '\\|'"):
+            Schema((Variable(Alphabet("race", d_cats), "D"),
+                    Variable(Alphabet("job", x_cats), "X"),
+                    Variable(Alphabet("outcome", ("0", "1")), "Y")))
 
 
 def _valid_probabilities():

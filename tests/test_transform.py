@@ -284,9 +284,22 @@ class TestSamplerOracle:
         seed = SeedSpec(master)
         uniforms = [seed.stream(int(s)).random() for s in stream_ids]
         assert np.array_equal(_philox_uniforms(master, stream_ids), uniforms)
-        drawn = _sample_categories(rows, seed, stream_ids)
+        drawn = _sample_categories(rows, master, stream_ids, np.arange(stream_ids.size))
         assert np.array_equal(drawn, reference_sample(rows, seed, stream_ids))
         assert (drawn[4::5] == rows.shape[1] - 1).any()
+
+    @pytest.mark.parametrize("master", [3, 2**64 - 1])
+    def test_records_sharing_rows(self, master):
+        # records in no particular order, several per row, some rows unused:
+        # each used row is summed once and its records drawn together
+        rng = np.random.default_rng(master % 1000)
+        rows = oracle_rows(rng, 60)
+        cells = rng.choice(rng.choice(60, size=40, replace=False), size=500)
+        stream_ids = rng.integers(-(2**63), 2**63 - 1, size=500, dtype=np.int64)
+        assert np.unique(cells).size < 60 and (np.diff(cells) < 0).any()
+        drawn = _sample_categories(rows, master, stream_ids, cells)
+        assert np.array_equal(
+            drawn, reference_sample(rows[cells], SeedSpec(master), stream_ids))
 
 
 def flip_metric_2x():
