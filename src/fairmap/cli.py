@@ -306,7 +306,7 @@ def _discrimination_section(report, schema) -> dict:
             for (y, d), j in sorted(report.per_group.items())
         },
         "pairwise_j": {
-            f"y={schema.y_label(y)},{schema.d_label(d1)}|{schema.d_label(d2)}": j
+            f"y={schema.y_label(y)},d1={schema.d_label(d1)},d2={schema.d_label(d2)}": j
             for (y, d1, d2), j in sorted(report.pairwise.items())
         },
         "max_j": report.max_j,

@@ -24,7 +24,7 @@ at the kernel, minus ``lagrangian_bound`` at an optimal LP's row duals
 enforced).  For KL, UB - L is also the termination criterion.
 
 Every LP is one HiGHS model (``_LPModel``, on SciPy's bundled HiGHS
-bindings ``scipy.optimize._highspy``): the l1 LP, phase 1 and the KL
+bindings ``scipy.optimize._highspy._core``): the l1 LP, phase 1 and the KL
 start LP run once; the KL cut LPs are one model that gains rows.  The
 first run of each starts from a basis, never from HiGHS's all-slack one:
 the basis the caller hands in ``bases`` when it holds one
@@ -36,22 +36,67 @@ it violates.  A basis, handed or identity, bypasses HiGHS's presolve
 Every LP adds a tiny identity-deviation term to the objective so that
 ties between algebraically equivalent optima break deterministically
 toward the least-randomizing kernel.
+
+From SciPy this module imports ``scipy.sparse``, ``scipy.special.xlogy``
+and that extension module alone (``_load_highs``), not ``scipy.optimize``.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.optimize import linprog  # noqa: F401  (uncalled; bench/spans.py wraps this name)
-from scipy.optimize._highspy import _core as _highs
 from scipy.special import xlogy
 
 from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, TIE_BREAK_WEIGHT
 from .domain import kl_divergence
 from .errors import InvalidParamsError, NumericalBreakdownError
+
+
+def _load_highs():
+    """``scipy.optimize._highspy._core`` loaded from its file beside
+    ``scipy``, so that ``scipy.optimize``'s ``__init__`` (scipy.linalg,
+    scipy.sparse.linalg, every optimizer) never runs for it.  It enters
+    ``sys.modules`` before it runs: a later ``import scipy.optimize``
+    reuses it, and pybind11 registers its types once (the ``_highspy``
+    package's ``_core`` attribute stays unset).  Without such a file (an
+    editable SciPy build, say) the regular import is taken."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    spec = PathFinder.find_spec(name, [folder])
+    if spec is None:
+        from scipy.optimize._highspy import _core
+        return _core
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_highs = _load_highs()
+
+
+def __getattr__(name: str):
+    # linprog is never called here; bench/spans.py wraps the name in traced
+    # runs, so it (and all of scipy.optimize) is imported only when looked up
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"

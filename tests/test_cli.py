@@ -15,8 +15,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fairmap import cli
+from fairmap.audit import audit_discrimination
 from fairmap.cli import main
 from fairmap.config import load_config
+from fairmap.constraints import DiscriminationSpec
 from fairmap.dataio import (
     file_sha256,
     provenance_records,
@@ -29,6 +31,7 @@ from fairmap.errors import SchemaMismatchError
 from fairmap.optimizer import TransformKernel, identity_kernel
 from fairmap.presets import preset_dict
 
+from conftest import make_schema_multi, random_pmf
 from test_config import tiny_config_dict
 
 
@@ -475,6 +478,20 @@ class TestAuditAndSweep:
         ]
         assert main(args) == 3
         assert main(args + ["--allow-provenance-mismatch"]) == 0
+
+    def test_pairwise_keys_split_back_into_their_groups(self, rng):
+        # composite group labels join their parts with "|" themselves
+        schema = make_schema_multi()
+        report = audit_discrimination(random_pmf(schema, rng),
+                                      DiscriminationSpec(mode="pairwise", epsilon=0.1))
+        keys = cli._discrimination_section(report, schema)["pairwise_j"]
+        groups = {schema.d_label(d) for d in range(schema.nd)}
+        assert len(keys) == len(report.pairwise) == 2 * schema.nd * (schema.nd - 1)
+        for key in keys:
+            y, d1, d2 = key.split(",")
+            assert y in ("y=0", "y=1")
+            assert d1.startswith("d1=") and d2.startswith("d2=")
+            assert d1[3:] in groups and d2[3:] in groups and d1[3:] != d2[3:]
 
     def test_sweep_outputs(self, workdir):
         tmp, cfg, _ = self.fit(workdir)
