@@ -58,16 +58,13 @@ from .optimizer import (
     TransformKernel,
     assemble,
     identity_kernel,
-    replacement_kernel,
     sof_solve,
     solve,
     sweep_epsilon,
 )
 from .transform import (
-    ApplyBudget,
     ApplyMapper,
     SeedSpec,
-    apply_distortion_bound,
     derive_apply_kernel,
     transform_apply,
     transform_train,

@@ -80,7 +80,7 @@ def _joint_dy_from_dataset(dataset: Dataset) -> np.ndarray:
 
 
 def audit_discrimination(
-    source: Union[JointPMF, Dataset, np.ndarray],
+    source: Union[JointPMF, Dataset],
     spec: DiscriminationSpec,
     kernel: Optional[TransformKernel] = None,
     target: Optional[np.ndarray] = None,
@@ -89,9 +89,9 @@ def audit_discrimination(
     distribution against a spec.
 
     ``source`` is an estimation joint (optionally pushed through
-    ``kernel``), a transformed dataset, or a raw (d, y) joint.  The
-    target defaults to the spec's, then to the source's own outcome
-    marginal before transformation.
+    ``kernel``) or a transformed dataset.  The target defaults to the
+    spec's, then to the source's own outcome marginal before
+    transformation.
     """
     segment_j: dict = {}
     if isinstance(source, JointPMF):
@@ -105,13 +105,10 @@ def audit_discrimination(
         if spec.mode == "conditional":
             segment_j = _segment_js(
                 source, identity_kernel(source.schema) if kernel is None else kernel, spec)
-    elif isinstance(source, Dataset):
-        if kernel is not None:
-            raise InvalidParamsError("pass either a dataset or a pmf+kernel")
-        joint_dy = _joint_dy_from_dataset(source)
+    elif kernel is not None:
+        raise InvalidParamsError("pass either a dataset or a pmf+kernel")
     else:
-        joint_dy = np.asarray(source, dtype=np.float64)
-        joint_dy = joint_dy / joint_dy.sum()
+        joint_dy = _joint_dy_from_dataset(source)
     if target is None:
         target = spec.target if spec.target is not None else joint_dy.sum(axis=0)
     target = np.asarray(target, dtype=np.float64)

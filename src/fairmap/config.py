@@ -409,16 +409,8 @@ def load_config(path: str) -> PipelineConfig:
     with open(path, "rb") as fh:
         text = io.StringIO(decode_utf8(fh.read(), path, ConfigError))
     text.name = path  # the name YAML's error messages give the file
-    return _parse(text, path)
-
-
-def loads_config(text: str) -> PipelineConfig:
-    return _parse(text, "config")
-
-
-def _parse(text, name: str) -> PipelineConfig:
     try:
         raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:  # PyYAML's message spans lines; an error is one
-        raise ConfigError(f"cannot parse {name}: {' '.join(str(exc).split())}") from exc
+        raise ConfigError(f"cannot parse {path}: {' '.join(str(exc).split())}") from exc
     return config_from_dict(raw or {})

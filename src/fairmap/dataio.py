@@ -58,7 +58,6 @@ import csv
 import hashlib
 import io
 import json
-import zipfile
 from functools import partial
 from itertools import chain, islice, repeat, takewhile
 from typing import Optional, Sequence
@@ -665,13 +664,13 @@ def write_training(path: str, dataset: Dataset, binding: dict) -> None:
 def read_training(path: str, schema: Schema, binding: dict) -> Optional[Dataset]:
     """The records ``write_training`` saved under exactly ``binding``; None
     when the file is missing, unreadable or saved under another binding."""
-    try:
-        with np.load(path, allow_pickle=False) as saved:
+    try:  # np.load leaves a file it opened unclosed when its zip is damaged
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as saved:
             if str(saved["binding"]) != json.dumps(binding, sort_keys=True):
                 return None
             return Dataset(schema, saved["d"], saved["x"], saved["y"],
                            stream_ids=saved["stream_ids"])
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile):
+    except Exception:  # the file is only a cache: any failure to read it is a miss
         return None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.special import rel_entr
@@ -289,17 +289,6 @@ class Dataset:
         object.__setattr__(self, "x", _readonly(x))
         object.__setattr__(self, "y", _readonly(y))
         object.__setattr__(self, "stream_ids", _readonly(sid))
-
-    @classmethod
-    def from_records(cls, schema: Schema, records: Iterable[tuple]) -> "Dataset":
-        """Build from (d, x, y) index triples; y may be None."""
-        rows = list(records)
-        if not rows:
-            raise EmptyDatasetError("dataset has no records")
-        d = [r[0] for r in rows]
-        x = [r[1] for r in rows]
-        y = [-1 if r[2] is None else r[2] for r in rows]
-        return cls(schema, np.array(d), np.array(x), np.array(y))
 
     def __len__(self) -> int:
         return int(self.d.size)

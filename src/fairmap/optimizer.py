@@ -76,17 +76,6 @@ def identity_kernel(schema: Schema) -> TransformKernel:
     return TransformKernel(schema, _identity_probs(schema))
 
 
-def replacement_kernel(pmf: JointPMF) -> TransformKernel:
-    """Every row resamples from the original (x, y) marginal; the
-    distortion-free-utility / zero-discrimination reference point."""
-    schema = pmf.schema
-    row = pmf.p_xy().ravel()
-    probs = np.broadcast_to(
-        row, (schema.nd, schema.nx, schema.ny, row.size)
-    ).copy()
-    return TransformKernel(schema, probs)
-
-
 @dataclass(frozen=True)
 class Problem:
     """A fully assembled instance: data, specs, and the compiled program."""
@@ -116,27 +105,17 @@ class Problem:
             self.objective,
         )
 
-    # -- evaluation helpers used by solver wrappers, audits, and tests -------
+    # -- a kernel as program variables, and the objective it attains ---------
     def kernel_vec(self, kernel: TransformKernel) -> np.ndarray:
         layout = self.layout
         return kernel.probs[layout.d, layout.x, layout.y].ravel()[self.free]
 
-    def _kvec(self, kernel) -> np.ndarray:
-        return kernel if isinstance(kernel, np.ndarray) else self.kernel_vec(kernel)
-
     def objective_value(self, kernel) -> float:
-        q = self.program.image(self._kvec(kernel))
+        kvec = kernel if isinstance(kernel, np.ndarray) else self.kernel_vec(kernel)
+        q = self.program.image(kvec)
         if self.objective == OBJECTIVE_KL:
             return kl_divergence(self.program.p_ref, q)
         return l1_distance(self.program.p_ref, q)
-
-    def max_residual(self, kernel) -> float:
-        return self.program.residual(self._kvec(kernel))
-
-    def pushforward(self, kernel) -> np.ndarray:
-        """Transformed (x_hat, y_hat) distribution as an (nx, ny) array."""
-        schema = self.pmf.schema
-        return self.program.image(self._kvec(kernel)).reshape(schema.nx, schema.ny)
 
 
 @dataclass(frozen=True)

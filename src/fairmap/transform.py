@@ -16,12 +16,10 @@ records at once in array arithmetic; it equals
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .constants import MASS_ATOL, ROW_ATOL
-from .distortion import DistortionBudget
 from .domain import Dataset, JointPMF, Schema, conditional, probabilities
 from .errors import InvalidParamsError, MissingOutcomeError
 from .optimizer import TransformKernel
@@ -206,43 +204,3 @@ def transform_apply(dataset: Dataset, mapper: ApplyMapper, seed: int) -> Dataset
         stream_ids=dataset.stream_ids,
     )
 
-
-@dataclass(frozen=True)
-class ApplyBudget:
-    """Apply-time distortion bounds per (d, x) input.
-
-    For expected-mode budgets this is the exact apply-time guarantee; for
-    thresholded budgets the same outcome-weighted average is reported per
-    threshold as a bound on each exceedance probability (a derived figure,
-    not one the training constraints stated directly).
-    """
-
-    mode: str
-    values: Mapping[tuple[int, int], object]
-    derived: bool
-    note: str = ""
-
-
-def apply_distortion_bound(budget: DistortionBudget, pmf: JointPMF) -> ApplyBudget:
-    """Average per-outcome budgets into per-(d, x) apply-time bounds.
-
-    c(x, d) = sum_y p(y | x, d) c(d, x, y); with outcome-independent
-    budgets the training bound carries over unchanged.
-    """
-    schema = pmf.schema
-    cond, present = conditional(pmf.mass)
-    cells = [tuple(cell) for cell in np.argwhere(present).tolist()]
-    shape = (schema.nd, schema.nx, schema.ny)
-    avgs = [(t, (cond * cgrid).sum(axis=2)) for t, cgrid in budget.cells(shape)]
-    if budget.mode == "expected":
-        [(_, avg)] = avgs
-        return ApplyBudget("expected", {c: float(avg[c]) for c in cells}, derived=False)
-    return ApplyBudget(
-        "thresholded",
-        {c: tuple((t, float(avg[c])) for t, avg in avgs) for c in cells},
-        derived=True,
-        note=(
-            "outcome-averaged exceedance budgets; bounds each threshold's"
-            " apply-time exceedance probability"
-        ),
-    )

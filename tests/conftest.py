@@ -10,7 +10,11 @@ points, and refines around the incumbent.  It never consults the solver.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -253,6 +257,19 @@ def grid_search_oracle(inst: ToyInstance, objective: str = "l1",
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+BENCH_INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "inputs.py")
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    """``bench/inputs.py``, which writes the benchmark's data files."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # for its dataclasses
+        spec.loader.exec_module(module)
+    return module
 
 
 # one line per acceptance criterion, shown after the run regardless of

@@ -122,7 +122,7 @@ def test_criterion_2_constraint_satisfaction():
         if sol.status != "optimal":
             continue
         # audited from the returned kernel through the pushforward algebra
-        assert problem.max_residual(sol.kernel) <= 1e-6
+        assert problem.program.residual(problem.kernel_vec(sol.kernel)) <= 1e-6
         assert sol.residual <= 1e-6
         checked += 1
     assert checked >= 20

@@ -345,8 +345,9 @@ class TestDiscriminationAudit:
 
 
     def test_zero_mass_group_is_skipped_with_a_warning(self):
-        joint = np.array([[0.2, 0.3], [0.0, 0.0], [0.1, 0.4]])
-        rep = audit_discrimination(joint, DiscriminationSpec(mode="pairwise", epsilon=0.2))
+        mass = np.array([[[0.2, 0.3]], [[0.0, 0.0]], [[0.1, 0.4]]])
+        pmf = JointPMF(make_schema(nx=1, nd=3), mass)
+        rep = audit_discrimination(pmf, DiscriminationSpec(mode="pairwise", epsilon=0.2))
         assert rep.warnings == ("group 1 has zero mass; skipped",)
         np.testing.assert_array_equal(rep.rates, [[0.4, 0.6], [0.0, 0.0], [0.2, 0.8]])
         assert {d for _, d in rep.per_group} == {0, 2}
@@ -417,7 +418,7 @@ class TestUtilityAndCohorts:
         problem = assemble(pmf, DiscriminationSpec(mode="target", epsilon=0.5))
         sol = solve(problem)
         q1 = pushforward_xy(pmf, sol.kernel)
-        q2 = problem.pushforward(sol.kernel)
+        q2 = problem.program.image(problem.kernel_vec(sol.kernel)).reshape(q1.shape)
         np.testing.assert_allclose(q1, q2, atol=1e-12)
 
     def test_identity_cohort_deltas_zero(self, rng):

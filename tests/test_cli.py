@@ -5,6 +5,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -1021,6 +1024,22 @@ class TestTrainingRecords:
         assert parsed.count(str(tmp / "data.csv")) == 3
         assert outputs == fresh
 
+    def test_damaged_sidecar_is_a_miss(self, workdir, monkeypatch):
+        # byte 10 of a zip central-directory header is its compression
+        # method; 99 names one the zip reader does not support
+        tmp, cfg = workdir
+        assert main(["fit", "--config", str(cfg)]) == 0
+        kernel = tmp / "out" / "kernel.csv"
+        sidecar = tmp / "out" / "training.npz"
+        data = bytearray(sidecar.read_bytes())
+        data[data.index(b"PK\x01\x02") + 10] = 99
+        sidecar.write_bytes(bytes(data))
+        outputs, parsed = self.run_all(cfg, kernel, tmp / "a", monkeypatch)
+        assert parsed.count(str(tmp / "data.csv")) == 3
+        sidecar.unlink()
+        fresh, _ = self.run_all(cfg, kernel, tmp / "b", monkeypatch)
+        assert outputs == fresh
+
 
 class TestDocumentedExitCodes:
     """Inputs that once ended outside the documented exit codes: bytes
@@ -1191,3 +1210,29 @@ class TestMutatedInputs:
             transformed = out / "transformed_train.csv"
             self.run(["audit", "--config", cfg, "--kernel", kernel, "--out-dir", out]
                      + (["--transformed", transformed] if transformed.exists() else []))
+
+
+def test_commands_as_processes(tmp_path, bench_inputs):
+    """The commands as users start them, one process each, so each loads
+    SciPy's HiGHS bindings through ``fairmap.solver``'s own loader (this
+    suite imports ``scipy.optimize`` first), on a 3,000-row compas-shaped
+    file under the compas preset (KL objective)."""
+    data = str(tmp_path / "compas.csv")
+    bench_inputs.write_compas(data, bench_inputs.compas_input(3000, 5))
+    raw = preset_dict("compas")
+    raw["input"]["path"] = data
+    raw["output"]["dir"] = str(tmp_path / "out")
+    raw["discrimination"]["epsilon"] = 0.45  # the bench's; the preset's is infeasible here
+    cfg = tmp_path / "compas.yaml"
+    cfg.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    fit = ["fit", "--config", str(cfg)]
+    kernel = [*fit[1:], "--kernel", str(tmp_path / "out" / "kernel.csv")]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (fit, ["transform", *kernel, "--mode", "train"],
+                 ["transform", *kernel, "--mode", "apply"],
+                 ["audit", *kernel, "--transformed",
+                  str(tmp_path / "out" / "transformed_train.csv")]):
+        done = subprocess.run([sys.executable, "-m", "fairmap.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, (argv, done.stderr)

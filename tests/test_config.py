@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from fairmap import distortion_matrix, evaluate_distortion
-from fairmap.config import Filter, config_from_dict, loads_config
+from fairmap.config import Filter, config_from_dict, load_config
 from fairmap.constants import FORBIDDEN
 from fairmap.errors import ConfigError
 from fairmap.presets import preset_config, preset_dict, preset_names
@@ -47,10 +47,11 @@ def tiny_config_dict(path="data.csv", seed=0, eps=0.3):
 
 
 class TestRoundTrip:
-    def test_load_serialize_load_is_identity(self):
+    def test_load_serialize_load_is_identity(self, tmp_path):
         cfg = config_from_dict(tiny_config_dict())
-        text = cfg.to_yaml()
-        cfg2 = loads_config(text)
+        path = tmp_path / "config.yaml"
+        path.write_text(cfg.to_yaml(), encoding="utf-8")
+        cfg2 = load_config(str(path))
         assert cfg.to_dict() == cfg2.to_dict()
         assert cfg.fingerprint() == cfg2.fingerprint()
 

@@ -3,9 +3,7 @@ and writing against the row-at-a-time reference loops they replaced: same
 records, same exceptions, same bytes; and which reader a file gets."""
 
 import csv
-import importlib.util
 import os
-import sys
 import tempfile
 from functools import partial
 from unittest import mock
@@ -42,7 +40,6 @@ from fairmap.optimizer import TransformKernel
 from fairmap.presets import preset_config, preset_dict
 
 DATA_MAGIC = "# fairmap-data"  # how a data file's provenance line starts
-BENCH_INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "inputs.py")
 
 
 def read_field(column, resolve, raw):
@@ -579,15 +576,31 @@ class TestTrainingSidecar:
         (tmp_path / "junk.npz").write_bytes(b"not a zip archive")
         assert read_training(str(tmp_path / "junk.npz"), schema, {}) is None
 
-
-@pytest.fixture(scope="module")
-def bench_inputs():
-    """``bench/inputs.py``, which writes the benchmark's data files."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(sys.modules, {spec.name: module}):  # for its dataclasses
-        spec.loader.exec_module(module)
-    return module
+    def test_damaged_file_reads_back_exactly_or_is_none(self, tmp_path):
+        # every byte set to 99 in turn (at byte 10 of a zip central-directory
+        # header that names an unsupported compression method), then seeded
+        # random byte flips, truncations and deletions
+        schema = make_schema()
+        rng = np.random.default_rng(11)
+        dataset = Dataset(schema, rng.integers(2, size=20), rng.integers(3, size=20),
+                          rng.integers(2, size=20), stream_ids=rng.permutation(20) + 7)
+        binding = {"data_sha256": "ab" * 32}
+        path = str(tmp_path / "training.npz")
+        write_training(path, dataset, binding)
+        with open(path, "rb") as fh:
+            saved = fh.read()
+        damaged = [saved[:i] + b"c" + saved[i + 1:] for i in range(len(saved))]
+        for _ in range(600):
+            i = int(rng.integers(len(saved)))
+            flipped = bytes([saved[i] ^ int(rng.integers(1, 256))])
+            damaged += [saved[:i] + flipped + saved[i + 1:], saved[:i], saved[:i] + saved[i + 1:]]
+        for data in damaged:
+            with open(path, "wb") as fh:
+                fh.write(data)
+            back = read_training(path, schema, binding)
+            if back is not None:
+                for name in ("d", "x", "y", "stream_ids"):
+                    np.testing.assert_array_equal(getattr(back, name), getattr(dataset, name))
 
 
 def path_taken(path, schema, **kwargs):

@@ -44,7 +44,7 @@ def simplex(size, min_mass=0.0):
 class TestEstimation:
     def test_point_mass_from_constant_records(self):
         schema = make_schema(nx=1)
-        ds = Dataset.from_records(schema, [(0, 0, 1)] * 4)
+        ds = Dataset(schema, [0] * 4, [0] * 4, [1] * 4)
         pmf = estimate_empirical(ds)
         assert pmf.mass[0, 0, 1] == 1.0
         assert pmf.mass.sum() == pytest.approx(1.0, abs=1e-12)
@@ -52,7 +52,7 @@ class TestEstimation:
 
     def test_two_record_symmetry(self):
         schema = make_schema(nx=1)
-        ds = Dataset.from_records(schema, [(0, 0, 0), (0, 0, 1)])
+        ds = Dataset(schema, [0, 0], [0, 0], [0, 1])
         pmf = estimate_empirical(ds)
         assert pmf.mass[0, 0, 0] == 0.5
         assert pmf.mass[0, 0, 1] == 0.5
@@ -60,18 +60,18 @@ class TestEstimation:
     def test_empty_dataset_rejected(self):
         schema = make_schema(nx=1)
         with pytest.raises(EmptyDatasetError):
-            Dataset.from_records(schema, [])
+            Dataset(schema, [], [], [])
 
     def test_missing_outcome_rejected(self):
         schema = make_schema(nx=1)
-        ds = Dataset.from_records(schema, [(0, 0, 1), (0, 0, None)])
+        ds = Dataset(schema, [0, 0], [0, 0], [1, -1])
         with pytest.raises(MissingOutcomeError):
             estimate_empirical(ds)
 
     def test_out_of_range_index_rejected(self):
         schema = make_schema(nx=1)
         with pytest.raises(InvalidParamsError):
-            Dataset.from_records(schema, [(2, 0, 0)])
+            Dataset(schema, [2], [0], [0])
 
 
 class TestConditional:

@@ -12,9 +12,9 @@ from fairmap import (
     DistortionBudget,
     DistortionMetric,
     JointPMF,
+    TransformKernel,
     assemble,
     identity_kernel,
-    replacement_kernel,
     solve,
     sweep_epsilon,
 )
@@ -152,9 +152,12 @@ class TestAssembly:
         # utility loss and exactly the target outcome rates
         pmf = random_pmf(make_schema(nx=2), rng)
         problem = assemble(pmf, DiscriminationSpec(mode="target", epsilon=0.0))
-        kern = replacement_kernel(pmf)
+        schema = pmf.schema
+        row = pmf.p_xy().ravel()
+        kern = TransformKernel(
+            schema, np.broadcast_to(row, (schema.nd, schema.nx, schema.ny, row.size)))
         assert problem.objective_value(kern) <= 1e-15
-        assert problem.max_residual(kern) <= 1e-12
+        assert problem.program.residual(problem.kernel_vec(kern)) <= 1e-12
 
 
 class TestToyTwoGroup:
@@ -684,7 +687,7 @@ class TestSweep:
             at = problem.with_epsilon(eps)
             sol = solve(at, bases=bases)
             assert sol.status == "optimal" and "l1 LP" in bases
-            assert at.max_residual(sol.kernel) <= ROW_ATOL
+            assert at.program.residual(at.kernel_vec(sol.kernel)) <= ROW_ATOL
 
     def test_sweep_all_zero_when_loose(self, rng):
         pmf = random_pmf(make_schema(nx=1), rng)

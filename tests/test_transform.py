@@ -1,5 +1,5 @@
-"""Transformation-engine tests: apply-kernel derivation, sampling,
-reproducibility, and apply-time budgets."""
+"""Transformation-engine tests: apply-kernel derivation, sampling and
+reproducibility."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from fairmap import (
     DistortionBudget,
     DistortionMetric,
     JointPMF,
-    apply_distortion_bound,
     assemble,
     derive_apply_kernel,
     estimate_empirical,
@@ -310,41 +309,3 @@ def flip_metric_2x():
         combiner="sum",
     )
 
-
-class TestApplyBudget:
-    def test_uniform_budget_carries_over(self, rng):
-        schema = make_schema(nx=2)
-        pmf = random_pmf(schema, rng)
-        bound = apply_distortion_bound(DistortionBudget("expected", c=0.5), pmf)
-        assert not bound.derived
-        assert all(v == pytest.approx(0.5, abs=1e-12) for v in bound.values.values())
-
-    def test_outcome_weighted_average(self):
-        schema = make_schema(nx=1)
-        mass = np.array([[[0.25, 0.25]], [[0.25, 0.25]]])
-        pmf = JointPMF(schema, mass)
-        cgrid = np.zeros((2, 1, 2))
-        cgrid[:, :, 0] = 0.2
-        cgrid[:, :, 1] = 0.6
-        bound = apply_distortion_bound(DistortionBudget("expected", c=cgrid), pmf)
-        assert bound.values[(0, 0)] == pytest.approx(0.4, abs=1e-12)
-
-    def test_degenerate_outcome_weight(self):
-        schema = make_schema(nx=1)
-        mass = np.array([[[0.5, 0.0]], [[0.25, 0.25]]])
-        pmf = JointPMF(schema, mass)
-        cgrid = np.zeros((2, 1, 2))
-        cgrid[:, :, 0] = 0.2
-        cgrid[:, :, 1] = 0.6
-        bound = apply_distortion_bound(DistortionBudget("expected", c=cgrid), pmf)
-        assert bound.values[(0, 0)] == pytest.approx(0.2, abs=1e-12)
-
-    def test_thresholded_budgets_flagged_derived(self, rng):
-        schema = make_schema(nx=1)
-        pmf = random_pmf(schema, rng)
-        budget = DistortionBudget("thresholded", pairs=((0.5, 0.1), (1.5, 0.0)))
-        bound = apply_distortion_bound(budget, pmf)
-        assert bound.derived
-        for pairs in bound.values.values():
-            assert [t for t, _ in pairs] == [0.5, 1.5]
-            assert all(b >= 0 for _, b in pairs)
