@@ -57,12 +57,10 @@ class DiscriminationReport:
     """
 
     rates: np.ndarray  # (nd, ny) outcome rates per group
-    target: np.ndarray
     per_group: Mapping[tuple, float]
     pairwise: Mapping[tuple, float]
     segment: Mapping[tuple, float]
     max_j: float
-    epsilon: object
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -117,7 +115,7 @@ def audit_discrimination(
 
     rates, has_mass = conditional(joint_dy)
     present = np.flatnonzero(has_mass).tolist()
-    warnings = [f"group {d} has zero mass; skipped"
+    warnings = [f"group {source.schema.d_label(d)!r} has zero mass; skipped"
                 for d in np.flatnonzero(~has_mass).tolist()]
     per_group = {
         (y, d): ratio_distance(rates[d, y], target[y])
@@ -140,12 +138,10 @@ def audit_discrimination(
         max_j = max(per_group.values(), default=0.0)
     return DiscriminationReport(
         rates=rates,
-        target=target,
         per_group=per_group,
         pairwise=pairwise,
         segment=segment_j,
         max_j=max_j,
-        epsilon=spec.epsilon,
         warnings=tuple(warnings),
     )
 
@@ -218,7 +214,6 @@ def map_advantage(joint_dy: np.ndarray) -> AdvantageReport:
 @dataclass(frozen=True)
 class AdvantageVerdict:
     report: AdvantageReport
-    epsilon: float
     exceeds: bool  # advantage above 1 + epsilon certifies discrimination
     witness: Optional[tuple[int, int, float]]  # (y, d, J) with J > epsilon
 
@@ -253,7 +248,7 @@ def check_estimation_discrimination(
             j = np.where(usable, np.abs(rates / target - 1.0), -np.inf)
         d, y = np.unravel_index(np.argmax(j), j.shape)
         witness = (int(y), int(d), float(j[d, y]))
-    return AdvantageVerdict(report, float(epsilon), exceeds, witness)
+    return AdvantageVerdict(report, exceeds, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +271,11 @@ def ratio_bound_exponent(tau: float, p_min: float) -> float:
     return math.sqrt(3.0 * tau / p_min)
 
 
-def small_tau_ceiling(p: np.ndarray) -> float:
-    """Largest tau the ratio bound derivation tolerates for masses ``p``:
-    min p (1 - p) / (3 (1 + p)^2)."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    if (p <= 0).any() or (p >= 1).any():
-        return 0.0
-    return float(np.min(p * (1.0 - p) / (3.0 * (1.0 + p) ** 2)))
-
-
 @dataclass(frozen=True)
 class RatioBoundInterval:
     low: float
     high: float
     g: float
-    tau_ceiling: Optional[float] = None
-    within_small_tau: Optional[bool] = None
 
 
 def ratio_drift_bounds(
@@ -299,23 +283,11 @@ def ratio_drift_bounds(
     p_m: float,
     gamma1: float = 1.0,
     gamma2: float = 1.0,
-    pmf: Optional[np.ndarray] = None,
 ) -> RatioBoundInterval:
     """Interval [gamma1 e^-g, gamma2 e^g] trapping q/r when
-    KL(p || q) <= tau and gamma1 <= p/r <= gamma2, with g = sqrt(3 tau / p_m).
-
-    When the underlying masses are supplied, also reports whether tau sits
-    below the small-tau ceiling the derivation requires.
-    """
+    KL(p || q) <= tau and gamma1 <= p/r <= gamma2, with g = sqrt(3 tau / p_m)."""
     g = ratio_bound_exponent(tau, p_m)
-    ceiling = None
-    within = None
-    if pmf is not None:
-        ceiling = small_tau_ceiling(pmf)
-        within = tau <= ceiling
-    return RatioBoundInterval(
-        gamma1 * math.exp(-g), gamma2 * math.exp(g), g, ceiling, within
-    )
+    return RatioBoundInterval(gamma1 * math.exp(-g), gamma2 * math.exp(g), g)
 
 
 @dataclass(frozen=True)
@@ -332,8 +304,6 @@ class RobustnessBound:
     beta: float
     m: int
     c_m: float
-    epsilon: float
-    mu: float
     tau: float
     h: float
     interval_low: float
@@ -387,7 +357,7 @@ def robustness_bounds(
         valid = tau <= ceiling
     return RobustnessBound(
         n=int(n), beta=float(beta), m=int(m), c_m=float(c_m),
-        epsilon=float(epsilon), mu=float(mu), tau=tau, h=drift.g,
+        tau=tau, h=drift.g,
         interval_low=drift.low, interval_high=drift.high,
         eps_drift_exact=eps_exact, eps_drift_linearized=eps_lin,
         linearization_flagged=flagged, mu_drift=mu_drift,
@@ -407,13 +377,9 @@ class DistortionSummary:
     mean: float
     max: float
     exceedance: Mapping[float, float]  # threshold -> fraction over it
-    per_cell_mean: Mapping[tuple[int, int, int], float]
-    per_cell_count: Mapping[tuple[int, int, int], int]
 
     def __post_init__(self):
         object.__setattr__(self, "exceedance", dict(self.exceedance))
-        object.__setattr__(self, "per_cell_mean", dict(self.per_cell_mean))
-        object.__setattr__(self, "per_cell_count", dict(self.per_cell_count))
 
 
 def audit_distortion(
@@ -423,37 +389,22 @@ def audit_distortion(
     thresholds: Sequence[float] = (),
 ) -> DistortionSummary:
     """Exact per-record distortions between aligned datasets, aggregated
-    overall, per threshold, and per original (d, x, y) cell."""
+    overall and per threshold."""
     if len(original) != len(transformed):
         raise LengthMismatchError(
             f"{len(original)} original vs {len(transformed)} transformed records"
         )
     if not original.has_outcomes or not transformed.has_outcomes:
         raise MissingOutcomeError("distortion audit needs outcomes on both sides")
-    schema = original.schema
-    delta = distortion_matrix(metric, schema)
-    ny = schema.ny
+    delta = distortion_matrix(metric, original.schema)
+    ny = original.schema.ny
     from_cell = original.x * ny + original.y
     to_cell = transformed.x * ny + transformed.y
     values = delta[from_cell, to_cell]
-    exceedance = {float(t): float((values > t).mean()) for t in thresholds}
-    per_cell_mean: dict = {}
-    per_cell_count: dict = {}
-    order = np.lexsort((original.y, original.x, original.d))
-    cells = np.stack([original.d, original.x, original.y], axis=1)[order]
-    vals = values[order]
-    flat = (cells[:, 0] * schema.nx + cells[:, 1]) * ny + cells[:, 2]
-    bounds = [0, *(np.flatnonzero(np.diff(flat)) + 1).tolist(), len(vals)]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        key = tuple(cells[start].tolist())
-        per_cell_mean[key] = float(vals[start:stop].mean())
-        per_cell_count[key] = stop - start
     return DistortionSummary(
         mean=float(values.mean()),
         max=float(values.max()),
-        exceedance=exceedance,
-        per_cell_mean=per_cell_mean,
-        per_cell_count=per_cell_count,
+        exceedance={float(t): float((values > t).mean()) for t in thresholds},
     )
 
 

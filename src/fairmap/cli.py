@@ -351,7 +351,7 @@ def cmd_audit(args) -> int:
     payload: dict = {"fingerprint": config.fingerprint(), "n_records": len(original)}
     before = audit_discrimination(pmf, spec)
     payload["discrimination_before"] = _discrimination_section(before, schema)
-    after = None
+    after = emp = None
     if kernel is not None:
         after = audit_discrimination(pmf, spec, kernel=kernel, target=target)
         payload["discrimination_after"] = _discrimination_section(after, schema)
@@ -426,6 +426,11 @@ def cmd_audit(args) -> int:
                 "max": summary.max,
                 "exceedance": summary.exceedance,
             }
+    # groups the reports skipped, each named once, in report order
+    warnings = dict.fromkeys(w for report in (before, after, emp) if report is not None
+                             for w in report.warnings)
+    if warnings:
+        payload["warnings"] = list(warnings)
 
     _write_json(os.path.join(out_dir, "audit_report.json"), payload)
     lines = ["fairmap audit", f"  fingerprint {config.fingerprint()}"]

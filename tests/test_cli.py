@@ -408,6 +408,29 @@ class TestAuditAndSweep:
         assert "discrimination_empirical" in payload
         assert "distortion" in payload
         assert payload["distortion"]["mean"] <= 0.8 + 0.1  # near the budget
+        assert "warnings" not in payload
+
+    def test_audit_names_a_group_it_skipped(self, workdir):
+        # group "c" is in the schema but not in the data: every report
+        # skips it, and the report says so once, by its label
+        tmp, cfg = workdir
+        raw = yaml.safe_load(cfg.read_text())
+        raw["schema"]["variables"][0]["categories"] = ["a", "b", "c"]
+        cfg.write_text(yaml.safe_dump(raw))
+        _, _, kernel = self.fit(workdir)
+        assert main([
+            "transform", "--config", str(cfg), "--kernel", str(kernel),
+            "--mode", "train", "--out-dir", str(tmp / "tr"),
+        ]) == 0
+        assert main([
+            "audit", "--config", str(cfg), "--kernel", str(kernel),
+            "--transformed", str(tmp / "tr" / "transformed_train.csv"),
+            "--out-dir", str(tmp / "a8"),
+        ]) == 0
+        payload = json.loads((tmp / "a8" / "audit_report.json").read_text())
+        assert payload["warnings"] == ["group 'c' has zero mass; skipped"]
+        for section in ("before", "after", "empirical"):
+            assert set(payload[f"discrimination_{section}"]["rates"]) == {"a", "b"}
 
     def test_audit_identity_deltas_zero(self, workdir):
         tmp, cfg = workdir
@@ -1212,11 +1235,9 @@ class TestMutatedInputs:
                      + (["--transformed", transformed] if transformed.exists() else []))
 
 
-def test_commands_as_processes(tmp_path, bench_inputs):
-    """The commands as users start them, one process each, so each loads
-    SciPy's HiGHS bindings through ``fairmap.solver``'s own loader (this
-    suite imports ``scipy.optimize`` first), on a 3,000-row compas-shaped
-    file under the compas preset (KL objective)."""
+def write_compas_config(tmp_path, bench_inputs):
+    """A 3,000-row compas-shaped file under the compas preset (KL
+    objective) at the bench's epsilon; returns the config path."""
     data = str(tmp_path / "compas.csv")
     bench_inputs.write_compas(data, bench_inputs.compas_input(3000, 5))
     raw = preset_dict("compas")
@@ -1225,6 +1246,40 @@ def test_commands_as_processes(tmp_path, bench_inputs):
     raw["discrimination"]["epsilon"] = 0.45  # the bench's; the preset's is infeasible here
     cfg = tmp_path / "compas.yaml"
     cfg.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return cfg
+
+
+def test_no_filters_reads_a_prefiltered_file(tmp_path, bench_inputs, capsys):
+    """``transform --no-filters`` skips the config's row filters: the raw
+    file then holds a charge degree the filters would have dropped, and a
+    transformed file, which lacks the filter columns, reads back whole."""
+    cfg = write_compas_config(tmp_path, bench_inputs)
+    kernel = ["--config", str(cfg), "--kernel", str(tmp_path / "out" / "kernel.csv")]
+    assert main(["fit", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["transform", *kernel, "--no-filters", "--out-dir", str(tmp_path / "raw")]) == 4
+    assert "value 'O' is not a category of 'c_charge_degree'" in capsys.readouterr().err
+    assert main(["transform", *kernel, "--mode", "train"]) == 0
+    prefiltered = str(tmp_path / "out" / "transformed_train.csv")
+    capsys.readouterr()
+    assert main(["transform", *kernel, "--input", prefiltered,
+                 "--out-dir", str(tmp_path / "filtered")]) == 4
+    assert "filter column 'days_b_screening_arrest' missing" in capsys.readouterr().err
+    config = load_config(str(cfg))
+    for mode in ("train", "apply"):
+        out = tmp_path / f"no_filters_{mode}"
+        assert main(["transform", *kernel, "--mode", mode, "--input", prefiltered,
+                     "--no-filters", "--out-dir", str(out)]) == 0
+        written = read_dataset(str(out / f"transformed_{mode}.csv"), config.schema)
+        assert len(written) == 981
+
+
+def test_commands_as_processes(tmp_path, bench_inputs):
+    """The commands as users start them, one process each, so each loads
+    SciPy's HiGHS bindings through ``fairmap.solver``'s own loader (this
+    suite imports ``scipy.optimize`` first), on a 3,000-row compas-shaped
+    file under the compas preset (KL objective)."""
+    cfg = write_compas_config(tmp_path, bench_inputs)
     fit = ["fit", "--config", str(cfg)]
     kernel = [*fit[1:], "--kernel", str(tmp_path / "out" / "kernel.csv")]
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
