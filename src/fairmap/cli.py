@@ -349,6 +349,7 @@ def cmd_audit(args) -> int:
                    if args.transformed else None)
 
     payload: dict = {"fingerprint": config.fingerprint(), "n_records": len(original)}
+    skipped = []
     before = audit_discrimination(pmf, spec)
     payload["discrimination_before"] = _discrimination_section(before, schema)
     after = emp = None
@@ -373,13 +374,17 @@ def cmd_audit(args) -> int:
             "epsilon": eps_scalar,
             "exceeds_bound": verdict.exceeds,
         }
-        c_m = float(joint_after.min()) if joint_after.min() > 0 else float("nan")
-        if pmf.n and joint_after.min() > 0:
+        empty = np.argwhere(joint_after <= 0.0)
+        if empty.size:
+            d, y = empty[0]
+            skipped.append(f"cell d={schema.d_label(d)!r} y={schema.y_label(y)!r} has zero"
+                           " mass after the transform; robustness skipped")
+        else:
             bound = robustness_bounds(
                 n=pmf.n,
                 beta=args.beta,
                 m=schema.nd * schema.nx * schema.ny,
-                c_m=c_m,
+                c_m=float(joint_after.min()),
                 epsilon=eps_scalar,
                 mu=util.l1,
                 joint_dy=joint_after,
@@ -426,9 +431,10 @@ def cmd_audit(args) -> int:
                 "max": summary.max,
                 "exceedance": summary.exceedance,
             }
-    # groups the reports skipped, each named once, in report order
-    warnings = dict.fromkeys(w for report in (before, after, emp) if report is not None
-                             for w in report.warnings)
+    # groups the reports skipped, each named once, in report order, then
+    # the sections left out
+    warnings = dict.fromkeys([w for report in (before, after, emp) if report is not None
+                              for w in report.warnings] + skipped)
     if warnings:
         payload["warnings"] = list(warnings)
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
+from ._csr import CSR, vstack, zeros
 from .constants import FORBIDDEN, ROW_ATOL
 from .domain import JointPMF, Schema, composite_labels, probabilities
 from .distortion import DistortionBudget, DistortionMetric, distortion_matrix
@@ -163,7 +163,7 @@ def segments(schema: Schema, condition_on: Sequence[str]) -> tuple[np.ndarray, S
 
 
 def _rate_matrix(layout: VariableLayout, group: np.ndarray, mass: np.ndarray,
-                 free: np.ndarray) -> sp.csr_matrix:
+                 free: np.ndarray) -> CSR:
     """R with (R k)[g * ny + y] = p(Y_hat = y | group g) for every group,
     on the layout entries ``free``.
 
@@ -173,14 +173,12 @@ def _rate_matrix(layout: VariableLayout, group: np.ndarray, mass: np.ndarray,
     r, j = np.divmod(free, layout.row_dim)
     g = group[r]
     ny = layout.schema.ny
-    return sp.csr_matrix(
-        (layout.weights[r] / mass[g], (g * ny + j % ny, np.arange(free.size))),
-        shape=(mass.size * ny, free.size),
-    )
+    return CSR.from_entries(g * ny + j % ny, np.arange(free.size), layout.weights[r] / mass[g],
+                            (mass.size * ny, free.size))
 
 
 def _discrimination_rows(spec: DiscriminationSpec, pmf: JointPMF, layout: VariableLayout,
-                         free: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, tuple, tuple]:
+                         free: np.ndarray) -> tuple[CSR, np.ndarray, tuple, tuple]:
     """The rows ``G k <= h`` of the chosen discrimination control on the
     layout entries ``free``, their labels, and the warnings of skipped groups.
 
@@ -271,24 +269,20 @@ def _discrimination_rows(spec: DiscriminationSpec, pmf: JointPMF, layout: Variab
                         row([(r1, -1.0), (r2, 1.0 - e12)], 0.0, name + " lower(1|2)")
                         row([(r2, -1.0), (r1, 1.0 - e21)], 0.0, name + " lower(2|1)")
     R = _rate_matrix(layout, group, mass, free)
-    C = sp.csr_matrix((c_val, (c_row, c_col)), shape=(len(rhs), R.shape[0]))
-    # each entry of C R is one scaled entry of R, whose rows use disjoint columns;
-    # the product drops the zeros a tolerance of 1 leaves but may leave indices unsorted
-    G = C @ R
-    G.sort_indices()
-    return G, np.array(rhs, dtype=np.float64), tuple(labels), tuple(warnings)
+    # each entry of C R is one scaled entry of R, whose rows use disjoint
+    # columns; C does not store the zero coefficient a tolerance of 1 leaves
+    C = CSR.from_entries(c_row, c_col, c_val, (len(rhs), R.shape[0]))
+    return C @ R, np.array(rhs, dtype=np.float64), tuple(labels), tuple(warnings)
 
 
-def _block_rows(values: np.ndarray, row_ptr: np.ndarray) -> sp.csr_matrix:
+def _block_rows(values: np.ndarray, row_ptr: np.ndarray) -> CSR:
     """One constraint row per kernel row, from one value per column: row r
     holds the values of columns row_ptr[r]:row_ptr[r + 1] (kernel row r's
     entries), zeros dropped."""
     nonzero = values != 0.0
     ends = np.concatenate(([0], np.cumsum(nonzero)))
-    return sp.csr_matrix(
-        (values[nonzero], np.flatnonzero(nonzero), ends[row_ptr]),
-        shape=(row_ptr.size - 1, values.size),
-    )
+    return CSR(ends[row_ptr], np.flatnonzero(nonzero), values[nonzero],
+               (row_ptr.size - 1, values.size))
 
 
 def _distortion_terms(metric: DistortionMetric, budget: DistortionBudget,
@@ -322,7 +316,7 @@ def _distortion_terms(metric: DistortionMetric, budget: DistortionBudget,
 
 
 def _distortion_rows(D: np.ndarray, pairs: list, layout: VariableLayout,
-                     free: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, tuple]:
+                     free: np.ndarray) -> tuple[CSR, np.ndarray, tuple]:
     """Per-input-cell distortion inequalities ``G k <= h`` for the D and
     budget pairs of ``_distortion_terms``, built on the layout entries
     ``free``, with their labels.
@@ -344,7 +338,7 @@ def _distortion_rows(D: np.ndarray, pairs: list, layout: VariableLayout,
         else:
             blocks.append(_block_rows((D > t).astype(np.float64), row_ptr))
             labels.extend(f"dist[>{t}] " + names)
-    return (sp.vstack(blocks, format="csr"), np.concatenate([c for _, c in pairs]),
+    return (vstack(blocks), np.concatenate([c for _, c in pairs]),
             tuple(labels))
 
 
@@ -354,7 +348,7 @@ def side_constraints(
     disc_spec: Optional[DiscriminationSpec],
     metric: Optional[DistortionMetric],
     budget: Optional[DistortionBudget],
-) -> tuple[sp.csr_matrix, np.ndarray, tuple, tuple, np.ndarray]:
+) -> tuple[CSR, np.ndarray, tuple, tuple, np.ndarray]:
     """The side rows ``G k <= h`` of a kernel program, their labels, the
     warnings of skipped groups, and the layout entries that are its
     variables.
@@ -371,13 +365,13 @@ def side_constraints(
     else:
         D, pairs, pinned = _distortion_terms(metric, budget, layout)
         free = np.flatnonzero(~pinned)
-    blocks = [(sp.csr_matrix((0, free.size)), np.zeros(0), (), ())]
+    blocks = [(zeros((0, free.size)), np.zeros(0), (), ())]
     if disc_spec is not None:
         blocks.append(_discrimination_rows(disc_spec, pmf, layout, free))
     if metric is not None:
         blocks.append(_distortion_rows(D, pairs, layout, free) + ((),))
     G, h, labels, warnings = zip(*blocks)
-    return (sp.vstack(G, format="csr"), np.concatenate(h), sum(labels, ()),
+    return (vstack(G), np.concatenate(h), sum(labels, ()),
             sum(warnings, ()), free)
 
 

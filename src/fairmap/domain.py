@@ -9,13 +9,14 @@ construction and all operations are pure functions.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .constants import MASS_ATOL
 from .errors import (
@@ -354,6 +355,49 @@ def _vectors(p, q) -> tuple[np.ndarray, np.ndarray]:
     if pv.shape != qv.shape:
         raise SupportMismatchError(f"supports differ: {pv.shape} vs {qv.shape}")
     return pv, qv
+
+
+def _rel_entr(x: float, y: float) -> float:
+    # SciPy's rel_entr (1.17) term for term: log1p where x / y is near 1,
+    # and log x - log y where x / y is not a normal float
+    if x > 0.0 and y > 0.0:
+        r = x / y
+        if 0.5 < r < 2.0:
+            return x * math.log1p((x - y) / y)
+        if sys.float_info.min <= r <= sys.float_info.max:
+            return x * math.log(r)
+        return x * (math.log(x) - math.log(y))
+    if x == 0.0 and y >= 0.0:
+        return 0.0
+    return math.nan if x != x or y != y else math.inf
+
+
+def _xlogy(x: float, y: float) -> float:
+    if x == 0.0 and y == y:
+        return 0.0
+    if y > 0.0:
+        return x * math.log(y)
+    return x * -math.inf if y == 0.0 else math.nan
+
+
+def _libm(term, x, y) -> np.ndarray:
+    # one libm call per element, through math: numpy's SIMD log and log1p
+    # differ from libm in the last bit
+    x, y = (np.asarray(a, dtype=np.float64).ravel().tolist() for a in (x, y))
+    return np.fromiter(map(term, x, y), np.float64, len(x))
+
+
+def rel_entr(x, y) -> np.ndarray:
+    """x log(x / y) elementwise, 0 where x = 0 <= y, NaN where x or y is NaN
+    and inf wherever else x and y are not both positive: the same floats as
+    ``scipy.special.rel_entr``."""
+    return _libm(_rel_entr, x, y)
+
+
+def xlogy(x, y) -> np.ndarray:
+    """x log y elementwise, 0 where x is 0 and y is not NaN: the same floats
+    as ``scipy.special.xlogy``."""
+    return _libm(_xlogy, x, y)
 
 
 def kl_divergence(p, q) -> float:

@@ -16,8 +16,8 @@ from functools import partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
+from ._csr import CSR
 from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, ROW_ATOL
 from .constraints import DiscriminationSpec, VariableLayout, cell_names, side_constraints
 from .distortion import DistortionBudget, DistortionMetric
@@ -147,13 +147,11 @@ class Solution:
         object.__setattr__(self, "diagnostics", dict(self.diagnostics))
 
 
-def _image_map(layout: VariableLayout, free: np.ndarray) -> sp.csr_matrix:
+def _image_map(layout: VariableLayout, free: np.ndarray) -> CSR:
     """A with (A k)_j = sum_r p(r) k_r(j): one nonzero per variable."""
     r, j = np.divmod(free, layout.row_dim)
-    return sp.csr_matrix(
-        (layout.weights[r], (j, np.arange(free.size))),
-        shape=(layout.row_dim, free.size),
-    )
+    return CSR.from_entries(j, np.arange(free.size), layout.weights[r],
+                            (layout.row_dim, free.size))
 
 
 def _identity_anchor(layout: VariableLayout, free: np.ndarray) -> np.ndarray:
@@ -352,23 +350,19 @@ def _entry_index(layout: VariableLayout):
     return (r,) + np.divmod(j, layout.schema.ny)
 
 
-def _substitution_for_w(layout: VariableLayout, w: np.ndarray) -> sp.csr_matrix:
+def _substitution_for_w(layout: VariableLayout, w: np.ndarray) -> CSR:
     """S with (S m)[(r, xh, yh)] = w[xh, yh] * m[(r, xh)]."""
     nx = layout.schema.nx
     r, xh, yh = _entry_index(layout)
-    return sp.csr_matrix(
-        (w[xh, yh], (np.arange(layout.n_vars), r * nx + xh)),
-        shape=(layout.n_vars, layout.n_rows * nx),
-    )
+    return CSR.from_entries(np.arange(layout.n_vars), r * nx + xh, w[xh, yh],
+                            (layout.n_vars, layout.n_rows * nx))
 
 
-def _substitution_for_m(layout: VariableLayout, m: np.ndarray) -> sp.csr_matrix:
+def _substitution_for_m(layout: VariableLayout, m: np.ndarray) -> CSR:
     """S with (S w)[(r, xh, yh)] = m[r, xh] * w[(xh, yh)]."""
     r, xh, yh = _entry_index(layout)
-    return sp.csr_matrix(
-        (m[r, xh], (np.arange(layout.n_vars), xh * layout.schema.ny + yh)),
-        shape=(layout.n_vars, layout.row_dim),
-    )
+    return CSR.from_entries(np.arange(layout.n_vars), xh * layout.schema.ny + yh, m[r, xh],
+                            (layout.n_vars, layout.row_dim))
 
 
 def _f_divergence_lower_bound(problem: Problem, kvec: np.ndarray) -> float:
@@ -409,14 +403,14 @@ def sof_solve(problem: Problem, strategy: str = SOF_FIX_CONDITIONAL,
     # one row per kernel row sums its pinned entries, and since S >= 0,
     # holding that sum at 0 holds each of them at 0
     pinned = np.setdiff1d(np.arange(layout.n_vars), free)
-    pins = sp.csr_matrix((np.ones(pinned.size), (pinned // layout.row_dim, pinned)),
-                         shape=(layout.n_rows, layout.n_vars))
+    pins = CSR.from_entries(pinned // layout.row_dim, pinned, np.ones(pinned.size),
+                            (layout.n_rows, layout.n_vars))
     hit = np.diff(pins.indptr) > 0
-    pins, pin_labels = pins[hit], "pin " + cell_names(layout)[hit]
+    pins, pin_labels = pins.take_rows(hit), "pin " + cell_names(layout)[hit]
 
-    def restricted(S: sp.csr_matrix, row_len: int) -> SimplexImageProgram:
+    def restricted(S: CSR, row_len: int) -> SimplexImageProgram:
         row_ptr = np.arange(S.shape[1] // row_len + 1) * row_len
-        return program.substitute(S[free], row_ptr, pins @ S, pin_labels)
+        return program.substitute(S.take_rows(free), row_ptr, pins @ S, pin_labels)
 
     def m_program(w_cur: np.ndarray) -> SimplexImageProgram:
         return restricted(_substitution_for_w(layout, w_cur), nx)

@@ -37,8 +37,9 @@ Every LP adds a tiny identity-deviation term to the objective so that
 ties between algebraically equivalent optima break deterministically
 toward the least-randomizing kernel.
 
-From SciPy this module imports ``scipy.sparse``, ``scipy.special.xlogy``
-and that extension module alone (``_load_highs``), not ``scipy.optimize``.
+From SciPy this module loads that extension module alone (``_load_highs``),
+not ``scipy.optimize``.  Its matrices are ``_csr.CSR`` records, handed to
+HiGHS row-wise, and its logarithms are libm's (``domain.xlogy``).
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
-from scipy.special import xlogy
 
+from ._csr import CSR, hstack, identity, vstack, zeros
 from .constants import DEFAULT_MAX_ITERS, DEFAULT_TOL, TIE_BREAK_WEIGHT
-from .domain import kl_divergence
+from .domain import kl_divergence, xlogy
 from .errors import InvalidParamsError, NumericalBreakdownError
 
 
@@ -127,9 +127,9 @@ class SimplexImageProgram:
     """
 
     row_ptr: np.ndarray
-    A: sp.csr_matrix
+    A: CSR
     p_ref: np.ndarray
-    G: sp.csr_matrix
+    G: CSR
     h: np.ndarray
     labels: tuple[str, ...]
     anchor: np.ndarray
@@ -142,14 +142,12 @@ class SimplexImageProgram:
     def n_vars(self) -> int:
         return int(self.row_ptr[-1])
 
-    def row_sum_matrix(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (np.ones(self.n_vars), np.arange(self.n_vars), self.row_ptr),
-            shape=(self.n_rows, self.n_vars),
-        )
+    def row_sum_matrix(self) -> CSR:
+        return CSR(self.row_ptr, np.arange(self.n_vars), np.ones(self.n_vars),
+                   (self.n_rows, self.n_vars))
 
     def image(self, kvec: np.ndarray) -> np.ndarray:
-        return np.asarray(self.A @ kvec)
+        return self.A @ kvec
 
     def tie_term(self, kvec: np.ndarray) -> float:
         return TIE_BREAK_WEIGHT * (self.n_rows - float(self.anchor @ kvec))
@@ -165,18 +163,18 @@ class SimplexImageProgram:
         viol = max(viol, float(max(0.0, -kvec.min())))
         return viol
 
-    def substitute(self, S: sp.csr_matrix, row_ptr: np.ndarray,
-                   pins: sp.csr_matrix, pin_labels) -> "SimplexImageProgram":
+    def substitute(self, S: CSR, row_ptr: np.ndarray,
+                   pins: CSR, pin_labels) -> "SimplexImageProgram":
         """Program over new variables v with k = S v (sparse substitution)
         and simplex rows ``row_ptr``, plus the rows ``pins @ v <= 0``."""
         return SimplexImageProgram(
             row_ptr=row_ptr,
-            A=(self.A @ S).tocsr(),
+            A=self.A @ S,
             p_ref=self.p_ref,
-            G=sp.vstack([self.G @ S, pins], format="csr"),
+            G=vstack([self.G @ S, pins]),
             h=np.concatenate([self.h, np.zeros(pins.shape[0])]),
             labels=self.labels + tuple(pin_labels),
-            anchor=np.asarray(S.T @ self.anchor).ravel(),
+            anchor=S.rmatvec(self.anchor),
         )
 
 
@@ -220,12 +218,12 @@ class _LPModel:
                  aux_basic: bool = False):
         self.name, self.bases, self.prog, self.aux_basic = name, bases, prog, aux_basic
         self.fresh, n_aux = True, len(c_aux)
-        aux = sp.csr_matrix((prog.h.size, n_aux)) if g_aux is None else g_aux
+        aux = zeros((prog.h.size, n_aux)) if g_aux is None else g_aux
         if rows is None:
-            rows, rhs = sp.csr_matrix((0, prog.n_vars + n_aux)), np.zeros(0)
+            rows, rhs = zeros((0, prog.n_vars + n_aux)), np.zeros(0)
         self.n_given_rows = rows.shape[0]
-        A = sp.vstack([sp.hstack([prog.G, aux]), rows, sp.hstack(
-            [prog.row_sum_matrix(), sp.csr_matrix((prog.n_rows, n_aux))])], format="csc")
+        A = vstack([hstack([prog.G, aux]), rows,
+                    hstack([prog.row_sum_matrix(), zeros((prog.n_rows, n_aux))])])
         self.highs = _highs._Highs()
         for key, value in _OPTIONS.items():
             self._set(key, value)
@@ -233,19 +231,20 @@ class _LPModel:
         # residue, such as a substituted factor's) and then warns
         status, small = self.highs.getOptionValue("small_matrix_value")
         self._ok(status, "getOptionValue('small_matrix_value')")
-        A.data[np.abs(A.data) <= small] = 0.0
-        A.eliminate_zeros()
+        keep = np.abs(A.data) > small
+        starts = np.concatenate(([0], np.cumsum(keep)))[A.indptr].astype(np.int32)
         # the array overload (HighsLp's setters convert arrays element by
         # element); its integrality array must be full length
         ones = np.ones(prog.n_rows)
         num_row, num_col = A.shape
         self._ok(self.highs.passModel(
-            num_col, num_row, A.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
+            num_col, num_row, int(starts[-1]), _highs.MatrixFormat.kRowwise,
+            _highs.ObjSense.kMinimize,
             0.0, np.concatenate([c_k, c_aux]), np.zeros(num_col),
             np.concatenate([np.ones(prog.n_vars), np.full(n_aux, np.inf)]),
             np.concatenate([np.full(num_row - ones.size, -np.inf), ones]),
             np.concatenate([prog.h, rhs, ones]),
-            A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data,
+            starts, A.indices[keep], A.data[keep],
             np.zeros(num_col, dtype=np.int32),
         ), "passModel")
 
@@ -256,7 +255,7 @@ class _LPModel:
     def _set(self, key: str, value) -> None:
         self._ok(self.highs.setOptionValue(key, value), f"setOptionValue({key!r})")
 
-    def add_rows(self, rows: sp.csr_matrix, rhs: np.ndarray) -> None:
+    def add_rows(self, rows: CSR, rhs: np.ndarray) -> None:
         """Append the rows ``rows @ x <= rhs``.
 
         A model that gains rows is solved with max-value scaling (4): under
@@ -270,8 +269,7 @@ class _LPModel:
         self._set("simplex_scale_strategy", 4)
         self._ok(self.highs.addRows(
             rows.shape[0], np.full(rows.shape[0], -np.inf), rhs, rows.nnz,
-            rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32),
-            rows.data,
+            rows.indptr[:-1], rows.indices, rows.data,
         ), "addRows")
 
     def _identity_basis(self) -> _highs.HighsBasis:
@@ -352,7 +350,7 @@ def phase1_violation(prog: SimplexImageProgram,
     """
     n, m = prog.n_vars, int(prog.h.size)
     x = _LPModel("phase-1 LP", prog, np.zeros(n), np.ones(m),
-                 -sp.identity(m, format="csr"), bases=bases).run().x
+                 -identity(m), bases=bases).run().x
     kvec = x[:n]
     if m == 0:
         return 0.0, kvec, {}
@@ -393,7 +391,7 @@ def lagrangian_bound(prog: SimplexImageProgram, lam: np.ndarray, mu: np.ndarray,
     else:
         mu = np.clip(mu, -1.0, 1.0)
         phi = mu * p
-    reduced = prog.G.T @ lam - prog.A.T @ mu - TIE_BREAK_WEIGHT * prog.anchor
+    reduced = prog.G.rmatvec(lam) - prog.A.rmatvec(mu) - TIE_BREAK_WEIGHT * prog.anchor
     # every simplex row holds a variable whenever an LP is optimal (an
     # empty row cannot sum to 1), so no reduceat segment is empty
     return (TIE_BREAK_WEIGHT * prog.n_rows - float(lam @ prog.h) + float(phi.sum())
@@ -417,11 +415,11 @@ def solve_tv(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     # varies within a row (a factorized block with pin rows), c_k gains s
     # less its row maximum, so the LP objective is |p - A k|_1 plus a
     # constant either way
-    s = np.asarray(prog.A.sum(axis=0)).ravel()
+    s = prog.A.col_sums()
     s -= np.repeat(np.maximum.reduceat(s, prog.row_ptr[:-1]), np.diff(prog.row_ptr))
     run = _LPModel(
         "l1 LP", prog, s - TIE_BREAK_WEIGHT * prog.anchor, np.full(n_img, 2.0),
-        rows=sp.hstack([-prog.A, -sp.identity(n_img)], format="csr"),
+        rows=hstack([-prog.A, -identity(n_img)]),
         rhs=-prog.p_ref, bases=bases,
     ).run(STATUS_INFEASIBLE, STATUS_ITERATION_LIMIT, max_iters=max_iters)
     if run.status != STATUS_OPTIMAL:
@@ -487,13 +485,13 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     n, m = prog.n_vars, int(prog.h.size)
     sup = np.nonzero(prog.p_ref > 0)[0]
     p = prog.p_ref[sup]
-    A_sup = prog.A[sup]
+    A_sup = prog.A.take_rows(sup)
 
     # start from a feasible point that covers the supported image cells:
     # maximize t subject to (A k)_j >= t * p_j on the support
     start = _LPModel(
         "KL start LP", prog, np.zeros(n), [-1.0],
-        rows=sp.hstack([-A_sup, sp.csr_matrix(p.reshape(-1, 1))], format="csr"),
+        rows=hstack([-A_sup, CSR(np.arange(sup.size + 1), np.zeros(sup.size), p, (sup.size, 1))]),
         rhs=np.zeros(sup.size), bases=bases,
     ).run(STATUS_INFEASIBLE)
     simplex_iterations = [start.iterations]
@@ -528,10 +526,9 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
     # bound is that of tangents in (A k)_j, while each cut row has two
     # nonzeros (at q_j and t_j) instead of a row of A
     n_sup = sup.size
-    eye = sp.identity(n_sup, format="csr")
     model = _LPModel(
         "cut LP", prog, -TIE_BREAK_WEIGHT * prog.anchor, np.concatenate([np.zeros(n_sup), p]),
-        rows=sp.hstack([-A_sup, eye, sp.csr_matrix((n_sup, n_sup))], format="csr"),
+        rows=hstack([-A_sup, identity(n_sup), zeros((n_sup, n_sup))]),
         rhs=np.zeros(n_sup), bases=bases, aux_basic=True,
     )
     cut_cols = np.column_stack([n + np.arange(n_sup), n + n_sup + np.arange(n_sup)])
@@ -540,11 +537,8 @@ def solve_kl(prog: SimplexImageProgram, tol: float = DEFAULT_TOL,
         # tangent at q_hat: t_j >= -log q_hat_j + 1 - q_j / q_hat_j; the
         # model keeps q, t >= 0, which cuts nothing off since 0 <= (A k)_j <= 1
         model.add_rows(
-            sp.csr_matrix(
-                (np.column_stack([-1.0 / q_hat, -np.ones(n_sup)]).ravel(),
-                 cut_cols.ravel(), np.arange(0, 2 * n_sup + 1, 2)),
-                shape=(n_sup, n + 2 * n_sup),
-            ),
+            CSR(np.arange(0, 2 * n_sup + 1, 2), cut_cols.ravel(),
+                np.column_stack([-1.0 / q_hat, -np.ones(n_sup)]).ravel(), (n_sup, n + 2 * n_sup)),
             np.log(q_hat) - 1.0,
         )
         run = model.run()

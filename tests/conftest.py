@@ -18,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fairmap import (
     Alphabet,
@@ -257,6 +258,12 @@ def grid_search_oracle(inst: ToyInstance, objective: str = "l1",
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def scipy_csr(m) -> sp.csr_matrix:
+    """A program matrix (``fairmap._csr.CSR``) as a ``scipy.sparse`` oracle
+    built from the record's own arrays."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 
 
 BENCH_INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "inputs.py")

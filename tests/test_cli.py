@@ -428,7 +428,13 @@ class TestAuditAndSweep:
             "--out-dir", str(tmp / "a8"),
         ]) == 0
         payload = json.loads((tmp / "a8" / "audit_report.json").read_text())
-        assert payload["warnings"] == ["group 'c' has zero mass; skipped"]
+        # the transformed joint has no mass on group c either, so the
+        # robustness section is left out, and the report says why
+        assert payload["warnings"] == [
+            "group 'c' has zero mass; skipped",
+            "cell d='c' y='0' has zero mass after the transform; robustness skipped",
+        ]
+        assert "robustness" not in payload
         for section in ("before", "after", "empirical"):
             assert set(payload[f"discrimination_{section}"]["rates"]) == {"a", "b"}
 

@@ -5,7 +5,6 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +20,7 @@ from fairmap import (
     identity_kernel,
     ratio_distance,
 )
+from fairmap._csr import CSR, vstack, zeros
 from fairmap.constants import FORBIDDEN
 from fairmap.constraints import (
     _discrimination_rows,
@@ -31,7 +31,7 @@ from fairmap.errors import MissingBudgetError, UnknownVariableError, ZeroReferen
 from fairmap.optimizer import _identity_anchor, _image_map
 from fairmap.presets import preset_config
 
-from conftest import make_schema, make_schema_multi, random_pmf
+from conftest import make_schema, make_schema_multi, random_pmf, scipy_csr
 from test_properties import random_instance
 
 
@@ -54,14 +54,14 @@ def full_layout_rows(pmf, spec, metric=None, budget=None, layout=None):
     if layout is None:
         layout = VariableLayout.from_pmf(pmf)
     every = np.arange(layout.n_vars)
-    blocks, pinned = [(sp.csr_matrix((0, layout.n_vars)), np.zeros(0), (), ())], None
+    blocks, pinned = [(zeros((0, layout.n_vars)), np.zeros(0), (), ())], None
     if spec is not None:
         blocks.append(_discrimination_rows(spec, pmf, layout, every))
     if metric is not None:
         D, pairs, pinned = _distortion_terms(metric, budget, layout)
         blocks.append(_distortion_rows(D, pairs, layout, every) + ((),))
     G, h, labels, warnings = zip(*blocks)
-    return SideRows(sp.vstack(G, format="csr"), np.concatenate(h), sum(labels, ()),
+    return SideRows(vstack(G), np.concatenate(h), sum(labels, ()),
                     sum(warnings, ())), pinned
 
 
@@ -531,8 +531,8 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_canonical_csr(self, name):
         G = _pinned_case(name)[0].G
-        assert G.format == "csr"
-        assert G.has_sorted_indices
+        assert isinstance(G, CSR) and G.indptr.dtype == G.indices.dtype == np.int32
+        assert scipy_csr(G).has_sorted_indices
         assert all((np.diff(G.indices[a:b]) > 0).all()
                    for a, b in zip(G.indptr[:-1], G.indptr[1:]))
         assert (G.data != 0).all()
@@ -550,7 +550,7 @@ def reference_program(pmf, spec, metric, budget):
     merged, pinned = full_layout_rows(pmf, spec, metric, budget, layout)
     free = np.arange(layout.n_vars) if pinned is None else np.flatnonzero(~pinned)
     return dict(
-        G=merged.G[:, free], h=merged.h, labels=merged.labels, warnings=merged.warnings,
+        G=scipy_csr(merged.G)[:, free], h=merged.h, labels=merged.labels, warnings=merged.warnings,
         free=free, A=_image_map(layout, free), anchor=_identity_anchor(layout, free),
         row_ptr=np.searchsorted(free, np.arange(layout.n_rows + 1) * layout.row_dim),
     )

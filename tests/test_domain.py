@@ -1,11 +1,13 @@
 """Distribution-algebra unit and property tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from fairmap import (
     Alphabet,
@@ -21,6 +23,7 @@ from fairmap import (
     kl_divergence,
     l1_distance,
 )
+from fairmap.domain import rel_entr, xlogy
 from fairmap.errors import (
     EmptyDatasetError,
     InvalidParamsError,
@@ -117,6 +120,15 @@ class TestConditional:
         np.testing.assert_allclose(rebuilt, pmf.mass, atol=1e-12)
 
 
+# one ulp apart: the KL sum rounds to -2.8e-17
+ONE_ULP_APART = (
+    np.array([float.fromhex("0x1.745d1745d1746p-4")]
+             + [float.fromhex("0x1.745d1745d1746p-3")] * 4
+             + [float.fromhex("0x1.745d1745d1745p-3")]),
+    np.array([0.5, 1.0, 1.0, 1.0, 1.0, 1.0]) / 5.5,
+)
+
+
 class TestDivergences:
     def test_kl_identity(self):
         p = np.array([0.3, 0.7])
@@ -170,16 +182,72 @@ class TestDivergences:
 
     @settings(max_examples=200, deadline=None)
     @given(simplex(6), simplex(6))
-    # one ulp apart: the KL sum rounds to -2.8e-17
-    @example(
-        p=np.array([float.fromhex("0x1.745d1745d1746p-4")]
-                   + [float.fromhex("0x1.745d1745d1746p-3")] * 4
-                   + [float.fromhex("0x1.745d1745d1745p-3")]),
-        q=np.array([0.5, 1.0, 1.0, 1.0, 1.0, 1.0]) / 5.5,
-    )
+    @example(p=ONE_ULP_APART[0], q=ONE_ULP_APART[1])
     def test_pinsker(self, p, q):
         kl = kl_divergence(p, q)
         assert l1_distance(p, q) <= 2.0 * math.sqrt(2.0 * kl) + 1e-9
+
+
+def divergence_pairs():
+    """166,196 (x, y) pairs: uniform, tiny x, log-uniform over the whole
+    exponent range, ratios within 1e-6 of 1, ratios of exactly 0.5 and 2
+    and one ulp either side, and every pair of special values."""
+    rng = np.random.default_rng(33)
+    n = 40_000
+    x = np.concatenate([rng.random(n), rng.random(n) * 1e-300, np.exp(rng.uniform(-700, 700, n))])
+    y = np.concatenate([rng.random(n), rng.random(n), np.exp(rng.uniform(-700, 700, n))])
+    near = x[:n] * (1.0 + rng.normal(0.0, 1e-6, n))
+    base = rng.random(1_000) + 0.1
+    edges = [np.nextafter(f * base, toward) for f in (0.5, 2.0) for toward in (0.0, f * base, 3.0)]
+    special_values = [0.0, -0.0, -1.0, -1e-310, 5e-324, 1e-310, sys.float_info.min, 0.5,
+                      1.0, 2.0, 1e308, math.inf, -math.inf, math.nan]
+    sx, sy = np.meshgrid(special_values, special_values)
+    return (np.concatenate([x, x[:n], *edges, sx.ravel()]),
+            np.concatenate([y, near, *[base] * len(edges), sy.ravel()]))
+
+
+def differing_bits(a, b) -> np.ndarray:
+    """Indices where a and b differ as float64 bit patterns (NaNs all equal)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return np.flatnonzero((a.view(np.int64) != b.view(np.int64)) & ~(np.isnan(a) & np.isnan(b)))
+
+
+class TestLibmDivergences:
+    """``rel_entr`` and ``xlogy`` call libm through ``math`` and give the
+    floats of ``scipy.special``, the oracle here."""
+
+    def test_pairs_cover_both_rel_entr_branches(self):
+        x, y = divergence_pairs()
+        assert x.size >= 100_000
+        with np.errstate(all="ignore"):
+            ratio = x / y
+        for edge in (0.5, 2.0):
+            below = (ratio < edge) & (ratio > edge * (1.0 - 1e-12))
+            above = (ratio > edge) & (ratio < edge * (1.0 + 1e-12))
+            assert min(below.sum(), (ratio == edge).sum(), above.sum()) >= 1_000
+        assert ((ratio > 0.5) & (ratio < 2.0)).sum() > 40_000  # the log1p branch
+
+    def test_rel_entr_matches_scipy(self):
+        x, y = divergence_pairs()
+        with np.errstate(all="ignore"):
+            expected = special.rel_entr(x, y)
+        assert differing_bits(rel_entr(x, y), expected).size == 0
+
+    def test_xlogy_matches_scipy(self):
+        x, y = divergence_pairs()
+        with np.errstate(all="ignore"):
+            expected = special.xlogy(x, y)
+        assert differing_bits(xlogy(x, y), expected).size == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(simplex(6), simplex(6))
+    @example(p=ONE_ULP_APART[0], q=ONE_ULP_APART[1])
+    @example(p=np.array([0.3, 0.7]), q=np.array([0.3, 0.7]))
+    @example(p=np.array([0.5, 0.5]), q=np.array([0.25, 0.75]))
+    @example(p=np.array([1.0, 0.0]), q=np.array([0.0, 1.0]))
+    def test_kl_divergence_as_with_scipy(self, p, q):
+        # the float kl_divergence returned when it summed scipy's rel_entr
+        assert kl_divergence(p, q) == max(float(special.rel_entr(p, q).sum()), 0.0)
 
 
 class TestInvariants:

@@ -1,16 +1,23 @@
 """How the solver loads SciPy's HiGHS bindings, checked in fresh
 interpreters: this suite's own warning filters import ``scipy.optimize``
-before any test runs, so in-process tests never see the first import.
+and ``scipy.sparse`` before any test runs, so in-process tests never see
+the first import.
 
 ``fairmap.solver`` loads the extension module
 ``scipy.optimize._highspy._core`` from its file, without the
 ``scipy.optimize`` package, and enters it in ``sys.modules`` under its own
-name; a later ``import scipy.optimize`` reuses it."""
+name; a later ``import scipy.optimize`` reuses it.  No other SciPy module
+but top-level ``scipy`` is loaded, by import or by any command."""
 
 import os
 import subprocess
 import sys
 import textwrap
+
+import yaml
+
+from test_cli import write_synthetic_csv
+from test_config import tiny_config_dict
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(HERE, os.pardir, "src")
@@ -84,3 +91,41 @@ def test_regular_import_when_no_file_is_found():
         assert len(refused) == 1 and "scipy.optimize" in sys.modules
         assert solver._highs is sys.modules["scipy.optimize._highspy._core"]
     """, SOLVES)
+
+
+# modules that scipy.sparse and scipy.special load through SciPy's vendored
+# array-API layer (which looks up every numpy name, numpy.testing and
+# numpy.f2py among them); no fairmap code uses any of them
+UNUSED = ("scipy.sparse", "scipy.special", "scipy._lib._array_api",
+          "numpy.testing", "numpy.f2py")
+
+
+def test_commands_load_no_scipy_module_but_highs(tmp_path):
+    data = write_synthetic_csv(tmp_path / "data.csv")
+    unlabeled = write_synthetic_csv(tmp_path / "new.csv", n=80, seed=13, with_outcome=False)
+    argvs = []
+    for objective in ("l1", "kl"):
+        raw = tiny_config_dict(path=str(data))
+        raw["objective"] = objective
+        raw["output"] = {"dir": str(tmp_path / objective)}
+        cfg = tmp_path / f"{objective}.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        argvs.append(["fit", "--config", str(cfg)])
+    cfg, kernel = str(tmp_path / "l1.yaml"), str(tmp_path / "l1" / "kernel.csv")
+    argvs += [
+        ["transform", "--config", cfg, "--kernel", kernel, "--mode", "train"],
+        ["transform", "--config", cfg, "--kernel", kernel, "--mode", "apply",
+         "--input", str(unlabeled)],
+        ["audit", "--config", cfg, "--kernel", kernel,
+         "--transformed", str(tmp_path / "l1" / "transformed_train.csv")],
+        ["sweep", "--config", str(tmp_path / "kl.yaml"), "--eps-grid", "0.1,0.3,0.5"],
+    ]
+    run_fresh(f"""
+        import sys
+        import fairmap.cli
+        for argv in {argvs!r}:
+            assert fairmap.cli.main(argv) == 0, argv
+        loaded = [name for name in {UNUSED!r} if name in sys.modules]
+        assert not loaded, loaded
+        assert "scipy.optimize._highspy._core" in sys.modules
+    """)

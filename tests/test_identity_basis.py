@@ -23,6 +23,7 @@ from fairmap.solver import (
     solve_tv,
 )
 
+from conftest import scipy_csr
 from test_kl_model import cold_kelley, cold_lp
 from test_properties import random_instance
 from test_sof import raise_forbidden_metric, sof_instance
@@ -71,10 +72,10 @@ def reference(prog, objective):
     if objective == "kl":
         status, kvec, value, _ = cold_kelley(prog)
         return status, (value + prog.tie_term(kvec) if status == STATUS_OPTIMAL else None)
-    n_img = prog.p_ref.size
+    n_img, A = prog.p_ref.size, scipy_csr(prog.A)
     eye = sp.identity(n_img, format="csr")
     res, _ = cold_lp(prog, -TIE_BREAK_WEIGHT * prog.anchor, np.ones(n_img),
-                     sp.vstack([sp.hstack([-prog.A, -eye]), sp.hstack([prog.A, -eye])]),
+                     sp.vstack([sp.hstack([-A, -eye]), sp.hstack([A, -eye])]),
                      np.concatenate([-prog.p_ref, prog.p_ref]))
     if res.status == 2:
         return STATUS_INFEASIBLE, None

@@ -26,6 +26,7 @@ from fairmap.solver import (
     solve_kl,
 )
 
+from conftest import scipy_csr
 from test_properties import random_instance
 
 
@@ -58,12 +59,12 @@ def cold_lp(prog, c_k, c_aux, rows, rhs):
     through ``linprog``.  Returns the result and the multipliers of the
     ``<=`` rows, G's first (None unless optimal)."""
     n, n_aux = prog.n_vars, len(c_aux)
-    A_ub = sp.vstack([sp.hstack([prog.G, sp.csr_matrix((prog.h.size, n_aux))]), rows],
+    A_ub = sp.vstack([sp.hstack([scipy_csr(prog.G), sp.csr_matrix((prog.h.size, n_aux))]), rows],
                      format="csr")
     b_ub = np.concatenate([prog.h, rhs])
     res = linprog(
         np.concatenate([c_k, c_aux]), A_ub=A_ub, b_ub=b_ub,
-        A_eq=sp.hstack([prog.row_sum_matrix(), sp.csr_matrix((prog.n_rows, n_aux))]),
+        A_eq=sp.hstack([scipy_csr(prog.row_sum_matrix()), sp.csr_matrix((prog.n_rows, n_aux))]),
         b_eq=np.ones(prog.n_rows),
         bounds=[(0.0, 1.0)] * n + [(0.0, None)] * n_aux, method="highs",
         options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
@@ -83,7 +84,7 @@ def cold_kelley(prog, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     tolerances, once read 2.657e-10 above an optimum of 0."""
     n, m = prog.n_vars, int(prog.h.size)
     sup = np.nonzero(prog.p_ref > 0)[0]
-    p, A_sup, n_sup = prog.p_ref[sup], prog.A[sup], sup.size
+    p, A_sup, n_sup = prog.p_ref[sup], scipy_csr(prog.A)[sup], sup.size
     res, _ = cold_lp(prog, np.zeros(n), [-1.0],
                      sp.hstack([-A_sup, sp.csr_matrix(p.reshape(-1, 1))]), np.zeros(n_sup))
     if res.status == 2:

@@ -15,7 +15,6 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +33,7 @@ from fairmap import (
     transform_train,
 )
 from fairmap import solver
+from fairmap._csr import vstack, zeros
 from fairmap.solver import (
     STATUS_INFEASIBLE,
     STATUS_INFINITE,
@@ -154,7 +154,7 @@ def test_lagrangian_bound_never_exceeds_the_optimum(seed, objective):
         return
     assert calls
     upper = out.objective + prog.tie_term(out.kvec)
-    wider = replace(prog, G=sp.vstack([prog.G, sp.csr_matrix((1, prog.n_vars))], format="csr"),
+    wider = replace(prog, G=vstack([prog.G, zeros((1, prog.n_vars))]),
                     h=np.append(prog.h, 1.0), labels=prog.labels + ("always",))
     rng = np.random.default_rng(seed)
     for lam, mu in calls:

@@ -24,6 +24,7 @@ from conftest import (
     make_schema,
     make_toy_instance,
     random_pmf,
+    scipy_csr,
 )
 from fairmap.constants import FORBIDDEN, ROW_ATOL, TIE_BREAK_WEIGHT
 from fairmap.constraints import VariableLayout
@@ -88,7 +89,7 @@ class BoundedReference:
     def __init__(self, pmf, spec, metric, budget):
         layout = VariableLayout.from_pmf(pmf)
         merged, self.pinned = full_layout_rows(pmf, spec, metric, budget, layout)
-        self.G, self.h = merged.G, merged.h
+        self.G, self.h = scipy_csr(merged.G), merged.h
         self.ub = np.where(self.pinned, 0.0, 1.0)
         self.A = sp.kron(layout.weights.reshape(1, -1),
                          sp.identity(layout.row_dim), format="csr")
@@ -273,12 +274,12 @@ class TestConvexReferenceCrossCheck:
                 continue
             P = problem.program
             k = cp.Variable(P.n_vars, nonneg=True)
-            cons = [P.row_sum_matrix() @ k == 1]
+            cons = [scipy_csr(P.row_sum_matrix()) @ k == 1]
             # pinned transitions are not variables, so need no constraint
             if P.h.size:
-                cons.append(P.G @ k <= P.h)
+                cons.append(scipy_csr(P.G) @ k <= P.h)
             sup = np.nonzero(P.p_ref > 0)[0]
-            q = P.A @ k
+            q = scipy_csr(P.A) @ k
             ref = cp.Problem(
                 cp.Minimize(cp.sum(cp.rel_entr(P.p_ref[sup], q[sup]))), cons
             )
@@ -295,15 +296,15 @@ def _slsqp_kl(P):
     """KL optimum of a program by scipy's SLSQP: the analytic gradient of
     sum p log(p / A k), dense simplex rows and G k <= h, bounds [0, 1]."""
     sup = np.nonzero(P.p_ref > 0)[0]
-    p, A = P.p_ref[sup], P.A[sup].toarray()
+    p, A = P.p_ref[sup], scipy_csr(P.A)[sup].toarray()
 
     def kl(k):
         q = A @ k
         return float(p @ np.log(p / q)), -A.T @ (p / q)
 
-    cons = [LinearConstraint(P.row_sum_matrix().toarray(), 1.0, 1.0)]
+    cons = [LinearConstraint(scipy_csr(P.row_sum_matrix()).toarray(), 1.0, 1.0)]
     if P.h.size:
-        cons.append(LinearConstraint(P.G.toarray(), -np.inf, P.h))
+        cons.append(LinearConstraint(scipy_csr(P.G).toarray(), -np.inf, P.h))
     lengths = np.diff(P.row_ptr)
     res = minimize(kl, np.repeat(1.0 / lengths, lengths), jac=True, method="SLSQP",
                    bounds=Bounds(0.0, 1.0), constraints=cons,
