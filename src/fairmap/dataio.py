@@ -45,10 +45,14 @@ followed by a ``key=value`` record (``kind`` is ``kernel``, ``data`` or
 reads it back.  This module only writes and reads the records; which
 record an artifact must carry is decided by the command line.
 
-A training sidecar (``training.npz``, beside the kernel) holds the
-records ``fit`` was given, bound to the SHA-256 of the file they were
-read from and to the reading configuration, so that later commands need
-not parse that file again.
+A record cache (an ``.npz`` sidecar: ``training.npz`` beside the kernel,
+``transformed_<mode>.npz`` beside a transformed file) holds the records
+``read_dataset`` gives of a data file, bound to the SHA-256 of its bytes
+and to the arguments of that read, so that later commands need not parse
+the file again.  ``write_dataset`` returns the SHA-256 of the bytes it
+wrote, and ``round_trips`` tells whether reading them gives back the
+records written.  Which binding a cache carries is decided by the
+command line; a missing, damaged or foreign cache is a miss.
 """
 
 from __future__ import annotations
@@ -598,11 +602,12 @@ def read_dataset(
 
 
 def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
-                  record: Optional[dict] = None) -> None:
+                  record: Optional[dict] = None) -> str:
     """Write records with protected attributes retained, per-variable
     category labels and each record's stream id in a last ``_stream``
     column; outcomes are omitted entirely for apply-mode data.  The
-    provenance line of ``record`` comes first when it is given."""
+    provenance line of ``record`` comes first when it is given.  Returns
+    the hex SHA-256 of the bytes written, hashed as they are written."""
     schema = dataset.schema
     end = csv.excel.lineterminator
 
@@ -628,15 +633,34 @@ def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
         texts[at] = text(v.alphabet.categories[i] for v, i in zip(variables, idx))
     # csv quotes the stream ids that hold the delimiter
     id_text = str if delimiter not in "-0123456789" else lambda i: text([i])[:-1]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if record is not None:
-            fh.write(provenance_line("data", record))
-        csv.writer(fh, delimiter=delimiter).writerow(header)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text: str) -> None:
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+
+        put(("" if record is None else provenance_line("data", record))
+            + text(header)[:-1] + end)
         for start in range(0, len(cells), _WRITE_ROWS):
             block = slice(start, start + _WRITE_ROWS)
-            fh.write("".join(chain.from_iterable(zip(
+            put("".join(chain.from_iterable(zip(
                 map(texts.__getitem__, cells[block].tolist()),
                 map(id_text, dataset.stream_ids[block].tolist()), repeat(end)))))
+    return digest.hexdigest()
+
+
+def round_trips(schema: Schema) -> bool:
+    """Whether ``read_dataset`` (a header row, no filters) of a file that
+    ``write_dataset`` wrote under ``schema``, with a provenance record,
+    gives back the records written.  It does when every variable name and
+    category label reads as itself (not blank, no outer blanks, no NUL,
+    which ``csv`` refuses before Python 3.11), the header is no ``#``
+    line, and it names no second ``_stream`` column."""
+    names = [v.name for v in schema.variables]
+    words = names + [c for v in schema.variables for c in v.alphabet.categories]
+    return (STREAM_COLUMN not in names and not any(n.startswith("#") for n in names)
+            and all(w and w == w.strip() and "\0" not in w for w in words))
 
 
 def file_sha256(path: str) -> str:
@@ -649,13 +673,13 @@ def file_sha256(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# training sidecar
+# record caches
 # ---------------------------------------------------------------------------
 
 
 def write_training(path: str, dataset: Dataset, binding: dict) -> None:
-    """Save the records of ``dataset`` under ``binding``, a mapping of
-    strings naming where they came from (see ``read_training``)."""
+    """Save the records of ``dataset`` under ``binding``, a JSON mapping
+    naming where they came from (see ``read_training``)."""
     np.savez(path, d=dataset.d, x=dataset.x, y=dataset.y,
              stream_ids=dataset.stream_ids,
              binding=np.array(json.dumps(binding, sort_keys=True)))
