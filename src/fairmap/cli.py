@@ -12,15 +12,13 @@ the one place that decides what those records must match: it runs
 before ``transform`` or ``audit`` parses any artifact or the training
 file, and ``--allow-provenance-mismatch`` waives its mismatches.
 
-``_records`` is the one read of a data file that a command has parsed or
-written before: ``fit`` and ``sweep`` read the training file through
-``training.npz`` in their output directory, ``transform`` and ``audit``
-through the one beside the kernel, and ``audit --transformed`` through
-the ``transformed_<mode>.npz`` that ``transform`` wrote beside its
-output.  Each cache is keyed by the SHA-256 of the file and by what
-``read_dataset`` is called with (``_record_key``), so a refit at another
-epsilon, budget, objective or solver setting still hits it; a miss
-parses the file.
+``_training_records`` is the one read of the training file: ``fit`` and
+``sweep`` read it through ``training.npz`` in their output directory,
+``transform`` and ``audit`` through the one beside the kernel.  The
+cache is keyed by the SHA-256 of the file and by what ``read_dataset``
+is called with (``_record_key``), so a refit at another epsilon,
+budget, objective or solver setting still hits it; a miss parses the
+file.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from .dataio import (
     read_dataset,
     read_kernel,
     read_training,
-    round_trips,
     write_dataset,
     write_kernel,
     write_training,
@@ -113,38 +110,33 @@ def _read_input(config: PipelineConfig, path: str, filtered: bool = True):
     )
 
 
-def _record_key(config: PipelineConfig, data_sha256: str, written: bool = False) -> dict:
-    """What the records of a file depend on: the SHA-256 of its bytes and
-    what ``read_dataset`` is called with, which is the schema section
-    (variables and filters), the delimiter, and the configured input's
-    header, columns and filters or, for a file ``transform`` wrote
-    (``written``), a header row and no filters."""
+def _record_key(config: PipelineConfig, data_sha256: str) -> dict:
+    """What the records of the training file depend on: the SHA-256 of
+    its bytes and what ``read_dataset`` is called with, which is the
+    schema section (variables and filters), the delimiter, the header
+    and the columns."""
     return {
         "data_sha256": data_sha256,
         "schema": config.raw["schema"],
         "delimiter": config.delimiter,
-        "has_header": written or config.has_header,
-        "columns": None if written else config.columns,
-        "filtered": not written,
+        "has_header": config.has_header,
+        "columns": config.columns,
     }
 
 
-def _records(config: PipelineConfig, path: str, digest: Optional[str],
-             cache: Optional[str], written: bool = False, save: bool = False):
-    """The records of the file at ``path``, whose SHA-256 is ``digest``,
-    read as the configured input or, when ``written``, as a file
-    ``transform`` wrote: those saved in the record cache at ``cache``
-    under their ``_record_key``, else the file parsed (and saved there
-    when ``save``).  The cache is only a cache: a missing, damaged or
-    foreign one is a miss, and a None ``digest`` or ``cache`` parses."""
-    key = _record_key(config, digest, written)
+def _training_records(config: PipelineConfig, digest: Optional[str],
+                      cache: Optional[str], save: bool = False):
+    """The records of the training file, whose SHA-256 is ``digest``:
+    those saved in the ``training.npz`` at ``cache`` under their
+    ``_record_key``, else the file parsed (and saved there when
+    ``save``).  The cache is only a cache: a missing, damaged or foreign
+    one is a miss, and a None ``digest`` or ``cache`` parses."""
+    key = _record_key(config, digest)
     saved = None if digest is None or cache is None else read_training(
         cache, config.schema, key)
     if saved is not None:
         return saved
-    # a transformed file has a header row whatever the input's layout
-    dataset = (read_dataset(path, config.schema, delimiter=config.delimiter) if written
-               else _read_input(config, path))
+    dataset = _read_input(config, config.input_path)
     if save:
         write_training(cache, dataset, key)
     return dataset
@@ -153,11 +145,6 @@ def _records(config: PipelineConfig, path: str, digest: Optional[str],
 def _training_cache(kernel: Optional[str]) -> Optional[str]:
     """The ``training.npz`` that ``fit`` saved beside ``kernel``."""
     return None if kernel is None else os.path.join(os.path.dirname(kernel), TRAINING_FILE)
-
-
-def _written_cache(path: str) -> str:
-    """The record cache of the transformed file at ``path``, beside it."""
-    return os.path.splitext(path)[0] + ".npz"
 
 
 def _check_provenance(config: PipelineConfig, args, reads_training: bool,
@@ -246,8 +233,8 @@ def cmd_fit(args) -> int:
     config = load_config(args.config)
     out_dir = _ensure_out(config, args.out_dir)
     digest = file_sha256(config.input_path)
-    dataset = _records(config, config.input_path, digest,
-                       os.path.join(out_dir, TRAINING_FILE), save=True)
+    dataset = _training_records(config, digest, os.path.join(out_dir, TRAINING_FILE),
+                                save=True)
     problem = _assemble(config, estimate_empirical(dataset))
     sol = _solve(config, problem)
     payload = _solution_payload(sol, config)
@@ -304,14 +291,14 @@ def cmd_transform(args) -> int:
     kernel = read_kernel(args.kernel, config.schema)
     seed = args.seed_override if args.seed_override is not None else config.seed
     cache = _training_cache(args.kernel)
-    dataset = _records(config, config.input_path, digest, cache) if training else _read_input(
+    dataset = _training_records(config, digest, cache) if training else _read_input(
         config, args.input or config.input_path, filtered=not args.no_filters
     )
     if args.mode == "train":
         transformed = transform_train(dataset, kernel, seed)
     else:
         pmf = estimate_empirical(
-            dataset if training else _records(config, config.input_path, digest, cache))
+            dataset if training else _training_records(config, digest, cache))
         mapper = derive_apply_kernel(kernel, pmf)
         for warning in mapper.warnings:
             print(f"warning: {warning}", file=sys.stderr)
@@ -322,11 +309,8 @@ def cmd_transform(args) -> int:
               else kernel.provenance.get("data_sha256"))
     record = {"fingerprint": config.fingerprint(), "data_sha256": source}
     out_path = os.path.join(out_dir, f"transformed_{args.mode}.csv")
-    out_sha256 = write_dataset(out_path, transformed, delimiter=config.delimiter,
-                               record={k: v for k, v in record.items() if v is not None})
-    if round_trips(config.schema):  # its records are what a parse of it gives
-        write_training(_written_cache(out_path), transformed,
-                       _record_key(config, out_sha256, written=True))
+    write_dataset(out_path, transformed, delimiter=config.delimiter,
+                  record={k: v for k, v in record.items() if v is not None})
     print(f"wrote {out_path} ({len(transformed)} records, seed {seed})")
     return EXIT_OK
 
@@ -375,14 +359,14 @@ def cmd_audit(args) -> int:
     digest = _check_provenance(config, args, not args.original,
                                kernel=args.kernel, transformed=args.transformed)
     kernel = read_kernel(args.kernel, schema) if args.kernel else None
-    original = (_read_input(config, args.original) if args.original else _records(
-        config, config.input_path, digest, _training_cache(args.kernel)))
+    original = (_read_input(config, args.original) if args.original
+                else _training_records(config, digest, _training_cache(args.kernel)))
     pmf = estimate_empirical(original)
     spec = config.discrimination
     target = spec.target if spec.target is not None else pmf.p_y()
 
-    transformed = (_records(config, args.transformed, file_sha256(args.transformed),
-                            _written_cache(args.transformed), written=True)
+    # a transformed file has a header row whatever the input's layout
+    transformed = (read_dataset(args.transformed, schema, delimiter=config.delimiter)
                    if args.transformed else None)
 
     payload: dict = {"fingerprint": config.fingerprint(), "n_records": len(original)}
@@ -526,8 +510,8 @@ def cmd_sweep(args) -> int:
         )
     grid = _parse_grid(args.eps_grid)
     out_dir = _ensure_out(config, args.out_dir)
-    dataset = _records(config, config.input_path, file_sha256(config.input_path),
-                       os.path.join(out_dir, TRAINING_FILE), save=True)
+    dataset = _training_records(config, file_sha256(config.input_path),
+                                os.path.join(out_dir, TRAINING_FILE), save=True)
     problem = _assemble(config, estimate_empirical(dataset))
     result = sweep_epsilon(
         problem, grid, tol=config.solver.tol, max_iters=config.solver.max_iters

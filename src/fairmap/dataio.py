@@ -45,14 +45,11 @@ followed by a ``key=value`` record (``kind`` is ``kernel``, ``data`` or
 reads it back.  This module only writes and reads the records; which
 record an artifact must carry is decided by the command line.
 
-A record cache (an ``.npz`` sidecar: ``training.npz`` beside the kernel,
-``transformed_<mode>.npz`` beside a transformed file) holds the records
-``read_dataset`` gives of a data file, bound to the SHA-256 of its bytes
-and to the arguments of that read, so that later commands need not parse
-the file again.  ``write_dataset`` returns the SHA-256 of the bytes it
-wrote, and ``round_trips`` tells whether reading them gives back the
-records written.  Which binding a cache carries is decided by the
-command line; a missing, damaged or foreign cache is a miss.
+A training sidecar (``training.npz``, beside the kernel) holds the
+records ``fit`` or ``sweep`` parsed from the training file, bound to the
+SHA-256 of its bytes and to the arguments of that read, so that later
+commands need not parse that file again.  Which binding a sidecar
+carries is decided by the command line.
 """
 
 from __future__ import annotations
@@ -602,12 +599,11 @@ def read_dataset(
 
 
 def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
-                  record: Optional[dict] = None) -> str:
+                  record: Optional[dict] = None) -> None:
     """Write records with protected attributes retained, per-variable
     category labels and each record's stream id in a last ``_stream``
     column; outcomes are omitted entirely for apply-mode data.  The
-    provenance line of ``record`` comes first when it is given.  Returns
-    the hex SHA-256 of the bytes written, hashed as they are written."""
+    provenance line of ``record`` comes first when it is given."""
     schema = dataset.schema
     end = csv.excel.lineterminator
 
@@ -633,34 +629,15 @@ def write_dataset(path: str, dataset: Dataset, delimiter: str = ",",
         texts[at] = text(v.alphabet.categories[i] for v, i in zip(variables, idx))
     # csv quotes the stream ids that hold the delimiter
     id_text = str if delimiter not in "-0123456789" else lambda i: text([i])[:-1]
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        def put(text: str) -> None:
-            data = text.encode()
-            digest.update(data)
-            fh.write(data)
-
-        put(("" if record is None else provenance_line("data", record))
-            + text(header)[:-1] + end)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if record is not None:
+            fh.write(provenance_line("data", record))
+        csv.writer(fh, delimiter=delimiter).writerow(header)
         for start in range(0, len(cells), _WRITE_ROWS):
             block = slice(start, start + _WRITE_ROWS)
-            put("".join(chain.from_iterable(zip(
+            fh.write("".join(chain.from_iterable(zip(
                 map(texts.__getitem__, cells[block].tolist()),
                 map(id_text, dataset.stream_ids[block].tolist()), repeat(end)))))
-    return digest.hexdigest()
-
-
-def round_trips(schema: Schema) -> bool:
-    """Whether ``read_dataset`` (a header row, no filters) of a file that
-    ``write_dataset`` wrote under ``schema``, with a provenance record,
-    gives back the records written.  It does when every variable name and
-    category label reads as itself (not blank, no outer blanks, no NUL,
-    which ``csv`` refuses before Python 3.11), the header is no ``#``
-    line, and it names no second ``_stream`` column."""
-    names = [v.name for v in schema.variables]
-    words = names + [c for v in schema.variables for c in v.alphabet.categories]
-    return (STREAM_COLUMN not in names and not any(n.startswith("#") for n in names)
-            and all(w and w == w.strip() and "\0" not in w for w in words))
 
 
 def file_sha256(path: str) -> str:
@@ -673,7 +650,7 @@ def file_sha256(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# record caches
+# training sidecar
 # ---------------------------------------------------------------------------
 
 

@@ -905,9 +905,8 @@ def counting_reads(monkeypatch) -> list:
 class TestTrainingRecords:
     """``fit`` binds its kernel to the training file's SHA-256 and saves the
     records it read as ``training.npz``; ``transform`` and ``audit`` refuse
-    a changed file and otherwise reuse the saved records, and ``audit``
-    reuses the ``transformed_<mode>.npz`` that ``transform`` saved beside
-    its output, with the outputs a fresh parse gives."""
+    a changed file and otherwise reuse the saved records, with the outputs
+    a fresh parse gives."""
 
     OUTPUTS = ("transformed_train.csv", "transformed_apply.csv",
                "audit_report.json", "audit_report.txt", "cohort_deltas.csv")
@@ -924,15 +923,10 @@ class TestTrainingRecords:
              "--out-dir", str(out)],
         ]
 
-    def run_all(self, cfg, kernel, out, monkeypatch, sidecars=True):
-        """Outputs of the three commands, and the files they parsed; with
-        ``sidecars`` false, every record cache is deleted before each
-        command."""
+    def run_all(self, cfg, kernel, out, monkeypatch):
+        """Outputs of the three commands, and the files they parsed."""
         parsed = counting_reads(monkeypatch)
         for argv in self.commands(cfg, kernel, out):
-            if not sidecars:
-                for path in (kernel.parent / "training.npz", *out.glob("*.npz")):
-                    path.unlink(missing_ok=True)
             assert main(argv) == 0
         monkeypatch.undo()
         return {name: (out / name).read_bytes() for name in self.OUTPUTS}, parsed
@@ -1018,13 +1012,19 @@ class TestTrainingRecords:
         assert main(["fit", "--config", str(cfg)]) == 0
         kernel = tmp / "out" / "kernel.csv"
         saved, parsed = self.run_all(cfg, kernel, tmp / "a", monkeypatch)
-        # neither the training file nor the audited transformed file is parsed
-        assert parsed == []
-        fresh, parsed = self.run_all(cfg, kernel, tmp / "b", monkeypatch, sidecars=False)
-        assert parsed == [str(tmp / "data.csv")] * 3 + [str(tmp / "b" / "transformed_train.csv")]
+        # only the audited transformed file is parsed
+        assert parsed == [str(tmp / "a" / "transformed_train.csv")]
+        (tmp / "out" / "training.npz").unlink()
+        fresh, parsed = self.run_all(cfg, kernel, tmp / "b", monkeypatch)
+        assert parsed.count(str(tmp / "data.csv")) == 3
         assert saved == fresh
 
-    def test_refit_at_another_epsilon_parses_nothing(self, workdir, monkeypatch):
+    @pytest.mark.parametrize("command, outputs", [
+        (["fit"], ("kernel.csv", "fit_report.json", "fit_report.txt")),
+        (["sweep", "--eps-grid", "0.1,0.5"], ("sweep.csv", "sweep.json")),
+    ], ids=["fit", "sweep"])
+    def test_refit_at_another_epsilon_parses_nothing(self, workdir, monkeypatch,
+                                                     command, outputs):
         tmp, cfg = workdir
         assert main(["fit", "--config", str(cfg)]) == 0
         raw = yaml.safe_load(cfg.read_text())
@@ -1036,68 +1036,13 @@ class TestTrainingRecords:
             if not cached:
                 (tmp / "out" / "training.npz").unlink()
             parsed = counting_reads(monkeypatch)
-            assert main(["fit", "--config", str(refit)]) == 0
+            assert main(command[:1] + ["--config", str(refit)] + command[1:]) == 0
             monkeypatch.undo()
-            runs.append((parsed, {name: (tmp / "out" / name).read_bytes() for name in
-                                  ("kernel.csv", "fit_report.json", "fit_report.txt")}))
+            runs.append((parsed, {name: (tmp / "out" / name).read_bytes()
+                                  for name in outputs}))
         (cached_parsed, cached), (fresh_parsed, fresh) = runs
         assert cached_parsed == [] and fresh_parsed == [str(tmp / "data.csv")]
         assert cached == fresh
-
-    def test_no_transformed_sidecar_where_labels_do_not_read_back(self, workdir,
-                                                                   monkeypatch):
-        # " v" is written as it is and read back as "v", which only the
-        # quantizer turns into " v" again; a label with outer blanks may not
-        # read back as itself, so its file gets no sidecar and is parsed
-        tmp, cfg = workdir
-        raw = yaml.safe_load(cfg.read_text())
-        raw["schema"]["variables"][1].update(
-            categories=["u", " v"], quantizer={"kind": "map", "mapping": {"v": " v"}})
-        cfg.write_text(yaml.safe_dump(raw))
-        assert main(["fit", "--config", str(cfg)]) == 0
-        outputs, parsed = self.run_all(cfg, tmp / "out" / "kernel.csv", tmp / "a", monkeypatch)
-        assert not list((tmp / "a").glob("*.npz"))
-        assert parsed == [str(tmp / "a" / "transformed_train.csv")]
-
-    @pytest.mark.parametrize("edit", ["label", "short_row"])
-    def test_edited_transformed_file_is_parsed(self, workdir, monkeypatch, capsys, edit):
-        # its sidecar names the bytes transform wrote, so an edited file is
-        # parsed, and audited or refused as it was before there were sidecars
-        tmp, cfg = workdir
-        assert main(["fit", "--config", str(cfg)]) == 0
-        argv = ["transform", "--config", str(cfg), "--kernel", str(tmp / "out" / "kernel.csv"),
-                "--mode", "train", "--out-dir", str(tmp / "t")]
-        assert main(argv) == 0
-        transformed = tmp / "t" / "transformed_train.csv"
-        # the first line holds the provenance line (LF) and the header
-        lines = transformed.read_bytes().split(b"\r\n")
-        fields = lines[1].split(b",")  # the first record: grp, f1, out, _stream
-        if edit == "label":
-            fields[2] = b"1" if fields[2] == b"0" else b"0"
-        else:
-            fields = fields[:2]
-        lines[1] = b",".join(fields)
-        transformed.write_bytes(b"\r\n".join(lines))
-        audit = ["audit", "--config", str(cfg), "--kernel", str(tmp / "out" / "kernel.csv"),
-                 "--transformed", str(transformed), "--out-dir", str(tmp / "a")]
-        results = []
-        for sidecar in (True, False):
-            if not sidecar:
-                (tmp / "t" / "transformed_train.npz").unlink()
-            parsed = counting_reads(monkeypatch)
-            capsys.readouterr()
-            code = main(audit)
-            monkeypatch.undo()
-            assert parsed == [str(transformed)]
-            report = (tmp / "a" / "audit_report.json").read_bytes() if code == 0 else None
-            results.append((code, capsys.readouterr().err, report))
-        assert results[0] == results[1]
-        code, err, _ = results[0]
-        if edit == "label":
-            assert code == 0
-        else:
-            assert code == 4 and err == (
-                f"error: short row in {transformed}: {[f.decode() for f in fields]!r}\n")
 
     def other_data(self, tmp, cfg):
         """A sidecar fit on data other than the workdir's."""
@@ -1150,7 +1095,7 @@ class TestTrainingRecords:
         sidecar.write_bytes(self.fit_elsewhere(
             tmp, cfg, lambda raw: raw["discrimination"].update(epsilon=0.4)))
         outputs, parsed = self.run_all(cfg, kernel, tmp / "b", monkeypatch)
-        assert parsed == []
+        assert parsed == [str(tmp / "b" / "transformed_train.csv")]
         assert outputs == fresh
 
     @pytest.mark.parametrize("foreign", ["other_data", "other_filter", "other_delimiter"])
