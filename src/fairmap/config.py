@@ -77,16 +77,14 @@ class SolverConfig:
     tol: float
     max_iters: int
     strategy: str  # full | sof_fix_conditional | sof_alternating
-    max_outer: int
+    max_outer: Optional[int] = None  # set under sof_alternating only
 
     def __post_init__(self):
         if not self.tol > 0:  # NaN fails this test too
             raise ConfigError("solver tol must be positive")
-        for name in ("max_iters", "max_outer"):
-            if getattr(self, name) < 1:
+        for name, cap in (("max_iters", self.max_iters), ("max_outer", self.max_outer)):
+            if cap is not None and cap < 1:
                 raise ConfigError(f"solver {name} must be at least 1")
-        if self.strategy not in ("full", "sof_fix_conditional", "sof_alternating"):
-            raise ConfigError(f"unknown solver strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -225,8 +223,7 @@ def _discrimination(groups):
 
 _PAIR = _list(_float, 2)
 
-_QUANTIZER = _kinds("kind", "identity", {
-    "identity": {},
+_QUANTIZER = _kinds("kind", REQUIRED, {
     "map": {"mapping": (REQUIRED, _dict(_str, _str)), "default": (None, _str),
             "drop_unmapped": (False, _bool)},
     "bins": {"edges": (REQUIRED, _list(_float)), "labels": (REQUIRED, _list(_str))},
@@ -234,8 +231,7 @@ _QUANTIZER = _kinds("kind", "identity", {
 
 _VARIABLE = {
     "name": (REQUIRED, _str), "role": (REQUIRED, _str),
-    "categories": (REQUIRED, _list(_str)), "ordinal": (False, _bool),
-    "quantizer": (None, _QUANTIZER),
+    "categories": (REQUIRED, _list(_str)), "quantizer": (None, _QUANTIZER),
 }
 
 _OPERANDS = {**dict.fromkeys(_COMPARISONS, _value),
@@ -272,6 +268,12 @@ _BUDGET = _kinds("mode", "expected", {
     "thresholded": {"pairs": (REQUIRED, _list(_PAIR))},
 })
 
+_ITERATIONS = {"tol": (DEFAULT_TOL, _float), "max_iters": (DEFAULT_MAX_ITERS, _int)}
+_SOLVER = _kinds("strategy", "full", {
+    "full": _ITERATIONS, "sof_fix_conditional": _ITERATIONS,
+    "sof_alternating": {**_ITERATIONS, "max_outer": (100, _int)},
+})
+
 _FIELDS = {
     "input": ({}, _section({
         "path": ("", _str), "delimiter": (",", _delimiter), "has_header": (True, _bool),
@@ -284,10 +286,7 @@ _FIELDS = {
     "discrimination": ({}, _DISCRIMINATION),
     "distortion": (None, _section({"metric": ({}, _METRIC), "budget": ({}, _BUDGET)})),
     "objective": ("kl", _str),
-    "solver": ({}, _section({
-        "tol": (DEFAULT_TOL, _float), "max_iters": (DEFAULT_MAX_ITERS, _int),
-        "strategy": ("full", _str), "max_outer": (100, _int),
-    })),
+    "solver": ({}, _SOLVER),
     "seed": (0, _int),
     "output": ({}, _section({"dir": ("out", _str)})),
 }
@@ -372,7 +371,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 def _compile(raw: dict) -> PipelineConfig:
     """The configuration of a filled mapping."""
     schema = Schema(tuple(
-        Variable(Alphabet(v["name"], tuple(v["categories"]), v["ordinal"]), v["role"],
+        Variable(Alphabet(v["name"], tuple(v["categories"])), v["role"],
                  None if v["quantizer"] is None else
                  _built(f"schema.variables[{i}].quantizer", Quantizer, v["quantizer"]))
         for i, v in enumerate(raw["schema"]["variables"])

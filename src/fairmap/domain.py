@@ -36,16 +36,10 @@ ROLE_Y = "Y"
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A named finite set of category labels.
-
-    ``ordinal`` marks alphabets whose declared order carries meaning
-    (age bands, prior-count buckets); distortion rules may then speak of
-    category "jumps".
-    """
+    """A named finite set of category labels."""
 
     name: str
     categories: tuple[str, ...]
-    ordinal: bool = False
 
     def __post_init__(self):
         if not self.categories:
@@ -70,7 +64,6 @@ class Alphabet:
 class Quantizer:
     """Declarative ingestion rule mapping raw field values to categories.
 
-    kind "identity": the stripped raw string must already be a category.
     kind "map": explicit raw-value -> category mapping; unmapped values
         fall back to ``default`` when set, drop the whole record when
         ``drop_unmapped`` (used e.g. to remove sparse groups), and raise
@@ -80,7 +73,7 @@ class Quantizer:
         outer bins; NaN raises ``ValueError``.
     """
 
-    kind: str = "identity"
+    kind: str
     mapping: Optional[Mapping[str, str]] = None
     default: Optional[str] = None
     drop_unmapped: bool = False
@@ -88,7 +81,7 @@ class Quantizer:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "map", "bins"):
+        if self.kind not in ("map", "bins"):
             raise InvalidParamsError(f"unknown quantizer kind {self.kind!r}")
         if self.kind == "map" and not self.mapping:
             raise InvalidParamsError("map quantizer needs a mapping")
@@ -108,8 +101,6 @@ class Quantizer:
     def apply(self, raw: str):
         """Return the category label for ``raw``, or ``Quantizer.DROP``."""
         raw = raw.strip()
-        if self.kind == "identity":
-            return raw
         if self.kind == "map":
             if raw in self.mapping:
                 return self.mapping[raw]

@@ -60,7 +60,6 @@ _COMPAS = {
                 "name": "age_cat",
                 "role": "X",
                 "categories": ["Less than 25", "25 - 45", "Greater than 45"],
-                "ordinal": True,
             },
             {
                 "name": "c_charge_degree",
@@ -71,7 +70,6 @@ _COMPAS = {
                 "name": "priors_count",
                 "role": "X",
                 "categories": ["0", "1 to 3", "More than 3"],
-                "ordinal": True,
                 "quantizer": {
                     "kind": "bins",
                     "edges": [1, 4],
@@ -127,7 +125,7 @@ _COMPAS = {
         "budget": {"mode": "expected", "c": 0.5},
     },
     "objective": "kl",
-    "solver": {"tol": 1e-6, "max_iters": 50000, "strategy": "full", "max_outer": 100},
+    "solver": {"tol": 1e-6, "max_iters": 50000, "strategy": "full"},
     "seed": 0,
     "output": {"dir": "out/compas"},
 }
@@ -170,7 +168,6 @@ _ADULT = {
                     "17-19", "20-29", "30-39", "40-49", "50-59",
                     "60-69", "70-79", "80-89", "90+",
                 ],
-                "ordinal": True,
                 "quantizer": {
                     "kind": "bins",
                     "edges": [20, 30, 40, 50, 60, 70, 80, 90],
@@ -184,7 +181,6 @@ _ADULT = {
                 "name": "education_num",
                 "role": "X",
                 "categories": [str(i) for i in range(1, 17)],
-                "ordinal": True,
             },
             {
                 "name": "income",
@@ -234,7 +230,7 @@ _ADULT = {
         },
     },
     "objective": "l1",
-    "solver": {"tol": 1e-6, "max_iters": 50000, "strategy": "full", "max_outer": 100},
+    "solver": {"tol": 1e-6, "max_iters": 50000, "strategy": "full"},
     "seed": 0,
     "output": {"dir": "out/adult"},
 }

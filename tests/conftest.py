@@ -35,7 +35,7 @@ from fairmap.constants import FORBIDDEN
 
 def make_schema(nx: int = 1, nd: int = 2) -> Schema:
     grp = Alphabet("group", tuple(f"g{i}" for i in range(nd)))
-    feat = Alphabet("feat", tuple(f"x{i}" for i in range(nx)), ordinal=True)
+    feat = Alphabet("feat", tuple(f"x{i}" for i in range(nx)))
     out = Alphabet("outcome", ("0", "1"))
     return Schema((Variable(grp, "D"), Variable(feat, "X"), Variable(out, "Y")))
 
@@ -44,7 +44,7 @@ def make_schema_multi() -> Schema:
     """Two D variables and two X variables, for composite-label paths."""
     sex = Alphabet("sex", ("m", "f"))
     race = Alphabet("race", ("r0", "r1"))
-    age = Alphabet("age", ("young", "mid", "old"), ordinal=True)
+    age = Alphabet("age", ("young", "mid", "old"))
     job = Alphabet("job", ("a", "b"))
     out = Alphabet("outcome", ("0", "1"))
     return Schema(

@@ -85,6 +85,35 @@ class TestFit:
         n_records = len(read_dataset(config.input_path, config.schema))
         assert kernel.provenance["n_records"] == str(n_records) == str(report["n_records"])
 
+    @pytest.mark.parametrize("strategy, code", [
+        ("sof_fix_conditional", 2), ("sof_alternating", 0)])
+    def test_factorized_fit_report_is_plain_json(self, workdir, strategy, code):
+        # the report is written with no fallback for non-JSON values, so
+        # each must already be one, and the kernel-sized factors stay out
+        tmp, cfg = workdir
+        raw = yaml.safe_load(cfg.read_text())
+        raw["solver"] = {"strategy": strategy}
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["fit", "--config", str(cfg)]) == code
+        with open(tmp / "out" / "fit_report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        diagnostics = report["diagnostics"]
+        assert diagnostics["strategy"] == strategy.removeprefix("sof_")
+        assert not {"sof_y_given_xhat", "sof_xhat_given_dxy"} & set(diagnostics)
+
+    @pytest.mark.parametrize("objective", ["l1", "kl"])
+    def test_fit_without_distortion_section(self, workdir, objective):
+        tmp, cfg = workdir
+        raw = yaml.safe_load(cfg.read_text())
+        del raw["distortion"]
+        raw["objective"] = objective
+        cfg.write_text(yaml.safe_dump(raw))
+        config = load_config(str(cfg))
+        assert config.metric is None and config.budget is None
+        assert main(["fit", "--config", str(cfg)]) == 0
+        report = json.loads((tmp / "out" / "fit_report.json").read_text())
+        assert report["status"] == "optimal" and report["residual"] <= 1e-6
+
     def test_infeasible_exit_code(self, workdir):
         tmp, cfg = workdir
         raw = yaml.safe_load(cfg.read_text())
@@ -229,10 +258,12 @@ class TestTransform:
         h3 = hashlib.sha256((tmp / "t3" / "transformed_train.csv").read_bytes())
         assert h3.hexdigest() != h1.hexdigest()
 
-    # sha256 of the transformed files for the fixed kernel below on the
-    # ``workdir`` data; a changed per-record stream changes them
-    PINNED_TRAIN = "37b71291aab9a740e7e6b3877a73d5371e73e7c6e7dcc66d596c06a3deab2d19"
-    PINNED_APPLY = "e42d5a79aafcadbe9ea246a626e9cf2ae2ad8c71a5f346ec2d8804b248f057ab"
+    # sha256 of the records (every line below the provenance line) of the
+    # transformed files for the fixed kernel below on the ``workdir`` data;
+    # a changed per-record stream changes them, a changed config
+    # fingerprint does not
+    PINNED_TRAIN = "80cf36b8b69d171fa944c83d7e089bb44575fbb56d2e3a2bcda6ea0da316c5f9"
+    PINNED_APPLY = "f46edba51c2edd2c48e6f8114cf9738efbd35425bd760abebc00a7fe2cea4bf5"
 
     def test_seeded_outputs_match_pinned_digests(self, workdir):
         tmp, cfg = workdir
@@ -253,7 +284,10 @@ class TestTransform:
                 "--seed-override", "7",
             ]) == 0
             data = (tmp / "tf" / f"transformed_{mode}.csv").read_bytes()
-            digests[mode] = hashlib.sha256(data).hexdigest()
+            provenance, records = data.split(b"\n", 1)
+            assert provenance.decode() == (
+                f"# fairmap-data fingerprint={config.fingerprint()}")
+            digests[mode] = hashlib.sha256(records).hexdigest()
         assert digests == {"train": self.PINNED_TRAIN, "apply": self.PINNED_APPLY}
 
     def test_identity_kernel_reproduces_columns(self, workdir):
@@ -344,6 +378,31 @@ class TestTransform:
         ]) == 4
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {kernel} ") and named in line
+
+    def test_wrong_kernel_header_is_data_error(self, workdir, capsys):
+        tmp, cfg, kernel = self.fit(workdir)
+        lines = kernel.read_text().splitlines()
+        assert lines[1] == "d,x,y,x_hat,y_hat,prob"
+        lines[1] = "d,x,y,xhat,yhat,prob"
+        kernel.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([
+            "transform", "--config", str(cfg), "--kernel", str(kernel),
+            "--out-dir", str(tmp / "tk"),
+        ]) == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: unexpected kernel header")
+
+    def test_blank_kernel_line_reads_as_absent(self, workdir):
+        tmp, cfg, kernel = self.fit(workdir)
+        schema = load_config(str(cfg)).schema
+        lines = kernel.read_text().splitlines()
+        lines.insert(3, "")
+        spaced = tmp / "spaced.csv"
+        spaced.write_text("\n".join(lines) + "\n")
+        read, spaced_read = (read_kernel(str(p), schema) for p in (kernel, spaced))
+        np.testing.assert_array_equal(spaced_read.probs, read.probs)
+        assert spaced_read.provenance == read.provenance
 
     def test_kernel_entries_off_by_rounding_read_back(self, workdir):
         # solver kernels hold entries such as 1 + 2**-52 and -1e-16
@@ -545,6 +604,7 @@ class TestAuditAndSweep:
 
     @pytest.mark.parametrize("grid, named", [
         ("abc", "'abc'"), ("0.1,x", "'x'"), ("nan", "finite"), ("0.1,inf", "finite"),
+        (",", "empty epsilon grid"),
     ])
     def test_sweep_refuses_unparsable_grid(self, workdir, capsys, grid, named):
         tmp, cfg = workdir
@@ -760,7 +820,27 @@ def _negative_max_iters(raw):
 
 
 def _zero_max_outer(raw):
-    raw["solver"] = {"max_outer": 0}
+    raw["solver"] = {"strategy": "sof_alternating", "max_outer": 0}
+
+
+def _max_outer_under_full(raw):
+    raw["solver"] = {"strategy": "full", "max_outer": 100}
+
+
+def _max_outer_under_fix_conditional(raw):
+    raw["solver"] = {"strategy": "sof_fix_conditional", "max_outer": 100}
+
+
+def _ordinal_variable(raw):
+    raw["schema"]["variables"][1]["ordinal"] = True
+
+
+def _quantizer_without_kind(raw):
+    raw["schema"]["variables"][1]["quantizer"] = {}
+
+
+def _identity_quantizer(raw):
+    raw["schema"]["variables"][1]["quantizer"] = {"kind": "identity"}
 
 
 def _nan_target(raw):
@@ -837,6 +917,12 @@ class TestConfigErrors:
         (_nan_tol, "solver tol"),
         (_negative_max_iters, "solver max_iters"),
         (_zero_max_outer, "solver max_outer"),
+        (_max_outer_under_full, "solver.max_outer: unknown field"),
+        (_max_outer_under_fix_conditional, "solver.max_outer: unknown field"),
+        (_ordinal_variable, "schema.variables[1].ordinal: unknown field"),
+        (_quantizer_without_kind,
+         "schema.variables[1].quantizer.kind: must be one of map, bins"),
+        (_identity_quantizer, "schema.variables[1].quantizer.kind: must be one of map, bins"),
         (_nan_target, "target has negative or non-finite"),
         (_empty_delimiter, "input.delimiter"),
         (_two_char_delimiter, "input.delimiter"),
@@ -1200,6 +1286,22 @@ class TestDocumentedExitCodes:
         assert main(["fit", "--config", str(cfg)]) == 4
         assert self.error_line(capsys) == (
             f"error: {data} line 3: stream id {sid} is outside int64")
+
+    def test_headerless_input_without_columns(self, workdir, capsys):
+        tmp, cfg = workdir
+        raw = yaml.safe_load(cfg.read_text())
+        raw["input"]["has_header"] = False
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["fit", "--config", str(cfg)]) == 3
+        assert self.error_line(capsys) == (
+            "error: need explicit columns when there is no header")
+
+    def test_data_file_of_one_unterminated_comment(self, workdir, capsys):
+        tmp, cfg = workdir
+        data = tmp / "data.csv"
+        data.write_bytes(b"# grp,f1,out")
+        assert main(["fit", "--config", str(cfg)]) == 4
+        assert self.error_line(capsys) == f"error: {data} has no rows"
 
     @pytest.mark.parametrize("argv, message", [
         (["fit", "--config", "x.yaml", "--bogus"], "unrecognized arguments: --bogus"),

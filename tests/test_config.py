@@ -17,12 +17,7 @@ def tiny_config_dict(path="data.csv", seed=0, eps=0.3):
         "schema": {
             "variables": [
                 {"name": "grp", "role": "D", "categories": ["a", "b"]},
-                {
-                    "name": "f1",
-                    "role": "X",
-                    "categories": ["u", "v"],
-                    "ordinal": True,
-                },
+                {"name": "f1", "role": "X", "categories": ["u", "v"]},
                 {"name": "out", "role": "Y", "categories": ["0", "1"]},
             ],
         },
@@ -69,8 +64,6 @@ class TestRoundTrip:
         """Nested defaults written out or left off, and a whole-number
         budget written as 1 or 1.0, give one fingerprint."""
         terse, full = tiny_config_dict(), tiny_config_dict()
-        terse["schema"]["variables"][1]["quantizer"] = {}
-        full["schema"]["variables"][1]["quantizer"] = {"kind": "identity"}
         del terse["distortion"]["metric"]["attributes"]["out"]["kind"]
         full["distortion"]["metric"]["attributes"]["f1"]["above"] = FORBIDDEN
         terse["distortion"]["budget"]["c"] = 1
@@ -97,6 +90,22 @@ class TestRoundTrip:
         }
         cfg = config_from_dict(raw)
         assert cfg.discrimination.eps((1, 0)) == 0.2
+
+    def test_attribute_left_out_costs_nothing(self):
+        raw = tiny_config_dict()
+        del raw["distortion"]["metric"]["attributes"]["f1"]
+        [table] = config_from_dict(raw).metric.x_tables
+        np.testing.assert_array_equal(table, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("strategy", ["full", "sof_fix_conditional", "sof_alternating"])
+    def test_max_outer_is_filled_under_sof_alternating_alone(self, strategy):
+        raw = tiny_config_dict()
+        raw["solver"] = {"strategy": strategy}
+        cfg = config_from_dict(raw)
+        alternating = strategy == "sof_alternating"
+        assert set(cfg.to_dict()["solver"]) == {
+            "strategy", "tol", "max_iters", *(["max_outer"] if alternating else [])}
+        assert cfg.solver.max_outer == (100 if alternating else None)
 
 
 class TestValidation:

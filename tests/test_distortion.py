@@ -85,6 +85,29 @@ class TestCompasMetric:
             assert delta[i, j] == evaluate_distortion(metric, schema, frm, to)
 
 
+def test_sum_combiner_scalar_path_matches_matrix():
+    # the penalties of each feature and of the outcome add up unsquared
+    schema = make_schema_multi()
+    rng = np.random.default_rng(11)
+    tables = []
+    for var in schema.x_vars:
+        table = rng.uniform(0.1, 3.0, size=(len(var.alphabet),) * 2)
+        np.fill_diagonal(table, 0.0)
+        tables.append(table)
+    y_table = np.array([[0.0, 2.0], [0.5, 0.0]])
+    metric = DistortionMetric("per_attribute", x_tables=tuple(tables), y_table=y_table,
+                              combiner="sum")
+    delta = distortion_matrix(metric, schema)
+    frm, to = (int(np.ravel_multi_index((2, 1), schema.x_sizes)), 1), (0, 0)
+    assert evaluate_distortion(metric, schema, frm, to) == (
+        tables[0][2, 0] + tables[1][1, 0] + 0.5)
+    ncell = schema.nx * schema.ny
+    for i in range(ncell):
+        for j in range(ncell):
+            assert delta[i, j] == evaluate_distortion(metric, schema, divmod(i, 2),
+                                                      divmod(j, 2))
+
+
 def _adult_cell(schema, age, edu, y):
     return (int(np.ravel_multi_index((age, edu), schema.x_sizes)), y)
 
